@@ -4,7 +4,7 @@ n/3 ≤ k+t < n/2 via the unaccountable π_abs liveness attack.
 Ported onto the experiments layer: the run is the registered
 ``liveness`` scenario (n=9, coalition 4: n/3 = 3 ≤ 4 ≤ ⌈n/2⌉−1 = 4)
 executed through the scenario registry instead of a hand-rolled
-roster + ``run_consensus`` call.
+roster.
 """
 
 from repro.analysis.report import render_table

@@ -19,9 +19,6 @@ Quickstart::
     print(result.system_state())          # SystemState.HONEST
     print(result.final_block_count())     # 3
 
-(The old flat-kwargs ``run_consensus`` survives as a deprecated shim
-over exactly this spec.)
-
 Scenario sweeps (grids of committee sizes, attacks, synchrony models,
 seeds) run through the experiment-orchestration layer::
 
@@ -75,7 +72,6 @@ from repro.protocols.runner import (
     WorkloadSpec,
     make_transactions,
     run,
-    run_consensus,
 )
 from repro.checks import OracleReport, run_oracle
 from repro.experiments import (
@@ -145,7 +141,6 @@ __all__ = [
     "rational_player",
     "register_scenario",
     "run",
-    "run_consensus",
     "run_fuzz",
     "run_oracle",
     "run_sweep",

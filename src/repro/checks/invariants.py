@@ -478,9 +478,9 @@ class QuorumCertificateChecker(InvariantChecker):
     keyed by its real signer, pinned to that round and digest,
     phase-uniform within the map, and carries a verifying signature
     (Figure 2b's binding of phase+round into every signed statement).
-    Duck-typed so any protocol whose round state keeps
-    ``digest → {signer: SignedStatement}`` maps is covered; others are
-    vacuously fine.
+    Every replica owns ``_rounds`` (:class:`~repro.protocols.base.SlotState`
+    subclasses); which ``digest → {signer: SignedStatement}`` maps a
+    state keeps is the protocol's choice, so those are looked up by name.
 
     Under the ``aggregate_certs`` axis quorum evidence may instead be
     retained as an :class:`AggregateQC` (one digest + signer bitmap +
@@ -502,11 +502,8 @@ class QuorumCertificateChecker(InvariantChecker):
             return []
         violations: List[Violation] = []
         for pid in ctx.result.honest_ids:
-            rounds = getattr(ctx.result.replicas[pid], "_rounds", None)
-            if not isinstance(rounds, dict):
-                continue
-            for state in rounds.values():
-                round_number = getattr(state, "number", None)
+            for state in ctx.result.replicas[pid]._rounds.values():
+                round_number = state.number
                 for attr in self._QUORUM_ATTRS:
                     mapping = getattr(state, attr, None)
                     if not isinstance(mapping, dict):
@@ -525,7 +522,7 @@ class QuorumCertificateChecker(InvariantChecker):
     def _check_aggregates(
         self,
         pid: int,
-        round_number: Optional[int],
+        round_number: int,
         state: Any,
         registry: Any,
     ) -> List[Violation]:
@@ -542,7 +539,7 @@ class QuorumCertificateChecker(InvariantChecker):
             for aggregate in found:
                 ok = (
                     aggregate.signer_count >= 1
-                    and (round_number is None or aggregate.round_number == round_number)
+                    and aggregate.round_number == round_number
                     and registry.verify_aggregate(
                         aggregate,
                         statement_value(
@@ -563,7 +560,7 @@ class QuorumCertificateChecker(InvariantChecker):
         ctx: OracleContext,
         pid: int,
         attr: str,
-        round_number: Optional[int],
+        round_number: int,
         digest: str,
         by_signer: Dict[int, Any],
         registry: Any,
@@ -580,7 +577,7 @@ class QuorumCertificateChecker(InvariantChecker):
             ok = (
                 statement.signer == signer
                 and statement.digest == digest
-                and (round_number is None or statement.round_number == round_number)
+                and statement.round_number == round_number
                 and verify_statement(registry, statement)
             )
             if not ok:

@@ -26,8 +26,8 @@ CommitView, and a CommitView quorum moves everyone to round r + 1.
 Public API:
 
 - :class:`~repro.core.replica.PRFTReplica` — the replica state machine;
-- :func:`~repro.core.replica.prft_factory` — plug into
-  :func:`repro.protocols.runner.run_consensus`;
+- :func:`~repro.core.replica.prft_factory` — the ``factory`` of a
+  :class:`~repro.protocols.spec.RunSpec`;
 - :mod:`~repro.core.messages` — the wire formats of Figure 2b;
 - :mod:`~repro.core.pof` — ConstructProof and fraud-proof verification.
 """

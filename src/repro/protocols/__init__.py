@@ -2,7 +2,10 @@
 
 - :mod:`~repro.protocols.base` — the protocol-agnostic replica
   skeleton (configuration, context wiring, signing and broadcast
-  helpers with strategy interception);
+  helpers with strategy interception, and the one slot lifecycle all
+  five protocols run on);
+- :mod:`~repro.protocols.twophase` — the prepare/commit state machine
+  pBFT, Polygraph and TRAP are deltas on;
 - :mod:`~repro.protocols.lifecycle` — the crash/recovery lifecycle
   (:class:`~repro.protocols.lifecycle.ReplicaStatus`,
   :class:`~repro.protocols.lifecycle.CrashSchedule`);
@@ -33,7 +36,6 @@ from repro.protocols.runner import (
     WorkloadSpec,
     build_context,
     run,
-    run_consensus,
 )
 
 __all__ = [
@@ -52,5 +54,4 @@ __all__ = [
     "WorkloadSpec",
     "build_context",
     "run",
-    "run_consensus",
 ]

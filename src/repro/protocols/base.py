@@ -2,9 +2,12 @@
 
 Every protocol (pRFT, pBFT, HotStuff, Polygraph, TRAP) subclasses
 :class:`BaseReplica`, which wires a :class:`~repro.agents.player.Player`
-to the simulation context and funnels *all* outgoing traffic through
-the player's strategy — the single choke point where abstention,
-equivocation and censorship can occur.
+to the simulation context, funnels *all* outgoing traffic through the
+player's strategy — the single choke point where abstention,
+equivocation and censorship can occur — and owns the slot lifecycle the
+paper evaluates all five protocols on: round-robin leaders, one timer
+per slot, a window of speculatively open slots, and the sequence that
+lands a decided block on the chain.
 """
 
 from __future__ import annotations
@@ -12,16 +15,19 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.agents.player import Player
 from repro.agents.strategies import MessageFactory
 from repro.crypto.keys import KeyPair
 from repro.crypto.registry import KeyRegistry
 from repro.crypto.signatures import Signature, sign
+from repro.ledger.block import Block
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
 from repro.ledger.mempool import Mempool
+from repro.ledger.transaction import Transaction
+from repro.ledger.validation import ADVERSARIAL_MARKER_PREFIX
 from repro.net.envelope import Envelope
 from repro.net.network import Network
 from repro.protocols.lifecycle import ReplicaStatus
@@ -150,12 +156,39 @@ class ProtocolContext:
         return self.engine.now
 
 
+@dataclass
+class SlotState:
+    """What the slot lifecycle itself tracks for one round.
+
+    Each protocol extends this with its own quorum bookkeeping and
+    names the result in :attr:`BaseReplica.ROUND_STATE`.
+    """
+
+    number: int
+    blocks: Dict[str, Block] = field(default_factory=dict)
+    timeouts: int = 0
+    #: set by :meth:`BaseReplica._commit_decided`; pRFT, whose decided
+    #: block is first tentative, tracks ``tentative_digest`` instead.
+    decided_digest: Optional[str] = None
+    finalized: bool = False
+    advanced: bool = False
+
+
 class BaseReplica(ABC):
     """One player's protocol state machine.
 
-    Subclasses implement :meth:`start`, :meth:`handle_payload` and
-    :meth:`on_timeout`; the base class provides signing, verification,
-    strategy-mediated broadcast, chain/mempool state and trace helpers.
+    The base class provides signing, verification, strategy-mediated
+    broadcast, chain/mempool state, trace helpers and the whole slot
+    lifecycle (open → timer → advance, the speculative slot window,
+    crash recovery, the chain-landing tail).  A protocol supplies its
+    round-state dataclass (:attr:`ROUND_STATE`) and its own pieces:
+    :meth:`_propose` (what a leader sends when a slot opens),
+    :meth:`handle_payload` (message type → handler), :meth:`_on_timeout`
+    (its reaction to a slot's timer), :meth:`_retransmit_round` and
+    :meth:`_offer_catch_up` (what it resends on a faulty link, to
+    everyone and to one laggard), and optionally
+    :meth:`_on_late_payload` (what it still does with traffic for a
+    round it has left).
     """
 
     #: Cap on the retransmission backoff exponent: repeat timeouts on an
@@ -163,6 +196,9 @@ class BaseReplica(ABC):
     #: resend, so duplicate storms stop amplifying but a long-crashed
     #: peer still gets periodic service.
     BACKOFF_MAX_DOUBLINGS = 5
+
+    #: The protocol's per-round state: a :class:`SlotState` subclass.
+    ROUND_STATE: ClassVar[Type[SlotState]] = SlotState
 
     def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
         self.player = player
@@ -180,6 +216,11 @@ class BaseReplica(ABC):
         self.keypair: KeyPair = ctx.registry.keypair_of(player.player_id)
         self.halted = False
         self.status = ReplicaStatus.UP
+        # The commit frontier.  Journalled on entry (cheap, one integer)
+        # so a recovering replica re-enters the round it crashed in.
+        self.current_round = 0
+        self._started = False
+        self._init_volatile_state()
         self._reset_pipeline_state()
         ctx.network.register(player.player_id, self._on_envelope)
 
@@ -220,9 +261,218 @@ class BaseReplica(ABC):
             and len(self.mempool) == 0
         )
 
-    @abstractmethod
     def current_leader(self) -> int:
         """The current round's leader (used by censorship strategies)."""
+        return self.leader_of_round(self.current_round)
+
+    # ------------------------------------------------------------------
+    # Slot lifecycle: open → timer → advance
+    # ------------------------------------------------------------------
+    def _init_volatile_state(self) -> None:
+        """In-memory round state: lost on a crash, rebuilt on recovery."""
+        self._rounds: Dict[int, SlotState] = {}
+        #: round -> (sender, payload) traffic beyond the dispatch horizon.
+        self._future: Dict[int, List[Tuple[int, Any]]] = {}
+
+    def round_state(self, round_number: int) -> Any:
+        """The round's state, created on first touch."""
+        state = self._rounds.get(round_number)
+        if state is None:
+            state = self._rounds[round_number] = self.ROUND_STATE(number=round_number)
+        return state
+
+    def start(self) -> None:
+        """Begin the protocol (round 0)."""
+        if self._started:
+            return
+        self._started = True
+        self._start_round(0)
+
+    def _start_round(self, round_number: int) -> None:
+        """Move the commit frontier to ``round_number``."""
+        if self.halted:
+            return
+        if self.round_limit_reached(round_number):
+            self._trace_slot("halt", round=round_number)
+            self.halt()
+            return
+        # A slot the pipeline already opened speculatively just becomes
+        # the new frontier: timer armed, proposal out, backlog drained.
+        already_open = self.current_round < round_number <= self._highest_open
+        self.current_round = round_number
+        self._highest_open = max(self._highest_open, round_number)
+        self._prune_pipeline_state()
+        if not already_open:
+            self._open_pipelined_round(round_number)
+        elif self.round_state(round_number).finalized:
+            # The slot already finalized out of order while speculative;
+            # its timer is gone, so fast-forward the frontier past it.
+            self._advance(round_number)
+            return
+        self._maybe_extend_window()
+
+    def _open_pipelined_round(self, round_number: int) -> None:
+        """Open one slot of the window: the frontier itself (from
+        :meth:`_start_round`) or, at ``pipeline_depth`` > 1, a slot ahead
+        of it (from :meth:`_maybe_extend_window`)."""
+        self.round_state(round_number)
+        self._trace_slot(
+            "round_start", round=round_number, leader=self.leader_of_round(round_number)
+        )
+        self._arm_round_timer(round_number)
+        if self.leader_of_round(round_number) == self.player_id:
+            self._propose(round_number)
+        for sender, payload in self._future.pop(round_number, []):
+            self.handle_payload(sender, payload)
+
+    def _arm_round_timer(self, round_number: int) -> None:
+        # Re-arms after repeat timeouts back off exponentially (see
+        # retry_delay); the first arm is the plain timeout.  The callback
+        # is looked up on the instance when the timer fires.
+        self.set_timer(
+            f"round-{round_number}",
+            self._round_timer_delay(round_number),
+            lambda: self._on_timeout(round_number),
+        )
+
+    def _advance(self, round_number: int) -> None:
+        """Leave the frontier round (decided or abandoned) for the next."""
+        state = self.round_state(round_number)
+        if state.advanced or self.current_round != round_number:
+            return
+        state.advanced = True
+        self.cancel_timer(f"round-{round_number}")
+        self._start_round(round_number + 1)
+
+    def _trace_slot(self, kind: str, **detail: Any) -> None:
+        """Narrate a slot-lifecycle step (``round_start``, ``timeout``,
+        ``halt``).  Silent here: only pRFT records these events, and the
+        trace is read downstream (the message-complexity checker and the
+        near-miss score count ``timeout``), so the baselines' pinned
+        runs depend on staying silent."""
+
+    def _view_change_due(self, round_number: int) -> Optional[Any]:
+        """Timer gate of the view-changing protocols (all but HotStuff).
+
+        Returns the round's state when the caller should now send its
+        view change, ``None`` otherwise.  Only the commit frontier acts:
+        a speculative slot's timer is kept alive and the stalled slot
+        acts once the frontier reaches it.  On a faulty link the
+        frontier first re-sends everything it already said (identical
+        statements — receivers dedup) and gives the round one extra
+        timeout to complete before abandoning it.
+        """
+        if self.halted:
+            return None
+        if round_number > self.current_round:
+            if not self.round_state(round_number).finalized:
+                self._arm_round_timer(round_number)
+            return None
+        if self.current_round != round_number:
+            return None
+        state = self.round_state(round_number)
+        if state.finalized:
+            return None
+        self._trace_slot("timeout", round=round_number)
+        state.timeouts += 1
+        if self.ctx.network.unreliable:
+            self._retransmit_round(state)
+            if state.timeouts == 1:
+                self._arm_round_timer(round_number)
+                return None
+        return state
+
+    def _accept(self, sender: int, payload: Any) -> bool:
+        """Slot routing that opens every ``handle_payload``.
+
+        True when the payload belongs to an open slot and should be
+        dispatched now.  Traffic beyond the dispatch horizon is buffered
+        until its slot opens; traffic for a round the frontier has left
+        goes to :meth:`_on_late_payload`.
+        """
+        round_number = getattr(payload, "round_number", None)
+        if round_number is None:
+            return False
+        if round_number > self.dispatch_horizon():
+            self._future.setdefault(round_number, []).append((sender, payload))
+            return False
+        if round_number < self.current_round:
+            self._on_late_payload(sender, payload)
+            return False
+        return True
+
+    def _on_late_payload(self, sender: int, payload: Any) -> None:
+        """Traffic for a past round, or any traffic after halting.
+
+        Protocol actions for it have ceased, but accountability and the
+        availability of decided blocks outlive the round (Section 5.3.1
+        lets any Proof-of-Fraud burn collateral via a future
+        transaction): protocols override this to keep absorbing evidence
+        and to serve catch-up.  Default: drop.
+        """
+
+    # ------------------------------------------------------------------
+    # Leader block assembly and the chain-landing tail
+    # ------------------------------------------------------------------
+    def _build_block(self, round_number: int) -> Block:
+        """The block this replica proposes when it leads ``round_number``."""
+        # Transactions inside acked-but-unfinalised window blocks are
+        # spoken for: a speculative slot must not re-propose them.
+        candidates = self.mempool.select(
+            self.block_tx_limit(), censor=self._inflight_tx_ids()
+        )
+        return Block(
+            round_number=round_number,
+            proposer=self.player_id,
+            parent_digest=self.expected_parent_digest(round_number),
+            transactions=tuple(self.strategy.select_transactions(self, candidates)),
+        )
+
+    def _conflicting_block(self, block: Block, marker_payload: str = "") -> Block:
+        """An equivocating leader's alternative to ``block``: same slot,
+        same parent, the adversarial marker transaction in front."""
+        marker = Transaction(
+            tx_id=f"{ADVERSARIAL_MARKER_PREFIX}r{block.round_number}-p{self.player_id}",
+            payload=marker_payload,
+        )
+        keep = max(0, self.block_tx_limit() - 1)
+        return Block(
+            round_number=block.round_number,
+            proposer=self.player_id,
+            parent_digest=block.parent_digest,
+            transactions=(marker,) + block.transactions[:keep],
+        )
+
+    def _land_final(self, state: Any, block: Block, kind: str = "final") -> None:
+        """Finalize ``block`` (already appended to the chain) for its round."""
+        state.finalized = True
+        self.chain.finalize(block.digest)
+        self.mempool.mark_included(tx.tx_id for tx in block.transactions)
+        self.ctx.collateral.note_block_mined()
+        self.note_block_finalized(block)
+        self.trace(kind, round=state.number, digest=block.digest[:12])
+
+    def _commit_decided(self, state: Any, digest: str) -> None:
+        """A quorum decided ``digest`` for the round: land it and move on.
+
+        The block must link onto the chain head.  Inside the pipeline
+        window slot r+1 can gather its quorum before slot r does; such
+        an out-of-order commit is parked until the predecessor lands.
+        """
+        block = state.blocks.get(digest)
+        if block is None:
+            return
+        if block.parent_digest != self.chain.head().digest:
+            if state.number > self.current_round and not state.finalized:
+                self._defer_finalize(
+                    state.number, lambda: self._commit_decided(state, digest)
+                )
+            return
+        state.decided_digest = digest
+        self.chain.append_tentative(block)
+        self._land_final(state, block)
+        self._advance(state.number)
+        self._flush_deferred_finalizes()
 
     # ------------------------------------------------------------------
     # Pipelined block production (ProductionSpec)
@@ -244,7 +494,7 @@ class BaseReplica(ABC):
         collapsed onto its journalled frontier.
         """
         #: highest slot opened so far (>= current_round once rounds run).
-        self._highest_open: int = getattr(self, "current_round", 0)
+        self._highest_open: int = self.current_round
         #: round -> quorum-acknowledged block, for slots that acked but
         #: have not finalised yet; the speculative parent chain.
         self._acked_blocks: Dict[int, Any] = {}
@@ -267,9 +517,9 @@ class BaseReplica(ABC):
     def dispatch_horizon(self) -> int:
         """Highest round whose traffic dispatches immediately.
 
-        Messages beyond the horizon stay in the protocol's ``_future``
-        buffer exactly as before; rounds inside the open window are
-        live even though they are ahead of the commit frontier.
+        Messages beyond the horizon stay in the ``_future`` buffer;
+        rounds inside the open window are live even though they are
+        ahead of the commit frontier.
         """
         return max(self.current_round, self._highest_open)
 
@@ -318,9 +568,9 @@ class BaseReplica(ABC):
 
         A slot opens when the window is narrower than
         ``pipeline_depth`` and the highest open slot's proposal is
-        already acked.  Opening never touches ``current_round``: the
-        protocol's ``_open_pipelined_round`` arms the new slot's timer,
-        lets this replica propose if it leads the slot, and drains any
+        already acked.  Opening never touches ``current_round``:
+        :meth:`_open_pipelined_round` arms the new slot's timer, lets
+        this replica propose if it leads the slot, and drains any
         buffered traffic for it.
         """
         if self.halted or self.status is not ReplicaStatus.UP:
@@ -334,16 +584,6 @@ class BaseReplica(ABC):
                 return
             self._highest_open = nxt
             self._open_pipelined_round(nxt)
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Protocol hook: open ``round_number`` ahead of the frontier.
-
-        Only reachable at depth > 1; protocols override it to create
-        round state, arm the round timer, propose when leading and
-        drain their ``_future`` buffer for the slot.  The base default
-        does nothing (a protocol that never overrides simply keeps the
-        sequential loop).
-        """
 
     def _defer_finalize(self, round_number: int, retry: Callable[[], None]) -> None:
         """Park a finalize whose parent has not landed on the chain yet.
@@ -493,20 +733,11 @@ class BaseReplica(ABC):
         if self.halted:
             # Protocol actions have ceased; the metrics count the
             # delivery as dropped, but accountability never stops
-            # (on_halted_payload keeps absorbing evidence).
+            # (_on_late_payload keeps absorbing evidence).
             self.ctx.network.note_undeliverable(envelope, reason="halted")
-            self.on_halted_payload(envelope.sender, envelope.payload)
+            self._on_late_payload(envelope.sender, envelope.payload)
             return
         self.handle_payload(envelope.sender, envelope.payload)
-
-    def on_halted_payload(self, sender: int, payload: Any) -> None:
-        """Late traffic after the replica stopped initiating rounds.
-
-        Protocol actions have ceased, but accountability never does:
-        Section 5.3.1 lets any Proof-of-Fraud burn collateral via a
-        future transaction, so accountable protocols override this to
-        keep absorbing evidence.  Default: drop.
-        """
 
     # ------------------------------------------------------------------
     # Timers
@@ -535,9 +766,8 @@ class BaseReplica(ABC):
     def _round_timer_delay(self, round_number: int) -> float:
         """The delay for (re)arming ``round_number``'s timer, backed off
         by how many times the round has already timed out."""
-        rounds = getattr(self, "_rounds", None)
-        state = rounds.get(round_number) if rounds is not None else None
-        return self.retry_delay(getattr(state, "timeouts", 0))
+        state = self._rounds.get(round_number)
+        return self.retry_delay(state.timeouts if state is not None else 0)
 
     # ------------------------------------------------------------------
     # Trace helper
@@ -548,8 +778,8 @@ class BaseReplica(ABC):
     def _offer_catch_up_range(self, requester: int, round_number: int) -> None:
         """Serve every round from the requested one up to our head.
 
-        Every protocol implements a per-round ``_offer_catch_up`` and
-        routes its catch-up requests through this range.  Under
+        Every protocol routes its catch-up requests through this range
+        and answers one round in :meth:`_offer_catch_up`.  Under
         continuous load a recovered replica can lag many slots; if one
         view-change timeout only recovered one round, peers would keep
         minting new slots faster than the laggard closes the gap and it
@@ -610,15 +840,12 @@ class BaseReplica(ABC):
         quorum-certificate auditing only sees the surviving window on
         such runs — the same contract as the pruned ledger itself.
         """
-        rounds = getattr(self, "_rounds", None)
-        if not isinstance(rounds, dict):
-            return
         margin = max(keep_last, self.ctx.production.pipeline_depth + 1)
         cutoff = self.current_round - margin
         if cutoff <= 0:
             return
-        for number in [r for r in rounds if r < cutoff]:
-            del rounds[number]
+        for number in [r for r in self._rounds if r < cutoff]:
+            del self._rounds[number]
         detector = getattr(self, "detector", None)
         if detector is not None:
             detector.prune_below(cutoff)
@@ -668,24 +895,14 @@ class BaseReplica(ABC):
     def on_recover(self) -> None:
         """Rebuild volatile state and re-enter the journalled round.
 
-        Shared template for round-driven protocols (all five fit it):
-        subclasses provide ``_init_volatile_state`` (reset ``_rounds``
-        and any buffers) and ``_arm_round_timer`` (set the round's
-        timeout with the protocol's own callback).  Finalized round
-        states are kept — their outcome is just a view of the
-        persisted chain, and serving catch-up needs them; everything
-        in-flight is discarded, so the replica rejoins with a clean
-        slate and relies on peers' retransmissions — it does NOT
-        re-propose, which would look like equivocation.  A protocol
-        without per-round state can override this wholesale.
+        Finalized round states are kept — their outcome is just a view
+        of the persisted chain, and serving catch-up needs them;
+        everything in-flight is discarded, so the replica rejoins with
+        a clean slate and relies on peers' retransmissions — it does
+        NOT re-propose, which would look like equivocation.
         """
-        rounds = getattr(self, "_rounds", None)
-        if rounds is None:
-            return
         keep = {
-            number: state
-            for number, state in rounds.items()
-            if getattr(state, "finalized", False)
+            number: state for number, state in self._rounds.items() if state.finalized
         }
         self._init_volatile_state()
         self._rounds.update(keep)
@@ -702,12 +919,27 @@ class BaseReplica(ABC):
     # Abstract protocol hooks
     # ------------------------------------------------------------------
     @abstractmethod
-    def start(self) -> None:
-        """Begin the protocol (round 0)."""
+    def _propose(self, round_number: int) -> None:
+        """Broadcast this replica's proposal for a slot it leads."""
 
     @abstractmethod
     def handle_payload(self, sender: int, payload: Any) -> None:
-        """Process one delivered protocol message."""
+        """Process one delivered protocol message: :meth:`_accept` it,
+        then dispatch on its type."""
+
+    @abstractmethod
+    def _on_timeout(self, round_number: int) -> None:
+        """React to ``round_number``'s timer firing."""
+
+    @abstractmethod
+    def _offer_catch_up(self, requester: int, round_number: int) -> None:
+        """Resend this replica's record of one past round to a laggard
+        (see :meth:`_offer_catch_up_range`)."""
+
+    @abstractmethod
+    def _retransmit_round(self, state: Any) -> None:
+        """Re-broadcast the round's already-emitted messages (first
+        timeout on a faulty link)."""
 
     def submit_transactions(self, transactions: List[Any]) -> None:
         """Client entry point: feed transactions into this replica."""

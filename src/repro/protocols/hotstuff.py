@@ -13,7 +13,7 @@ equivocations are not attributable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -24,9 +24,8 @@ from repro.core.messages import (
     verify_statement,
 )
 from repro.crypto.aggregate import AggregateQC, aggregate_statements
-from repro.ledger.block import Block
 from repro.net.envelope import Envelope
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
 
 HS_PROPOSE = "hs-propose"
 HS_PHASES = ("hs-prepare", "hs-precommit", "hs-commit")
@@ -142,10 +141,8 @@ class HsNewView:
 
 
 @dataclass
-class _HsRound:
-    number: int
+class _HsRound(SlotState):
     sent_proposal: Optional[HsProposal] = None
-    blocks: Dict[str, Block] = field(default_factory=dict)
     votes: Dict[str, Dict[str, Set[int]]] = field(default_factory=dict)  # phase -> digest -> voters
     # phase -> digest -> signer -> statement; only populated by the
     # leader in aggregate mode, which needs the vote tags to aggregate.
@@ -153,81 +150,20 @@ class _HsRound:
     voted_phases: Set[str] = field(default_factory=set)
     votes_cast: Dict[str, str] = field(default_factory=dict)  # phase -> digest we voted
     certified_phases: Set[str] = field(default_factory=set)
-    timeouts: int = 0
     decide_certificate: Optional[QuorumCertificate] = None
-    decided_digest: Optional[str] = None
-    finalized: bool = False
-    advanced: bool = False
 
 
 class HotStuffReplica(BaseReplica):
     """Linear leader-relayed BFT with chained quorum certificates."""
 
-    def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
-        super().__init__(player, config, ctx)
-        self.current_round = 0
-        self._started = False
-        self._init_volatile_state()
+    ROUND_STATE = _HsRound
 
-    def _init_volatile_state(self) -> None:
-        """In-memory round state: lost on a crash, rebuilt on recovery."""
-        self._rounds: Dict[int, _HsRound] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
-
-    def current_leader(self) -> int:
-        return self.leader_of_round(self.current_round)
-
-    def _state(self, round_number: int) -> _HsRound:
-        if round_number not in self._rounds:
-            self._rounds[round_number] = _HsRound(number=round_number)
-        return self._rounds[round_number]
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._start_round(0)
-
-    def _start_round(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if self.round_limit_reached(round_number):
-            self.halt()
-            return
-        already_open = self.current_round < round_number <= self._highest_open
-        self.current_round = round_number
-        self._highest_open = max(self._highest_open, round_number)
-        self._prune_pipeline_state()
-        if not already_open:
-            self._arm_round_timer(round_number)
-            if self.leader_of_round(round_number) == self.player_id:
-                self._propose(round_number)
-            for sender, payload in self._future.pop(round_number, []):
-                self.handle_payload(sender, payload)
-        elif self._state(round_number).finalized:
-            # The slot decided while still speculative; its timer is
-            # long dead, so pace straight past it.
-            self._advance(round_number)
-            return
-        self._maybe_extend_window()
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Open a speculative slot ahead of the commit frontier."""
-        self._state(round_number)
-        self._arm_round_timer(round_number)
-        if self.leader_of_round(round_number) == self.player_id:
-            self._propose(round_number)
-        for sender, payload in self._future.pop(round_number, []):
-            self.handle_payload(sender, payload)
-
-    def _arm_round_timer(self, round_number: int) -> None:
-        # Re-arms after repeat timeouts back off exponentially (see
-        # BaseReplica.retry_delay); the first arm is the plain timeout.
-        self.set_timer(
-            f"round-{round_number}",
-            self._round_timer_delay(round_number),
-            lambda: self._on_timeout(round_number),
-        )
+    _HANDLERS = {
+        HsProposal: "_on_proposal",
+        HsVote: "_on_vote",
+        HsCertificateMessage: "_on_certificate",
+        HsNewView: "_on_newview",
+    }
 
     def _on_timeout(self, round_number: int) -> None:
         """HotStuff paces rounds by timeout: advance unconditionally.
@@ -236,7 +172,7 @@ class HotStuffReplica(BaseReplica):
         missed (the responses arrive after we advanced and go through
         the late-certificate adoption path).
         """
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         if round_number > self.current_round:
             # A speculative slot's timer never paces the frontier: the
             # round either decides (deferred until its parent lands) or
@@ -298,27 +234,11 @@ class HotStuffReplica(BaseReplica):
             statement = make_statement(self.keypair, phase, round_number, digest)
             self._send_to_leader(HsVote(statement=statement), round_number)
 
-    def _advance(self, round_number: int) -> None:
-        state = self._state(round_number)
-        if state.advanced or self.current_round != round_number:
-            return
-        state.advanced = True
-        self.cancel_timer(f"round-{round_number}")
-        self._start_round(round_number + 1)
-
     def _propose(self, round_number: int) -> None:
-        limit = self.block_tx_limit()
-        candidates = self.mempool.select(limit, censor=self._inflight_tx_ids())
-        transactions = self.strategy.select_transactions(self, candidates)
-        block = Block(
-            round_number=round_number,
-            proposer=self.player_id,
-            parent_digest=self.expected_parent_digest(round_number),
-            transactions=tuple(transactions),
-        )
+        block = self._build_block(round_number)
         statement = make_statement(self.keypair, HS_PROPOSE, round_number, block.digest)
         message = HsProposal(block=block, statement=statement)
-        self._state(round_number).sent_proposal = message
+        self.round_state(round_number).sent_proposal = message
         self.broadcast(
             message,
             message_type="hs-propose",
@@ -345,30 +265,16 @@ class HotStuffReplica(BaseReplica):
 
     # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
-        round_number = getattr(payload, "round_number", None)
-        if round_number is None:
-            return
-        if round_number > self.dispatch_horizon():
-            self._future.setdefault(round_number, []).append((sender, payload))
-            return
-        if isinstance(payload, HsNewView):
-            self._on_newview(sender, payload)
-            return
-        if round_number < self.current_round:
-            if isinstance(payload, HsCertificateMessage):
-                self._on_late_certificate(sender, payload)
-            return
-        if isinstance(payload, HsProposal):
-            self._on_proposal(sender, payload)
-        elif isinstance(payload, HsVote):
-            self._on_vote(sender, payload)
-        elif isinstance(payload, HsCertificateMessage):
-            self._on_certificate(sender, payload)
+        if self._accept(sender, payload):
+            handler = self._HANDLERS.get(type(payload))
+            if handler is not None:
+                getattr(self, handler)(sender, payload)
 
-    def on_halted_payload(self, sender: int, payload: Any) -> None:
-        """Halted replicas still serve catch-up — and still *adopt* it.
+    def _on_late_payload(self, sender: int, payload: Any) -> None:
+        """Past rounds and halted replicas still serve catch-up — and
+        still *adopt* it.
 
-        Finality evidence outlives the configured slots (pRFT's halted
+        Finality evidence outlives the configured slots (pRFT's late
         path absorbs late finals the same way): a lagging replica cut
         off by the duration bound has solicited catch-up replies still
         in flight, and peers' ordinary decide broadcasts keep arriving;
@@ -382,7 +288,7 @@ class HotStuffReplica(BaseReplica):
 
     def _on_proposal(self, sender: int, message: HsProposal) -> None:
         round_number = message.round_number
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         if sender != self.leader_of_round(round_number):
             return
         if message.statement.phase != HS_PROPOSE or message.statement.signer != sender:
@@ -414,7 +320,7 @@ class HotStuffReplica(BaseReplica):
             return
         if not verify_statement(self.ctx.registry, statement):
             return
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         voters = state.votes.setdefault(statement.phase, {}).setdefault(statement.digest, set())
         voters.add(sender)
         if self.ctx.aggregate_certs:
@@ -516,7 +422,7 @@ class HotStuffReplica(BaseReplica):
             return
         if not self._aggregate_ok(certificate):
             return
-        state = self._state(round_number)
+        state = self.round_state(round_number)
         phase_index = HS_PHASES.index(certificate.phase) if certificate.phase in HS_PHASES else -1
         if phase_index < 0:
             return
@@ -527,7 +433,8 @@ class HotStuffReplica(BaseReplica):
             if message.block is not None and message.block.digest == certificate.digest:
                 state.blocks.setdefault(certificate.digest, message.block)
             state.decide_certificate = certificate
-            self._decide(state, certificate.digest)
+            if not state.finalized:
+                self._commit_decided(state, certificate.digest)
             return
         if certificate.phase == HS_PHASES[0]:
             block = state.blocks.get(certificate.digest)
@@ -605,7 +512,7 @@ class HotStuffReplica(BaseReplica):
             return
         if not self._aggregate_ok(certificate):
             return
-        state = self._state(certificate.round_number)
+        state = self.round_state(certificate.round_number)
         if state.finalized:
             return
         if message.block is not None and message.block.digest == certificate.digest:
@@ -646,40 +553,12 @@ class HotStuffReplica(BaseReplica):
             block = state.blocks.get(digest)
             if block is None or block.parent_digest != self.chain.head().digest:
                 return
-            state.finalized = True
             state.decided_digest = digest
             self.chain.append_tentative(block)
-            self.chain.finalize(digest)
-            self.mempool.mark_included(tx.tx_id for tx in block.transactions)
-            self.ctx.collateral.note_block_mined()
-            self.note_block_finalized(block)
-            self.trace("retro_final", round=round_number, digest=digest[:12])
+            self._land_final(state, block, kind="retro_final")
             round_number += 1
-
-    def _decide(self, state: _HsRound, digest: str) -> None:
-        if state.finalized:
-            return
-        block = state.blocks.get(digest)
-        if block is None:
-            return
-        if block.parent_digest != self.chain.head().digest:
-            if state.number > self.current_round:
-                # A speculative slot decided before its parent landed:
-                # park the decide until the frontier catches up.
-                self._defer_finalize(state.number, lambda: self._decide(state, digest))
-            return
-        state.finalized = True
-        state.decided_digest = digest
-        self.chain.append_tentative(block)
-        self.chain.finalize(digest)
-        self.mempool.mark_included(tx.tx_id for tx in block.transactions)
-        self.ctx.collateral.note_block_mined()
-        self.note_block_finalized(block)
-        self.trace("final", round=state.number, digest=digest[:12])
-        self._advance(state.number)
-        self._flush_deferred_finalizes()
 
 
 def hotstuff_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> HotStuffReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory (see :data:`repro.experiments.registry.PROTOCOL_FACTORIES`)."""
     return HotStuffReplica(player, config, ctx)

@@ -17,18 +17,13 @@ and runs are bit-for-bit identical with the axis on or off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.agents.player import Player
-from repro.core.messages import (
-    SignedStatement,
-    make_statement,
-    verify_statement,
-)
-from repro.ledger.block import Block
-from repro.ledger.validation import ADVERSARIAL_MARKER_PREFIX
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.core.messages import SignedStatement
+from repro.protocols.base import ProtocolConfig, ProtocolContext
+from repro.protocols.twophase import TwoPhaseReplica, TwoPhaseRound
 
 PREPREPARE = "pbft-preprepare"
 PREPARE = "pbft-prepare"
@@ -92,405 +87,46 @@ class PbftViewChange:
         return self.statement.size_bytes
 
 
-@dataclass
-class _PbftRound:
-    number: int
-    sent_preprepare: Optional[PrePrepare] = None
-    blocks: Dict[str, Block] = field(default_factory=dict)
-    prepared_digests: Set[str] = field(default_factory=set)
-    committed_digests: Set[str] = field(default_factory=set)
-    prepares: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
-    commits: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
-    view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
-    view_change_sent: bool = False
-    timeouts: int = 0
-    decided_digest: Optional[str] = None
-    finalized: bool = False
-    advanced: bool = False
+class PBFTReplica(TwoPhaseReplica):
+    """pBFT: the bare prepare/commit skeleton, no accountability."""
 
+    PROPOSE, PREPARE, COMMIT, VIEW_CHANGE = PREPREPARE, PREPARE, COMMIT, VIEW_CHANGE
+    Proposal, Prepare, ViewChange = PrePrepare, PhaseVote, PbftViewChange
 
-class PBFTReplica(BaseReplica):
-    """pBFT state machine on the shared replica framework."""
+    _HANDLERS = {
+        PrePrepare: "_on_proposal",
+        PhaseVote: "_on_phase_vote",
+        PbftViewChange: "_on_view_change",
+    }
 
-    def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
-        super().__init__(player, config, ctx)
-        self.current_round = 0
-        self._started = False
-        self._init_volatile_state()
-
-    def _init_volatile_state(self) -> None:
-        """In-memory round state: lost on a crash, rebuilt on recovery."""
-        self._rounds: Dict[int, _PbftRound] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
-
-    def current_leader(self) -> int:
-        return self.leader_of_round(self.current_round)
-
-    def _state(self, round_number: int) -> _PbftRound:
-        if round_number not in self._rounds:
-            self._rounds[round_number] = _PbftRound(number=round_number)
-        return self._rounds[round_number]
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._start_round(0)
-
-    def _start_round(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if self.round_limit_reached(round_number):
-            self.halt()
-            return
-        # A slot the pipeline already opened speculatively just becomes
-        # the new frontier: its timer is armed, its proposal is out and
-        # its buffered traffic was drained at open time.
-        already_open = self.current_round < round_number <= self._highest_open
-        self.current_round = round_number
-        self._highest_open = max(self._highest_open, round_number)
-        self._prune_pipeline_state()
-        if not already_open:
-            self._arm_round_timer(round_number)
-            if self.leader_of_round(round_number) == self.player_id:
-                self._preprepare(round_number)
-            for sender, payload in self._future.pop(round_number, []):
-                self.handle_payload(sender, payload)
-        elif self._state(round_number).finalized:
-            # The slot already finalized out of order while speculative;
-            # its timer is gone, so fast-forward the frontier past it.
-            self._advance(round_number)
-            return
-        self._maybe_extend_window()
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Open a slot ahead of the frontier (pipeline_depth > 1)."""
-        self._arm_round_timer(round_number)
-        if self.leader_of_round(round_number) == self.player_id:
-            self._preprepare(round_number)
-        for sender, payload in self._future.pop(round_number, []):
-            self.handle_payload(sender, payload)
-
-    def _arm_round_timer(self, round_number: int) -> None:
-        # Re-arms after repeat timeouts back off exponentially (see
-        # BaseReplica.retry_delay); the first arm is the plain timeout.
-        self.set_timer(
-            f"round-{round_number}",
-            self._round_timer_delay(round_number),
-            lambda: self._on_timeout(round_number),
-        )
-
-    def _advance(self, round_number: int) -> None:
-        state = self._state(round_number)
-        if state.advanced or self.current_round != round_number:
-            return
-        state.advanced = True
-        self.cancel_timer(f"round-{round_number}")
-        self._start_round(round_number + 1)
-
-    # ------------------------------------------------------------------
-    def _build_block(self, round_number: int, conflict_marker: bool = False) -> Block:
-        limit = self.block_tx_limit()
-        # Transactions inside acked-but-unfinalised window blocks are
-        # spoken for: a speculative slot must not re-propose them.
-        candidates = self.mempool.select(limit, censor=self._inflight_tx_ids())
-        transactions = self.strategy.select_transactions(self, candidates)
-        if conflict_marker:
-            from repro.ledger.transaction import Transaction
-
-            marker = Transaction(tx_id=f"{ADVERSARIAL_MARKER_PREFIX}r{round_number}-p{self.player_id}")
-            transactions = [marker] + list(transactions[: max(0, limit - 1)])
-        return Block(
-            round_number=round_number,
-            proposer=self.player_id,
-            parent_digest=self.expected_parent_digest(round_number),
-            transactions=tuple(transactions),
-        )
-
-    def _make_preprepare(self, round_number: int, conflict_marker: bool = False) -> PrePrepare:
-        block = self._build_block(round_number, conflict_marker=conflict_marker)
-        statement = make_statement(self.keypair, PREPREPARE, round_number, block.digest)
-        return PrePrepare(block=block, statement=statement)
-
-    def _preprepare(self, round_number: int) -> None:
-        primary = self._make_preprepare(round_number)
-        self._state(round_number).sent_preprepare = primary
-        self.broadcast(
-            primary,
-            message_type="pbft-preprepare",
-            size_bytes=primary.size_bytes,
-            round_number=round_number,
-            alternative_factory=lambda: self._make_preprepare(round_number, conflict_marker=True),
-            phase=PREPREPARE,
-        )
-
-    # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
-        round_number = getattr(payload, "round_number", None)
-        if round_number is None:
-            return
-        if round_number > self.dispatch_horizon():
-            self._future.setdefault(round_number, []).append((sender, payload))
-            return
-        if round_number < self.current_round:
-            self._maybe_serve_catch_up(sender, payload)
-            return
-        if isinstance(payload, PrePrepare):
-            self._on_preprepare(sender, payload)
-        elif isinstance(payload, PhaseVote) and payload.statement.phase == PREPARE:
-            self._on_prepare(sender, payload)
-        elif isinstance(payload, PhaseVote) and payload.statement.phase == COMMIT:
-            self._on_commit(sender, payload)
-        elif isinstance(payload, PbftViewChange):
-            self._on_view_change(sender, payload)
+        if self._accept(sender, payload):
+            handler = self._HANDLERS.get(type(payload))
+            if handler is not None:
+                getattr(self, handler)(sender, payload)
 
-    def _valid(self, statement: SignedStatement, sender: int, phase: str) -> bool:
-        return (
-            statement.phase == phase
-            and statement.signer == sender
-            and verify_statement(self.ctx.registry, statement)
+    def _on_phase_vote(self, sender: int, vote: PhaseVote) -> None:
+        """Prepare and Commit share one wire class; the signed phase
+        tells them apart."""
+        if vote.statement.phase == PREPARE:
+            self._on_prepare(sender, vote)
+        elif vote.statement.phase == COMMIT:
+            self._on_commit(sender, vote)
+
+    def _make_commit(self, state: TwoPhaseRound, digest: str) -> PhaseVote:
+        """A pBFT commit carries no justification: the vote and the block."""
+        return PhaseVote(
+            statement=self._sign(COMMIT, state.number, digest),
+            block=state.blocks.get(digest),
         )
 
-    def _on_preprepare(self, sender: int, message: PrePrepare) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if sender != self.leader_of_round(round_number):
-            return
-        if not self._valid(message.statement, sender, PREPREPARE):
-            return
-        if message.block.digest != message.statement.digest:
-            return
-        digest = message.digest
-        state.blocks.setdefault(digest, message.block)
-        may_sign = not state.prepared_digests or self.strategy.double_votes()
-        if digest in state.prepared_digests or not may_sign:
-            return
-        if message.block.parent_digest != self.expected_parent_digest(round_number):
-            return
-        state.prepared_digests.add(digest)
-        statement = make_statement(self.keypair, PREPARE, round_number, digest)
-        vote = PhaseVote(statement=statement)
-        self.broadcast(
-            vote,
-            message_type="pbft-prepare",
-            size_bytes=vote.size_bytes,
-            round_number=round_number,
-            phase=PREPARE,
-        )
-
-    def _on_prepare(self, sender: int, message: PhaseVote) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, PREPARE):
-            return
-        digest = message.digest
-        state.prepares.setdefault(digest, {})[sender] = message.statement
-        if len(state.prepares[digest]) < self.config.quorum_size:
-            return
-        # Prepare quorum = this slot's proposal is acknowledged: the
-        # pipeline may open the next slot on top of it.
-        block = state.blocks.get(digest)
-        if block is not None:
-            self._note_proposal_acked(round_number, block)
-        may_sign = not state.committed_digests or self.strategy.double_votes()
-        if digest in state.committed_digests or not may_sign:
-            return
-        state.committed_digests.add(digest)
-        statement = make_statement(self.keypair, COMMIT, round_number, digest)
-        vote = PhaseVote(statement=statement, block=state.blocks.get(digest))
-        self.broadcast(
-            vote,
-            message_type="pbft-commit",
-            size_bytes=vote.size_bytes,
-            round_number=round_number,
-            phase=COMMIT,
-        )
-
-    def _on_commit(self, sender: int, message: PhaseVote) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, COMMIT):
-            return
-        digest = message.digest
-        if message.block is not None and message.block.digest == digest:
-            state.blocks.setdefault(digest, message.block)
-        state.commits.setdefault(digest, {})[sender] = message.statement
-        if state.finalized:
-            return
-        if len(state.commits[digest]) >= self.config.quorum_size:
-            self._finalize(state, digest)
-
-    def on_halted_payload(self, sender: int, payload: Any) -> None:
-        """Halted replicas still serve catch-up: the availability of
-        decided blocks outlives the configured rounds."""
-        self._maybe_serve_catch_up(sender, payload)
-
-    def _maybe_serve_catch_up(self, sender: int, payload: Any) -> None:
-        """Serve a *verified* past-round ViewChange on a faulty link."""
-        if not self.ctx.network.unreliable:
-            return
-        if not isinstance(payload, PbftViewChange):
-            return
-        if not self._valid(payload.statement, sender, VIEW_CHANGE):
-            return
-        self._offer_catch_up_range(sender, payload.round_number)
-
-    def _offer_catch_up(self, requester: int, round_number: int) -> None:
-        """Retransmit our round outcome to a peer stuck behind lost traffic.
-
-        pBFT has no justification-carrying messages, so all we can
-        (soundly) resend is our *own* signature: our Commit vote with
-        the block for a finalized round, or our ViewChange vote for an
-        abandoned one.  The laggard assembles its quorum from many
-        helpers' resends, one signer each — exactly the messages it
-        would have received had the link not dropped them.  Only ever
-        active on unreliable networks; strategy-mediated via
-        :meth:`BaseReplica.send_direct`.
-        """
-        if requester == self.player_id:
-            return
-        state = self._rounds.get(round_number)
-        if state is None:
-            return
-        if state.finalized and state.decided_digest is not None:
-            digest = state.decided_digest
-            if digest not in state.committed_digests:
-                # We finalized on a quorum of *others'* commits without
-                # signing this digest ourselves; rebuilding a commit
-                # would sign a value we never signed — an honest
-                # double-sign.  Let replicas that did commit it serve.
-                return
-            block = state.blocks.get(digest)
-            if block is None:
-                return
-            statement = make_statement(self.keypair, COMMIT, round_number, digest)
-            vote = PhaseVote(statement=statement, block=block)
-            self.send_direct(
-                requester, vote, "pbft-commit", vote.size_bytes, round_number,
-                phase=COMMIT,
-            )
-        elif state.advanced:
-            statement = make_statement(self.keypair, VIEW_CHANGE, round_number, "")
-            vote = PbftViewChange(statement=statement)
-            self.send_direct(
-                requester, vote, "pbft-view-change", vote.size_bytes, round_number,
-                phase=VIEW_CHANGE,
-            )
-
-    def _finalize(self, state: _PbftRound, digest: str) -> None:
-        block = state.blocks.get(digest)
-        if block is None:
-            return
-        if block.parent_digest != self.chain.head().digest:
-            if state.number > self.current_round and not state.finalized:
-                # Out-of-order commit inside the pipeline window: park
-                # it until the predecessor slot lands on the chain.
-                self._defer_finalize(
-                    state.number, lambda: self._finalize(state, digest)
-                )
-            return
-        state.finalized = True
-        state.decided_digest = digest
-        self.chain.append_tentative(block)
-        self.chain.finalize(digest)
-        self.mempool.mark_included(tx.tx_id for tx in block.transactions)
-        self.ctx.collateral.note_block_mined()
-        self.note_block_finalized(block)
-        self.trace("final", round=state.number, digest=digest[:12])
-        self._advance(state.number)
-        self._flush_deferred_finalizes()
-
-    # ------------------------------------------------------------------
     def _on_timeout(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if round_number > self.current_round:
-            # A speculative slot's timer stays alive, but only the
-            # commit frontier retransmits or view-changes; a stalled
-            # slot acts once the frontier reaches it.
-            if not self._state(round_number).finalized:
-                self._arm_round_timer(round_number)
-            return
-        if self.current_round != round_number:
-            return
-        state = self._state(round_number)
-        if state.finalized:
-            return
-        state.timeouts += 1
-        if self.ctx.network.unreliable:
-            # Faulty link: first re-send everything we already said
-            # (identical statements — receivers dedup), and give the
-            # round one extra timeout to complete before view-changing.
-            self._retransmit_round(state)
-            if state.timeouts == 1:
-                self._arm_round_timer(round_number)
-                return
-        # Retransmit on repeat timeouts when the link may have dropped
-        # the first copy; on reliable channels one ViewChange suffices.
-        if not state.view_change_sent or self.ctx.network.unreliable:
-            state.view_change_sent = True
-            statement = make_statement(self.keypair, VIEW_CHANGE, round_number, "")
-            message = PbftViewChange(statement=statement)
-            self.broadcast(
-                message,
-                message_type="pbft-view-change",
-                size_bytes=message.size_bytes,
-                round_number=round_number,
-                phase=VIEW_CHANGE,
-            )
-        self._arm_round_timer(round_number)
-
-    def _retransmit_round(self, state: _PbftRound) -> None:
-        """Re-broadcast this round's already-emitted messages.
-
-        Rebuilt statements sign the same tuples as the originals
-        (signatures are deterministic), so retransmission can never
-        create a double-sign; receivers dedup by (sender, digest).
-        """
-        round_number = state.number
-        if state.sent_preprepare is not None:
-            # Resend the *stored* pre-prepare verbatim: rebuilding
-            # could pick up a changed chain head or mempool and sign a
-            # different block — a self-inflicted double-sign.
-            self.broadcast(
-                state.sent_preprepare,
-                message_type="pbft-preprepare",
-                size_bytes=state.sent_preprepare.size_bytes,
-                round_number=round_number,
-                phase=PREPREPARE,
-            )
-        for digest in sorted(state.prepared_digests):
-            statement = make_statement(self.keypair, PREPARE, round_number, digest)
-            vote = PhaseVote(statement=statement)
-            self.broadcast(
-                vote,
-                message_type="pbft-prepare",
-                size_bytes=vote.size_bytes,
-                round_number=round_number,
-                phase=PREPARE,
-            )
-        for digest in sorted(state.committed_digests):
-            statement = make_statement(self.keypair, COMMIT, round_number, digest)
-            vote = PhaseVote(statement=statement, block=state.blocks.get(digest))
-            self.broadcast(
-                vote,
-                message_type="pbft-commit",
-                size_bytes=vote.size_bytes,
-                round_number=round_number,
-                phase=COMMIT,
-            )
-
-    def _on_view_change(self, sender: int, message: PbftViewChange) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, VIEW_CHANGE):
-            return
-        state.view_changes[sender] = message.statement
-        if len(state.view_changes) >= self.config.n - self.config.t0 and not state.finalized:
-            self.trace("view_change_committed", round=round_number)
-            self._advance(round_number)
+        """Stalled frontier: a bare ViewChange vote, no evidence."""
+        state = self._view_change_due(round_number)
+        if state is not None:
+            self._send_view_change(state)
 
 
 def pbft_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> PBFTReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory (see :data:`repro.experiments.registry.PROTOCOL_FACTORIES`)."""
     return PBFTReplica(player, config, ctx)

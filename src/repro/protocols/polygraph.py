@@ -12,8 +12,8 @@ t < n/4, t + k < n/2 with rational players.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, FrozenSet, Iterable, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -21,15 +21,13 @@ from repro.core.messages import (
     SignedStatement,
     build_justification,
     justification_size,
-    make_statement,
     verify_justification,
     verify_statement,
 )
 from repro.core.pof import FraudDetector, FraudProof
 from repro.crypto.aggregate import AggregateQC
-from repro.ledger.block import Block
-from repro.ledger.validation import ADVERSARIAL_MARKER_PREFIX
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.protocols.base import ProtocolConfig, ProtocolContext
+from repro.protocols.twophase import TwoPhaseReplica, TwoPhaseRound
 
 PG_PROPOSE = "pg-propose"
 PG_PREPARE = "pg-prepare"
@@ -116,104 +114,62 @@ class PgViewChange:
         return self.statement.size_bytes + sum(e.size_bytes for e in self.evidence)
 
 
-@dataclass
-class _PgRound:
-    number: int
-    sent_propose: Optional[PgPropose] = None
-    blocks: Dict[str, Block] = field(default_factory=dict)
-    prepared_digests: Set[str] = field(default_factory=set)
-    committed_digests: Set[str] = field(default_factory=set)
-    prepares: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
-    commits: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
-    view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
-    view_change_sent: bool = False
-    timeouts: int = 0
-    decided_digest: Optional[str] = None
-    finalized: bool = False
-    advanced: bool = False
-
-
-class PolygraphReplica(BaseReplica):
+class PolygraphReplica(TwoPhaseReplica):
     """Accountable pBFT: justification-carrying commits + fraud burning."""
+
+    PROPOSE, PREPARE, COMMIT, VIEW_CHANGE = PG_PROPOSE, PG_PREPARE, PG_COMMIT, PG_VIEW_CHANGE
+    Proposal, Prepare, ViewChange = PgPropose, PgPrepare, PgViewChange
+
+    _HANDLERS = {
+        PgPropose: "_on_proposal",
+        PgPrepare: "_on_prepare",
+        PgCommit: "_on_commit",
+        PgViewChange: "_on_view_change",
+    }
 
     def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
         super().__init__(player, config, ctx)
-        self.current_round = 0
         # Fraud evidence is persisted (written through on receipt).
         self.detector = FraudDetector(registry=ctx.registry)
         self.reported_guilty: Set[int] = set()
-        self._started = False
-        self._init_volatile_state()
 
-    def _init_volatile_state(self) -> None:
-        """In-memory round state: lost on a crash, rebuilt on recovery."""
-        self._rounds: Dict[int, _PgRound] = {}
-        self._future: Dict[int, List[Tuple[int, Any]]] = {}
+    def handle_payload(self, sender: int, payload: Any) -> None:
+        if self._accept(sender, payload):
+            handler = self._HANDLERS.get(type(payload))
+            if handler is not None:
+                getattr(self, handler)(sender, payload)
 
-    def current_leader(self) -> int:
-        return self.leader_of_round(self.current_round)
-
-    def _state(self, round_number: int) -> _PgRound:
-        if round_number not in self._rounds:
-            self._rounds[round_number] = _PgRound(number=round_number)
-        return self._rounds[round_number]
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._start_round(0)
-
-    def _start_round(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if self.round_limit_reached(round_number):
-            self.halt()
-            return
-        # A slot the pipeline already opened speculatively just becomes
-        # the new frontier: timer armed, proposal out, backlog drained.
-        already_open = self.current_round < round_number <= self._highest_open
-        self.current_round = round_number
-        self._highest_open = max(self._highest_open, round_number)
-        self._prune_pipeline_state()
-        if not already_open:
-            self._arm_round_timer(round_number)
-            if self.leader_of_round(round_number) == self.player_id:
-                self._propose(round_number)
-            for sender, payload in self._future.pop(round_number, []):
-                self.handle_payload(sender, payload)
-        elif self._state(round_number).finalized:
-            # The slot already finalized out of order while speculative;
-            # its timer is gone, so fast-forward the frontier past it.
-            self._advance(round_number)
-            return
-        self._maybe_extend_window()
-
-    def _open_pipelined_round(self, round_number: int) -> None:
-        """Open a slot ahead of the frontier (pipeline_depth > 1)."""
-        self._arm_round_timer(round_number)
-        if self.leader_of_round(round_number) == self.player_id:
-            self._propose(round_number)
-        for sender, payload in self._future.pop(round_number, []):
-            self.handle_payload(sender, payload)
-
-    def _arm_round_timer(self, round_number: int) -> None:
-        # Re-arms after repeat timeouts back off exponentially (see
-        # BaseReplica.retry_delay); the first arm is the plain timeout.
-        self.set_timer(
-            f"round-{round_number}",
-            self._round_timer_delay(round_number),
-            lambda: self._on_timeout(round_number),
+    # ------------------------------------------------------------------
+    # What a commit and a view change carry
+    # ------------------------------------------------------------------
+    def _make_commit(self, state: TwoPhaseRound, digest: str) -> Optional[PgCommit]:
+        """A commit carries the prepare quorum that justifies it — so it
+        can only be (re)built while that quorum is held."""
+        prepares = state.prepares.get(digest, {})
+        if len(prepares) < self.config.quorum_size:
+            return None
+        return PgCommit(
+            statement=self._sign(PG_COMMIT, state.number, digest),
+            prepares=build_justification(prepares.values(), self.ctx.aggregate_certs),
+            block=state.blocks.get(digest),
         )
 
-    def _advance(self, round_number: int) -> None:
-        state = self._state(round_number)
-        if state.advanced or self.current_round != round_number:
+    def _on_timeout(self, round_number: int) -> None:
+        """Stalled frontier: the ViewChange carries every prepare and
+        commit statement held for the round, so a stalled fork attempt
+        is still attributable."""
+        state = self._view_change_due(round_number)
+        if state is None:
             return
-        state.advanced = True
-        self.cancel_timer(f"round-{round_number}")
-        self._start_round(round_number + 1)
+        evidence: Set[SignedStatement] = set()
+        for by_signer in state.prepares.values():
+            evidence.update(by_signer.values())
+        for by_signer in state.commits.values():
+            evidence.update(by_signer.values())
+        self._send_view_change(state, evidence=frozenset(evidence))
 
+    # ------------------------------------------------------------------
+    # What a receiver checks and absorbs
     # ------------------------------------------------------------------
     def _absorb(self, statement: SignedStatement) -> None:
         proof = self.detector.absorb(statement)
@@ -234,6 +190,42 @@ class PolygraphReplica(BaseReplica):
         for statement in justification:
             self._absorb(statement)
 
+    def _absorb_verified(self, statements: Iterable[SignedStatement]) -> None:
+        for statement in statements:
+            if verify_statement(self.ctx.registry, statement):
+                self._absorb(statement)
+
+    def _admit_commit(self, message: PgCommit) -> bool:
+        if not verify_justification(
+            self.ctx.registry,
+            message.prepares,
+            phase=PG_PREPARE,
+            round_number=message.round_number,
+            digest=message.digest,
+            minimum=self.config.quorum_size,
+        ):
+            return False
+        self._absorb(message.statement)
+        self._absorb_justification(message.prepares)
+        return True
+
+    def _absorb_view_change(self, message: PgViewChange) -> None:
+        self._absorb_verified(message.evidence)
+
+    def _on_late_payload(self, sender: int, payload: Any) -> None:
+        """Accountability outlives the round and the run: keep absorbing
+        evidence — and keep serving catch-up."""
+        statement = getattr(payload, "statement", None)
+        if isinstance(statement, SignedStatement):
+            self._absorb_verified((statement,))
+        for attr in ("prepares", "evidence"):
+            bundle = getattr(payload, attr, None)
+            if isinstance(bundle, AggregateQC):
+                self._absorb_justification(bundle)
+            elif bundle:
+                self._absorb_verified(bundle)
+        super()._on_late_payload(sender, payload)
+
     def _punish(self, proof: FraudProof) -> None:
         accused = proof.accused
         if accused in self.reported_guilty:
@@ -244,371 +236,9 @@ class PolygraphReplica(BaseReplica):
         self.ctx.collateral.burn(accused, reason=f"polygraph-round-{proof.round_number}")
         self.trace("burn", accused=accused, round=proof.round_number)
 
-    # ------------------------------------------------------------------
-    def _propose(self, round_number: int) -> None:
-        limit = self.block_tx_limit()
-        parent_digest = self.expected_parent_digest(round_number)
-        # Transactions inside acked-but-unfinalised window blocks are
-        # spoken for: a speculative slot must not re-propose them.
-        candidates = self.mempool.select(limit, censor=self._inflight_tx_ids())
-        transactions = self.strategy.select_transactions(self, candidates)
-        block = Block(
-            round_number=round_number,
-            proposer=self.player_id,
-            parent_digest=parent_digest,
-            transactions=tuple(transactions),
-        )
-        statement = make_statement(self.keypair, PG_PROPOSE, round_number, block.digest)
-        message = PgPropose(block=block, statement=statement)
-        self._state(round_number).sent_propose = message
-
-        def alternative() -> PgPropose:
-            from repro.ledger.transaction import Transaction
-
-            marker = Transaction(tx_id=f"{ADVERSARIAL_MARKER_PREFIX}r{round_number}-p{self.player_id}")
-            alt_block = Block(
-                round_number=round_number,
-                proposer=self.player_id,
-                parent_digest=parent_digest,
-                transactions=(marker,) + tuple(transactions[: limit - 1]),
-            )
-            alt_statement = make_statement(self.keypair, PG_PROPOSE, round_number, alt_block.digest)
-            return PgPropose(block=alt_block, statement=alt_statement)
-
-        self.broadcast(
-            message,
-            message_type="pg-propose",
-            size_bytes=message.size_bytes,
-            round_number=round_number,
-            alternative_factory=alternative,
-            phase=PG_PROPOSE,
-        )
-
-    def handle_payload(self, sender: int, payload: Any) -> None:
-        round_number = getattr(payload, "round_number", None)
-        if round_number is None:
-            return
-        if round_number > self.dispatch_horizon():
-            self._future.setdefault(round_number, []).append((sender, payload))
-            return
-        if round_number < self.current_round:
-            self._late_absorb(payload)
-            self._maybe_serve_catch_up(sender, payload)
-            return
-        if isinstance(payload, PgPropose):
-            self._on_propose(sender, payload)
-        elif isinstance(payload, PgPrepare):
-            self._on_prepare(sender, payload)
-        elif isinstance(payload, PgCommit):
-            self._on_commit(sender, payload)
-        elif isinstance(payload, PgViewChange):
-            self._on_view_change(sender, payload)
-
-    def on_halted_payload(self, sender: int, payload: Any) -> None:
-        """Accountability outlives the run: keep absorbing evidence —
-        and keep serving catch-up (decided blocks stay available)."""
-        self._late_absorb(payload)
-        self._maybe_serve_catch_up(sender, payload)
-
-    def _maybe_serve_catch_up(self, sender: int, payload: Any) -> None:
-        """Serve a *verified* past-round ViewChange on a faulty link."""
-        if not self.ctx.network.unreliable:
-            return
-        if not isinstance(payload, PgViewChange):
-            return
-        if not self._valid(payload.statement, sender, PG_VIEW_CHANGE):
-            return
-        self._offer_catch_up_range(sender, payload.round_number)
-
-    def _late_absorb(self, payload: Any) -> None:
-        statement = getattr(payload, "statement", None)
-        if isinstance(statement, SignedStatement) and verify_statement(self.ctx.registry, statement):
-            self._absorb(statement)
-        for attr in ("prepares", "evidence"):
-            bundle = getattr(payload, attr, None)
-            if isinstance(bundle, AggregateQC):
-                self._absorb_justification(bundle)
-            elif bundle:
-                for stmt in bundle:
-                    if verify_statement(self.ctx.registry, stmt):
-                        self._absorb(stmt)
-
-    def _valid(self, statement: SignedStatement, sender: int, phase: str) -> bool:
-        return (
-            statement.phase == phase
-            and statement.signer == sender
-            and verify_statement(self.ctx.registry, statement)
-        )
-
-    def _on_propose(self, sender: int, message: PgPropose) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if sender != self.leader_of_round(round_number):
-            return
-        if not self._valid(message.statement, sender, PG_PROPOSE):
-            return
-        if message.block.digest != message.statement.digest:
-            return
-        self._absorb(message.statement)
-        digest = message.digest
-        state.blocks.setdefault(digest, message.block)
-        may_sign = not state.prepared_digests or self.strategy.double_votes()
-        if digest in state.prepared_digests or not may_sign:
-            return
-        if message.block.parent_digest != self.expected_parent_digest(round_number):
-            return
-        state.prepared_digests.add(digest)
-        statement = make_statement(self.keypair, PG_PREPARE, round_number, digest)
-        self.broadcast(
-            PgPrepare(statement=statement),
-            message_type="pg-prepare",
-            size_bytes=statement.size_bytes,
-            round_number=round_number,
-            phase=PG_PREPARE,
-        )
-
-    def _on_prepare(self, sender: int, message: PgPrepare) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, PG_PREPARE):
-            return
-        self._absorb(message.statement)
-        digest = message.digest
-        state.prepares.setdefault(digest, {})[sender] = message.statement
-        if len(state.prepares[digest]) < self.config.quorum_size:
-            return
-        # Prepare quorum = this slot's proposal is acknowledged: the
-        # pipeline may open the next slot on top of it.
-        acked_block = state.blocks.get(digest)
-        if acked_block is not None:
-            self._note_proposal_acked(round_number, acked_block)
-        may_sign = not state.committed_digests or self.strategy.double_votes()
-        if digest in state.committed_digests or not may_sign:
-            return
-        state.committed_digests.add(digest)
-        statement = make_statement(self.keypair, PG_COMMIT, round_number, digest)
-        commit = PgCommit(
-            statement=statement,
-            prepares=build_justification(
-                state.prepares[digest].values(), self.ctx.aggregate_certs
-            ),
-            block=state.blocks.get(digest),
-        )
-        self.broadcast(
-            commit,
-            message_type="pg-commit",
-            size_bytes=commit.size_bytes,
-            round_number=round_number,
-            phase=PG_COMMIT,
-        )
-
-    def _on_commit(self, sender: int, message: PgCommit) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, PG_COMMIT):
-            return
-        digest = message.digest
-        if not verify_justification(
-            self.ctx.registry,
-            message.prepares,
-            phase=PG_PREPARE,
-            round_number=round_number,
-            digest=digest,
-            minimum=self.config.quorum_size,
-        ):
-            return
-        self._absorb(message.statement)
-        self._absorb_justification(message.prepares)
-        if message.block is not None and message.block.digest == digest:
-            state.blocks.setdefault(digest, message.block)
-        state.commits.setdefault(digest, {})[sender] = message.statement
-        if state.finalized:
-            return
-        if len(state.commits[digest]) >= self.config.quorum_size:
-            self._finalize(state, digest)
-
-    def _offer_catch_up(self, requester: int, round_number: int) -> None:
-        """Retransmit our round outcome to a peer stuck behind lost traffic.
-
-        For a finalized round we rebuild our justification-carrying
-        Commit (statement + the prepare quorum we hold + block); for an
-        abandoned round, our ViewChange vote.  Both are resends of our
-        own signatures over already-signed values, so accountability is
-        unaffected.  Only ever active on unreliable networks;
-        strategy-mediated via :meth:`BaseReplica.send_direct`.
-        """
-        if requester == self.player_id:
-            return
-        state = self._rounds.get(round_number)
-        if state is None:
-            return
-        if state.finalized and state.decided_digest is not None:
-            digest = state.decided_digest
-            if digest not in state.committed_digests:
-                # We finalized on a quorum of *others'* commits without
-                # ever signing this digest ourselves (our own commit
-                # went to a competing proposal).  Rebuilding a commit
-                # here would sign a value we never signed — an honest
-                # double-sign that a fraud detector would rightly burn.
-                # The laggard must assemble its quorum from replicas
-                # that did commit the decided digest.
-                return
-            block = state.blocks.get(digest)
-            prepares = state.prepares.get(digest, {})
-            if block is None or len(prepares) < self.config.quorum_size:
-                return
-            statement = make_statement(self.keypair, PG_COMMIT, round_number, digest)
-            commit = PgCommit(
-                statement=statement,
-                prepares=build_justification(
-                    prepares.values(), self.ctx.aggregate_certs
-                ),
-                block=block,
-            )
-            self.send_direct(
-                requester, commit, "pg-commit", commit.size_bytes, round_number,
-                phase=PG_COMMIT,
-            )
-        elif state.advanced:
-            statement = make_statement(self.keypair, PG_VIEW_CHANGE, round_number, "")
-            view_change = PgViewChange(statement=statement)
-            self.send_direct(
-                requester, view_change, "pg-view-change", view_change.size_bytes,
-                round_number, phase=PG_VIEW_CHANGE,
-            )
-
-    def _finalize(self, state: _PgRound, digest: str) -> None:
-        block = state.blocks.get(digest)
-        if block is None:
-            return
-        if block.parent_digest != self.chain.head().digest:
-            if state.number > self.current_round and not state.finalized:
-                # Out-of-order commit inside the pipeline window: park
-                # it until the predecessor slot lands on the chain.
-                self._defer_finalize(
-                    state.number, lambda: self._finalize(state, digest)
-                )
-            return
-        state.finalized = True
-        state.decided_digest = digest
-        self.chain.append_tentative(block)
-        self.chain.finalize(digest)
-        self.mempool.mark_included(tx.tx_id for tx in block.transactions)
-        self.ctx.collateral.note_block_mined()
-        self.note_block_finalized(block)
-        self.trace("final", round=state.number, digest=digest[:12])
-        self._advance(state.number)
-        self._flush_deferred_finalizes()
-
-    # ------------------------------------------------------------------
-    def _on_timeout(self, round_number: int) -> None:
-        if self.halted:
-            return
-        if round_number > self.current_round:
-            # A speculative slot's timer stays alive, but only the
-            # commit frontier retransmits or view-changes; a stalled
-            # slot acts once the frontier reaches it.
-            if not self._state(round_number).finalized:
-                self._arm_round_timer(round_number)
-            return
-        if self.current_round != round_number:
-            return
-        state = self._state(round_number)
-        if state.finalized:
-            return
-        state.timeouts += 1
-        if self.ctx.network.unreliable:
-            # Faulty link: first re-send everything we already said
-            # (identical statements — receivers dedup), and give the
-            # round one extra timeout to complete before view-changing.
-            self._retransmit_round(state)
-            if state.timeouts == 1:
-                self._arm_round_timer(round_number)
-                return
-        # Retransmit on repeat timeouts when the link may have dropped
-        # the first copy; on reliable channels one ViewChange suffices.
-        if not state.view_change_sent or self.ctx.network.unreliable:
-            state.view_change_sent = True
-            evidence: Set[SignedStatement] = set()
-            for by_signer in state.prepares.values():
-                evidence.update(by_signer.values())
-            for by_signer in state.commits.values():
-                evidence.update(by_signer.values())
-            statement = make_statement(self.keypair, PG_VIEW_CHANGE, round_number, "")
-            message = PgViewChange(statement=statement, evidence=frozenset(evidence))
-            self.broadcast(
-                message,
-                message_type="pg-view-change",
-                size_bytes=message.size_bytes,
-                round_number=round_number,
-                phase=PG_VIEW_CHANGE,
-            )
-        self._arm_round_timer(round_number)
-
-    def _retransmit_round(self, state: _PgRound) -> None:
-        """Re-broadcast this round's already-emitted messages.
-
-        Rebuilt statements sign the same tuples as the originals
-        (signatures are deterministic), so retransmission can never
-        create a double-sign; receivers dedup by (sender, digest).
-        """
-        round_number = state.number
-        if state.sent_propose is not None:
-            # Resend the *stored* proposal verbatim: rebuilding could
-            # pick up a changed chain head or mempool and sign a
-            # different block — a self-inflicted double-sign.
-            self.broadcast(
-                state.sent_propose,
-                message_type="pg-propose",
-                size_bytes=state.sent_propose.size_bytes,
-                round_number=round_number,
-                phase=PG_PROPOSE,
-            )
-        for digest in sorted(state.prepared_digests):
-            statement = make_statement(self.keypair, PG_PREPARE, round_number, digest)
-            self.broadcast(
-                PgPrepare(statement=statement),
-                message_type="pg-prepare",
-                size_bytes=statement.size_bytes,
-                round_number=round_number,
-                phase=PG_PREPARE,
-            )
-        for digest in sorted(state.committed_digests):
-            prepares = state.prepares.get(digest, {})
-            if len(prepares) < self.config.quorum_size:
-                continue
-            statement = make_statement(self.keypair, PG_COMMIT, round_number, digest)
-            commit = PgCommit(
-                statement=statement,
-                prepares=build_justification(
-                    prepares.values(), self.ctx.aggregate_certs
-                ),
-                block=state.blocks.get(digest),
-            )
-            self.broadcast(
-                commit,
-                message_type="pg-commit",
-                size_bytes=commit.size_bytes,
-                round_number=round_number,
-                phase=PG_COMMIT,
-            )
-
-    def _on_view_change(self, sender: int, message: PgViewChange) -> None:
-        round_number = message.round_number
-        state = self._state(round_number)
-        if not self._valid(message.statement, sender, PG_VIEW_CHANGE):
-            return
-        for stmt in message.evidence:
-            if verify_statement(self.ctx.registry, stmt):
-                self._absorb(stmt)
-        state.view_changes[sender] = message.statement
-        if len(state.view_changes) >= self.config.n - self.config.t0 and not state.finalized:
-            self.trace("view_change_committed", round=round_number)
-            self._advance(round_number)
-
 
 def polygraph_factory(
     player: Player, config: ProtocolConfig, ctx: ProtocolContext
 ) -> PolygraphReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory (see :data:`repro.experiments.registry.PROTOCOL_FACTORIES`)."""
     return PolygraphReplica(player, config, ctx)

@@ -9,18 +9,12 @@ the spec, starts every replica, drives the event loop and returns a
 chains, trace, metrics, collateral, throughput, realised states)::
 
     result = run(RunSpec(factory=prft_factory, players=..., config=...))
-
-The historical entry point :func:`run_consensus` survives as a thin
-compatibility shim that folds its flat keyword arguments into a
-``RunSpec``; tests, examples and benchmarks written against it behave
-identically.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.agents.player import Player, Role
 from repro.crypto.backends import DEFAULT_BACKEND
@@ -29,13 +23,11 @@ from repro.gametheory.payoff import PlayerType, payoff
 from repro.gametheory.states import SystemState, classify_state
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
-from repro.ledger.transaction import Transaction
 from repro.net.delays import DelayModel, FixedDelay
 from repro.net.faults import LinkPipeline
 from repro.net.network import Network
 from repro.net.partition import PartitionSchedule
 from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
-from repro.protocols.lifecycle import CrashSchedule
 from repro.protocols.spec import (
     CryptoSpec,
     FaultSpec,
@@ -73,7 +65,6 @@ __all__ = [
     "build_context",
     "make_transactions",
     "run",
-    "run_consensus",
 ]
 
 
@@ -346,64 +337,3 @@ class Deployment:
 def run(spec: RunSpec) -> RunResult:
     """Execute one :class:`RunSpec` end to end."""
     return Deployment(spec).execute()
-
-
-def run_consensus(
-    factory: ReplicaFactory,
-    players: Sequence[Player],
-    config: ProtocolConfig,
-    delay_model: Optional[DelayModel] = None,
-    partitions: Optional[PartitionSchedule] = None,
-    transactions: Optional[Sequence[Transaction]] = None,
-    max_time: float = 10_000.0,
-    max_events: int = 2_000_000,
-    seed: str = "default",
-    crypto_backend: str = DEFAULT_BACKEND,
-    crypto_cache_size: int = DEFAULT_VERIFY_CACHE_SIZE,
-    loss_rate: float = 0.0,
-    duplicate_rate: float = 0.0,
-    reorder_jitter: float = 0.0,
-    crash_schedule: Optional[CrashSchedule] = None,
-    aggregate_certs: bool = False,
-) -> RunResult:
-    """Compatibility shim: the historical flat-kwargs entry point.
-
-    Folds its arguments into a :class:`RunSpec` (a static-batch
-    workload with the historical default of
-    ``2 · block_size · max_rounds`` generated transactions) and
-    executes it.  New code should build a ``RunSpec`` directly — this
-    shim now says so out loud with a :class:`DeprecationWarning`
-    (results stay byte-identical; only the warning is new).
-    """
-    warnings.warn(
-        "run_consensus is a compatibility shim: build a RunSpec and call "
-        "run(spec) (or spec.derive(...) an existing one) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = RunSpec(
-        factory=factory,
-        players=tuple(players),
-        config=config,
-        network=NetworkSpec(
-            delay_model=delay_model,
-            partitions=partitions,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            reorder_jitter=reorder_jitter,
-        ),
-        crypto=CryptoSpec(
-            backend=crypto_backend,
-            cache_size=crypto_cache_size,
-            aggregate_certs=aggregate_certs,
-        ),
-        faults=FaultSpec(crash_schedule=crash_schedule),
-        workload=WorkloadSpec(
-            kind="static",
-            transactions=tuple(transactions) if transactions is not None else None,
-        ),
-        seed=seed,
-        max_time=max_time,
-        max_events=max_events,
-    )
-    return run(spec)

@@ -1,9 +1,8 @@
 """Composable, typed run specifications.
 
-``run_consensus`` accreted fifteen flat keyword arguments across the
-crypto, link-fault, crash and oracle subsystems; this module collapses
-them into small frozen spec dataclasses, grouped by subsystem, that
-compose into one :class:`RunSpec` — the single value a
+A deployment is parameterised across the crypto, link-fault, crash and
+oracle subsystems; this module groups those parameters into small
+frozen spec dataclasses, one per subsystem, that compose into one :class:`RunSpec` — the single value a
 :class:`~repro.protocols.runner.Deployment` executes::
 
     spec = RunSpec(
@@ -17,9 +16,8 @@ compose into one :class:`RunSpec` — the single value a
     result = run(spec)
 
 Every spec is a plain frozen dataclass with defaults equal to the
-legacy behaviour, so ``RunSpec(factory, players, config)`` is exactly
-the old ``run_consensus(factory, players, config)`` — and the old
-callable survives as a thin shim that builds one of these.
+paper's baseline, so ``RunSpec(factory, players, config)`` is the
+reliable-link, static-batch run the golden records pin.
 """
 
 from __future__ import annotations
@@ -321,7 +319,7 @@ class RunSpec:
     The three required fields are the protocol triple (factory, roster,
     config); each optional subsystem spec defaults to the paper's
     baseline, so the minimal ``RunSpec(factory, players, config)``
-    reproduces the legacy ``run_consensus`` call byte for byte.
+    reproduces the golden-record runs byte for byte.
     """
 
     factory: ReplicaFactory

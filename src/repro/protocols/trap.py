@@ -61,5 +61,5 @@ class TrapReplica(PolygraphReplica):
 
 
 def trap_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> TrapReplica:
-    """Factory for :func:`repro.protocols.runner.run_consensus`."""
+    """Replica factory (see :data:`repro.experiments.registry.PROTOCOL_FACTORIES`)."""
     return TrapReplica(player, config, ctx)

@@ -1,7 +1,7 @@
 """The legacy pre-loaded batch, as a workload.
 
-:class:`StaticBatch` reproduces the original ``run_consensus``
-semantics exactly: the whole batch lands in every replica's mempool at
+:class:`StaticBatch` reproduces the original fixed-batch semantics
+exactly: the whole batch lands in every replica's mempool at
 install time (virtual time 0), before any replica starts, and no engine
 events are scheduled — which is what keeps default runs byte-identical
 to the pre-workload simulator.

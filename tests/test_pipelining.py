@@ -25,7 +25,6 @@ from repro.protocols.runner import (
     RunSpec,
     WorkloadSpec,
     run,
-    run_consensus,
 )
 from repro.protocols.trap import trap_factory
 
@@ -116,20 +115,7 @@ class TestDeriveHelpers:
 
 
 # ----------------------------------------------------------------------
-# The deprecation shim
-# ----------------------------------------------------------------------
-class TestRunConsensusShim:
-    def test_shim_warns_and_stays_byte_identical(self):
-        config = ProtocolConfig.for_prft(n=5, max_rounds=2)
-        with pytest.warns(DeprecationWarning, match="run_consensus is a compatibility shim"):
-            via_shim = run_consensus(prft_factory, list(players_of(5)), config)
-        via_spec = run(
-            RunSpec(factory=prft_factory, players=players_of(5), config=config)
-        )
-        assert final_digests(via_shim) == final_digests(via_spec)
-        assert via_shim.metrics.total_messages == via_spec.metrics.total_messages
-        assert via_shim.metrics.total_bytes == via_spec.metrics.total_bytes
-
+class TestRunSpecPath:
     def test_runspec_path_does_not_warn(self):
         config = ProtocolConfig.for_prft(n=5, max_rounds=2)
         with warnings.catch_warnings():

@@ -21,7 +21,7 @@ from repro.gametheory.states import SystemState
 from repro.ledger.block import Block
 from repro.net.delays import FixedDelay
 from repro.protocols.base import ProtocolConfig
-from repro.protocols.runner import build_context, run_consensus
+from repro.protocols.runner import build_context
 
 from tests.conftest import roster, run_prft
 

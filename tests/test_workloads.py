@@ -1,7 +1,7 @@
 """Tests for the RunSpec/Deployment API and the workload subsystem.
 
 Covers repro.protocols.spec (the composable typed specs), the
-Deployment/run execution path and its run_consensus shim,
+Deployment/run execution path,
 repro.workloads (StaticBatch byte-identity, Poisson/closed/burst
 determinism and semantics), the continuous round loop
 (duration/quiesce), throughput metrics, the golden-record gate over
@@ -30,7 +30,6 @@ from repro.protocols.runner import (
     RunSpec,
     WorkloadSpec,
     run,
-    run_consensus,
 )
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import CommitLog, ThroughputReport, build_throughput_report
@@ -79,18 +78,6 @@ class TestRunResultTypeHints:
 # Spec validation and composition
 # ----------------------------------------------------------------------
 class TestSpecs:
-    def test_minimal_runspec_equals_legacy_shim(self):
-        config = ProtocolConfig.for_prft(n=5, max_rounds=2)
-        via_spec = run(RunSpec(factory=prft_factory, players=players_of(5), config=config))
-        with pytest.warns(DeprecationWarning, match="compatibility shim"):
-            via_shim = run_consensus(prft_factory, list(players_of(5)), config)
-        assert via_spec.submitted_tx_ids == via_shim.submitted_tx_ids
-        assert via_spec.final_block_count() == via_shim.final_block_count()
-        assert via_spec.metrics.total_messages == via_shim.metrics.total_messages
-        assert via_spec.metrics.total_bytes == via_shim.metrics.total_bytes
-        assert via_spec.ctx.engine.events_processed == via_shim.ctx.engine.events_processed
-        assert via_spec.throughput is None and via_shim.throughput is None
-
     def test_runspec_rejects_bad_roster(self):
         config = ProtocolConfig.for_prft(n=5)
         with pytest.raises(ValueError, match="ids 0..n-1"):
