@@ -7,7 +7,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
+.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
 
 check: test smoke catalog-check report-smoke search-smoke perf-smoke
 	@echo "check: OK"
@@ -83,6 +83,31 @@ search-smoke:
 perf-smoke:
 	$(PYTHON) -m pytest perf -q
 	$(PYTHON) perf/run.py --scale 0.1 --repeats 3
+
+# Host-time before/after: `make perf-compare BASE=<rev>` checks BASE out
+# into a temporary git worktree and runs the frozen benchmark on it and
+# on the working tree — same seed, one workload at a time, the two
+# trees taking turns at going first so a slow minute of the host does
+# not land on one side — then prints perf/compare.py's verdict per
+# workload.  Exits 1 on any `worse`, a changed record_sha256 or more
+# failed operations.  ~4 min; PERF_SEED picks the seed.
+PERF_SEED ?= 0
+perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<rev> [PERF_SEED=0]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); base=$$tmp/base; status=0; order="base change"; \
+	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$base" "$(BASE)"; \
+	for workload in $$($(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		for side in $$order; do \
+			if [ $$side = base ]; then tree=$$base; else tree=$(CURDIR); fi; \
+			echo "perf-compare: $$workload, $$side ($$tree)"; \
+			(cd "$$tree" && $(PYTHON) perf/run.py --workload $$workload --seed $(PERF_SEED) \
+				--out "$$tmp/$$side-$$workload.json" >/dev/null); \
+		done; \
+		$(PYTHON) perf/compare.py "$$tmp/base-$$workload.json" "$$tmp/change-$$workload.json" \
+			|| status=1; \
+		order=$$(echo $$order | awk '{print $$2, $$1}'); \
+	done; exit $$status
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

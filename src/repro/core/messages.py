@@ -160,35 +160,41 @@ def verify_quorum(
     registry's cache, then the distinct-signer count is compared to
     ``minimum``.  All statements must pass for the certificate to
     count, exactly like the per-statement loops this replaces.
+
+    A fully pinned certificate is one value signed by many, and every
+    receiver of the message that carries it asks the same question, so
+    its verdict is derived once per deployment
+    (:meth:`~repro.crypto.registry.KeyRegistry.memoized_quorum`).  The
+    memo key is the pin plus the member statements themselves — signer
+    and tag included — so no certificate that differs in anything the
+    check reads can share a verdict; what is remembered is the
+    distinct-signer count, and ``minimum`` is compared on every call.
     """
-    pool = list(statements)
-    signers = set()
-    for statement in pool:
-        if phase is not None and statement.phase != phase:
-            return False
-        if round_number is not None and statement.round_number != round_number:
-            return False
-        if digest is not None and statement.digest != digest:
-            return False
-        signers.add(statement.signer)
-    if len(signers) < minimum:
+    pool = statements if isinstance(statements, frozenset) else tuple(statements)
+    if len(pool) < minimum:
         return False
-    if (
-        pool
-        and registry.cache_enabled
-        and phase is not None
-        and round_number is not None
-        and digest is not None
-    ):
-        # Fully-pinned certificates sign one shared value, so the
-        # whole batch rides a single serialisation + digest.
-        message = pool[0].value_bytes()
-        value_digest = pool[0].value_digest()
-        return all(
-            registry.verify(statement.signature, message=message, digest=value_digest)
-            for statement in pool
-        )
-    return all(verify_statement(registry, statement) for statement in pool)
+
+    def valid_signers() -> int:
+        """Distinct signers, or -1 unless every member is on the pin
+        and validly signed."""
+        signers = set()
+        for statement in pool:
+            if phase is not None and statement.phase != phase:
+                return -1
+            if round_number is not None and statement.round_number != round_number:
+                return -1
+            if digest is not None and statement.digest != digest:
+                return -1
+            signers.add(statement.signer)
+        if not all(verify_statement(registry, statement) for statement in pool):
+            return -1
+        return len(signers)
+
+    if phase is None or round_number is None or digest is None:
+        return minimum <= valid_signers()
+    return minimum <= registry.memoized_quorum(
+        (phase, round_number, digest, frozenset(pool)), valid_signers
+    )
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ conflicting commits is still attributable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Container, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.messages import (
     KAPPA,
@@ -134,33 +134,55 @@ class FraudDetector:
     Statements are absorbed one by one; the first conflicting pair per
     (round, phase, signer) slot yields a proof.  ``registry`` (when
     set) rejects forged statements on absorption.
+
+    A replica is handed each statement many times — by its signer,
+    then inside every justification quoting it — so :meth:`absorb`
+    answers from the index before verifying, and
+    :meth:`absorb_justification` drops indexed members wholesale.
     """
 
     registry: Optional[KeyRegistry] = None
-    _seen: Dict[Tuple[int, str, int], Dict[str, SignedStatement]] = field(default_factory=dict)
+    # round → (phase, signer) → the first statement indexed for the
+    # slot: the one any later, conflicting digest is paired with.
+    _seen: Dict[int, Dict[Tuple[str, int], SignedStatement]] = field(default_factory=dict)
+    # round → every statement indexed for the round, as one set, so a
+    # justification's unseen members are a C-level set difference.
+    _absorbed: Dict[int, Set[SignedStatement]] = field(default_factory=dict)
     _proofs: Dict[int, FraudProof] = field(default_factory=dict)
-    # (round, phase, digest) → bitmap of signers already absorbed from
+    # round → (phase, digest) → bitmap of signers already absorbed from
     # aggregate certificates; the memo behind absorb_aggregate's O(1)
     # re-absorption of circulating certs.
-    _absorbed_aggregates: Dict[Tuple[int, str, str], int] = field(default_factory=dict)
+    _absorbed_aggregates: Dict[int, Dict[Tuple[str, str], int]] = field(default_factory=dict)
 
     def absorb(self, statement: SignedStatement) -> Optional[FraudProof]:
-        """Add one statement; return a new proof if it exposes fraud."""
+        """Add one statement; return a new proof if it exposes fraud.
+
+        A statement whose (round, phase, signer, digest) is already
+        indexed adds nothing whether or not its tag is genuine, so the
+        index is consulted before the signature is.
+        """
+        round_number = statement.round_number
+        slot = (statement.phase, statement.signer)
+        slots = self._seen.get(round_number)
+        first = slots.get(slot) if slots is not None else None
+        if first is not None and (
+            first.digest == statement.digest or statement in self._absorbed[round_number]
+        ):
+            return None
         if self.registry is not None and not verify_statement(self.registry, statement):
             return None
-        slot = (statement.round_number, statement.phase, statement.signer)
-        seen = self._seen.setdefault(slot, {})
-        if statement.digest in seen:
+        if slots is None:
+            slots = self._seen[round_number] = {}
+            self._absorbed[round_number] = set()
+        self._absorbed[round_number].add(statement)
+        if first is None:
+            slots[slot] = statement
             return None
-        if seen and statement.signer not in self._proofs:
-            other = next(iter(seen.values()))
-            first, second = sorted([other, statement])
-            proof = FraudProof(first=first, second=second)
-            self._proofs[statement.signer] = proof
-            seen[statement.digest] = statement
-            return proof
-        seen[statement.digest] = statement
-        return None
+        if statement.signer in self._proofs:
+            return None
+        proof = FraudProof(*sorted((first, statement)))
+        self._proofs[statement.signer] = proof
+        return proof
 
     def absorb_all(self, statements: Iterable[SignedStatement]) -> List[FraudProof]:
         """Absorb many; return the newly constructed proofs."""
@@ -170,6 +192,38 @@ class FraudDetector:
             if proof is not None:
                 fresh.append(proof)
         return fresh
+
+    def absorb_justification(
+        self,
+        justification: Union[Iterable[SignedStatement], AggregateQC],
+        phases: Optional[Container[str]] = None,
+    ) -> List[FraudProof]:
+        """Absorb what a message carries besides its own statement: a
+        quorum justification in either wire shape, or view-change
+        evidence.
+
+        Members need not be verified (:meth:`absorb` and
+        :meth:`absorb_aggregate` do that); those outside ``phases``,
+        when given, are ignored.  A statement set's already-indexed
+        members are removed by one set difference over the shared
+        statement objects, so the n-th copy of a circulating
+        certificate costs no per-member work; the rest are absorbed in
+        the set's own iteration order.
+        """
+        if isinstance(justification, AggregateQC):
+            if phases is not None and justification.phase not in phases:
+                return []
+            return self.absorb_aggregate(justification)
+        fresh = justification
+        if isinstance(justification, frozenset) and justification:
+            known = self._absorbed.get(next(iter(justification)).round_number)
+            if known:
+                fresh = justification - known
+                if len(fresh) > 1:
+                    fresh = [statement for statement in justification if statement in fresh]
+        return self.absorb_all(
+            statement for statement in fresh if phases is None or statement.phase in phases
+        )
 
     def absorb_aggregate(self, aggregate: AggregateQC) -> List[FraudProof]:
         """Absorb an aggregate certificate's per-signer evidence.
@@ -185,8 +239,8 @@ class FraudDetector:
         """
         if self.registry is None:
             raise ValueError("absorb_aggregate needs a registry for verification")
-        key = (aggregate.round_number, aggregate.phase, aggregate.digest)
-        seen_bitmap = self._absorbed_aggregates.get(key, 0)
+        key = (aggregate.phase, aggregate.digest)
+        seen_bitmap = self._absorbed_aggregates.get(aggregate.round_number, {}).get(key, 0)
         fresh_bitmap = aggregate.signer_bitmap & ~seen_bitmap
         if not fresh_bitmap:
             return []
@@ -197,15 +251,14 @@ class FraudDetector:
             ),
         ):
             return []
-        self._absorbed_aggregates[key] = seen_bitmap | aggregate.signer_bitmap
-        fresh: List[FraudProof] = []
-        for statement in expand_aggregate(self.registry, aggregate):
-            if not (fresh_bitmap >> statement.signer) & 1:
-                continue
-            proof = self.absorb(statement)
-            if proof is not None:
-                fresh.append(proof)
-        return fresh
+        self._absorbed_aggregates.setdefault(aggregate.round_number, {})[key] = (
+            seen_bitmap | aggregate.signer_bitmap
+        )
+        return self.absorb_all(
+            statement
+            for statement in expand_aggregate(self.registry, aggregate)
+            if (fresh_bitmap >> statement.signer) & 1
+        )
 
     def proofs(self) -> Dict[int, FraudProof]:
         """All proofs constructed so far, keyed by accused player."""
@@ -230,17 +283,17 @@ class FraudDetector:
     def prune_below(self, round_number: int) -> None:
         """Drop per-round working state for rounds below ``round_number``.
 
-        Retention hook for bounded-memory soak runs: the dedup slots in
-        ``_seen`` and the aggregate-absorption memo only matter while a
+        Retention hook for bounded-memory soak runs: the statement
+        index and the aggregate-absorption memo only matter while a
         round's statements can still arrive, so a deployment that prunes
-        finalized round state may bound them to the same window.
+        finalized round state may bound them to the same window.  All
+        three are keyed by round, so this deletes whole rounds.
         Constructed proofs are *evidence* — they are never pruned, and
         ``guilty``/``proofs_for_round`` stay complete for the lifetime
         of the run.  A statement for a pruned round re-absorbed later
         can no longer pair with its discarded sibling; callers accept
         that the detection window equals the retention window.
         """
-        for slot in [s for s in self._seen if s[0] < round_number]:
-            del self._seen[slot]
-        for key in [k for k in self._absorbed_aggregates if k[0] < round_number]:
-            del self._absorbed_aggregates[key]
+        for index in (self._seen, self._absorbed, self._absorbed_aggregates):
+            for stale in [r for r in index if r < round_number]:
+                del index[stale]

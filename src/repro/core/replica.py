@@ -31,7 +31,7 @@ Implementation notes, and where we deviate from the paper's figure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Union
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -52,7 +52,6 @@ from repro.core.messages import (
     verify_justification,
     verify_statement,
 )
-from repro.crypto.aggregate import AggregateQC
 from repro.core.pof import FraudDetector, FraudProof
 from repro.ledger.block import Block
 from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
@@ -162,26 +161,15 @@ class PRFTReplica(BaseReplica):
         if proof is not None:
             self._punish(proof)
 
-    def _absorb_aggregate(self, aggregate: AggregateQC) -> None:
-        """Feed an aggregate certificate's signers to the detector.
-
-        The detector verifies before expanding (so a forged bitmap
-        never frames honest players) and memoizes absorbed signer
-        bitmaps per slot, making the n-fold re-absorption of a
-        circulating certificate O(1) after first sight.
-        """
-        if aggregate.phase not in _FRAUD_PHASES:
-            return
-        for proof in self.detector.absorb_aggregate(aggregate):
+    def _absorb_justification(
+        self, justification: Union[Justification, Iterable[SignedStatement]]
+    ) -> None:
+        """Absorb a quorum justification (either shape) or view-change
+        evidence.  The detector verifies what it has not indexed yet —
+        a forged member or bitmap frames nobody — and skips what it
+        has, so re-absorbing a circulating certificate is O(1)."""
+        for proof in self.detector.absorb_justification(justification, _FRAUD_PHASES):
             self._punish(proof)
-
-    def _absorb_justification(self, justification: Justification) -> None:
-        """Absorb a message's quorum justification in either shape."""
-        if isinstance(justification, AggregateQC):
-            self._absorb_aggregate(justification)
-            return
-        for statement in justification:
-            self._absorb_statement(statement)
 
     def _punish(self, proof: FraudProof) -> None:
         """Burn a freshly proven double-signer's collateral.
@@ -217,18 +205,12 @@ class PRFTReplica(BaseReplica):
         block retroactively — the catch-up path of Theorem 5's proof).
         """
         statement = getattr(payload, "statement", None)
-        if isinstance(statement, SignedStatement) and verify_statement(
-            self.ctx.registry, statement
-        ):
+        if isinstance(statement, SignedStatement):
             self._absorb_statement(statement)
         for attr in ("votes", "commits"):
             justification = getattr(payload, attr, None)
-            if isinstance(justification, AggregateQC):
-                self._absorb_aggregate(justification)
-            elif justification:
-                for stmt in justification:
-                    if verify_statement(self.ctx.registry, stmt):
-                        self._absorb_statement(stmt)
+            if justification:
+                self._absorb_justification(justification)
         if isinstance(payload, ExposeMessage):
             for proof in payload.proofs:
                 if proof.verify(self.ctx.registry):
@@ -805,9 +787,7 @@ class PRFTReplica(BaseReplica):
             return
         if not verify_statement(self.ctx.registry, statement):
             return
-        for evidence_statement in message.evidence:
-            if verify_statement(self.ctx.registry, evidence_statement):
-                self._absorb_statement(evidence_statement)
+        self._absorb_justification(message.evidence)
         state.view_changes[sender] = statement
         if state.commit_view_sent or state.finalized:
             return

@@ -15,13 +15,19 @@ of the same triple are dictionary lookups.  Keying on the *tag* as
 well as the digest is what keeps forgery detection exact: a forged tag
 over an already-verified digest is a different key, misses the cache,
 and is re-derived (and rejected) from the secret material.
+
+One level up, :meth:`KeyRegistry.memoized_quorum` keeps the verdict of
+a whole statement-set certificate, keyed by its content — as
+:meth:`KeyRegistry.verify_aggregate` does for aggregate certificates —
+so a justification broadcast to n receivers is checked member by
+member once per deployment, not once per receiver.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.crypto.aggregate import AggregateQC, aggregate_tag
 from repro.crypto.backends import CryptoBackend, DEFAULT_BACKEND, get_backend
@@ -31,6 +37,12 @@ from repro.crypto.signatures import Signature
 
 DEFAULT_VERIFY_CACHE_SIZE = 1 << 16
 """Default bound on cached verification verdicts per registry."""
+
+QUORUM_MEMO_PER_PLAYER = 8
+"""Certificate verdicts kept per registered player.  A round puts 2n
+distinct justifications in flight (one per Commit and per Reveal), so
+this holds four rounds' worth — the deepest pipeline window; an older
+certificate is simply re-checked through the per-signature cache."""
 
 
 class KeyRegistry:
@@ -58,11 +70,16 @@ class KeyRegistry:
         # cache — a forged tag or flipped bitmap bit is a different
         # key, misses, and is re-derived from the secrets.
         self._agg_cache: "OrderedDict[Tuple[int, str, bytes], bool]" = OrderedDict()
+        # Statement-set certificate verdicts, keyed by the caller's
+        # content key (pin + members, tags included).
+        self._quorum_cache: "OrderedDict[Hashable, int]" = OrderedDict()
         self._cache_size = max(0, int(verify_cache_size))
         self.cache_hits = 0
         self.cache_misses = 0
         self.agg_cache_hits = 0
         self.agg_cache_misses = 0
+        self.quorum_cache_hits = 0
+        self.quorum_cache_misses = 0
 
     @classmethod
     def trusted_setup(
@@ -174,6 +191,38 @@ class KeyRegistry:
         """Check every signature in ``signatures`` against ``value``."""
         return self.verify_quorum(signatures, value)
 
+    def memoized_quorum(self, key: Hashable, derive: Callable[[], int]) -> int:
+        """The verdict of a statement-set certificate, derived once.
+
+        ``key`` must determine the verdict completely: callers pass the
+        (phase, round, digest) pin together with the member statements
+        *including their tags*, so a forged tag, a re-attributed
+        signature or a different pin is a different key, misses, and
+        runs ``derive`` — the full per-member check.  The verdict is
+        whatever ``derive`` returns (the distinct-signer count, or a
+        negative number for an invalid certificate); thresholds are the
+        caller's to re-check on every call.  Bounded LRU of
+        :data:`QUORUM_MEMO_PER_PLAYER` entries per registered player
+        (never more than the verification cache's bound); with the
+        cache disabled nothing is remembered.
+        """
+        if self._cache_size == 0:
+            return derive()
+        cached = self._quorum_cache.get(key)
+        if cached is not None:
+            self._quorum_cache.move_to_end(key)
+            self.quorum_cache_hits += 1
+            return cached
+        self.quorum_cache_misses += 1
+        verdict = derive()
+        self._quorum_cache[key] = verdict
+        if len(self._quorum_cache) > self._quorum_cache_size():
+            self._quorum_cache.popitem(last=False)
+        return verdict
+
+    def _quorum_cache_size(self) -> int:
+        return min(self._cache_size, QUORUM_MEMO_PER_PLAYER * len(self._keys))
+
     # ------------------------------------------------------------------
     # Aggregate certificates
     # ------------------------------------------------------------------
@@ -245,6 +294,15 @@ class KeyRegistry:
             "misses": self.agg_cache_misses,
             "size": len(self._agg_cache),
             "maxsize": self._cache_size,
+        }
+
+    def quorum_cache_info(self) -> Dict[str, int]:
+        """Hit/miss counters and occupancy of the certificate-verdict memo."""
+        return {
+            "hits": self.quorum_cache_hits,
+            "misses": self.quorum_cache_misses,
+            "size": len(self._quorum_cache),
+            "maxsize": self._quorum_cache_size(),
         }
 
     def cache_info(self) -> Dict[str, int]:

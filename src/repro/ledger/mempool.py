@@ -9,7 +9,7 @@ re-propose confirmed transactions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.ledger.transaction import Transaction
 

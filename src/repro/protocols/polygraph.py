@@ -13,7 +13,7 @@ t < n/4, t + k < n/2 with rational players.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Optional, Set
+from typing import Any, FrozenSet, Iterable, Optional, Set, Union
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -22,10 +22,8 @@ from repro.core.messages import (
     build_justification,
     justification_size,
     verify_justification,
-    verify_statement,
 )
 from repro.core.pof import FraudDetector, FraudProof
-from repro.crypto.aggregate import AggregateQC
 from repro.protocols.base import ProtocolConfig, ProtocolContext
 from repro.protocols.twophase import TwoPhaseReplica, TwoPhaseRound
 
@@ -176,24 +174,14 @@ class PolygraphReplica(TwoPhaseReplica):
         if proof is not None:
             self._punish(proof)
 
-    def _absorb_justification(self, justification: Justification) -> None:
-        """Absorb a quorum justification's evidence in either shape.
-
-        Aggregates are verified by the detector before expansion and
-        memoized per slot, so re-absorption of a circulating
-        certificate is O(1) after first sight.
-        """
-        if isinstance(justification, AggregateQC):
-            for proof in self.detector.absorb_aggregate(justification):
-                self._punish(proof)
-            return
-        for statement in justification:
-            self._absorb(statement)
-
-    def _absorb_verified(self, statements: Iterable[SignedStatement]) -> None:
-        for statement in statements:
-            if verify_statement(self.ctx.registry, statement):
-                self._absorb(statement)
+    def _absorb_justification(
+        self, justification: Union[Justification, Iterable[SignedStatement]]
+    ) -> None:
+        """Absorb a prepare justification (either shape) or view-change
+        evidence; the detector verifies what it has not indexed yet and
+        skips what it has."""
+        for proof in self.detector.absorb_justification(justification):
+            self._punish(proof)
 
     def _admit_commit(self, message: PgCommit) -> bool:
         if not verify_justification(
@@ -210,20 +198,18 @@ class PolygraphReplica(TwoPhaseReplica):
         return True
 
     def _absorb_view_change(self, message: PgViewChange) -> None:
-        self._absorb_verified(message.evidence)
+        self._absorb_justification(message.evidence)
 
     def _on_late_payload(self, sender: int, payload: Any) -> None:
         """Accountability outlives the round and the run: keep absorbing
         evidence — and keep serving catch-up."""
         statement = getattr(payload, "statement", None)
         if isinstance(statement, SignedStatement):
-            self._absorb_verified((statement,))
+            self._absorb(statement)
         for attr in ("prepares", "evidence"):
             bundle = getattr(payload, attr, None)
-            if isinstance(bundle, AggregateQC):
+            if bundle:
                 self._absorb_justification(bundle)
-            elif bundle:
-                self._absorb_verified(bundle)
         super()._on_late_payload(sender, payload)
 
     def _punish(self, proof: FraudProof) -> None:

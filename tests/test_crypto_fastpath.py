@@ -7,6 +7,8 @@ tag has a different ``(signer, tag, digest)`` key, so it can never ride
 an honest signature's cache entry.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.accountability import check_accountability
@@ -22,6 +24,7 @@ from repro.crypto.hashing import canonical_bytes
 from repro.crypto.registry import KeyRegistry
 from repro.crypto.signatures import Signature, sign
 from repro.experiments.registry import Scenario, get_scenario
+from repro.experiments.results import RunRecord
 
 DIGEST = "ab" * 32
 
@@ -202,6 +205,118 @@ class TestVerifyQuorum:
 
 
 # ----------------------------------------------------------------------
+# The certificate-verdict memo
+# ----------------------------------------------------------------------
+class TestQuorumMemo:
+    """A fully pinned statement set is verified once per deployment.
+
+    The property under test mirrors the per-signature cache's: the memo
+    key is the pin plus the members *with their tags*, so nothing that
+    differs in anything the check reads can ride a memoized verdict.
+    """
+
+    PIN = {"phase": "vote", "round_number": 1, "digest": DIGEST}
+
+    def setup_method(self):
+        self.registry = KeyRegistry.trusted_setup(range(4))
+        self.quorum = frozenset(
+            make_statement(self.registry.keypair_of(i), "vote", 1, DIGEST) for i in range(3)
+        )
+        assert self._verify(self.quorum)
+        assert self._verify(self.quorum)
+        info = self.registry.quorum_cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+
+    def _verify(self, statements, minimum=3, **pin):
+        return verify_quorum(self.registry, statements, minimum=minimum, **{**self.PIN, **pin})
+
+    def _with_signature(self, signer, signature):
+        """The memoized set with ``signer``'s member re-signed."""
+        kept = {stmt for stmt in self.quorum if stmt.signer != signer}
+        return frozenset(kept | {SignedStatement("vote", 1, DIGEST, signature)})
+
+    def _assert_full_path_rejects(self, statements, **pin):
+        before = self.registry.quorum_cache_info()
+        assert not self._verify(statements, **pin)
+        after = self.registry.quorum_cache_info()
+        assert after["hits"] == before["hits"]  # never answered from the memo
+        assert self._verify(self.quorum)  # and the genuine entry is intact
+
+    def test_forged_tag_rejected_after_memoization(self):
+        forged = self._with_signature(1, Signature(signer=1, tag="00" * 32))
+        self._assert_full_path_rejects(forged)
+
+    def test_reattributed_member_rejected_after_memoization(self):
+        """Player 3 never signed; it claims player 1's tag, keeping the
+        set's size and distinct-signer count at the threshold."""
+        member = next(stmt for stmt in self.quorum if stmt.signer == 1)
+        stolen = self._with_signature(1, Signature(signer=3, tag=member.signature.tag))
+        assert len({stmt.signer for stmt in stolen}) == 3
+        self._assert_full_path_rejects(stolen)
+
+    @pytest.mark.parametrize(
+        "pin", [{"round_number": 2}, {"phase": "commit"}, {"digest": "cd" * 32}]
+    )
+    def test_other_pin_rejected_after_memoization(self, pin):
+        self._assert_full_path_rejects(self.quorum, **pin)
+
+    def test_minimum_is_checked_on_every_call(self):
+        before = self.registry.cache_info()
+        assert not self._verify(self.quorum, minimum=4)
+        assert self._verify(self.quorum, minimum=2)
+        assert self.registry.cache_info() == before  # both answered by the memo
+        # A fourth member makes a different key with its own count.
+        fourth = make_statement(self.registry.keypair_of(3), "vote", 1, DIGEST)
+        assert self._verify(self.quorum | {fourth}, minimum=4)
+        assert not self._verify(self.quorum, minimum=4)
+
+    def test_negative_verdicts_are_memoized_per_key(self):
+        forged = self._with_signature(1, Signature(signer=1, tag="00" * 32))
+        assert not self._verify(forged)
+        before = self.registry.quorum_cache_info()["hits"]
+        assert not self._verify(forged)
+        assert self.registry.quorum_cache_info()["hits"] == before + 1
+
+    def test_unpinned_certificates_are_not_memoized(self):
+        before = self.registry.quorum_cache_info()
+        assert verify_quorum(self.registry, self.quorum, phase="vote", minimum=3)
+        assert self.registry.quorum_cache_info() == before
+
+    def test_cache_size_zero_memoizes_nothing_and_rederives_every_tag(self, monkeypatch):
+        registry = KeyRegistry.trusted_setup(range(4), verify_cache_size=0)
+        quorum = frozenset(
+            make_statement(registry.keypair_of(i), "vote", 1, DIGEST) for i in range(3)
+        )
+        derived = []
+        real_tag = type(registry.backend).tag
+
+        def counting_tag(backend, secret, message):
+            derived.append(message)
+            return real_tag(backend, secret, message)
+
+        monkeypatch.setattr(type(registry.backend), "tag", counting_tag)
+        for _ in range(2):
+            assert verify_quorum(registry, quorum, minimum=3, **self.PIN)
+        assert len(derived) == 6
+        assert registry.quorum_cache_info() == {"hits": 0, "misses": 0, "size": 0, "maxsize": 0}
+
+    def test_memo_bounded_under_churn(self):
+        keypairs = [self.registry.keypair_of(i) for i in range(3)]
+        for round_number in range(2, 202):
+            quorum = frozenset(make_statement(kp, "vote", round_number, DIGEST) for kp in keypairs)
+            assert verify_quorum(
+                self.registry, quorum, phase="vote", round_number=round_number,
+                digest=DIGEST, minimum=3,
+            )
+        info = self.registry.quorum_cache_info()
+        assert info["misses"] == 201
+        assert info["size"] == info["maxsize"] < 200
+        # The bound never exceeds the verification cache's own.
+        small = KeyRegistry.trusted_setup(range(4), verify_cache_size=2)
+        assert small.quorum_cache_info()["maxsize"] == 2
+
+
+# ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
 class TestBackends:
@@ -281,3 +396,45 @@ class TestScenarioBackendKnob:
         assert cached.ctx.registry.cache_info()["hits"] > 0
         assert uncached.ctx.registry.cache_info()["hits"] == 0
         assert cached.final_block_count() == uncached.final_block_count()
+
+
+# ----------------------------------------------------------------------
+# Cache size must be invisible — on attacked runs above all
+# ----------------------------------------------------------------------
+ATTACKED = {
+    "fork": get_scenario("fork"),
+    "thm5-collusion": get_scenario("thm5-collusion"),
+    "lossy-prft-fork": get_scenario("lossy-prft-fork"),
+    "partition-fork": get_scenario("partition-fork"),
+    "fork-polygraph": get_scenario("fork").with_params(protocol="polygraph"),
+    "fork-trap": get_scenario("fork").with_params(protocol="trap"),
+}
+
+
+def _observable(scenario, seed=0):
+    result = scenario.run(seed=seed)
+    record = RunRecord.from_result(scenario, seed, result)
+    proofs = {
+        player: sorted(
+            (accused, proof.canonical()) for accused, proof in replica.detector.proofs().items()
+        )
+        for player, replica in result.replicas.items()
+    }
+    return (
+        json.dumps(record.canonical(), sort_keys=True),
+        sorted(result.ctx.collateral.burned_players()),
+        proofs,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ATTACKED))
+def test_cache_size_is_invisible_on_attacked_runs(name):
+    """Where justifications carry double signatures, the reference path
+    (size 0: every tag re-derived), a thrashing cache (size 2: verdicts
+    evicted between receivers) and the default must agree on the
+    record, the burns and every replica's proofs — byte for byte."""
+    scenario = ATTACKED[name]
+    default = _observable(scenario)
+    assert any(default[2].values()), "the attack must actually produce fraud proofs"
+    for size in (0, 2):
+        assert _observable(scenario.with_params(crypto_cache_size=size)) == default

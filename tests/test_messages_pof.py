@@ -168,16 +168,48 @@ class TestConstructPof:
         # without the registry the forgery would structurally "work"
         assert set(construct_pof([good, forged])) == {0}
 
-    @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["h1", "h2", "h3"])), max_size=24))
-    def test_batch_matches_incremental(self, pairs):
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from(["h1", "h2", "h3"]),
+                st.sampled_from(["genuine", "genuine", "duplicate", "forged"]),
+            ),
+            max_size=24,
+        )
+    )
+    def test_batch_matches_incremental(self, draws):
         """Property: Figure 4's batch scan and the online detector
-        accuse exactly the same players."""
+        accuse exactly the same players — with duplicates (a second,
+        equal object) and forged tags interleaved at every position,
+        including forgeries that collide with an already-indexed
+        (round, phase, signer, digest), which the detector answers from
+        its index without verifying."""
         shared = KeyRegistry.trusted_setup(range(6), seed="pof-prop")
-        statements = [_stmt(shared, signer, digest=digest) for signer, digest in pairs]
-        batch = set(construct_pof(statements, registry=shared))
+        statements = []
+        for signer, digest, kind in draws:
+            genuine = _stmt(shared, signer, digest=digest)
+            if kind == "forged":
+                statements.append(
+                    SignedStatement("vote", 0, digest, Signature(signer, "ee" * 32))
+                )
+            else:
+                statements.append(genuine)
+            if kind == "duplicate":
+                statements.append(_stmt(shared, signer, digest=digest))
+        genuine_only = [stmt for stmt in statements if verify_statement(shared, stmt)]
+        batch = construct_pof(statements, registry=shared)
+        assert set(batch) == set(construct_pof(genuine_only))
         detector = FraudDetector(registry=shared)
         detector.absorb_all(statements)
-        assert detector.guilty() == batch
+        assert detector.guilty() == set(batch)
+        # Same evidence offered as one bundle, then offered again.
+        bundled = FraudDetector(registry=shared)
+        fresh = bundled.absorb_justification(frozenset(statements))
+        assert {proof.accused for proof in fresh} == bundled.guilty() == set(batch)
+        assert bundled.absorb_justification(frozenset(statements)) == []
+        for proof in list(detector.proofs().values()) + fresh:
+            assert proof.verify(shared)
 
     @given(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["h1", "h2", "h3"])), max_size=24))
     def test_accusations_are_exactly_double_signers(self, pairs):
@@ -221,9 +253,112 @@ class TestFraudDetector:
         assert detector.absorb(forged) is None
         assert detector.guilty() == set()
 
+    def test_forgery_colliding_with_indexed_statement_changes_nothing(self, registry):
+        """The index is consulted before the signature: a forged tag on
+        an already-indexed (round, phase, signer, digest) is dropped
+        unverified — it proves nothing and must not replace the genuine
+        statement a later conflict is paired with."""
+        detector = FraudDetector(registry=registry)
+        genuine = _stmt(registry, 0, digest="h1")
+        assert detector.absorb(genuine) is None
+        collision = SignedStatement("vote", 0, "h1", Signature(0, "aa" * 32))
+        verified = registry.cache_info()
+        assert detector.absorb(collision) is None
+        assert registry.cache_info() == verified  # answered from the index
+        assert detector.guilty() == set()
+        proof = detector.absorb(_stmt(registry, 0, digest="h2"))
+        assert proof is not None and genuine in (proof.first, proof.second)
+        assert collision not in (proof.first, proof.second)
+        assert proof.verify(registry)
+        # Same for a forgery colliding with the slot's *second* digest.
+        late = SignedStatement("vote", 0, "h2", Signature(0, "bb" * 32))
+        assert detector.absorb(late) is None
+        assert detector.proofs() == {0: proof}
+
     def test_proofs_verify(self, registry):
         detector = FraudDetector(registry=registry)
         detector.absorb_all(
             [_stmt(registry, 2, digest="h1"), _stmt(registry, 2, digest="h2")]
         )
         assert verify_proofs(detector.proofs().values(), registry) == {2}
+
+
+class TestAbsorbJustification:
+    """The detector's one entry point for what a message carries."""
+
+    def _votes(self, registry, signers, digest="h1", round_number=0):
+        return frozenset(
+            _stmt(registry, i, round_number=round_number, digest=digest) for i in signers
+        )
+
+    def test_already_indexed_members_cost_no_absorb(self, registry, monkeypatch):
+        detector = FraudDetector(registry=registry)
+        votes = self._votes(registry, range(4))
+        for vote in list(votes)[:3]:  # received directly, one by one
+            detector.absorb(vote)
+        absorbed = []
+        real_absorb = FraudDetector.absorb
+        monkeypatch.setattr(
+            FraudDetector, "absorb",
+            lambda self, stmt: absorbed.append(stmt) or real_absorb(self, stmt),
+        )
+        assert detector.absorb_justification(votes) == []
+        assert len(absorbed) == 1  # only the member never seen before
+        assert detector.absorb_justification(votes) == []
+        # An equal certificate built from *other* objects is skipped too.
+        assert detector.absorb_justification(self._votes(registry, range(4))) == []
+        assert len(absorbed) == 1
+
+    def test_conflicting_certificate_yields_one_proof_per_double_signer(self, registry):
+        detector = FraudDetector(registry=registry)
+        assert detector.absorb_justification(self._votes(registry, range(5), "h1")) == []
+        other = self._votes(registry, [1, 3, 5], "h2")
+        proofs = detector.absorb_justification(other)
+        # Proofs come out in the certificate's own iteration order.
+        assert [proof.accused for proof in proofs] == [
+            stmt.signer for stmt in other if stmt.signer != 5
+        ]
+        assert detector.guilty() == {1, 3}
+        assert detector.absorb_justification(other) == []
+
+    def test_unverified_members_are_verified_here(self, registry):
+        """Late payloads and view-change evidence arrive unverified: a
+        forged member frames nobody, however often it is offered."""
+        detector = FraudDetector(registry=registry)
+        detector.absorb_justification(self._votes(registry, range(3), "h1"))
+        forged = SignedStatement("vote", 0, "h2", Signature(1, "cc" * 32))
+        bundle = frozenset({forged, _stmt(registry, 2, digest="h2")})
+        for _ in range(2):
+            detector.absorb_justification(bundle)
+            assert detector.guilty() == {2}
+
+    def test_phase_filter_and_plain_iterables(self, registry):
+        detector = FraudDetector(registry=registry)
+        stalled = [
+            _stmt(registry, 0, phase="view-change", digest="vote"),
+            _stmt(registry, 0, phase="view-change", digest="commit"),
+        ]
+        assert detector.absorb_justification(stalled, phases={"vote", "commit"}) == []
+        assert detector.guilty() == set()
+        assert [p.accused for p in detector.absorb_justification(stalled)] == [0]
+
+    def test_bundle_spanning_rounds(self, registry):
+        detector = FraudDetector(registry=registry)
+        detector.absorb_justification(self._votes(registry, range(3), "h1", round_number=0))
+        detector.absorb_justification(self._votes(registry, range(3), "h1", round_number=1))
+        mixed = self._votes(registry, [0], "h2", 0) | self._votes(registry, [1], "h2", 1)
+        assert {p.accused for p in detector.absorb_justification(mixed)} == {0, 1}
+
+    def test_prune_below_drops_every_per_round_index(self, registry):
+        detector = FraudDetector(registry=registry)
+        for round_number in range(6):
+            detector.absorb_justification(
+                self._votes(registry, range(4), "h1", round_number=round_number)
+            )
+        detector.absorb_justification(self._votes(registry, [2], "h2", round_number=1))
+        detector.prune_below(4)
+        assert sorted(detector._seen) == sorted(detector._absorbed) == [4, 5]
+        assert detector.guilty() == {2}  # evidence outlives the window
+        # A pruned round starts from scratch: nothing to pair with.
+        assert detector.absorb_justification(self._votes(registry, [3], "h2", 1)) == []
+
