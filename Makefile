@@ -1,5 +1,6 @@
 # Developer / CI entry points.  `make check` is the gate: tier-1 tests
-# plus a smoke sweep through the CLI/parallel engine, the trace oracle
+# plus a smoke pass through the CLI (a parallel sweep, and `repro run`
+# flag overrides on a catalog entry and on a scenario file), the trace oracle
 # over the full scenario catalog, and the frozen host-time benchmark's
 # view of src/ at a tenth of its scale.
 
@@ -19,6 +20,11 @@ smoke:
 	$(PYTHON) -m repro.cli list-scenarios
 	$(PYTHON) -m repro.cli sweep honest --grid n=4,5 --seeds 2 --jobs 2 --out /tmp/repro-smoke.json
 	$(PYTHON) -m repro.cli run honest -n 5 --rounds 2 --check
+	$(PYTHON) -m repro.cli run lossy-honest -n 5 --protocol pbft --check > /tmp/repro-smoke-run.txt
+	grep -q "protocol *| pbft" /tmp/repro-smoke-run.txt
+	$(PYTHON) -c 'import json; from repro import get_scenario; json.dump(get_scenario("crash-leader").to_dict(), open("/tmp/repro-smoke-scenario.json", "w"))'
+	$(PYTHON) -m repro.cli run /tmp/repro-smoke-scenario.json --rounds 1 --check > /tmp/repro-smoke-run.txt
+	grep -q "final blocks *| 1" /tmp/repro-smoke-run.txt
 
 # Every catalog entry through the trace oracle (exit 1 on violation).
 catalog-check:

@@ -437,8 +437,8 @@ class CrashRecoveryChecker(InvariantChecker):
         violations: List[Violation] = []
         down: Dict[int, bool] = {}
         last_replayed: Dict[int, int] = {}
-        for event in ctx.result.trace:
-            if event.kind not in ("crash", "recover") or event.player is None:
+        for event in ctx.result.trace.events(self.trace_kinds):
+            if event.player is None:
                 continue
             pid = event.player
             if event.kind == "crash":

@@ -35,8 +35,13 @@ Examples::
     repro report regressions --db warehouse.sqlite --against-stored --fail-over 15
     repro report campaign --db warehouse.sqlite
 
-The bare legacy form ``repro honest -n 8`` (no subcommand) keeps
-working: a leading CLI scenario name is routed to ``run``.
+``run`` resolves its positional — any catalog name, or a scenario /
+repro JSON file — and then applies the flags on top, by one rule: *a
+flag left unset keeps the scenario's value, a flag passed overrides
+it*, for every name and every file (``repro run crash-leader
+--loss-rate 0.1``, ``repro run repro.json --rounds 1``).  ``run``,
+``sweep`` and ``list-scenarios`` therefore mean the same scenario by
+the same name.
 
 ``run`` prints the terminal system state, the ledger lengths,
 penalised players, and the robustness verdict — the same quantities
@@ -55,193 +60,205 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.agents.player import Player
 from repro.analysis.report import render_table
 from repro.analysis.robustness import check_robustness
 from repro.experiments.registry import (
     PROTOCOL_FACTORIES,
+    WORKLOAD_AXIS,
     Scenario,
     get_scenario,
     scenario_catalog,
 )
 from repro.experiments.results import write_csv, write_json
 from repro.experiments.sweep import expand_grid, run_sweep
-from repro.gametheory.payoff import PlayerType
 from repro.protocols.runner import RunResult
-
-FACTORIES = PROTOCOL_FACTORIES  # legacy alias; the registry owns the map
-
-ATTACK_THETA = {
-    "fork": PlayerType.FORK_SEEKING,
-    "censorship": PlayerType.CENSORSHIP_SEEKING,
-    "liveness": PlayerType.LIVENESS_ATTACKING,
-}
-
-LEGACY_SCENARIOS = ("honest", "fork", "liveness", "censorship")
+from repro.workloads import WORKLOAD_KINDS
 
 
 # ----------------------------------------------------------------------
 # Parsers
 # ----------------------------------------------------------------------
-def _add_run_arguments(
-    parser: argparse.ArgumentParser, choices: Optional[Sequence[str]] = LEGACY_SCENARIOS
-) -> None:
-    if choices is None:
-        # The `run` subcommand accepts the whole catalog *or* a path
-        # to a scenario JSON (e.g. a fuzzer repro); validated in
-        # cmd_run so the error can list the catalog.
-        parser.add_argument(
-            "scenario", metavar="SCENARIO|FILE.json",
-            help="a registered scenario name, or a scenario/repro JSON file",
-        )
-    else:
-        parser.add_argument(
-            "scenario", choices=choices,
-            help="which scenario to run",
-        )
-    parser.add_argument("--protocol", choices=sorted(FACTORIES), default="prft")
-    parser.add_argument("-n", type=int, default=9, help="committee size")
-    parser.add_argument("--rounds", type=int, default=3, help="consensus rounds")
-    parser.add_argument("--rational", type=int, default=2, help="rational players k")
-    parser.add_argument("--byzantine", type=int, default=1, help="byzantine players t")
-    parser.add_argument("--timeout", type=float, default=15.0, help="phase timeout Δ")
-    parser.add_argument("--gst", type=float, default=None, help="run partially synchronous with this GST")
-    # Default None (not 0) so an explicit `--seed 0` is distinguishable
-    # from "unset" when a scenario JSON carries its own embedded seed.
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--loss-rate", type=float, default=0.0,
-        help="link-layer drop probability per delivery (0 = reliable)",
-    )
-    parser.add_argument(
-        "--duplicate-rate", type=float, default=0.0,
-        help="link-layer duplication probability per delivery",
-    )
-    parser.add_argument(
-        "--reorder-jitter", type=float, default=0.0,
-        help="uniform per-delivery jitter bound (reorders traffic)",
-    )
-    parser.add_argument(
-        "--crash", action="append", default=[], metavar="PID@T0[:T1]",
+def _crash_entry(spec: str) -> tuple:
+    """One ``PID@T0[:T1]`` flag as a Scenario.crash_spec entry."""
+    pid, separator, times = spec.partition("@")
+    try:
+        if not separator:
+            raise ValueError(spec)
+        return (int(pid), *(float(time) for time in times.split(":", 1)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad --crash spec {spec!r}; expected PID@T0[:T1]"
+        ) from None
+
+
+def _burst_entry(spec: str) -> tuple:
+    """One ``T:COUNT`` flag as a Scenario.burst_schedule entry."""
+    when, separator, count = spec.partition(":")
+    try:
+        if not separator:
+            raise ValueError(spec)
+        return (float(when), int(count))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad --burst spec {spec!r}; expected T:COUNT"
+        ) from None
+
+
+#: Every `repro run` flag that sets a Scenario axis: (option string, the
+#: Scenario field it overrides, add_argument kwargs).  This table is the
+#: only place a flag is declared — the parser is built from it and so is
+#: the override fold — and every flag defaults to None, "unset", so a
+#: passed value (even one equal to the dataclass default) is
+#: distinguishable from an absent one and overrides whatever the
+#: positional resolved to.
+RUN_FLAGS: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
+    ("--protocol", "protocol", dict(
+        choices=sorted(PROTOCOL_FACTORIES), help="consensus protocol")),
+    ("-n", "n", dict(type=int, help="committee size")),
+    ("--rounds", "rounds", dict(type=int, help="consensus rounds")),
+    ("--rational", "rational", dict(
+        type=int, help="rational players k (placed at the lowest ids)")),
+    ("--byzantine", "byzantine", dict(
+        type=int, help="byzantine players t (placed at the lowest free ids)")),
+    ("--timeout", "timeout", dict(type=float, help="phase timeout Δ")),
+    ("--gst", "gst", dict(
+        type=float,
+        help="run partially synchronous with this GST (selects the "
+             "partial delay model)")),
+    ("--loss-rate", "loss_rate", dict(
+        type=float,
+        help="link-layer drop probability per delivery (0 = reliable)")),
+    ("--duplicate-rate", "duplicate_rate", dict(
+        type=float, help="link-layer duplication probability per delivery")),
+    ("--reorder-jitter", "reorder_jitter", dict(
+        type=float,
+        help="uniform per-delivery jitter bound (reorders traffic)")),
+    ("--crash", "crash_spec", dict(
+        action="append", type=_crash_entry, metavar="PID@T0[:T1]",
         help="crash replica PID at T0, recovering at T1 (omit T1 for a "
-             "permanent crash); repeatable",
-    )
-    # Workload flags default to None (not the scenario defaults) so an
-    # explicitly-passed value — `--workload static`, `--rate 25` — is
-    # distinguishable from "unset" and overrides catalog entries and
-    # scenario files too.
-    parser.add_argument(
-        "--workload", choices=("static", "poisson", "closed", "burst"),
-        default=None,
-        help="client arrival process (default: the scenario's own; "
-             "'static' for legacy names); anything but 'static' switches "
-             "to the continuous multi-slot mode and needs --duration",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=None,
+             "permanent crash); repeatable, replaces the scenario's own "
+             "crash schedule")),
+    ("--workload", "workload", dict(
+        choices=WORKLOAD_KINDS,
+        help="client arrival process; anything but 'static' switches to "
+             "the continuous multi-slot mode and needs a duration")),
+    ("--rate", "arrival_rate", dict(
+        type=float, metavar="RATE",
         help="poisson arrival rate in transactions per virtual time unit "
-             "(scenario default: 25)",
-    )
-    parser.add_argument(
-        "--outstanding", type=int, default=None,
-        help="closed-loop in-flight window size (scenario default: 4)",
-    )
-    parser.add_argument(
-        "--burst", action="append", default=[], metavar="T:COUNT",
-        help="burst workload: submit COUNT transactions at time T; repeatable",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=None,
+             "(implies --workload poisson)")),
+    ("--outstanding", "outstanding", dict(
+        type=int,
+        help="closed-loop in-flight window size (implies --workload closed)")),
+    ("--burst", "burst_schedule", dict(
+        action="append", type=_burst_entry, metavar="T:COUNT",
+        help="submit COUNT transactions at time T; repeatable (implies "
+             "--workload burst)")),
+    ("--duration", "duration", dict(
+        type=float,
         help="continuous-workload run length in virtual time (replicas "
-             "keep opening slots until it elapses or the load quiesces)",
-    )
-    # Production flags follow the same None-means-unset convention, so
-    # catalog entries and scenario files keep their own ProductionSpec
-    # axes unless a flag is actually passed.
-    parser.add_argument(
-        "--pipeline-depth", type=int, default=None,
+             "keep opening slots until it elapses or the load quiesces)")),
+    ("--pipeline-depth", "pipeline_depth", dict(
+        type=int,
         help="leaders may open up to this many slots speculatively "
-             "ahead of the commit frontier (scenario default: 1, the "
-             "legacy strictly-sequential loop)",
-    )
-    parser.add_argument(
-        "--block-txs", type=int, default=None,
+             "ahead of the commit frontier (1 = strictly sequential)")),
+    ("--block-txs", "max_block_txs", dict(
+        type=int, metavar="BLOCK_TXS",
         help="per-block transaction cap for batched mempool drains "
-             "(scenario default: the protocol block_size)",
-    )
-    parser.add_argument(
-        "--coalesce-window", type=float, default=None,
+             "(unset: the protocol block_size)")),
+    ("--coalesce-window", "coalesce_window", dict(
+        type=float,
         help="batch open-loop client arrivals landing within this "
-             "window into one submission event (scenario default: 0, "
-             "submit each arrival immediately)",
-    )
-    # Geo-distribution flags: passing --regions alone switches the
-    # resolved scenario to the regional delay model.
-    parser.add_argument(
-        "--regions", type=int, default=None,
+             "window into one submission event (0 = submit each arrival "
+             "immediately)")),
+    ("--regions", "regions", dict(
+        type=int,
         help="spread the committee round-robin over this many regions "
              "with a seeded inter-region latency matrix (selects the "
-             "regional delay model)",
-    )
-    parser.add_argument(
-        "--region-spread", type=float, default=None,
-        help="worst inter-region base delay as a multiple of Δ "
-             "(scenario default: 4)",
-    )
-    parser.add_argument(
-        "--region-jitter", type=float, default=None,
-        help="per-message jitter bound relative to the pair's base "
-             "delay (scenario default: 0.25)",
-    )
-    # Retention flags (soak runs): each bounds one O(history) structure;
-    # unset means unbounded, the byte-identical legacy behaviour.
-    parser.add_argument(
-        "--trace-window", type=int, default=None,
+             "regional delay model)")),
+    ("--region-spread", "region_spread", dict(
+        type=float,
+        help="worst inter-region base delay as a multiple of Δ")),
+    ("--region-jitter", "region_jitter", dict(
+        type=float,
+        help="per-message jitter bound relative to the pair's base delay")),
+    ("--trace-window", "trace_window", dict(
+        type=int,
         help="keep only the last N trace events per kind "
-             "(lifetime counters stay exact)",
-    )
-    parser.add_argument(
-        "--commit-window", type=int, default=None,
+             "(lifetime counters stay exact)")),
+    ("--commit-window", "commit_window", dict(
+        type=int,
         help="bound the commit log's first-commit maps and the mempool "
-             "seen-id history to N transactions",
-    )
-    parser.add_argument(
-        "--submission-window", type=int, default=None,
-        help="keep only the last N workload submission records",
-    )
-    parser.add_argument(
-        "--ledger-window", type=int, default=None,
+             "seen-id history to N transactions")),
+    ("--submission-window", "submission_window", dict(
+        type=int, help="keep only the last N workload submission records")),
+    ("--ledger-window", "ledger_window", dict(
+        type=int,
         help="strip transaction bodies from final blocks more than N "
-             "below the commit head (digests and heights survive)",
-    )
-    parser.add_argument(
-        "--backlog-resolution", type=int, default=None,
+             "below the commit head (digests and heights survive)")),
+    ("--backlog-resolution", "backlog_resolution", dict(
+        type=int,
         help="downsample the throughput backlog series to about N "
-             "points (peak and final stay exact)",
-    )
-    parser.add_argument(
-        "--aggregate-certs", action="store_true",
+             "points (peak and final stay exact)")),
+    ("--aggregate-certs", "aggregate_certs", dict(
+        action="store_true",
         help="carry quorum certificates as aggregate signatures (one "
              "digest + signer bitmap + tag) instead of n signed "
-             "statements — a pure wire-format change",
+             "statements — a pure wire-format change")),
+    ("--check", "check_invariants", dict(
+        action="store_true",
+        help="run the trace oracle post-hoc and print its invariant "
+             "verdicts (exit status 1 on a violation)")),
+)
+
+_OPTION = {field: option for option, field, _ in RUN_FLAGS}
+
+
+def _add_fuzz_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags `repro fuzz` and `repro search campaign` share."""
+    parser.add_argument("--budget", type=int, default=100, help="generated trials")
+    parser.add_argument("--seed", type=int, default=0, help="fuzz campaign seed")
+    parser.add_argument(
+        "--profile", choices=("safe", "wild"), default="safe",
+        help="safe: in-tolerance envelope where any violation is a bug "
+             "(liveness skipped on attack trials by design); wild: "
+             "adversarial axis space, conditional checkers may skip",
+    )
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--artifacts", default="fuzz-artifacts",
+        help="directory for shrunk-repro JSONs (created on first violation)",
+    )
+    parser.add_argument("--out", default=None, help="write the full fuzz report as JSON")
+    parser.add_argument(
+        "--shrink-budget", type=int, default=64,
+        help="max re-runs spent shrinking each violating configuration",
     )
     parser.add_argument(
-        "--check", action="store_true",
-        help="run the trace oracle post-hoc and print its invariant "
-             "verdicts (exit status 1 on a violation)",
+        "--max-shrinks", type=int, default=5,
+        help="how many violating trials to shrink into repro artifacts "
+             "(the rest keep their full records in --out)",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The single-scenario (``run``) parser, also the legacy entry."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run rational-consensus scenarios from the paper.",
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="resume an interrupted campaign from its checkpointed "
+             "cursor (needs --db or REPRO_WAREHOUSE)",
     )
-    _add_run_arguments(parser)
-    return parser
+    parser.add_argument(
+        "--campaign-id", default=None,
+        help="checkpoint key for --resume (default: derived from "
+             "seed/profile/budget)",
+    )
+    parser.add_argument(
+        "--db", default=None,
+        help="warehouse for guided ordering, per-chunk record persistence "
+             "and cursor checkpoints (default: $REPRO_WAREHOUSE)",
+    )
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=16,
+        help="trials per checkpoint chunk when a warehouse is attached",
+    )
 
 
 def build_cli_parser() -> argparse.ArgumentParser:
@@ -254,10 +271,18 @@ def build_cli_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser(
         "run", help="run one scenario once and print its report"
     )
-    # `run` accepts the whole catalog plus scenario JSON files; the
-    # roster flags only shape the four legacy scenarios (catalog
-    # entries and files carry their own roster).
-    _add_run_arguments(run_parser, choices=None)
+    # Validated in cmd_run (not by `choices`) so the error can list the
+    # catalog and a path can name a scenario JSON, e.g. a fuzzer repro.
+    run_parser.add_argument(
+        "scenario", metavar="SCENARIO|FILE.json",
+        help="a registered scenario name, or a scenario/repro JSON file",
+    )
+    run_parser.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed (default: the file's embedded seed, else 0)",
+    )
+    for option, field, kwargs in RUN_FLAGS:
+        run_parser.add_argument(option, dest=field, default=None, **kwargs)
     run_parser.set_defaults(func=cmd_run)
 
     sweep_parser = subparsers.add_parser(
@@ -290,29 +315,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
         help="generate scenarios from a seeded RNG, oracle-check each run, "
              "shrink violations to minimal repro JSONs",
     )
-    fuzz_parser.add_argument("--budget", type=int, default=100, help="generated trials")
-    fuzz_parser.add_argument("--seed", type=int, default=0, help="fuzz campaign seed")
-    fuzz_parser.add_argument(
-        "--profile", choices=("safe", "wild"), default="safe",
-        help="safe: in-tolerance envelope where any violation is a bug "
-             "(liveness skipped on attack trials by design); wild: "
-             "adversarial axis space, conditional checkers may skip",
-    )
-    fuzz_parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    fuzz_parser.add_argument(
-        "--artifacts", default="fuzz-artifacts",
-        help="directory for shrunk-repro JSONs (created on first violation)",
-    )
-    fuzz_parser.add_argument("--out", default=None, help="write the full fuzz report as JSON")
-    fuzz_parser.add_argument(
-        "--shrink-budget", type=int, default=64,
-        help="max re-runs spent shrinking each violating configuration",
-    )
-    fuzz_parser.add_argument(
-        "--max-shrinks", type=int, default=5,
-        help="how many violating trials to shrink into repro artifacts "
-             "(the rest keep their full records in --out)",
-    )
+    _add_fuzz_arguments(fuzz_parser)
     fuzz_parser.add_argument(
         "--inject-violation", action="store_true",
         help="replace trial 0 with a config that must violate the "
@@ -323,25 +326,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
         help="order trials by warehouse near-miss history (boundary-"
              "pressing buckets first); trial identity is unchanged, "
              "only the execution order moves",
-    )
-    fuzz_parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign from its checkpointed "
-             "cursor (needs --db or REPRO_WAREHOUSE)",
-    )
-    fuzz_parser.add_argument(
-        "--campaign-id", default=None,
-        help="checkpoint key for --resume (default: derived from "
-             "seed/profile/budget)",
-    )
-    fuzz_parser.add_argument(
-        "--db", default=None,
-        help="warehouse for guided ordering, per-chunk record persistence "
-             "and cursor checkpoints (default: $REPRO_WAREHOUSE)",
-    )
-    fuzz_parser.add_argument(
-        "--checkpoint-every", type=int, default=16,
-        help="trials per checkpoint chunk when a warehouse is attached",
     )
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
@@ -359,7 +343,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
              "2 when one beats honest play",
     )
     equilibrium_parser.add_argument(
-        "--protocol", action="append", default=[], choices=sorted(FACTORIES),
+        "--protocol", action="append", default=[], choices=sorted(PROTOCOL_FACTORIES),
         help="protocol(s) to search (repeatable; default: prft)",
     )
     equilibrium_parser.add_argument(
@@ -395,27 +379,8 @@ def build_cli_parser() -> argparse.ArgumentParser:
         help="near-miss-guided, checkpointed fuzz campaign "
              "(= repro fuzz --guided with warehouse persistence)",
     )
-    search_campaign_parser.add_argument("--budget", type=int, default=100)
-    search_campaign_parser.add_argument("--seed", type=int, default=0, help="fuzz campaign seed")
-    search_campaign_parser.add_argument(
-        "--profile", choices=("safe", "wild"), default="safe"
-    )
-    search_campaign_parser.add_argument("--jobs", type=int, default=1)
-    search_campaign_parser.add_argument(
-        "--db", default=None,
-        help="warehouse database (default: $REPRO_WAREHOUSE)",
-    )
-    search_campaign_parser.add_argument("--campaign-id", default=None)
-    search_campaign_parser.add_argument("--resume", action="store_true")
-    search_campaign_parser.add_argument("--checkpoint-every", type=int, default=16)
-    search_campaign_parser.add_argument(
-        "--artifacts", default="fuzz-artifacts",
-        help="directory for shrunk-repro JSONs",
-    )
-    search_campaign_parser.add_argument("--out", default=None)
-    search_campaign_parser.add_argument("--shrink-budget", type=int, default=64)
-    search_campaign_parser.add_argument("--max-shrinks", type=int, default=5)
-    search_campaign_parser.set_defaults(func=cmd_search_campaign)
+    _add_fuzz_arguments(search_campaign_parser)
+    search_campaign_parser.set_defaults(func=cmd_fuzz, guided=True, inject_violation=False)
 
     catalog_parser = subparsers.add_parser(
         "check-catalog",
@@ -513,153 +478,58 @@ def build_cli_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# Legacy single-scenario pipeline (kept as the `run` implementation)
+# The `run` subcommand
 # ----------------------------------------------------------------------
-def parse_burst_specs(specs: Sequence[str]) -> tuple:
-    """Parse repeated ``T:COUNT`` flags into Scenario.burst_schedule."""
-    entries = []
-    for spec in specs:
-        when, separator, count = spec.partition(":")
-        if not separator:
-            raise SystemExit(f"bad --burst spec {spec!r}; expected T:COUNT")
-        try:
-            entries.append((float(when), int(count)))
-        except ValueError:
-            raise SystemExit(f"bad --burst spec {spec!r}; expected T:COUNT")
-    return tuple(entries)
+def _run_overrides(args: argparse.Namespace, scenario: Scenario) -> Dict[str, Any]:
+    """The Scenario overrides a `repro run` invocation asks for.
 
-
-_KIND_FLAG = {"poisson": "--rate", "closed": "--outstanding", "burst": "--burst"}
-
-
-def _workload_overrides(args: argparse.Namespace) -> Dict[str, Any]:
-    """The workload axes a `repro run` invocation asks for, as
-    Scenario overrides.  Flags left unset (None defaults) contribute
-    nothing, so catalog entries and repro files keep their own
-    workloads; any flag actually passed — including `--workload
-    static` — overrides the resolved scenario.  A kind-specific flag
-    implies its workload (`--burst 5:10` alone selects the burst
-    workload rather than being silently ignored); flags of two
-    different kinds, or a flag contradicting an explicit
-    ``--workload``, are errors."""
-    overrides: Dict[str, Any] = {}
-    bursts = parse_burst_specs(getattr(args, "burst", []))
-    asked = [
-        kind
-        for kind, present in (
-            ("poisson", getattr(args, "rate", None) is not None),
-            ("closed", getattr(args, "outstanding", None) is not None),
-            ("burst", bool(bursts)),
+    Every flag actually passed lands on its field, whatever the
+    positional resolved to; unset flags contribute nothing.  A flag
+    that selects a mode implies it rather than being silently ignored
+    (`--burst 5:10` the burst workload, `--gst` the partial delay model,
+    `--regions` the regional one); flags that contradict each other, or
+    that the resolved scenario would ignore, are one-line errors.
+    """
+    overrides = {
+        field: getattr(args, field)
+        for _, field, _ in RUN_FLAGS
+        if getattr(args, field) is not None
+    }
+    asked = {  # workload kind → the passed flag that implies it
+        kind: _OPTION[field]
+        for kind, (_, field) in WORKLOAD_AXIS.items()
+        if field in overrides
+    }
+    if "workload" in overrides:
+        stray = {k: flag for k, flag in asked.items() if k != overrides["workload"]}
+        if stray:
+            raise SystemExit(
+                f"{'/'.join(stray.values())} only applies to the "
+                f"{'/'.join(stray)} workload, not {overrides['workload']!r}"
+            )
+    elif len(asked) > 1:
+        raise SystemExit(
+            f"{'/'.join(asked.values())} imply different workloads "
+            f"({', '.join(asked)}); pass --workload to disambiguate"
         )
-        if present
-    ]
-    workload = getattr(args, "workload", None)
-    if workload is None and asked:
-        if len(asked) > 1:
-            raise SystemExit(
-                f"{'/'.join(_KIND_FLAG[k] for k in asked)} imply different "
-                f"workloads ({', '.join(asked)}); pass --workload to disambiguate"
-            )
-        workload = asked[0]
-    if workload is not None:
-        mismatched = [kind for kind in asked if kind != workload]
-        if mismatched:
-            raise SystemExit(
-                f"{'/'.join(_KIND_FLAG[k] for k in mismatched)} only applies "
-                f"to the {'/'.join(mismatched)} workload, not {workload!r}"
-            )
-        overrides["workload"] = workload
-    if getattr(args, "duration", None) is not None:
-        overrides["duration"] = args.duration
-    if getattr(args, "rate", None) is not None:
-        overrides["arrival_rate"] = args.rate
-    if getattr(args, "outstanding", None) is not None:
-        overrides["outstanding"] = args.outstanding
-    if bursts:
-        overrides["burst_schedule"] = bursts
-    # Block-production axes ride the same override path: unset flags
-    # leave the resolved scenario's ProductionSpec alone.
-    if getattr(args, "pipeline_depth", None) is not None:
-        overrides["pipeline_depth"] = args.pipeline_depth
-    if getattr(args, "block_txs", None) is not None:
-        overrides["max_block_txs"] = args.block_txs
-    if getattr(args, "coalesce_window", None) is not None:
-        overrides["coalesce_window"] = args.coalesce_window
-    # Geo-distribution: --regions implies the regional delay model.
-    if getattr(args, "regions", None) is not None:
-        overrides["regions"] = args.regions
+    elif asked:
+        (overrides["workload"],) = asked
+    if "gst" in overrides and "regions" in overrides:
+        raise SystemExit("--gst and --regions select different delay models")
+    if "gst" in overrides:
+        overrides["delay"] = "partial"
+    if "regions" in overrides:
         overrides["delay"] = "regional"
-    for flag in ("region_spread", "region_jitter"):
-        if getattr(args, flag, None) is not None:
-            if getattr(args, "regions", None) is None:
-                raise SystemExit(f"--{flag.replace('_', '-')} needs --regions")
-            overrides[flag] = getattr(args, flag)
-    # Retention axes: same None-means-unset convention.
-    for flag in (
-        "trace_window",
-        "commit_window",
-        "submission_window",
-        "ledger_window",
-        "backlog_resolution",
-    ):
-        if getattr(args, flag, None) is not None:
-            overrides[flag] = getattr(args, flag)
+    for field in ("region_spread", "region_jitter"):
+        if field in overrides and overrides.get("delay", scenario.delay) != "regional":
+            raise SystemExit(f"{_OPTION[field]} needs --regions")
+    for count, pinned in (("rational", "rational_ids"), ("byzantine", "byzantine_ids")):
+        if count in overrides and getattr(scenario, pinned):
+            raise SystemExit(
+                f"{_OPTION[count]} cannot apply: scenario {scenario.name!r} pins "
+                f"{pinned}={getattr(scenario, pinned)}"
+            )
     return overrides
-
-
-def parse_crash_specs(specs: Sequence[str]) -> tuple:
-    """Parse repeated ``PID@T0[:T1]`` flags into Scenario.crash_spec."""
-    entries = []
-    for spec in specs:
-        pid_part, separator, times = spec.partition("@")
-        if not separator:
-            raise SystemExit(f"bad --crash spec {spec!r}; expected PID@T0[:T1]")
-        try:
-            pid = int(pid_part)
-            if ":" in times:
-                start, end = times.split(":", 1)
-                entries.append((pid, float(start), float(end)))
-            else:
-                entries.append((pid, float(times)))
-        except ValueError:
-            raise SystemExit(f"bad --crash spec {spec!r}; expected PID@T0[:T1]")
-    return tuple(entries)
-
-
-def scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """Translate `repro run` flags into a declarative Scenario."""
-    attack = None if args.scenario == "honest" else args.scenario
-    try:
-        return Scenario(
-            name=args.scenario,
-            protocol=args.protocol,
-            n=args.n,
-            rounds=args.rounds,
-            rational=0 if attack is None else args.rational,
-            byzantine=0 if attack is None else args.byzantine,
-            theta=int(ATTACK_THETA[attack]) if attack else int(PlayerType.ALIGNED),
-            attack=attack,
-            censored_tx_ids=("tx-0",) if attack == "censorship" else (),
-            delay="partial" if args.gst is not None else "fixed",
-            gst=args.gst or 0.0,
-            timeout=args.timeout,
-            loss_rate=getattr(args, "loss_rate", 0.0),
-            duplicate_rate=getattr(args, "duplicate_rate", 0.0),
-            reorder_jitter=getattr(args, "reorder_jitter", 0.0),
-            crash_spec=parse_crash_specs(getattr(args, "crash", [])),
-            aggregate_certs=getattr(args, "aggregate_certs", False),
-            max_time=1_000.0,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def build_players(args: argparse.Namespace) -> List[Player]:
-    return scenario_from_args(args).build_players()
-
-
-def run_scenario(args: argparse.Namespace) -> RunResult:
-    return scenario_from_args(args).run(seed=args.seed if args.seed is not None else 0)
 
 
 def scenario_report(result: RunResult, scenario: Scenario) -> str:
@@ -698,17 +568,16 @@ def scenario_report(result: RunResult, scenario: Scenario) -> str:
     return render_table(["quantity", "value"], rows, title="repro scenario result")
 
 
-def report(result: RunResult, args: argparse.Namespace) -> str:
-    """Legacy flag-namespace entry point; delegates to scenario_report."""
-    return scenario_report(result, scenario_from_args(args))
+def _error_line(error: Exception) -> str:
+    """An exception as a one-line CLI message (``str(KeyError)`` would
+    be the quoted repr of its argument)."""
+    return str(error.args[0]) if error.args else str(error)
 
 
-def _resolve_run_scenario(args: argparse.Namespace) -> tuple:
-    """Map the `run` positional to (scenario, seed): a legacy name, a
-    catalog entry, or a scenario/repro JSON file (whose embedded seed
-    is used unless an explicit --seed overrides it)."""
-    name = args.scenario
-    explicit_seed = getattr(args, "seed", None)
+def _resolve_run_scenario(name: str, explicit_seed: Optional[int]) -> tuple:
+    """Map the `run` positional to (scenario, seed): a catalog entry,
+    or a scenario/repro JSON file (whose embedded seed is used unless
+    an explicit --seed overrides it)."""
     seed = 0 if explicit_seed is None else explicit_seed
     if name.endswith(".json") or os.path.sep in name:
         if not os.path.exists(name):
@@ -720,34 +589,25 @@ def _resolve_run_scenario(args: argparse.Namespace) -> tuple:
         except (KeyError, TypeError, ValueError) as error:
             # TypeError covers hand-edited files with wrong-typed
             # field values (e.g. "crash_spec": 5).
-            raise SystemExit(f"{name}: {error}")
+            raise SystemExit(f"{name}: {_error_line(error)}")
         if explicit_seed is None and embedded_seed is not None:
             seed = embedded_seed
         return scenario, seed
-    if name in LEGACY_SCENARIOS:
-        return scenario_from_args(args), seed
     try:
         return get_scenario(name), seed
     except KeyError as error:
-        raise SystemExit(str(error.args[0]))
+        raise SystemExit(_error_line(error))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario, seed = _resolve_run_scenario(args)
-    overrides = _workload_overrides(args)
-    if overrides:
-        # The single application point for the workload flags: they
-        # land on whatever the positional resolved to — a legacy name,
-        # a catalog entry or a scenario file (`repro run lossy-honest
-        # --workload poisson --rate 2 --duration 200`).
-        try:
-            scenario = scenario.with_params(**overrides)
-        except ValueError as error:
-            raise SystemExit(str(error))
-    if getattr(args, "aggregate_certs", False) and not scenario.aggregate_certs:
-        scenario = scenario.with_params(aggregate_certs=True)
-    if getattr(args, "check", False) and not scenario.check_invariants:
-        scenario = scenario.with_params(check_invariants=True)
+    scenario, seed = _resolve_run_scenario(args.scenario, args.seed)
+    try:
+        # The single application point for every flag: the overrides
+        # land on whatever the positional resolved to, and the scenario
+        # re-validates as a whole.
+        scenario = scenario.with_params(**_run_overrides(args, scenario))
+    except (KeyError, TypeError, ValueError) as error:
+        raise SystemExit(_error_line(error))
     result = scenario.run(seed=seed)
     print(scenario_report(result, scenario))
     if result.oracle is not None:
@@ -790,8 +650,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         scenario = get_scenario(args.scenario)
     except KeyError as error:
-        raise SystemExit(str(error.args[0]))
-    if getattr(args, "check", False) and not scenario.check_invariants:
+        raise SystemExit(_error_line(error))
+    if args.check and not scenario.check_invariants:
         scenario = scenario.with_params(check_invariants=True)
     grid = parse_grid(args.grid)
     if args.jobs < 1:
@@ -800,10 +660,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # Expanding the grid exercises all scenario validation up front,
         # so bad inputs die with a one-line message while genuine
         # simulator failures during the run keep their traceback.
-        # KeyError.args[0] avoids the quoted repr of str(KeyError).
         expand_grid(scenario, grid=grid, seeds=args.seeds)
     except (KeyError, TypeError, ValueError) as error:
-        raise SystemExit(str(error.args[0]) if error.args else str(error))
+        raise SystemExit(_error_line(error))
     sweep = run_sweep(scenario, grid=grid, seeds=args.seeds, jobs=args.jobs)
     rows = []
     for summary in sweep.aggregates():
@@ -831,7 +690,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.csv:
         write_csv(args.csv, sweep.records, include_timing=args.timings)
         print(f"wrote CSV to {args.csv}")
-    if getattr(args, "check", False):
+    if args.check:
         violating = [r for r in sweep.records if r.invariant_violations]
         if violating:
             for record in violating:
@@ -856,14 +715,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise SystemExit("shrink-budget must be non-negative")
     if args.max_shrinks < 0:
         raise SystemExit("max-shrinks must be non-negative")
-    campaign_mode = bool(
-        getattr(args, "guided", False)
-        or getattr(args, "resume", False)
-        or getattr(args, "campaign_id", None)
-        or getattr(args, "db", None)
-    )
-    if campaign_mode:
-        if getattr(args, "inject_violation", False):
+    if args.guided or args.resume or args.campaign_id or args.db:
+        if args.inject_violation:
             raise SystemExit("--inject-violation is a run_fuzz self-test; "
                              "not available in campaign mode")
         try:
@@ -872,13 +725,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 fuzz_seed=args.seed,
                 profile=args.profile,
                 jobs=args.jobs,
-                guided=getattr(args, "guided", False),
-                campaign_id=getattr(args, "campaign_id", None),
-                db=getattr(args, "db", None),
-                resume=getattr(args, "resume", False),
+                guided=args.guided,
+                campaign_id=args.campaign_id,
+                db=args.db,
+                resume=args.resume,
                 shrink_budget=args.shrink_budget,
                 max_shrinks=args.max_shrinks,
-                checkpoint_every=getattr(args, "checkpoint_every", 16),
+                checkpoint_every=args.checkpoint_every,
             )
         except ValueError as error:
             raise SystemExit(str(error))
@@ -988,26 +841,6 @@ def cmd_search_equilibrium(args: argparse.Namespace) -> int:
             f"(θ ∈ {sorted(thetas)}): honest play is a best response"
         )
     return 2 if profitable else 0
-
-
-def cmd_search_campaign(args: argparse.Namespace) -> int:
-    namespace = argparse.Namespace(
-        budget=args.budget,
-        seed=args.seed,
-        profile=args.profile,
-        jobs=args.jobs,
-        guided=True,
-        resume=args.resume,
-        campaign_id=args.campaign_id,
-        db=args.db,
-        checkpoint_every=args.checkpoint_every,
-        artifacts=args.artifacts,
-        out=args.out,
-        shrink_budget=args.shrink_budget,
-        max_shrinks=args.max_shrinks,
-        inject_violation=False,
-    )
-    return cmd_fuzz(namespace)
 
 
 def cmd_check_catalog(args: argparse.Namespace) -> int:
@@ -1255,23 +1088,7 @@ def cmd_report_campaign(args: argparse.Namespace) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    subcommands = (
-        "run", "sweep", "fuzz", "search", "check-catalog", "list-scenarios",
-        "ingest", "report",
-    )
-    legacy = (
-        argv
-        and argv[0] not in subcommands
-        and argv[0] not in ("-h", "--help")
-        and any(argument in LEGACY_SCENARIOS for argument in argv)
-    )
     try:
-        if legacy:
-            # Back-compat: `repro honest -n 8` and the flags-first form
-            # `repro --protocol pbft honest` both route to `run`.
-            args = build_parser().parse_args(argv)
-            return cmd_run(args)
         args = build_cli_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:

@@ -37,11 +37,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checks.oracle import FORK_RESILIENT_PROTOCOLS
-from repro.crypto.registry import DEFAULT_VERIFY_CACHE_SIZE
 from repro.experiments.registry import PROTOCOL_FACTORIES, Scenario
 from repro.experiments.results import RunRecord
 from repro.experiments.sweep import _pool_context
@@ -62,9 +61,7 @@ def _default_config(protocol: str, n: int) -> ProtocolConfig:
     """The config Scenario.build_config derives for a default scenario:
     roster and quorum bounds for generation come from here, so a change
     to the t0 presets or Claim 1's window propagates automatically."""
-    if protocol == "prft":
-        return ProtocolConfig.for_prft(n=n)
-    return ProtocolConfig.for_bft(n=n)
+    return Scenario(name="fuzz-bounds", protocol=protocol, n=n).build_config()
 
 
 @dataclass(frozen=True)
@@ -563,52 +560,48 @@ def violated_checkers(scenario: Scenario, seed: int) -> Tuple[str, ...]:
     return tuple(sorted(result.oracle.violated_names))
 
 
+_DEFAULTS = {spec.name: spec.default for spec in fields(Scenario)}
+
+#: The reset-to-default shrink moves, in the order they are tried.  A
+#: group resets together — a continuous workload without its duration
+#: (or a burst kind without its schedule) would not validate — and is
+#: offered when its first field is off its default.  ``gene`` holds its
+#: place in the order but shrinks knob by knob instead.
+_RESET_GROUPS: Tuple[Tuple[str, ...], ...] = (
+    ("loss_rate",),
+    ("duplicate_rate",),
+    ("reorder_jitter",),
+    ("crash_spec",),
+    ("partition_windows", "partition_groups"),
+    ("gene",),
+    ("delay", "gst"),
+    ("quorum",),
+    ("crypto_cache_size",),
+    ("aggregate_certs",),
+    ("pipeline_depth",),
+    ("max_block_txs",),
+    ("coalesce_window",),
+    ("thetas",),
+    ("tx_count",),
+    ("workload", "duration", "burst_schedule", "arrival_rate", "outstanding"),
+)
+
+
 def _shrink_candidates(scenario: Scenario) -> List[Dict[str, Any]]:
     """Ordered simplification moves: axes to defaults first (cheapest
     to reason about in a repro), then structural size reductions."""
     moves: List[Dict[str, Any]] = []
-    if scenario.loss_rate:
-        moves.append({"loss_rate": 0.0})
-    if scenario.duplicate_rate:
-        moves.append({"duplicate_rate": 0.0})
-    if scenario.reorder_jitter:
-        moves.append({"reorder_jitter": 0.0})
-    if scenario.crash_spec:
-        moves.append({"crash_spec": ()})
-    if scenario.partition_windows:
-        moves.append({"partition_windows": (), "partition_groups": ()})
-    if scenario.gene:
-        gene = StrategyGene.from_field(scenario.gene)
-        moves.extend(
-            {"gene": shrunk.as_field() if shrunk.active else None}
-            for shrunk in gene.shrink_moves()
-        )
-    if scenario.delay != "fixed":
-        moves.append({"delay": "fixed", "gst": 0.0})
-    if scenario.quorum is not None:
-        moves.append({"quorum": None})
-    if scenario.crypto_cache_size != DEFAULT_VERIFY_CACHE_SIZE:
-        moves.append({"crypto_cache_size": DEFAULT_VERIFY_CACHE_SIZE})
-    if scenario.aggregate_certs:
-        moves.append({"aggregate_certs": False})
-    if scenario.pipeline_depth != 1:
-        moves.append({"pipeline_depth": 1})
-    if scenario.max_block_txs is not None:
-        moves.append({"max_block_txs": None})
-    if scenario.coalesce_window:
-        moves.append({"coalesce_window": 0.0})
-    if scenario.thetas:
-        moves.append({"thetas": ()})
-    if scenario.tx_count is not None:
-        moves.append({"tx_count": None})
-    if scenario.workload != "static":
-        # The whole workload group resets together: a continuous kind
-        # without its duration (or a burst kind without its schedule)
-        # would not validate.
-        moves.append({
-            "workload": "static", "duration": None, "burst_schedule": (),
-            "arrival_rate": 25.0, "outstanding": 4,
-        })
+    for group in _RESET_GROUPS:
+        if getattr(scenario, group[0]) == _DEFAULTS[group[0]]:
+            continue
+        if group == ("gene",):
+            gene = StrategyGene.from_field(scenario.gene)
+            moves.extend(
+                {"gene": shrunk.as_field() if shrunk.active else None}
+                for shrunk in gene.shrink_moves()
+            )
+        else:
+            moves.append({name: _DEFAULTS[name] for name in group})
     if scenario.duration is not None and scenario.duration > 20.0:
         moves.append({"duration": round(scenario.duration / 2, 1)})
     if scenario.rounds > 1:

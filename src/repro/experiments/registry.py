@@ -16,9 +16,9 @@ The catalog is populated with :func:`register_scenario`::
         return Scenario(name="honest", n=9, rounds=3)
 
 and queried with :func:`get_scenario` / :func:`scenario_catalog`.
-Several catalog entries (partition schedules, GST sweeps, mixed-θ
-collusions, cross-protocol grids) are deliberately *not* expressible
-through the legacy single-scenario CLI flags — they exist to be swept.
+``repro run NAME [flags]`` runs an entry with any of its axes
+overridden; several entries (partition schedules, GST sweeps, mixed-θ
+collusions, cross-protocol grids) exist to be swept.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from repro.protocols.runner import (
     FaultSpec,
     NetworkSpec,
     ProductionSpec,
+    ReplicaFactory,
     RetentionSpec,
     RunResult,
     RunSpec,
@@ -68,7 +69,7 @@ from repro.protocols.runner import (
 from repro.protocols.trap import trap_factory
 from repro.workloads import WORKLOAD_KINDS
 
-PROTOCOL_FACTORIES = {
+PROTOCOL_FACTORIES: Dict[str, ReplicaFactory] = {
     "prft": prft_factory,
     "pbft": pbft_factory,
     "hotstuff": hotstuff_factory,
@@ -79,6 +80,17 @@ PROTOCOL_FACTORIES = {
 ATTACKS = ("fork", "liveness", "censorship")
 
 DELAY_MODELS = ("fixed", "synchronous", "asynchronous", "partial", "regional")
+
+#: workload kind → (the WorkloadSpec field it reads, the Scenario field
+#: that feeds it).  Only the selected kind's axis is folded: a burst
+#: entry re-pointed at poisson keeps its now-ignored schedule without
+#: tripping burst rules.
+WORKLOAD_AXIS = {
+    "static": ("count", "tx_count"),
+    "poisson": ("rate", "arrival_rate"),
+    "closed": ("outstanding", "outstanding"),
+    "burst": ("bursts", "burst_schedule"),
+}
 
 
 @dataclass(frozen=True)
@@ -355,31 +367,15 @@ class Scenario:
                 self, "burst_schedule",
                 tuple((float(t), int(c)) for t, c in self.burst_schedule),
             )
-        # The workload axes are validated by the layers that own them:
-        # the declarative spec (kind/rate/window/entry-shape rules) and,
-        # for continuous kinds, the workload constructor itself (the
-        # duration-relative rules, e.g. "some burst must fall before
-        # the duration").  Compiling a throwaway instance here surfaces
-        # bad axes at construction time with the owner's own message,
-        # and only the axes the selected workload actually uses are
-        # checked (a burst catalog entry re-pointed at poisson keeps
-        # its now-ignored schedule without tripping burst rules).
-        spec = self.build_workload_spec()
+        # An axis that belongs to a frozen sub-spec is range-checked by
+        # that spec and nowhere else: folding the fields here surfaces a
+        # bad loss rate / depth / window at construction time with the
+        # owner's own message.  A continuous workload also compiles a
+        # throwaway instance for the duration-relative rules its
+        # constructor owns ("some burst must fall before the duration").
+        specs = self._axis_specs()
         if self.workload != "static":
-            spec.build(self.build_config())
-        # Same owner-validates pattern for the production axes: the
-        # frozen ProductionSpec raises with its own message on a bad
-        # depth / cap / window.
-        self.build_production_spec()
-        # ...and for the retention axes (window/resolution rules live
-        # on the frozen RetentionSpec).
-        self.build_retention_spec()
-        if not 0 <= self.loss_rate < 1:
-            raise ValueError("loss_rate must lie in [0, 1)")
-        if not 0 <= self.duplicate_rate <= 1:
-            raise ValueError("duplicate_rate must lie in [0, 1]")
-        if self.reorder_jitter < 0:
-            raise ValueError("reorder_jitter must be non-negative")
+            specs["workload"].build(self.build_config())
         if self.partition_windows:
             object.__setattr__(
                 self, "partition_windows",
@@ -511,33 +507,58 @@ class Scenario:
             return None
         return CrashSchedule.from_spec(self.crash_spec)
 
-    def build_production_spec(self) -> ProductionSpec:
-        """The declarative block-production half of the run spec."""
-        return ProductionSpec(
-            pipeline_depth=self.pipeline_depth,
-            max_block_txs=self.max_block_txs,
-            coalesce_window=self.coalesce_window,
+    def _axis_specs(self) -> Dict[str, Any]:
+        """The one fold of the flat axis fields into the frozen
+        sub-specs that own them, keyed by :class:`RunSpec` field.
+        Everything here is seed-independent; :meth:`build_run_spec`
+        adds the seeded delay model, the partitions and the roster."""
+        workload_field, axis = WORKLOAD_AXIS[self.workload]
+        return dict(
+            network=NetworkSpec(
+                loss_rate=self.loss_rate,
+                duplicate_rate=self.duplicate_rate,
+                reorder_jitter=self.reorder_jitter,
+            ),
+            crypto=CryptoSpec(
+                backend=self.crypto_backend,
+                cache_size=self.crypto_cache_size,
+                aggregate_certs=self.aggregate_certs,
+            ),
+            workload=WorkloadSpec(
+                kind=self.workload, **{workload_field: getattr(self, axis)}
+            ),
+            production=ProductionSpec(
+                pipeline_depth=self.pipeline_depth,
+                max_block_txs=self.max_block_txs,
+                coalesce_window=self.coalesce_window,
+            ),
+            retention=RetentionSpec(
+                trace_window=self.trace_window,
+                commit_window=self.commit_window,
+                submission_window=self.submission_window,
+                ledger_window=self.ledger_window,
+                backlog_resolution=self.backlog_resolution,
+            ),
         )
 
-    def build_retention_spec(self) -> RetentionSpec:
-        """The declarative memory-retention half of the run spec."""
-        return RetentionSpec(
-            trace_window=self.trace_window,
-            commit_window=self.commit_window,
-            submission_window=self.submission_window,
-            ledger_window=self.ledger_window,
-            backlog_resolution=self.backlog_resolution,
+    def build_run_spec(self, seed: int = 0) -> RunSpec:
+        """The whole :class:`RunSpec` this scenario executes for ``seed``."""
+        players = self.build_players()
+        specs = self._axis_specs()
+        specs["network"] = specs["network"].replace(
+            delay_model=self.build_delay(seed=seed),
+            partitions=self.build_partitions(players),
         )
-
-    def build_workload_spec(self) -> WorkloadSpec:
-        """The declarative client-workload half of the run spec."""
-        if self.workload == "poisson":
-            return WorkloadSpec(kind="poisson", rate=self.arrival_rate)
-        if self.workload == "closed":
-            return WorkloadSpec(kind="closed", outstanding=self.outstanding)
-        if self.workload == "burst":
-            return WorkloadSpec(kind="burst", bursts=self.burst_schedule)
-        return WorkloadSpec(kind="static", count=self.tx_count)
+        return RunSpec(
+            factory=PROTOCOL_FACTORIES[self.protocol],
+            players=tuple(players),
+            config=self.build_config(),
+            faults=FaultSpec(crash_schedule=self.build_crash_schedule()),
+            seed=f"{self.name}/{seed}",
+            max_time=self.effective_max_time(),
+            max_events=self.max_events,
+            **specs,
+        )
 
     def effective_max_time(self) -> float:
         # Continuous runs stop opening slots at `duration`; the bound
@@ -563,32 +584,7 @@ class Scenario:
         ``result.oracle`` (violations are *reported*, never raised —
         the fuzzer and CI decide what a violation means).
         """
-        players = self.build_players()
-        spec = RunSpec(
-            factory=PROTOCOL_FACTORIES[self.protocol],
-            players=tuple(players),
-            config=self.build_config(),
-            network=NetworkSpec(
-                delay_model=self.build_delay(seed=seed),
-                partitions=self.build_partitions(players),
-                loss_rate=self.loss_rate,
-                duplicate_rate=self.duplicate_rate,
-                reorder_jitter=self.reorder_jitter,
-            ),
-            crypto=CryptoSpec(
-                backend=self.crypto_backend,
-                cache_size=self.crypto_cache_size,
-                aggregate_certs=self.aggregate_certs,
-            ),
-            faults=FaultSpec(crash_schedule=self.build_crash_schedule()),
-            workload=self.build_workload_spec(),
-            production=self.build_production_spec(),
-            retention=self.build_retention_spec(),
-            seed=f"{self.name}/{seed}",
-            max_time=self.effective_max_time(),
-            max_events=self.max_events,
-        )
-        result = run(spec)
+        result = run(self.build_run_spec(seed))
         if self.check_invariants:
             result.oracle = run_oracle(result, scenario=self, seed=seed)
         # Opt-in warehouse mirror (REPRO_WAREHOUSE): flatten and store
@@ -603,11 +599,11 @@ class Scenario:
 
     def with_params(self, **overrides: Any) -> "Scenario":
         """A copy with the named fields replaced (sweep-axis hook)."""
-        valid = {f.name for f in dataclasses.fields(self)}
-        unknown = set(overrides) - valid
+        unknown = set(overrides).difference(self.__dataclass_fields__)
         if unknown:
             raise KeyError(
-                f"unknown scenario field(s) {sorted(unknown)}; valid axes: {sorted(valid)}"
+                f"unknown scenario field(s) {sorted(unknown)}; "
+                f"valid axes: {sorted(self.__dataclass_fields__)}"
             )
         coerced = {
             key: tuple(value) if isinstance(value, list) else value
@@ -700,7 +696,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 # ----------------------------------------------------------------------
-# Built-in scenarios: the four the CLI always had...
+# Built-in scenarios: the honest baseline and the three attacks...
 # ----------------------------------------------------------------------
 @register_scenario
 def honest() -> Scenario:
@@ -738,7 +734,7 @@ def censorship() -> Scenario:
 
 
 # ----------------------------------------------------------------------
-# ...and scenarios the legacy CLI could not express.
+# ...and their variations: pinned rosters, partitions, synchrony models.
 # ----------------------------------------------------------------------
 @register_scenario
 def mixed_collusion() -> Scenario:

@@ -134,18 +134,18 @@ class ProtocolContext:
     timers: TimerService
     registry: KeyRegistry
     collateral: CollateralRegistry
+    # Block-production axis (ProductionSpec): slot pipelining depth,
+    # per-block transaction cap and client-side coalescing.
+    production: Any
+    # Bounded-memory axis (RetentionSpec): trace/commit/ledger windows
+    # for soak-length runs; every window ``None`` keeps every structure
+    # unbounded.
+    retention: Any
     commit_log: CommitLog = field(default_factory=CommitLog)
     workload: Optional[Any] = None
     # Wire-format axis: quorum justifications travel as AggregateQC
     # bitmaps instead of full statement sets (CryptoSpec.aggregate_certs).
     aggregate_certs: bool = False
-    # Block-production axis (ProductionSpec): slot pipelining depth,
-    # per-block transaction cap and client-side coalescing.  ``None``
-    # (hand-built contexts) behaves like the all-defaults spec.
-    production: Optional[Any] = None
-    # Bounded-memory axis (RetentionSpec): trace/commit/ledger windows
-    # for soak-length runs.  ``None`` keeps every structure unbounded.
-    retention: Optional[Any] = None
 
     @property
     def trace(self):
@@ -206,9 +206,8 @@ class BaseReplica(ABC):
         self.ctx = ctx
         self.chain = Chain()
         self.mempool = Mempool()
-        retention = ctx.retention
-        if retention is not None and retention.commit_window is not None:
-            self.mempool.history_limit = retention.commit_window
+        if ctx.retention.commit_window is not None:
+            self.mempool.history_limit = ctx.retention.commit_window
         #: (requester, round) -> virtual time of the last catch-up offer,
         #: so duplicated or storm-replayed requests inside half a timeout
         #: are answered once instead of once per copy.
@@ -502,17 +501,10 @@ class BaseReplica(ABC):
         self._deferred_commits: Dict[int, List[Callable[[], None]]] = {}
         self._flushing_deferred = False
 
-    def pipeline_depth(self) -> int:
-        production = self.ctx.production
-        return production.pipeline_depth if production is not None else 1
-
     def block_tx_limit(self) -> int:
         """Per-block transaction cap: ProductionSpec override or the
         legacy ``config.block_size``."""
-        production = self.ctx.production
-        if production is None or production.max_block_txs is None:
-            return self.config.block_size
-        return production.max_block_txs
+        return self.ctx.production.block_tx_limit(self.config)
 
     def dispatch_horizon(self) -> int:
         """Highest round whose traffic dispatches immediately.
@@ -576,7 +568,8 @@ class BaseReplica(ABC):
         if self.halted or self.status is not ReplicaStatus.UP:
             return
         while (
-            self._highest_open - self.current_round + 1 < self.pipeline_depth()
+            self._highest_open - self.current_round + 1
+            < self.ctx.production.pipeline_depth
             and self._highest_open in self._acked_blocks
         ):
             nxt = self._highest_open + 1
@@ -823,10 +816,10 @@ class BaseReplica(ABC):
         agreement-style analysis still works on a pruned chain.
         """
         self.ctx.commit_log.note(self.player_id, self.ctx.now, block)
-        retention = self.ctx.retention
-        if retention is not None and retention.ledger_window is not None:
-            self.chain.prune_final_bodies(keep_last=retention.ledger_window)
-            self._prune_round_state(keep_last=retention.ledger_window)
+        ledger_window = self.ctx.retention.ledger_window
+        if ledger_window is not None:
+            self.chain.prune_final_bodies(keep_last=ledger_window)
+            self._prune_round_state(keep_last=ledger_window)
 
     def _prune_round_state(self, keep_last: int) -> None:
         """Drop per-round protocol state far behind the current round.

@@ -17,16 +17,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.agents.player import Player, Role
-from repro.crypto.backends import DEFAULT_BACKEND
-from repro.crypto.registry import DEFAULT_VERIFY_CACHE_SIZE, KeyRegistry
+from repro.crypto.registry import KeyRegistry
 from repro.gametheory.payoff import PlayerType, payoff
 from repro.gametheory.states import SystemState, classify_state
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
-from repro.net.delays import DelayModel, FixedDelay
 from repro.net.faults import LinkPipeline
 from repro.net.network import Network
-from repro.net.partition import PartitionSchedule
 from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
 from repro.protocols.spec import (
     CryptoSpec,
@@ -71,63 +68,54 @@ __all__ = [
 def build_context(
     config: ProtocolConfig,
     player_ids: Iterable[int],
-    delay_model: Optional[DelayModel] = None,
-    partitions: Optional[PartitionSchedule] = None,
+    network: NetworkSpec = NetworkSpec(),
+    crypto: CryptoSpec = CryptoSpec(),
+    production: ProductionSpec = ProductionSpec(),
+    retention: RetentionSpec = RetentionSpec(),
     seed: str = "default",
-    crypto_backend: str = DEFAULT_BACKEND,
-    crypto_cache_size: int = DEFAULT_VERIFY_CACHE_SIZE,
-    loss_rate: float = 0.0,
-    duplicate_rate: float = 0.0,
-    reorder_jitter: float = 0.0,
-    aggregate_certs: bool = False,
-    production: Optional[ProductionSpec] = None,
-    retention: Optional[RetentionSpec] = None,
 ) -> ProtocolContext:
     """Assemble engine, network, PKI and collateral for a deployment.
 
-    The fault knobs build the network's link-layer pipeline
-    (delay → partition → drop → duplication → reorder-jitter); each
-    stochastic stage is seeded from ``seed``, so faults replay
-    identically for the same (scenario, seed) pair.
-
-    ``retention`` (the bounded-memory soak path) sizes the trace
-    recorder's per-kind ring buffers and the commit log's dedup
-    window; ``None`` or the all-defaults spec keeps both unbounded.
+    The arguments are a :class:`RunSpec`'s own sub-specs.  ``network``
+    builds the link-layer pipeline (delay → partition → drop →
+    duplication → reorder-jitter); each stochastic stage is seeded from
+    ``seed``, so faults replay identically for the same (scenario,
+    seed) pair.  ``retention`` (the bounded-memory soak path) sizes the
+    trace recorder's per-kind ring buffers and the commit log's dedup
+    window; the all-defaults spec keeps both unbounded.
     """
     engine = SimulationEngine()
     pipeline = LinkPipeline.build(
-        delay_model=delay_model or FixedDelay(1.0),
-        partitions=partitions,
-        loss_rate=loss_rate,
-        duplicate_rate=duplicate_rate,
-        reorder_jitter=reorder_jitter,
+        delay_model=network.delay_model,
+        partitions=network.partitions,
+        loss_rate=network.loss_rate,
+        duplicate_rate=network.duplicate_rate,
+        reorder_jitter=network.reorder_jitter,
         seed=seed,
-    )
-    retention = retention or RetentionSpec()
-    network = Network(
-        engine,
-        pipeline=pipeline,
-        metrics=MetricsCollector(),
-        trace=TraceRecorder(window=retention.trace_window),
     )
     registry = KeyRegistry.trusted_setup(
         player_ids,
         seed=seed,
-        backend=crypto_backend,
-        verify_cache_size=crypto_cache_size,
+        backend=crypto.backend,
+        verify_cache_size=crypto.cache_size,
     )
     collateral = CollateralRegistry(deposit=config.deposit)
     collateral.enroll_all(player_ids)
     return ProtocolContext(
         engine=engine,
-        network=network,
+        network=Network(
+            engine,
+            pipeline=pipeline,
+            metrics=MetricsCollector(),
+            trace=TraceRecorder(window=retention.trace_window),
+        ),
         timers=TimerService(engine),
         registry=registry,
         collateral=collateral,
         commit_log=CommitLog(window=retention.commit_window),
-        aggregate_certs=aggregate_certs,
-        production=production or ProductionSpec(),
-        retention=retention if retention.active else None,
+        aggregate_certs=crypto.aggregate_certs,
+        production=production,
+        retention=retention,
     )
 
 
@@ -243,17 +231,11 @@ class Deployment:
         self.ctx = build_context(
             config,
             spec.player_ids,
-            delay_model=spec.network.delay_model,
-            partitions=spec.network.partitions,
-            seed=spec.seed,
-            crypto_backend=spec.crypto.backend,
-            crypto_cache_size=spec.crypto.cache_size,
-            aggregate_certs=spec.crypto.aggregate_certs,
-            loss_rate=spec.network.loss_rate,
-            duplicate_rate=spec.network.duplicate_rate,
-            reorder_jitter=spec.network.reorder_jitter,
+            network=spec.network,
+            crypto=spec.crypto,
             production=spec.production,
             retention=spec.retention,
+            seed=spec.seed,
         )
         # Client-visible commits are what honest replicas finalise; a
         # deviator's lone fork block never counts.

@@ -52,8 +52,8 @@ class NetworkSpec:
 
     Defaults are the paper's baseline — reliable exactly-once channels
     under a fixed unit delay (``delay_model=None`` means
-    ``FixedDelay(1.0)``).  The fault knobs configure the link-layer
-    pipeline exactly as the old flat kwargs did.
+    ``FixedDelay(1.0)``).  The fault knobs are the stages of the
+    link-layer pipeline, and are range-checked here and nowhere else.
     """
 
     delay_model: Optional[DelayModel] = None
@@ -102,6 +102,49 @@ class FaultSpec:
     @property
     def active(self) -> bool:
         return self.crash_schedule is not None and bool(self.crash_schedule.windows)
+
+
+@dataclass(frozen=True)
+class ProductionSpec:
+    """How leaders turn the mempool into blocks.
+
+    Defaults reproduce the legacy pipeline exactly: one slot in flight
+    at a time, ``config.block_size`` transactions per block, one engine
+    event per client arrival.
+
+    - ``pipeline_depth`` — how many consecutive slots a leader may hold
+      open at once, chained-HotStuff style: slot ``r + 1`` opens as soon
+      as slot ``r``'s proposal is quorum-acknowledged, up to ``depth``
+      slots ahead of the commit frontier.  Depth 1 is strictly
+      sequential (today's behaviour).
+    - ``max_block_txs`` — cap on mempool transactions drained into one
+      block; ``None`` defers to ``config.block_size`` (the legacy cap).
+    - ``coalesce_window`` — open-loop client arrivals landing within
+      this window are submitted as one batched engine event, so event
+      count scales with batches rather than transactions.  ``0.0``
+      keeps one event per arrival.
+    """
+
+    pipeline_depth: int = 1
+    max_block_txs: Optional[int] = None
+    coalesce_window: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.pipeline_depth < 1:
+            raise ValueError("pipeline_depth must be at least 1")
+        if self.max_block_txs is not None and self.max_block_txs < 1:
+            raise ValueError("max_block_txs must be at least 1 when set")
+        if self.coalesce_window < 0:
+            raise ValueError("coalesce_window must be non-negative")
+
+    @property
+    def active(self) -> bool:
+        """True when any knob departs from the legacy defaults."""
+        return self != ProductionSpec()
+
+    def block_tx_limit(self, config: ProtocolConfig) -> int:
+        """The effective per-block transaction cap for ``config``."""
+        return self.max_block_txs if self.max_block_txs is not None else config.block_size
 
 
 @dataclass(frozen=True)
@@ -164,12 +207,12 @@ class WorkloadSpec:
         self,
         config: ProtocolConfig,
         seed: str = "default",
-        production: Optional["ProductionSpec"] = None,
+        production: ProductionSpec = ProductionSpec(),
     ) -> Workload:
         """Materialise the workload for one run.
 
         ``production`` threads the client-side coalescing window into
-        open-loop arrival processes; ``None`` (or a zero window) keeps
+        open-loop arrival processes; the default (a zero window) keeps
         the legacy one-event-per-arrival schedule.
         """
         if self.kind == "static":
@@ -184,68 +227,16 @@ class WorkloadSpec:
             raise ValueError(
                 f"the {self.kind!r} workload is continuous and needs config.duration"
             )
-        coalesce = production.coalesce_window if production is not None else 0.0
         if self.kind == "poisson":
             return PoissonOpenLoop(
                 self.rate,
                 duration=config.duration,
                 seed=seed,
-                coalesce_window=coalesce,
+                coalesce_window=production.coalesce_window,
             )
         if self.kind == "closed":
             return ClosedLoop(self.outstanding, duration=config.duration)
         return Burst(self.bursts, duration=config.duration)
-
-
-@dataclass(frozen=True)
-class ProductionSpec:
-    """How leaders turn the mempool into blocks.
-
-    Defaults reproduce the legacy pipeline exactly: one slot in flight
-    at a time, ``config.block_size`` transactions per block, one engine
-    event per client arrival.
-
-    - ``pipeline_depth`` — how many consecutive slots a leader may hold
-      open at once, chained-HotStuff style: slot ``r + 1`` opens as soon
-      as slot ``r``'s proposal is quorum-acknowledged, up to ``depth``
-      slots ahead of the commit frontier.  Depth 1 is strictly
-      sequential (today's behaviour).
-    - ``max_block_txs`` — cap on mempool transactions drained into one
-      block; ``None`` defers to ``config.block_size`` (the legacy cap).
-    - ``coalesce_window`` — open-loop client arrivals landing within
-      this window are submitted as one batched engine event, so event
-      count scales with batches rather than transactions.  ``0.0``
-      keeps one event per arrival.
-    """
-
-    pipeline_depth: int = 1
-    max_block_txs: Optional[int] = None
-    coalesce_window: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
-        if self.max_block_txs is not None and self.max_block_txs < 1:
-            raise ValueError("max_block_txs must be at least 1 when set")
-        if self.coalesce_window < 0:
-            raise ValueError("coalesce_window must be non-negative")
-
-    @property
-    def active(self) -> bool:
-        """True when any knob departs from the legacy defaults."""
-        return (
-            self.pipeline_depth > 1
-            or self.max_block_txs is not None
-            or self.coalesce_window > 0
-        )
-
-    def block_tx_limit(self, config: ProtocolConfig) -> int:
-        """The effective per-block transaction cap for ``config``."""
-        return self.max_block_txs if self.max_block_txs is not None else config.block_size
-
-    def replace(self, **changes: object) -> "ProductionSpec":
-        """A copy with ``changes`` applied (validation re-runs)."""
-        return _dc_replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -297,17 +288,14 @@ class RetentionSpec:
     @property
     def active(self) -> bool:
         """True when any knob departs from the unbounded legacy defaults."""
-        return any(
-            getattr(self, name) is not None
-            for name in ("trace_window", "commit_window", "submission_window",
-                         "ledger_window", "backlog_resolution")
-        )
+        return self != RetentionSpec()
 
 
 # The ``replace`` idiom on every sub-spec: frozen dataclasses already
 # support ``dataclasses.replace``, but exposing it as a method keeps
 # call sites short and re-runs ``__post_init__`` validation.
-for _spec_cls in (NetworkSpec, CryptoSpec, FaultSpec, WorkloadSpec, RetentionSpec):
+for _spec_cls in (NetworkSpec, CryptoSpec, FaultSpec, WorkloadSpec, ProductionSpec,
+                  RetentionSpec):
     _spec_cls.replace = _dc_replace  # type: ignore[attr-defined]
 del _spec_cls
 

@@ -7,25 +7,24 @@ protocol execution and analysis: the robustness checker (Definition 1),
 the accountability checker (Definition 6) and the game-theoretic state
 classifier (Table 2) all operate on traces, never on replica internals.
 
-The recorder has two storage modes.  The default keeps every event (the
-legacy behaviour every oracle check was written against).  Soak runs
-pass ``window`` — a per-kind ring-buffer capacity — so a ≥10⁶-event run
-holds only the newest ``window`` events of each kind.  Lifetime
-bookkeeping (``count``, ``len``, ``last``) stays exact in both modes,
-and :meth:`truncated` tells analysis code whether the events it is
-about to iterate are the complete history or just the retained suffix.
+The recorder stores events one way: a per-kind ring buffer of capacity
+``window``.  The default, ``window=None``, is the unbounded ring — every
+event is kept, the behaviour every oracle check was written against.
+Soak runs pass a finite ``window`` so a ≥10⁶-event run holds only the
+newest ``window`` events of each kind.  Lifetime bookkeeping (``count``,
+``len``, ``last``) stays exact either way, and :meth:`truncated` tells
+analysis code whether the events it is about to iterate are the
+complete history or just the retained suffix.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from heapq import merge
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One observable action at virtual time ``time``.
 
     ``kind`` is a short verb: "send", "deliver", "tentative", "final",
@@ -37,28 +36,29 @@ class TraceEvent:
     time: float
     kind: str
     player: Optional[int]
-    detail: Dict[str, Any] = field(default_factory=dict)
+    detail: Dict[str, Any]
 
 
 class TraceRecorder:
     """Append-only log of :class:`TraceEvent` objects.
 
-    ``window=None`` (default) retains everything.  With ``window=k``
-    each event kind keeps its newest ``k`` events in a ring buffer;
-    older events are dropped and counted in :meth:`dropped`.
+    Each event kind keeps its newest ``window`` events in a ring
+    buffer (``None``, the default, never evicts); older events are
+    dropped and counted in :meth:`dropped`.  A parallel ring holds each
+    retained event's record-order sequence number, so kinds merge back
+    into the order they were recorded in.
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
         if window is not None and window < 1:
             raise ValueError("window must be positive")
         self._window = window
-        self._events: List[TraceEvent] = []
-        self._rings: Dict[str, Deque[Tuple[int, TraceEvent]]] = {}
+        self._rings: Dict[str, Deque[TraceEvent]] = {}
+        self._seqs: Dict[str, Deque[int]] = {}
         self._counts: Dict[str, int] = {}
         self._last: Dict[str, TraceEvent] = {}
         self._dropped: Dict[str, int] = {}
         self._total = 0
-        self._seq = 0
 
     @property
     def window(self) -> Optional[int]:
@@ -66,38 +66,33 @@ class TraceRecorder:
 
     def record(self, time: float, kind: str, player: Optional[int] = None, **detail: Any) -> None:
         """Append one event."""
-        event = TraceEvent(time=time, kind=kind, player=player, detail=detail)
+        event = TraceEvent(time, kind, player, detail)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         self._last[kind] = event
-        self._total += 1
-        if self._window is None:
-            self._events.append(event)
-            return
         ring = self._rings.get(kind)
         if ring is None:
             ring = self._rings[kind] = deque(maxlen=self._window)
+            self._seqs[kind] = deque(maxlen=self._window)
         if len(ring) == self._window:
             self._dropped[kind] = self._dropped.get(kind, 0) + 1
-        ring.append((self._seq, event))
-        self._seq += 1
+        ring.append(event)
+        # The lifetime count doubles as the record-order sequence number.
+        self._seqs[kind].append(self._total)
+        self._total += 1
 
-    def _retained(self) -> List[TraceEvent]:
-        """Every retained event in record order (both modes)."""
-        if self._window is None:
-            return self._events
-        return [event for _, event in merge(*self._rings.values())]
-
-    def events(self, kind: Optional[str] = None, player: Optional[int] = None) -> List[TraceEvent]:
-        """Return retained events, optionally filtered by kind and/or player."""
-        if kind is not None and self._window is not None:
-            selected: Iterator[TraceEvent] = (event for _, event in self._rings.get(kind, ()))
+    def events(
+        self, kind: Union[None, str, Tuple[str, ...]] = None, player: Optional[int] = None
+    ) -> List[TraceEvent]:
+        """Return retained events in record order, optionally filtered
+        by kind (one name, or a tuple of names) and/or player.  Costs
+        O(matching kinds), not a scan of the whole trace."""
+        if isinstance(kind, str):  # one ring is already in record order
+            selected: Iterable[TraceEvent] = self._rings.get(kind, ())
         else:
-            selected = iter(self._retained())
-            if kind is not None:
-                selected = (event for event in selected if event.kind == kind)
-        if player is not None:
-            selected = (event for event in selected if event.player == player)
-        return list(selected)
+            kinds = self._rings if kind is None else [k for k in kind if k in self._rings]
+            pairs = merge(*(zip(self._seqs[k], self._rings[k]) for k in kinds))
+            selected = (event for _, event in pairs)
+        return [event for event in selected if player is None or event.player == player]
 
     def count(self, kind: str) -> int:
         """Lifetime number of events of ``kind`` (O(1), exact even when
@@ -109,7 +104,7 @@ class TraceRecorder:
         return self._last.get(kind)
 
     def dropped(self, kind: Optional[str] = None) -> int:
-        """Events evicted by the retention window (0 in legacy mode)."""
+        """Events evicted by the retention window (0 when unbounded)."""
         if kind is not None:
             return self._dropped.get(kind, 0)
         return sum(self._dropped.values())
@@ -128,4 +123,4 @@ class TraceRecorder:
         return self._total
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._retained())
+        return iter(self.events())

@@ -229,10 +229,10 @@ class TestCliIntegration:
         assert main(["run", "partition-fork"]) == 0
         assert "partition-fork" in capsys.readouterr().out
 
-    def test_legacy_flags_first_routing(self, capsys):
+    def test_flags_may_precede_the_scenario(self, capsys):
         from repro.cli import main
 
-        assert main(["--protocol", "hotstuff", "honest", "-n", "5", "--rounds", "2"]) == 0
+        assert main(["run", "--protocol", "hotstuff", "honest", "-n", "5", "--rounds", "2"]) == 0
         assert "hotstuff" in capsys.readouterr().out
 
     def test_sweep_rejects_unknown_scenario_and_axis(self, tmp_path):

@@ -16,6 +16,11 @@ per cell plus a few counts that make a diverged cell readable.  A
 refactor must leave every cell unchanged; a deliberate behaviour change
 regenerates the file with ``PYTHONPATH=src python tests/test_pin_matrix.py``
 and says why in CHANGES.md.
+
+The same file pins the fuzzer's two contracts: trial identity — a
+SHA-256 over the (scenario, seed) of ``generate_trial(0, i, profile)``
+for ``i < 200``, per profile — and the shrinker's output on the
+injected-violation trial, as the whole repro entry.
 """
 
 import hashlib
@@ -24,6 +29,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.fuzz import (
+    PROFILES,
+    generate_trial,
+    injected_violation_trial,
+    shrink,
+    violated_checkers,
+)
 from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.results import RunRecord
 
@@ -87,7 +99,39 @@ def test_cell_matches_pin(shape, protocol):
     assert fingerprint(shape, protocol) == pinned
 
 
+GENERATOR_TRIALS = 200
+
+
+def generator_fingerprint(profile: str) -> str:
+    digest = hashlib.sha256()
+    for index in range(GENERATOR_TRIALS):
+        trial = generate_trial(0, index, profile)
+        digest.update(json.dumps(
+            [trial.scenario.to_dict(), trial.seed], sort_keys=True
+        ).encode())
+    return digest.hexdigest()
+
+
+def shrunk_injected_entry() -> dict:
+    trial = injected_violation_trial(0)
+    target = violated_checkers(trial.scenario, trial.seed)
+    return shrink(trial.scenario, trial.seed, target=target).entry()
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_fuzz_generator_matches_pin(profile):
+    pinned = json.loads(PIN_PATH.read_text())[f"fuzz-generator/{profile}"]
+    assert generator_fingerprint(profile) == pinned
+
+
+def test_fuzz_shrinker_matches_pin():
+    pinned = json.loads(PIN_PATH.read_text())["fuzz-shrink/injected"]
+    assert shrunk_injected_entry() == pinned
+
+
 if __name__ == "__main__":
     pins = {f"{shape}/{protocol}": fingerprint(shape, protocol) for shape, protocol in CELLS}
+    pins.update((f"fuzz-generator/{profile}", generator_fingerprint(profile)) for profile in PROFILES)
+    pins["fuzz-shrink/injected"] = shrunk_injected_entry()
     PIN_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(pins)} pins to {PIN_PATH}")

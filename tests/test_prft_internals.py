@@ -28,7 +28,7 @@ from tests.conftest import roster, run_prft
 
 def _deployment(n=4, **overrides):
     config = ProtocolConfig.for_prft(n=n, **overrides)
-    ctx = build_context(config, range(n), delay_model=FixedDelay(1.0))
+    ctx = build_context(config, range(n))
     replicas = {i: PRFTReplica(honest_player(i), config, ctx) for i in range(n)}
     return config, ctx, replicas
 
