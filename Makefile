@@ -2,15 +2,16 @@
 # plus a smoke pass through the CLI (a parallel sweep, and `repro run`
 # flag overrides on a catalog entry and on a scenario file), the trace oracle
 # over the full scenario catalog, and the frozen host-time benchmark's
-# view of src/ at a tenth of its scale.
+# view of src/ at a tenth of its scale, and the behavioural differential
+# of the tree against itself.
 
 PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
+.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare differential differential-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
 
-check: test smoke catalog-check report-smoke search-smoke perf-smoke
+check: test smoke catalog-check report-smoke search-smoke perf-smoke differential-smoke
 	@echo "check: OK"
 
 test:
@@ -114,6 +115,28 @@ perf-compare:
 			|| status=1; \
 		order=$$(echo $$order | awk '{print $$2, $$1}'); \
 	done; exit $$status
+
+# Behaviour before/after: `make differential BASE=<rev> [N=200]` checks
+# BASE out into a temporary git worktree (as perf-compare does) and runs
+# tools/differential.py on it and on the working tree under
+# PYTHONHASHSEED=0: every catalog scenario, every pin_matrix shape x 5
+# protocols, the attacked-run set and N generated fuzz trials, comparing
+# canonical record, full trace, per-replica chains and proofs, and
+# per-message-type counts/bytes.  Exits 1 naming the first differing
+# cell.  A refactor PR runs it against its parent; ~10 s at N=200.
+N ?= 200
+differential:
+	@test -n "$(BASE)" || { echo "usage: make differential BASE=<rev> [N=200]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); base=$$tmp/base; \
+	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$base" "$(BASE)"; \
+	$(PYTHON) tools/differential.py "$$base" "$(CURDIR)" --fuzz $(N)
+
+# The tree against itself (no worktree, so it also runs on a tarball of
+# the sources): keeps the tool from rotting and proves that one tree run
+# twice is identical in every compared section.
+differential-smoke:
+	$(PYTHON) tools/differential.py "$(CURDIR)" "$(CURDIR)" --fuzz 5
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -33,6 +33,7 @@ from repro.ledger.validation import (
     is_adversarial_marker,
     strict_ordering_holds,
 )
+from repro.protocols.phases import PhaseRound
 from repro.protocols.runner import RunResult
 
 #: checker name → the paper result it guards (rendered by docs/CLI).
@@ -474,13 +475,14 @@ class CrashRecoveryChecker(InvariantChecker):
 
 class QuorumCertificateChecker(InvariantChecker):
     """Quorum-certificate well-formedness over the evidence honest
-    replicas retained: each statement in a per-digest signer map is
-    keyed by its real signer, pinned to that round and digest,
-    phase-uniform within the map, and carries a verifying signature
-    (Figure 2b's binding of phase+round into every signed statement).
-    Every replica owns ``_rounds`` (:class:`~repro.protocols.base.SlotState`
-    subclasses); which ``digest → {signer: SignedStatement}`` maps a
-    state keeps is the protocol's choice, so those are looked up by name.
+    replicas retained: each statement in a signer map is keyed by its
+    real signer, pinned to that round, phase and digest, and carries a
+    verifying signature (Figure 2b's binding of phase+round into every
+    signed statement).  Every replica owns ``_rounds``
+    (:class:`~repro.protocols.base.SlotState` subclasses), every slot
+    counts its quorums in the one ``tally`` — whatever the protocol calls
+    its phases, HotStuff's leader-collected votes included — and the
+    view-changing protocols keep the votes to abandon it beside that.
 
     Under the ``aggregate_certs`` axis quorum evidence may instead be
     retained as an :class:`AggregateQC` (one digest + signer bitmap +
@@ -491,11 +493,6 @@ class QuorumCertificateChecker(InvariantChecker):
 
     name = "quorum-certs"
 
-    # pRFT keeps votes/commits/finals; pBFT and Polygraph keep
-    # prepares/commits — Polygraph finalizes on prepare certificates,
-    # so their well-formedness is core accountability evidence.
-    _QUORUM_ATTRS = ("votes", "prepares", "commits", "finals")
-
     def check(self, ctx: OracleContext) -> List[Violation]:
         registry = ctx.result.ctx.registry
         if not registry.backend.unforgeable:
@@ -503,19 +500,19 @@ class QuorumCertificateChecker(InvariantChecker):
         violations: List[Violation] = []
         for pid in ctx.result.honest_ids:
             for state in ctx.result.replicas[pid]._rounds.values():
-                round_number = state.number
-                for attr in self._QUORUM_ATTRS:
-                    mapping = getattr(state, attr, None)
-                    if not isinstance(mapping, dict):
-                        continue
-                    for digest, by_signer in mapping.items():
-                        if not isinstance(by_signer, dict):
-                            continue
+                for phase, by_digest in state.tally.items():
+                    for digest, by_signer in by_digest.items():
                         violations.extend(self._check_map(
-                            ctx, pid, attr, round_number, digest, by_signer, registry,
+                            pid, state.number, phase, digest, by_signer, registry,
                         ))
+                if isinstance(state, PhaseRound):
+                    # The phase name is the protocol's own and the digest
+                    # slot a marker, so a view-change vote pins its round.
+                    violations.extend(self._check_map(
+                        pid, state.number, None, None, state.view_changes, registry,
+                    ))
                 violations.extend(self._check_aggregates(
-                    pid, round_number, state, registry,
+                    pid, state.number, state, registry,
                 ))
         return violations
 
@@ -557,38 +554,38 @@ class QuorumCertificateChecker(InvariantChecker):
 
     def _check_map(
         self,
-        ctx: OracleContext,
         pid: int,
-        attr: str,
         round_number: int,
-        digest: str,
-        by_signer: Dict[int, Any],
+        phase: Optional[str],
+        digest: Optional[str],
+        by_signer: Dict[int, Optional[SignedStatement]],
         registry: Any,
     ) -> List[Violation]:
+        """Audit one signer map; ``phase``/``digest`` None = not pinned."""
+        slot = phase or "view-change"
         violations: List[Violation] = []
         phases = set()
         for signer, statement in by_signer.items():
-            if not isinstance(statement, SignedStatement):
-                # Another protocol's structure under a matching attribute
-                # name: skip the entry, but never discard violations
-                # already found for real statements in the same map.
+            if statement is None:
+                # A phase that only counts who signed retains no evidence.
                 continue
             phases.add(statement.phase)
             ok = (
                 statement.signer == signer
-                and statement.digest == digest
+                and phase in (None, statement.phase)
+                and digest in (None, statement.digest)
                 and statement.round_number == round_number
                 and verify_statement(registry, statement)
             )
             if not ok:
                 violations.append(_violation(
                     self.name, "retained quorum statement is malformed or unverifiable",
-                    holder=pid, slot=attr, round=round_number, signer=signer,
+                    holder=pid, slot=slot, round=round_number, signer=signer,
                 ))
         if len(phases) > 1:
             violations.append(_violation(
                 self.name, "mixed phases inside one quorum map",
-                holder=pid, slot=attr, round=round_number,
+                holder=pid, slot=slot, round=round_number,
             ))
         return violations
 

@@ -1,11 +1,12 @@
-"""pRFT wire formats (Figure 2b of the paper).
+"""The wire layer, and pRFT's wire formats (Figure 2b of the paper).
 
-Every message is anchored by a :class:`SignedStatement` — the signer's
-signature over the tuple (protocol, phase, round, digest).  Binding the
-round number into the signed statement prevents cross-round replay
-(footnote 11); binding the phase makes "two conflicting signatures in
-the same phase of the same round" (the π_ds deviation) a purely
-syntactic condition that :mod:`repro.core.pof` can check.
+Every message of every protocol is a :class:`WireMessage`, anchored by
+a :class:`SignedStatement` — the signer's signature over the tuple
+(protocol, phase, round, digest).  Binding the round number into the
+signed statement prevents cross-round replay (footnote 11); binding the
+phase makes "two conflicting signatures in the same phase of the same
+round" (the π_ds deviation) a purely syntactic condition that
+:mod:`repro.core.pof` can check.
 
 Quorum-carrying messages (Commit, Reveal, CommitView) embed the full
 justification sets, which is what gives pRFT its O(κ·n) message size
@@ -18,25 +19,27 @@ before the next GST", Theorem 5 proof).
 Behind the ``aggregate_certs`` deployment axis, a justification may
 instead be a single :class:`~repro.crypto.aggregate.AggregateQC` — one
 tag plus a signer bitmap, O(κ + n/8) on the wire.  The
-``Justification`` helpers in this module (build / size / verify /
-expand) are the only places that dispatch on the representation, so
-protocol code treats both shapes uniformly and the representations
-stay behaviourally identical (the differential conformance suite's
-contract).
+``Justification`` helpers in this module (build / verify / expand)
+and :func:`wire_size` are the only places that dispatch on the
+representation, so protocol code treats both shapes uniformly and the
+representations stay behaviourally identical (the differential
+conformance suite's contract).
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import inspect
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import Any, ClassVar, FrozenSet, Iterable, Optional, Tuple, Union
 
 from repro.crypto.aggregate import AggregateQC, aggregate_statements
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.keys import KeyPair
 from repro.crypto.registry import KeyRegistry
 from repro.crypto.signatures import Signature, sign
+from repro.ledger.block import Block
 
 KAPPA = 32
 """The security parameter κ: bytes charged per signature/digest."""
@@ -219,13 +222,6 @@ def build_justification(
     return aggregate_statements(pool)
 
 
-def justification_size(justification: Justification) -> int:
-    """Wire bytes of a justification in either representation."""
-    if isinstance(justification, AggregateQC):
-        return justification.size_bytes
-    return sum(statement.size_bytes for statement in justification)
-
-
 def verify_justification(
     registry: KeyRegistry,
     justification: Justification,
@@ -315,104 +311,111 @@ def justification_statements(
 
 
 # ----------------------------------------------------------------------
-# Protocol messages.  Each exposes .round_number and (where meaningful)
-# .digest, which strategies use to route equivocating broadcasts.
+# The wire layer.  Every message of every protocol is one shape
+# (Figure 2b): a signed statement, optionally carrying the previous
+# phase's quorum, the block, or evidence.  A message class declares its
+# fields; everything the network layer, the strategies and the byte
+# model need is read off the statement and the fields here, once.
 # ----------------------------------------------------------------------
+def wire_size(part: Any) -> int:
+    """Bytes one carried part of a message is charged (Figure 3's model):
+    κ per bare signature, 2κ per signed statement — so a statement-set
+    justification, view-change evidence or a Proof-of-Fraud set costs
+    O(κ·n) — κ + n/8 for an aggregate certificate, and the block's own
+    size estimate."""
+    if part is None:
+        return 0
+    if isinstance(part, Signature):
+        return KAPPA
+    if isinstance(part, frozenset):
+        return sum(member.size_bytes for member in part)
+    if isinstance(part, Block):
+        return part.size_estimate_bytes
+    return part.size_bytes
+
+
+class WireMessage:
+    """Base of every protocol message: a ``statement`` plus fields.
+
+    Subclasses are frozen dataclasses that only declare what they
+    carry.  ``wire_type`` is what the network accounts the message
+    under and ``phase`` what the sender's strategy is asked to
+    participate in; both are the signed phase.  ``digest`` is what
+    strategies route equivocating broadcasts by, so it is None for the
+    messages whose digest slot holds a marker instead of a block value
+    (``SIGNS_VALUE = False``: view changes, exposures, catch-up requests).
+    """
+
+    SIGNS_VALUE: ClassVar[bool] = True
+    _CARRIED: ClassVar[Tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # The declared fields, resolved once per class (size_bytes runs
+        # per broadcast and must not introspect the dataclass each time).
+        cls._CARRIED = tuple(inspect.get_annotations(cls))
+
+    @property
+    def round_number(self) -> int:
+        return self.statement.round_number
+
+    @property
+    def digest(self) -> Optional[str]:
+        return self.statement.digest if self.SIGNS_VALUE else None
+
+    @property
+    def phase(self) -> str:
+        return self.statement.phase
+
+    wire_type = phase
+
+    @property
+    def size_bytes(self) -> int:
+        return sum(wire_size(getattr(self, name)) for name in self._CARRIED)
+
+
 @dataclass(frozen=True)
-class ProposeMessage:
+class ProposeMessage(WireMessage):
     """⟨Propose, B_l, h_l, r⟩ signed by the leader."""
 
     block: Any
     statement: SignedStatement
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        return self.block.size_estimate_bytes + self.statement.size_bytes
-
 
 @dataclass(frozen=True)
-class VoteMessage:
+class VoteMessage(WireMessage):
     """⟨Vote, h, s^pro_l, r⟩ signed by the voter."""
 
     statement: SignedStatement
     propose_signature: Signature
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes + KAPPA
-
 
 @dataclass(frozen=True)
-class CommitMessage:
+class CommitMessage(WireMessage):
     """⟨Commit, h*, s^pro_l, V_i, r⟩: commit plus the vote quorum V_i.
 
-    ``votes`` is the justification in either wire representation: the
-    full statement set, or an :class:`AggregateQC` under the
+    ``justification`` is V_i in either wire representation: the full
+    statement set, or an :class:`AggregateQC` under the
     ``aggregate_certs`` axis.
     """
 
     statement: SignedStatement
-    votes: Justification
+    justification: Justification
     block: Optional[Any] = None
-
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        block_size = self.block.size_estimate_bytes if self.block is not None else 0
-        return self.statement.size_bytes + justification_size(self.votes) + block_size
 
 
 @dataclass(frozen=True)
-class RevealMessage:
-    """⟨Reveal, h_tc, h_l, W_i, r⟩: the Proof-of-Commitment W_i.
-
-    ``commits`` is the justification in either wire representation,
-    like :class:`CommitMessage.votes`.
-    """
+class RevealMessage(WireMessage):
+    """⟨Reveal, h_tc, h_l, W_i, r⟩: ``justification`` is the
+    Proof-of-Commitment W_i, the commit quorum in either representation."""
 
     statement: SignedStatement
-    commits: Justification
+    justification: Justification
     block: Optional[Any] = None
-
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        block_size = self.block.size_estimate_bytes if self.block is not None else 0
-        return self.statement.size_bytes + justification_size(self.commits) + block_size
 
 
 @dataclass(frozen=True)
-class FinalMessage:
+class FinalMessage(WireMessage):
     """⟨Final, h_l, s^pro_l⟩ signed by the finaliser.
 
     ``block`` is normally None (finals are O(κ)); catch-up
@@ -423,39 +426,20 @@ class FinalMessage:
     statement: SignedStatement
     block: Optional[Any] = None
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        block_size = self.block.size_estimate_bytes if self.block is not None else 0
-        return self.statement.size_bytes + block_size
-
 
 @dataclass(frozen=True)
-class ExposeMessage:
-    """⟨Expose, D_i, r⟩: the Proof-of-Fraud set of double-sign pairs."""
+class ExposeMessage(WireMessage):
+    """⟨Expose, D_i, r⟩: the Proof-of-Fraud set of double-sign pairs.
+    The round it aborts is the signed one, like every other message's."""
 
-    round_number: int
-    proofs: FrozenSet[Any]  # FraudProof; Any avoids a circular import
+    SIGNS_VALUE = False
+
     statement: SignedStatement
-
-    @property
-    def digest(self) -> None:
-        return None
-
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes + sum(p.size_bytes for p in self.proofs)
+    proofs: FrozenSet[Any]  # FraudProof; Any avoids a circular import
 
 
 @dataclass(frozen=True)
-class ViewChangeMessage:
+class ViewChangeMessage(WireMessage):
     """⟨ViewChange, Phase, r⟩ — the digest slot records the stalled phase.
 
     ``evidence`` carries every propose/vote/commit statement the sender
@@ -468,41 +452,17 @@ class ViewChangeMessage:
     reaches P_b").
     """
 
+    SIGNS_VALUE = False
+
     statement: SignedStatement
     evidence: FrozenSet[SignedStatement] = frozenset()
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> None:
-        return None
-
-    @property
-    def stalled_phase(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes + sum(e.size_bytes for e in self.evidence)
-
 
 @dataclass(frozen=True)
-class CommitViewMessage:
+class CommitViewMessage(WireMessage):
     """⟨CommitView, V_i, r⟩: carries the ViewChange quorum V_i."""
+
+    SIGNS_VALUE = False
 
     statement: SignedStatement
     view_changes: FrozenSet[SignedStatement]
-
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> None:
-        return None
-
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes + sum(v.size_bytes for v in self.view_changes)

@@ -31,7 +31,7 @@ Implementation notes, and where we deviate from the paper's figure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Union
+from typing import Any, Dict, FrozenSet, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -39,160 +39,110 @@ from repro.core.messages import (
     CommitViewMessage,
     ExposeMessage,
     FinalMessage,
-    Justification,
-    KAPPA,
     Phase,
     ProposeMessage,
     RevealMessage,
     SignedStatement,
     ViewChangeMessage,
     VoteMessage,
-    build_justification,
-    make_statement,
-    verify_justification,
-    verify_statement,
+    verify_quorum,
 )
-from repro.core.pof import FraudDetector, FraudProof
-from repro.ledger.block import Block
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
+from repro.core.pof import FraudProof
+from repro.crypto.hashing import hash_value
+from repro.ledger.block import Block  # noqa: F401 — named by RoundState's inherited fields
+from repro.protocols.base import AccountableMixin, ProtocolConfig, ProtocolContext
+from repro.protocols.phases import PhaseRound, PhaseRow, PhaseTableReplica
 
-_FRAUD_PHASES = {Phase.PROPOSE.value, Phase.VOTE.value, Phase.COMMIT.value, Phase.REVEAL.value}
+PROPOSE, VOTE, COMMIT, REVEAL, FINAL = (
+    Phase.PROPOSE.value, Phase.VOTE.value, Phase.COMMIT.value, Phase.REVEAL.value,
+    Phase.FINAL.value,
+)
 
 
 @dataclass
-class RoundState(SlotState):
-    """Everything a replica tracks for one round."""
+class RoundState(PhaseRound):
+    """What a pRFT replica tracks for one round beyond the quorum tally."""
 
-    sent_proposal: Optional[ProposeMessage] = None
     proposals: Dict[str, ProposeMessage] = field(default_factory=dict)
-    voted_digests: Set[str] = field(default_factory=set)
-    votes: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
-    committed_digests: Set[str] = field(default_factory=set)
-    commits: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
-    revealed_digests: Set[str] = field(default_factory=set)
-    reveal_senders: Dict[str, Set[int]] = field(default_factory=dict)
-    finals: Dict[str, Dict[int, SignedStatement]] = field(default_factory=dict)
     final_sent: bool = False
     tentative_digest: Optional[str] = None
     exposed: bool = False
-    view_change_sent: bool = False
-    view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
     commit_view_sent: bool = False
     commit_view_message: Optional[CommitViewMessage] = None
     commit_views: Dict[int, CommitViewMessage] = field(default_factory=dict)
-    view_committed: bool = False
 
 
-class PRFTReplica(BaseReplica):
+class PRFTReplica(AccountableMixin, PhaseTableReplica):
     """One pRFT player: 4-phase rounds, PoF accountability, view change."""
 
     ROUND_STATE = RoundState
 
-    _HANDLERS = {
-        ProposeMessage: "_on_propose",
-        VoteMessage: "_on_vote",
-        CommitMessage: "_on_commit",
-        RevealMessage: "_on_reveal",
+    PROPOSE, VIEW_CHANGE = PROPOSE, Phase.VIEW_CHANGE.value
+    Proposal, ViewChange = ProposeMessage, ViewChangeMessage
+    PHASES = (
+        PhaseRow(VOTE, VoteMessage, then=COMMIT),
+        PhaseRow(COMMIT, CommitMessage, then=REVEAL, carries=VOTE),
+        # Nothing quotes a reveal, so only its senders are counted.
+        PhaseRow(REVEAL, RevealMessage, then="_reveal_phase_decision", carries=COMMIT,
+                 retains=False),
+    )
+    OWN_HANDLERS = {
         FinalMessage: "_on_final",
         ExposeMessage: "_on_expose",
-        ViewChangeMessage: "_on_view_change",
         CommitViewMessage: "_on_commit_view",
     }
+    MARKER_PAYLOAD = "equivocation marker"
+    BURN_REASON = "pof"
+    FRAUD_PHASES = frozenset({PROPOSE, VOTE, COMMIT, REVEAL})
 
-    def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
-        super().__init__(player, config, ctx)
-        # Persisted across crashes: the fraud detector and burn log are
-        # written through on receipt (Section 5.3.1 lets any PoF burn
-        # collateral later, so evidence must survive an outage).
-        self.detector = FraudDetector(registry=ctx.registry)
-        self.reported_guilty: Set[int] = set()
+    def handle_payload(self, sender: int, payload: Any) -> None:
+        self._dispatch(sender, payload)
 
     def _trace_slot(self, kind: str, **detail: Any) -> None:
         self.trace(kind, **detail)
 
+    def _burn_detail(self, proof: FraudProof, fresh: bool) -> Dict[str, Any]:
+        return {"phase": proof.phase, "fresh": fresh}
+
     # ------------------------------------------------------------------
-    # Propose phase
+    # What the phase table cannot say
     # ------------------------------------------------------------------
-    def _make_propose(self, block: Block) -> ProposeMessage:
-        statement = make_statement(
-            self.keypair, Phase.PROPOSE.value, block.round_number, block.digest
+    def _signing(self, state: RoundState, phase: str, digest: str) -> None:
+        """Signing a Reveal is reaching tentative consensus on the block;
+        a proposal and a commit are narrated (trace kinds ``propose`` and
+        ``commit``, the phase names)."""
+        if phase == REVEAL:
+            self._reach_tentative(state, digest)
+        else:
+            self.trace(phase, round=state.number, digest=digest[:12])
+
+    def _build(self, state: RoundState, row: PhaseRow, digest: str) -> Optional[Any]:
+        """A Vote quotes the leader's signature on the proposal it answers."""
+        if row.phase != VOTE:
+            return super()._build(state, row, digest)
+        proposal = state.proposals.get(digest)
+        if proposal is None:
+            return None
+        return VoteMessage(
+            statement=self._sign(VOTE, state.number, digest),
+            propose_signature=proposal.statement.signature,
         )
-        return ProposeMessage(block=block, statement=statement)
 
-    def _propose(self, round_number: int) -> None:
-        primary = self._make_propose(self._build_block(round_number))
-        self.round_state(round_number).sent_proposal = primary
-        self.trace("propose", round=round_number, digest=primary.digest[:12])
-        self.broadcast(
-            primary,
-            message_type="propose",
-            size_bytes=primary.size_bytes,
-            round_number=round_number,
-            alternative_factory=lambda: self._make_propose(
-                self._conflicting_block(primary.block, marker_payload="equivocation marker")
-            ),
-            phase=Phase.PROPOSE.value,
-        )
+    def _tallied(self, state: RoundState, row: PhaseRow) -> bool:
+        """Figure 1 lines 31-32: a Reveal that leaves more than t0 proven
+        double-signers in an unfinalized round aborts it by Expose,
+        whether or not the reveal quorum has formed."""
+        if row.phase != REVEAL or state.finalized:
+            return True
+        if len(self.detector.guilty_in_round(state.number)) <= self.config.t0:
+            return True
+        self._expose(state)
+        return False
 
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def handle_payload(self, sender: int, payload: Any) -> None:
-        if self._accept(sender, payload):
-            handler = self._HANDLERS.get(type(payload))
-            if handler is not None:
-                getattr(self, handler)(sender, payload)
-
-    def _valid_statement(self, statement: SignedStatement, sender: int, phase: str) -> bool:
-        """Recv-boundary validation: right phase, right signer, valid sig."""
-        if statement.phase != phase:
-            return False
-        if statement.signer != sender:
-            return False
-        return verify_statement(self.ctx.registry, statement)
-
-    # ------------------------------------------------------------------
-    # Accountability plumbing
-    # ------------------------------------------------------------------
-    def _absorb_statement(self, statement: SignedStatement) -> None:
-        if statement.phase not in _FRAUD_PHASES:
-            return
-        proof = self.detector.absorb(statement)
-        if proof is not None:
-            self._punish(proof)
-
-    def _absorb_justification(
-        self, justification: Union[Justification, Iterable[SignedStatement]]
-    ) -> None:
-        """Absorb a quorum justification (either shape) or view-change
-        evidence.  The detector verifies what it has not indexed yet —
-        a forged member or bitmap frames nobody — and skips what it
-        has, so re-absorbing a circulating certificate is O(1)."""
-        for proof in self.detector.absorb_justification(justification, _FRAUD_PHASES):
-            self._punish(proof)
-
-    def _punish(self, proof: FraudProof) -> None:
-        """Burn a freshly proven double-signer's collateral.
-
-        The strategy gate models suppression: a colluder that
-        constructs a proof against its own collusion keeps quiet.  Any
-        honest replica burns, and burning is idempotent, so one honest
-        observer suffices (Definition 6's "eventually all honest").
-        """
-        accused = proof.accused
-        if accused in self.reported_guilty:
-            return
-        if not self.strategy.report_fraud(self, {accused}):
-            return
-        self.reported_guilty.add(accused)
-        newly_burned = self.ctx.collateral.burn(accused, reason=f"pof-round-{proof.round_number}")
-        self.trace(
-            "burn",
-            accused=accused,
-            round=proof.round_number,
-            phase=proof.phase,
-            fresh=newly_burned,
-        )
+    def _reveal_phase_decision(self, state: RoundState, digest: str) -> None:
+        """Figure 1 lines 33-37: a reveal quorum with at most t0 proven
+        double-signers finalises the block."""
+        self._finalize(state, digest, broadcast_final=True)
 
     def _on_late_payload(self, sender: int, payload: Any) -> None:
         """Late (past-round or post-halt) messages still matter.
@@ -204,13 +154,7 @@ class PRFTReplica(BaseReplica):
         final majority for a round we timed out of lets us adopt the
         block retroactively — the catch-up path of Theorem 5's proof).
         """
-        statement = getattr(payload, "statement", None)
-        if isinstance(statement, SignedStatement):
-            self._absorb_statement(statement)
-        for attr in ("votes", "commits"):
-            justification = getattr(payload, attr, None)
-            if justification:
-                self._absorb_justification(justification)
+        self._absorb_late(payload)
         if isinstance(payload, ExposeMessage):
             for proof in payload.proofs:
                 if proof.verify(self.ctx.registry):
@@ -220,19 +164,10 @@ class PRFTReplica(BaseReplica):
             self._absorb_late_reveal(sender, payload)
         elif isinstance(payload, FinalMessage):
             self._absorb_late_final(sender, payload)
-        elif (
-            isinstance(payload, ViewChangeMessage)
-            and self.ctx.network.unreliable
-            and payload.statement.phase == Phase.VIEW_CHANGE.value
-            and payload.statement.signer == sender
-            and verify_statement(self.ctx.registry, payload.statement)
-        ):
-            # A *verified* past-round ViewChange on a faulty network
-            # means the sender is stuck behind lost traffic: retransmit
-            # everything from that round to our head so it can catch
-            # up in one cycle.  (Unverifiable requests must not
-            # solicit block-carrying replies.)
-            self._offer_catch_up_range(sender, payload.round_number)
+        else:
+            # A verified past-round ViewChange on a faulty network gets
+            # everything from that round to our head retransmitted.
+            super()._on_late_payload(sender, payload)
 
     def _offer_catch_up(self, requester: int, round_number: int) -> None:
         """Resend our own record of a decided/aborted round to a laggard.
@@ -257,18 +192,10 @@ class PRFTReplica(BaseReplica):
             block = state.blocks.get(digest)
             if block is None:
                 return
-            statement = make_statement(self.keypair, Phase.FINAL.value, round_number, digest)
-            final = FinalMessage(statement=statement, block=block)
-            self.send_direct(
-                requester, final, "final", final.size_bytes, round_number,
-                phase=Phase.FINAL.value,
-            )
+            statement = self._sign(FINAL, round_number, digest)
+            self.send_direct(requester, FinalMessage(statement=statement, block=block))
         elif state.commit_view_message is not None:
-            message = state.commit_view_message
-            self.send_direct(
-                requester, message, "commit-view", message.size_bytes, round_number,
-                phase=Phase.COMMIT_VIEW.value,
-            )
+            self.send_direct(requester, state.commit_view_message)
 
     def _absorb_late_reveal(self, sender: int, message: RevealMessage) -> None:
         round_number = message.round_number
@@ -276,18 +203,19 @@ class PRFTReplica(BaseReplica):
         if state.finalized:
             return
         statement = message.statement
-        if not self._valid_statement(statement, sender, Phase.REVEAL.value):
+        if not self._valid(statement, sender, REVEAL):
             return
         digest = statement.digest
-        if not self._justification_valid(message.commits, Phase.COMMIT.value, round_number, digest):
+        if not self._justified(message, COMMIT):
             return
         if message.block is not None and message.block.digest == digest:
             state.blocks.setdefault(digest, message.block)
-        state.reveal_senders.setdefault(digest, set()).add(sender)
+        revealers = state.voters(REVEAL, digest)
+        revealers[sender] = None
         guilty = self.detector.guilty_in_round(round_number)
         if len(guilty) > self.config.t0:
             return
-        if len(state.reveal_senders[digest]) >= self.config.quorum_size:
+        if len(revealers) >= self.config.quorum_size:
             self._retro_finalize(state, digest)
 
     def _absorb_late_final(self, sender: int, message: FinalMessage) -> None:
@@ -295,14 +223,8 @@ class PRFTReplica(BaseReplica):
         if state.finalized:
             return
         statement = message.statement
-        if not self._valid_statement(statement, sender, Phase.FINAL.value):
-            return
-        digest = statement.digest
-        if message.block is not None and message.block.digest == digest:
-            state.blocks.setdefault(digest, message.block)
-        state.finals.setdefault(digest, {})[sender] = statement
-        if len(state.finals[digest]) > self.config.n / 2:
-            self._retro_finalize(state, digest)
+        if self._tally_final(state, sender, message):
+            self._retro_finalize(state, statement.digest)
 
     def _retro_finalize(self, state: RoundState, digest: str) -> None:
         """Adopt a block we missed, if it links onto our chain head."""
@@ -313,22 +235,22 @@ class PRFTReplica(BaseReplica):
         self._finalize(state, digest, broadcast_final=False)
 
     # ------------------------------------------------------------------
-    # Vote phase
+    # Propose → Vote
     # ------------------------------------------------------------------
-    def _on_propose(self, sender: int, message: ProposeMessage) -> None:
+    def _on_proposal(self, sender: int, message: ProposeMessage) -> None:
         round_number = message.round_number
         state = self.round_state(round_number)
         statement = message.statement
         if sender != self.leader_of_round(round_number):
             return
-        if not self._valid_statement(statement, sender, Phase.PROPOSE.value):
+        if not self._valid(statement, sender, PROPOSE):
             return
         if message.block.digest != statement.digest:
             return
         if message.block.round_number != round_number:
             return
         digest = statement.digest
-        self._absorb_statement(statement)
+        self._absorb(statement)
         if digest in state.proposals:
             return
         state.proposals[digest] = message
@@ -336,29 +258,17 @@ class PRFTReplica(BaseReplica):
         if len(state.proposals) >= 2:
             self.trace("leader_equivocation", round=round_number, leader=sender)
             if self.strategy.report_fraud(self, {sender}):
-                self._initiate_view_change(round_number, Phase.PROPOSE.value)
-        if state.view_committed:
-            return
-        may_vote = not state.voted_digests or self.strategy.double_votes()
-        if digest in state.voted_digests or not may_vote:
+                self._initiate_view_change(round_number, PROPOSE)
+        if state.view_committed or not self._may_sign(state, VOTE, digest):
             return
         if message.block.parent_digest != self.expected_parent_digest(round_number):
             self.trace("reject_parent", round=round_number, digest=digest[:12])
             return
-        state.voted_digests.add(digest)
-        vote_statement = make_statement(self.keypair, Phase.VOTE.value, round_number, digest)
-        vote = VoteMessage(statement=vote_statement, propose_signature=statement.signature)
+        state.signed.setdefault(VOTE, set()).add(digest)
         alternative = None
         if len(state.proposals) == 1 and self.strategy.double_votes():
             alternative = self._fabricated_vote_factory(round_number, digest, statement)
-        self.broadcast(
-            vote,
-            message_type="vote",
-            size_bytes=vote.size_bytes,
-            round_number=round_number,
-            alternative_factory=alternative,
-            phase=Phase.VOTE.value,
-        )
+        self.broadcast(self._build(state, self.PHASES[0], digest), alternative_factory=alternative)
 
     def _fabricated_vote_factory(
         self,
@@ -372,119 +282,17 @@ class PRFTReplica(BaseReplica):
         signature and will be captured)."""
 
         def build() -> VoteMessage:
-            from repro.crypto.hashing import hash_value
-
             fake_digest = hash_value(("fabricated", round_number, digest, self.player_id))
-            statement = make_statement(
-                self.keypair, Phase.VOTE.value, round_number, fake_digest
+            return VoteMessage(
+                statement=self._sign(VOTE, round_number, fake_digest),
+                propose_signature=propose_statement.signature,
             )
-            return VoteMessage(statement=statement, propose_signature=propose_statement.signature)
 
         return build
 
     # ------------------------------------------------------------------
-    # Commit phase
+    # Tentative consensus, Final, Expose
     # ------------------------------------------------------------------
-    def _on_vote(self, sender: int, message: VoteMessage) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
-        statement = message.statement
-        if not self._valid_statement(statement, sender, Phase.VOTE.value):
-            return
-        self._absorb_statement(statement)
-        digest = statement.digest
-        state.votes.setdefault(digest, {})[sender] = statement
-        if state.view_committed:
-            return
-        if len(state.votes[digest]) < self.config.quorum_size:
-            return
-        # Vote quorum = this slot's proposal is acknowledged: the
-        # pipeline may open the next slot on top of it.
-        acked_block = state.blocks.get(digest)
-        if acked_block is not None:
-            self._note_proposal_acked(round_number, acked_block)
-        may_commit = not state.committed_digests or self.strategy.double_votes()
-        if digest in state.committed_digests or not may_commit:
-            return
-        state.committed_digests.add(digest)
-        commit_statement = make_statement(self.keypair, Phase.COMMIT.value, round_number, digest)
-        commit = CommitMessage(
-            statement=commit_statement,
-            votes=build_justification(
-                state.votes[digest].values(), self.ctx.aggregate_certs
-            ),
-            block=state.blocks.get(digest),
-        )
-        self.trace("commit", round=round_number, digest=digest[:12])
-        self.broadcast(
-            commit,
-            message_type="commit",
-            size_bytes=commit.size_bytes,
-            round_number=round_number,
-            phase=Phase.COMMIT.value,
-        )
-
-    # ------------------------------------------------------------------
-    # Reveal phase (tentative consensus)
-    # ------------------------------------------------------------------
-    def _on_commit(self, sender: int, message: CommitMessage) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
-        statement = message.statement
-        if not self._valid_statement(statement, sender, Phase.COMMIT.value):
-            return
-        digest = statement.digest
-        if not self._justification_valid(message.votes, Phase.VOTE.value, round_number, digest):
-            return
-        self._absorb_statement(statement)
-        self._absorb_justification(message.votes)
-        if message.block is not None and message.block.digest == digest:
-            state.blocks.setdefault(digest, message.block)
-        state.commits.setdefault(digest, {})[sender] = statement
-        if state.view_committed:
-            return
-        if len(state.commits[digest]) < self.config.quorum_size:
-            return
-        may_reveal = not state.revealed_digests or self.strategy.double_votes()
-        if digest in state.revealed_digests or not may_reveal:
-            return
-        state.revealed_digests.add(digest)
-        self._reach_tentative(state, digest)
-        reveal_statement = make_statement(self.keypair, Phase.REVEAL.value, round_number, digest)
-        reveal = RevealMessage(
-            statement=reveal_statement,
-            commits=build_justification(
-                state.commits[digest].values(), self.ctx.aggregate_certs
-            ),
-            block=state.blocks.get(digest),
-        )
-        self.broadcast(
-            reveal,
-            message_type="reveal",
-            size_bytes=reveal.size_bytes,
-            round_number=round_number,
-            phase=Phase.REVEAL.value,
-        )
-
-    def _justification_valid(
-        self,
-        justification: Justification,
-        phase: str,
-        round_number: int,
-        digest: str,
-    ) -> bool:
-        """A quorum certificate must hold ≥ τ valid, distinct-signer
-        signatures on the right (phase, round, digest) — as a statement
-        set or as one aggregate certificate."""
-        return verify_justification(
-            self.ctx.registry,
-            justification,
-            phase=phase,
-            round_number=round_number,
-            digest=digest,
-            minimum=self.config.quorum_size,
-        )
-
     def _reach_tentative(self, state: RoundState, digest: str) -> None:
         if state.tentative_digest is not None:
             return
@@ -495,36 +303,6 @@ class PRFTReplica(BaseReplica):
         state.tentative_digest = digest
         self.trace("tentative", round=state.number, digest=digest[:12])
 
-    # ------------------------------------------------------------------
-    # Final / Expose
-    # ------------------------------------------------------------------
-    def _on_reveal(self, sender: int, message: RevealMessage) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
-        statement = message.statement
-        if not self._valid_statement(statement, sender, Phase.REVEAL.value):
-            return
-        digest = statement.digest
-        if not self._justification_valid(message.commits, Phase.COMMIT.value, round_number, digest):
-            return
-        self._absorb_statement(statement)
-        self._absorb_justification(message.commits)
-        if message.block is not None and message.block.digest == digest:
-            state.blocks.setdefault(digest, message.block)
-        state.reveal_senders.setdefault(digest, set()).add(sender)
-        self._reveal_phase_decision(state, digest)
-
-    def _reveal_phase_decision(self, state: RoundState, digest: str) -> None:
-        """Figure 1 lines 31-37: Expose, Final, or wait."""
-        if state.finalized or state.view_committed:
-            return
-        guilty = self.detector.guilty_in_round(state.number)
-        if len(guilty) > self.config.t0:
-            self._expose(state)
-            return
-        if len(state.reveal_senders.get(digest, ())) >= self.config.quorum_size:
-            self._finalize(state, digest, broadcast_final=True)
-
     def _expose(self, state: RoundState) -> None:
         if state.exposed:
             return
@@ -532,15 +310,8 @@ class PRFTReplica(BaseReplica):
         proofs = self.detector.proofs_for_round(state.number)
         self.trace("expose", round=state.number, accused=sorted(p.accused for p in proofs))
         if self.strategy.report_fraud(self, {p.accused for p in proofs}):
-            statement = make_statement(self.keypair, Phase.EXPOSE.value, state.number, "")
-            expose = ExposeMessage(round_number=state.number, proofs=proofs, statement=statement)
-            self.broadcast(
-                expose,
-                message_type="expose",
-                size_bytes=expose.size_bytes,
-                round_number=state.number,
-                phase=Phase.EXPOSE.value,
-            )
+            statement = self._sign(Phase.EXPOSE.value, state.number, "")
+            self.broadcast(ExposeMessage(statement=statement, proofs=proofs))
         self._abort_round(state)
 
     def _abort_round(self, state: RoundState) -> None:
@@ -597,41 +368,42 @@ class PRFTReplica(BaseReplica):
         self._land_final(state, block)
         if broadcast_final and not state.final_sent:
             state.final_sent = True
-            statement = make_statement(self.keypair, Phase.FINAL.value, state.number, digest)
-            final = FinalMessage(statement=statement)
-            self.broadcast(
-                final,
-                message_type="final",
-                size_bytes=final.size_bytes,
-                round_number=state.number,
-                phase=Phase.FINAL.value,
-            )
+            self.broadcast(FinalMessage(statement=self._sign(FINAL, state.number, digest)))
         self._advance(state.number)
         self._flush_deferred_finalizes()
 
-    def _on_final(self, sender: int, message: FinalMessage) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
+    def _tally_final(self, state: RoundState, sender: int, message: FinalMessage) -> bool:
+        """Count a validly signed Final (adopting the block a catch-up
+        copy attaches); True once more than half of all players have
+        sent one for its digest."""
         statement = message.statement
-        if not self._valid_statement(statement, sender, Phase.FINAL.value):
-            return
+        if not self._valid(statement, sender, FINAL):
+            return False
         digest = statement.digest
         if message.block is not None and message.block.digest == digest:
             state.blocks.setdefault(digest, message.block)
-        state.finals.setdefault(digest, {})[sender] = statement
-        if state.finalized:
-            return
-        if len(state.finals[digest]) > self.config.n / 2:
-            self._finalize(state, digest, broadcast_final=True)
+        finals = state.voters(FINAL, digest)
+        finals[sender] = statement
+        return len(finals) > self.config.n / 2
+
+    def _on_final(self, sender: int, message: FinalMessage) -> None:
+        state = self.round_state(message.round_number)
+        if self._tally_final(state, sender, message):
+            self._finalize(state, message.digest, broadcast_final=True)
 
     def _on_expose(self, sender: int, message: ExposeMessage) -> None:
         state = self.round_state(message.round_number)
-        if not self._valid_statement(message.statement, sender, Phase.EXPOSE.value):
+        if not self._valid(message.statement, sender, Phase.EXPOSE.value):
             return
+        # Every valid proof burns its culprit, but only double-signs of
+        # the round the sender signed for count towards aborting it: the
+        # round is bound by the signature, and old fraud is no reason to
+        # abandon a later round.
         valid_accused = set()
         for proof in message.proofs:
             if proof.verify(self.ctx.registry):
-                valid_accused.add(proof.accused)
+                if proof.round_number == message.round_number:
+                    valid_accused.add(proof.accused)
                 self._punish(proof)
         if len(valid_accused) > self.config.t0 and not state.finalized:
             self.trace("expose_accepted", round=state.number, accused=sorted(valid_accused))
@@ -652,97 +424,19 @@ class PRFTReplica(BaseReplica):
         # the host-time benchmark (perf/layers.py) wraps on this class.
         self._on_round_timeout(round_number)
 
-    def _retransmit_round(self, state: RoundState) -> None:
-        """Re-broadcast this round's already-emitted messages.
-
-        Every rebuild signs the same (phase, round, digest) tuples we
-        signed the first time — signatures are deterministic, so no
-        retransmission can ever create a double-sign — and receivers
-        key state by (sender, digest), so duplicates are absorbed.
-        Only ever called on unreliable networks.
-        """
-        round_number = state.number
-        if state.finalized or state.view_committed:
-            return
-        if state.sent_proposal is not None:
-            # Resend the *stored* proposal verbatim: rebuilding could
-            # pick up a changed chain head or mempool and produce a
-            # different block — an honest self-inflicted double-sign.
-            self.broadcast(
-                state.sent_proposal,
-                message_type="propose",
-                size_bytes=state.sent_proposal.size_bytes,
-                round_number=round_number,
-                phase=Phase.PROPOSE.value,
-            )
-        for digest in sorted(state.voted_digests):
-            proposal = state.proposals.get(digest)
-            if proposal is None:
-                continue
-            statement = make_statement(self.keypair, Phase.VOTE.value, round_number, digest)
-            vote = VoteMessage(
-                statement=statement, propose_signature=proposal.statement.signature
-            )
-            self.broadcast(
-                vote,
-                message_type="vote",
-                size_bytes=vote.size_bytes,
-                round_number=round_number,
-                phase=Phase.VOTE.value,
-            )
-        for digest in sorted(state.committed_digests):
-            votes = state.votes.get(digest, {})
-            if len(votes) < self.config.quorum_size:
-                continue
-            statement = make_statement(self.keypair, Phase.COMMIT.value, round_number, digest)
-            commit = CommitMessage(
-                statement=statement,
-                votes=build_justification(votes.values(), self.ctx.aggregate_certs),
-                block=state.blocks.get(digest),
-            )
-            self.broadcast(
-                commit,
-                message_type="commit",
-                size_bytes=commit.size_bytes,
-                round_number=round_number,
-                phase=Phase.COMMIT.value,
-            )
-        for digest in sorted(state.revealed_digests):
-            commits = state.commits.get(digest, {})
-            if len(commits) < self.config.quorum_size:
-                continue
-            statement = make_statement(self.keypair, Phase.REVEAL.value, round_number, digest)
-            reveal = RevealMessage(
-                statement=statement,
-                commits=build_justification(commits.values(), self.ctx.aggregate_certs),
-                block=state.blocks.get(digest),
-            )
-            self.broadcast(
-                reveal,
-                message_type="reveal",
-                size_bytes=reveal.size_bytes,
-                round_number=round_number,
-                phase=Phase.REVEAL.value,
-            )
-
     def _stalled_phase(self, state: RoundState) -> str:
-        if state.revealed_digests:
-            return Phase.REVEAL.value
-        if state.committed_digests:
-            return Phase.COMMIT.value
+        if state.signed.get(REVEAL):
+            return REVEAL
+        if state.signed.get(COMMIT):
+            return COMMIT
         if state.proposals:
-            return Phase.VOTE.value
-        return Phase.PROPOSE.value
+            return VOTE
+        return PROPOSE
 
     def _round_evidence(self, state: RoundState) -> FrozenSet[SignedStatement]:
         """All value signatures this replica holds for the round."""
-        held: Set[SignedStatement] = set()
-        for message in state.proposals.values():
-            held.add(message.statement)
-        for by_signer in state.votes.values():
-            held.update(by_signer.values())
-        for by_signer in state.commits.values():
-            held.update(by_signer.values())
+        held: Set[SignedStatement] = {message.statement for message in state.proposals.values()}
+        held.update(self._held_statements(state))
         return frozenset(held)
 
     def _initiate_view_change(self, round_number: int, stalled_phase: str) -> None:
@@ -756,9 +450,7 @@ class PRFTReplica(BaseReplica):
         if state.view_change_sent and not self.ctx.network.unreliable:
             return
         state.view_change_sent = True
-        statement = make_statement(
-            self.keypair, Phase.VIEW_CHANGE.value, round_number, stalled_phase
-        )
+        statement = self._sign(self.VIEW_CHANGE, round_number, stalled_phase)
         if self.config.view_change_evidence:
             evidence = frozenset(
                 self.strategy.filter_evidence(self, self._round_evidence(state))
@@ -767,13 +459,7 @@ class PRFTReplica(BaseReplica):
             evidence = frozenset()
         message = ViewChangeMessage(statement=statement, evidence=evidence)
         self.trace("view_change_sent", round=round_number, phase=stalled_phase)
-        self.broadcast(
-            message,
-            message_type="view-change",
-            size_bytes=message.size_bytes,
-            round_number=round_number,
-            phase=Phase.VIEW_CHANGE.value,
-        )
+        self.broadcast(message)
 
     def _view_change_quorum(self) -> int:
         """View change always uses n − t0, independent of τ overrides."""
@@ -783,9 +469,7 @@ class PRFTReplica(BaseReplica):
         round_number = message.round_number
         state = self.round_state(round_number)
         statement = message.statement
-        if statement.phase != Phase.VIEW_CHANGE.value or statement.signer != sender:
-            return
-        if not verify_statement(self.ctx.registry, statement):
+        if not self._valid(statement, sender, self.VIEW_CHANGE):
             return
         self._absorb_justification(message.evidence)
         state.view_changes[sender] = statement
@@ -799,36 +483,24 @@ class PRFTReplica(BaseReplica):
             return
         state.commit_view_sent = True
         state.view_committed = True
-        statement = make_statement(self.keypair, Phase.COMMIT_VIEW.value, state.number, "")
+        statement = self._sign(Phase.COMMIT_VIEW.value, state.number, "")
         message = CommitViewMessage(statement=statement, view_changes=justification)
         state.commit_view_message = message
         self.trace("commit_view_sent", round=state.number)
-        self.broadcast(
-            message,
-            message_type="commit-view",
-            size_bytes=message.size_bytes,
-            round_number=state.number,
-            phase=Phase.COMMIT_VIEW.value,
-        )
+        self.broadcast(message)
 
     def _on_commit_view(self, sender: int, message: CommitViewMessage) -> None:
         round_number = message.round_number
         state = self.round_state(round_number)
-        statement = message.statement
-        if statement.phase != Phase.COMMIT_VIEW.value or statement.signer != sender:
+        if not self._valid(message.statement, sender, Phase.COMMIT_VIEW.value):
             return
-        if not verify_statement(self.ctx.registry, statement):
-            return
-        signers = set()
-        for vc_statement in message.view_changes:
-            if vc_statement.phase != Phase.VIEW_CHANGE.value:
-                return
-            if vc_statement.round_number != round_number:
-                return
-            if not verify_statement(self.ctx.registry, vc_statement):
-                return
-            signers.add(vc_statement.signer)
-        if len(signers) < self._view_change_quorum():
+        if not verify_quorum(
+            self.ctx.registry,
+            message.view_changes,
+            phase=self.VIEW_CHANGE,
+            round_number=round_number,
+            minimum=self._view_change_quorum(),
+        ):
             return
         state.commit_views[sender] = message
         if not state.commit_view_sent and not state.finalized:

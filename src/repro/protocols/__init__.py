@@ -4,8 +4,9 @@
   skeleton (configuration, context wiring, signing and broadcast
   helpers with strategy interception, and the one slot lifecycle all
   five protocols run on);
-- :mod:`~repro.protocols.twophase` — the prepare/commit state machine
-  pBFT, Polygraph and TRAP are deltas on;
+- :mod:`~repro.protocols.phases` — the all-to-all phase-table driver:
+  pRFT, pBFT, Polygraph and TRAP are each a wire vocabulary and a table
+  of phases on it;
 - :mod:`~repro.protocols.lifecycle` — the crash/recovery lifecycle
   (:class:`~repro.protocols.lifecycle.ReplicaStatus`,
   :class:`~repro.protocols.lifecycle.CrashSchedule`);

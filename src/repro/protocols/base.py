@@ -15,10 +15,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, ClassVar, Container, Dict, Iterable, List, Optional
+from typing import Set, Tuple, Type, Union
 
 from repro.agents.player import Player
 from repro.agents.strategies import MessageFactory
+from repro.core.messages import Justification, SignedStatement, WireMessage, verify_statement
+from repro.core.pof import FraudDetector, FraudProof
 from repro.crypto.keys import KeyPair
 from repro.crypto.registry import KeyRegistry
 from repro.crypto.signatures import Signature, sign
@@ -160,8 +163,9 @@ class ProtocolContext:
 class SlotState:
     """What the slot lifecycle itself tracks for one round.
 
-    Each protocol extends this with its own quorum bookkeeping and
-    names the result in :attr:`BaseReplica.ROUND_STATE`.
+    Every protocol counts quorums in the one ``tally`` and records what
+    it signed itself in ``signed``; what else a protocol tracks extends
+    this class and is named in :attr:`BaseReplica.ROUND_STATE`.
     """
 
     number: int
@@ -172,6 +176,18 @@ class SlotState:
     decided_digest: Optional[str] = None
     finalized: bool = False
     advanced: bool = False
+    #: phase -> digest -> signer -> the statement received from that
+    #: signer, or None where a phase only needs to know *who* signed
+    #: (nothing later quotes the statements, so they are not retained).
+    tally: Dict[str, Dict[str, Dict[int, Optional[SignedStatement]]]] = field(
+        default_factory=dict
+    )
+    #: phase -> the digests this replica signed in that phase.
+    signed: Dict[str, set[str]] = field(default_factory=dict)
+
+    def voters(self, phase: str, digest: str) -> Dict[int, Optional[SignedStatement]]:
+        """The signer map of one (phase, digest), created on first touch."""
+        return self.tally.setdefault(phase, {}).setdefault(digest, {})
 
 
 class BaseReplica(ABC):
@@ -381,8 +397,18 @@ class BaseReplica(ABC):
                 return None
         return state
 
+    def _dispatch(self, sender: int, payload: Any) -> None:
+        """The body of every ``handle_payload``: route the payload to its
+        slot, then to the handler the protocol's ``_HANDLERS`` names for
+        its type.  (Each concrete class keeps a ``handle_payload`` of its
+        own because the host-time benchmark wraps that name per class.)"""
+        if self._accept(sender, payload):
+            handler = self._HANDLERS.get(type(payload))
+            if handler is not None:
+                getattr(self, handler)(sender, payload)
+
     def _accept(self, sender: int, payload: Any) -> bool:
-        """Slot routing that opens every ``handle_payload``.
+        """Slot routing that opens every dispatch.
 
         True when the payload belongs to an open slot and should be
         dispatched now.  Traffic beyond the dispatch horizon is buffered
@@ -459,10 +485,10 @@ class BaseReplica(ABC):
         an out-of-order commit is parked until the predecessor lands.
         """
         block = state.blocks.get(digest)
-        if block is None:
+        if block is None or state.finalized:
             return
         if block.parent_digest != self.chain.head().digest:
-            if state.number > self.current_round and not state.finalized:
+            if state.number > self.current_round:
                 self._defer_finalize(
                     state.number, lambda: self._commit_decided(state, digest)
                 )
@@ -626,6 +652,14 @@ class BaseReplica(ABC):
     def verify_value(self, signature: Signature, value: Any) -> bool:
         return self.ctx.registry.verify(signature, value)
 
+    def _valid(self, statement: SignedStatement, sender: int, phase: str) -> bool:
+        """Recv-boundary validation: right phase, right signer, valid sig."""
+        return (
+            statement.phase == phase
+            and statement.signer == sender
+            and verify_statement(self.ctx.registry, statement)
+        )
+
     # ------------------------------------------------------------------
     # Strategy-mediated I/O
     # ------------------------------------------------------------------
@@ -633,13 +667,7 @@ class BaseReplica(ABC):
         return self.strategy.participates(self, phase)
 
     def broadcast(
-        self,
-        message: Any,
-        message_type: str,
-        size_bytes: int,
-        round_number: int,
-        alternative_factory: Optional[MessageFactory] = None,
-        phase: Optional[str] = None,
+        self, message: WireMessage, alternative_factory: Optional[MessageFactory] = None
     ) -> int:
         """One logical broadcast, shaped by the player's strategy.
 
@@ -649,24 +677,23 @@ class BaseReplica(ABC):
         """
         if self.halted or self.status is not ReplicaStatus.UP:
             return 0
-        if phase is not None and not self.participates(phase):
+        if not self.participates(message.phase):
             return 0
         recipients = list(self.ctx.network.participants())
-        return self._dispatch_plan(
-            recipients, message, alternative_factory, message_type, size_bytes, round_number
-        )
-
-    def _dispatch_plan(
-        self,
-        recipients: List[int],
-        message: Any,
-        alternative_factory: Optional[MessageFactory],
-        message_type: str,
-        size_bytes: int,
-        round_number: int,
-    ) -> int:
-        """Run the strategy's plan for ``recipients`` and send it."""
         plan = self.strategy.plan_broadcast(self, message, alternative_factory, recipients)
+        return self._send_plan(plan, message)
+
+    def _send_plan(self, plan: Dict[int, Any], message: WireMessage) -> int:
+        """Put on the wire what ``plan`` maps each recipient to (a
+        payload, several, or None).
+
+        The prescribed ``message`` describes the traffic — its wire
+        type, size and round are read off it once — and an equivocating
+        alternative travels under the same description.
+        """
+        wire_type, size_bytes, round_number = (
+            message.wire_type, message.size_bytes, message.round_number
+        )
         sent = 0
         for recipient, planned in plan.items():
             if planned is None:
@@ -680,7 +707,7 @@ class BaseReplica(ABC):
                         sender=self.player_id,
                         recipient=recipient,
                         payload=payload,
-                        message_type=message_type,
+                        message_type=wire_type,
                         size_bytes=size_bytes,
                         round_number=round_number,
                     )
@@ -688,15 +715,7 @@ class BaseReplica(ABC):
                 sent += 1
         return sent
 
-    def send_direct(
-        self,
-        recipient: int,
-        message: Any,
-        message_type: str,
-        size_bytes: int,
-        round_number: int,
-        phase: Optional[str] = None,
-    ) -> int:
+    def send_direct(self, recipient: int, message: WireMessage) -> int:
         """One strategy-mediated point-to-point send.
 
         Catch-up retransmissions route through here.  Unlike
@@ -711,10 +730,10 @@ class BaseReplica(ABC):
         """
         if self.status is not ReplicaStatus.UP:
             return 0
-        if phase is not None and not self.participates(phase):
+        if not self.participates(message.phase):
             return 0
-        return self._dispatch_plan(
-            [recipient], message, None, message_type, size_bytes, round_number
+        return self._send_plan(
+            self.strategy.plan_broadcast(self, message, None, [recipient]), message
         )
 
     def _on_envelope(self, envelope: Envelope) -> None:
@@ -839,9 +858,11 @@ class BaseReplica(ABC):
             return
         for number in [r for r in self._rounds if r < cutoff]:
             del self._rounds[number]
-        detector = getattr(self, "detector", None)
-        if detector is not None:
-            detector.prune_below(cutoff)
+        self._on_rounds_pruned(cutoff)
+
+    def _on_rounds_pruned(self, cutoff: int) -> None:
+        """Round state below ``cutoff`` was dropped; release whatever
+        else is indexed by round."""
 
     def halt(self) -> None:
         """Stop all activity (end of configured rounds)."""
@@ -915,10 +936,12 @@ class BaseReplica(ABC):
     def _propose(self, round_number: int) -> None:
         """Broadcast this replica's proposal for a slot it leads."""
 
+    #: Message class -> name of the method that handles it.
+    _HANDLERS: ClassVar[Dict[type, str]]
+
     @abstractmethod
     def handle_payload(self, sender: int, payload: Any) -> None:
-        """Process one delivered protocol message: :meth:`_accept` it,
-        then dispatch on its type."""
+        """Process one delivered protocol message (:meth:`_dispatch`)."""
 
     @abstractmethod
     def _on_timeout(self, round_number: int) -> None:
@@ -937,3 +960,82 @@ class BaseReplica(ABC):
     def submit_transactions(self, transactions: List[Any]) -> None:
         """Client entry point: feed transactions into this replica."""
         self.mempool.submit_all(transactions)
+
+
+class AccountableMixin:
+    """Proof-of-Fraud accountability for a replica (pRFT, Polygraph, TRAP).
+
+    Every received statement and every quorum a message quotes feeds one
+    :class:`~repro.core.pof.FraudDetector`; a freshly proven
+    double-signer is punished once.  Detector and burn log are persisted
+    across crashes — written through on receipt — because Section 5.3.1
+    lets any Proof-of-Fraud burn collateral later, so evidence must
+    survive an outage.  Mix in *before* the replica base class.
+    """
+
+    #: Prefix of the collateral registry's burn reason.
+    BURN_REASON: ClassVar[str]
+    #: Phases whose statements are scanned for double signs (None: all).
+    FRAUD_PHASES: ClassVar[Optional[Container[str]]] = None
+
+    def __init__(self, player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> None:
+        super().__init__(player, config, ctx)
+        self.detector = FraudDetector(registry=ctx.registry)
+        self.reported_guilty: Set[int] = set()
+
+    def _absorb(self, statement: SignedStatement) -> None:
+        if self.FRAUD_PHASES is not None and statement.phase not in self.FRAUD_PHASES:
+            return
+        proof = self.detector.absorb(statement)
+        if proof is not None:
+            self._punish(proof)
+
+    def _absorb_justification(
+        self, justification: Union[Justification, Iterable[SignedStatement]]
+    ) -> None:
+        """Absorb a quorum justification (either shape) or view-change
+        evidence.  The detector verifies what it has not indexed yet —
+        a forged member or bitmap frames nobody — and skips what it
+        has, so re-absorbing a circulating certificate is O(1)."""
+        for proof in self.detector.absorb_justification(justification, self.FRAUD_PHASES):
+            self._punish(proof)
+
+    def _absorb_late(self, payload: Any, carried: Tuple[str, ...] = ("justification",)) -> None:
+        """Accountability outlives the round and the run: a late
+        message's statement, and the ``carried`` bundles it has, are
+        still evidence."""
+        statement = getattr(payload, "statement", None)
+        if isinstance(statement, SignedStatement):
+            self._absorb(statement)
+        for name in carried:
+            bundle = getattr(payload, name, None)
+            if bundle:
+                self._absorb_justification(bundle)
+
+    def _punish(self, proof: FraudProof) -> None:
+        """Burn a freshly proven double-signer's collateral.
+
+        The strategy gate models suppression: a colluder that
+        constructs a proof against its own collusion keeps quiet.  Any
+        honest replica burns, and burning is idempotent, so one honest
+        observer suffices (Definition 6's "eventually all honest").
+        """
+        accused = proof.accused
+        if accused in self.reported_guilty:
+            return
+        if not self.strategy.report_fraud(self, {accused}):
+            return
+        self.reported_guilty.add(accused)
+        fresh = self.ctx.collateral.burn(
+            accused, reason=f"{self.BURN_REASON}-round-{proof.round_number}"
+        )
+        self.trace(
+            "burn", accused=accused, round=proof.round_number, **self._burn_detail(proof, fresh)
+        )
+
+    def _burn_detail(self, proof: FraudProof, fresh: bool) -> Dict[str, Any]:
+        """What the ``burn`` trace event says beyond (accused, round)."""
+        return {}
+
+    def _on_rounds_pruned(self, cutoff: int) -> None:
+        self.detector.prune_below(cutoff)

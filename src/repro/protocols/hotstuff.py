@@ -19,12 +19,12 @@ from repro.agents.player import Player
 from repro.core.messages import (
     KAPPA,
     SignedStatement,
+    WireMessage,
     make_statement,
     statement_value,
     verify_statement,
 )
 from repro.crypto.aggregate import AggregateQC, aggregate_statements
-from repro.net.envelope import Envelope
 from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
 
 HS_PROPOSE = "hs-propose"
@@ -65,42 +65,18 @@ class QuorumCertificate:
 
 
 @dataclass(frozen=True)
-class HsProposal:
+class HsProposal(WireMessage):
     block: Any
     statement: SignedStatement
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        return self.block.size_estimate_bytes + self.statement.size_bytes
-
 
 @dataclass(frozen=True)
-class HsVote:
+class HsVote(WireMessage):
     statement: SignedStatement
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes
-
 
 @dataclass(frozen=True)
-class HsCertificateMessage:
+class HsCertificateMessage(WireMessage):
     """A QC broadcast.  ``block`` is normally None (QCs are O(κ));
     catch-up retransmissions on faulty links attach the block body."""
 
@@ -108,47 +84,33 @@ class HsCertificateMessage:
     block: Optional[Any] = None
 
     @property
-    def round_number(self) -> int:
-        return self.certificate.round_number
+    def statement(self) -> QuorumCertificate:
+        """The certificate pins (phase, round, digest) as a statement does."""
+        return self.certificate
 
     @property
-    def digest(self) -> str:
-        return self.certificate.digest
-
-    @property
-    def size_bytes(self) -> int:
-        block_size = self.block.size_estimate_bytes if self.block is not None else 0
-        return self.certificate.size_bytes + block_size
+    def wire_type(self) -> str:
+        phase = self.certificate.phase
+        return HS_DECIDE if phase == HS_PHASES[-1] else phase + "-qc"
 
 
 @dataclass(frozen=True)
-class HsNewView:
+class HsNewView(WireMessage):
     """A catch-up request: "I timed out of round r without deciding"."""
 
+    SIGNS_VALUE = False
+
     statement: SignedStatement
-
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> None:
-        return None
-
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes
 
 
 @dataclass
 class _HsRound(SlotState):
+    """HotStuff's slot: the shared tally holds the votes its leader
+    collected (signer ids; the statements too in aggregate mode, which
+    needs the vote tags to aggregate), ``signed`` the one digest this
+    replica voted per phase."""
+
     sent_proposal: Optional[HsProposal] = None
-    votes: Dict[str, Dict[str, Set[int]]] = field(default_factory=dict)  # phase -> digest -> voters
-    # phase -> digest -> signer -> statement; only populated by the
-    # leader in aggregate mode, which needs the vote tags to aggregate.
-    vote_statements: Dict[str, Dict[str, Dict[int, SignedStatement]]] = field(default_factory=dict)
-    voted_phases: Set[str] = field(default_factory=set)
-    votes_cast: Dict[str, str] = field(default_factory=dict)  # phase -> digest we voted
     certified_phases: Set[str] = field(default_factory=set)
     decide_certificate: Optional[QuorumCertificate] = None
 
@@ -205,70 +167,38 @@ class HotStuffReplica(BaseReplica):
             if state.sent_proposal is not None:
                 # Resend the *stored* proposal verbatim: rebuilding
                 # could sign a different block (self-double-sign).
-                self.broadcast(
-                    state.sent_proposal,
-                    message_type="hs-propose",
-                    size_bytes=state.sent_proposal.size_bytes,
-                    round_number=round_number,
-                    phase=HS_PROPOSE,
-                )
+                self.broadcast(state.sent_proposal)
             for phase in HS_PHASES:
                 if phase not in state.certified_phases:
                     continue
-                for digest, voters in sorted(state.votes.get(phase, {}).items()):
+                for digest, voters in sorted(state.tally.get(phase, {}).items()):
                     if len(voters) < self.config.quorum_size:
                         continue
-                    certificate = self._build_certificate(
-                        state, phase, round_number, digest, voters
-                    )
-                    message_type = HS_DECIDE if phase == HS_PHASES[-1] else phase + "-qc"
-                    self.broadcast(
-                        HsCertificateMessage(certificate=certificate),
-                        message_type=message_type,
-                        size_bytes=certificate.size_bytes,
-                        round_number=round_number,
-                        phase=phase,
-                    )
+                    certificate = self._build_certificate(phase, round_number, digest, voters)
+                    self.broadcast(HsCertificateMessage(certificate=certificate))
                     break
-        for phase, digest in sorted(state.votes_cast.items()):
-            statement = make_statement(self.keypair, phase, round_number, digest)
-            self._send_to_leader(HsVote(statement=statement), round_number)
+        for phase, digests in sorted(state.signed.items()):
+            for digest in digests:
+                statement = make_statement(self.keypair, phase, round_number, digest)
+                self._send_to_leader(HsVote(statement=statement))
 
     def _propose(self, round_number: int) -> None:
         block = self._build_block(round_number)
         statement = make_statement(self.keypair, HS_PROPOSE, round_number, block.digest)
         message = HsProposal(block=block, statement=statement)
         self.round_state(round_number).sent_proposal = message
-        self.broadcast(
-            message,
-            message_type="hs-propose",
-            size_bytes=message.size_bytes,
-            round_number=round_number,
-            phase=HS_PROPOSE,
-        )
+        self.broadcast(message)
 
-    def _send_to_leader(self, message: HsVote, round_number: int) -> None:
-        """Linear communication: votes go to the leader only."""
-        if self.halted or not self.participates(message.statement.phase):
+    def _send_to_leader(self, message: HsVote) -> None:
+        """Linear communication: votes go to the leader only, as they
+        are — the strategy's say is whether to take part at all."""
+        if self.halted or not self.participates(message.phase):
             return
-        leader = self.leader_of_round(round_number)
-        self.ctx.network.send(
-            Envelope(
-                sender=self.player_id,
-                recipient=leader,
-                payload=message,
-                message_type=message.statement.phase,
-                size_bytes=message.size_bytes,
-                round_number=round_number,
-            )
-        )
+        self._send_plan({self.leader_of_round(message.round_number): message}, message)
 
     # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
-        if self._accept(sender, payload):
-            handler = self._HANDLERS.get(type(payload))
-            if handler is not None:
-                getattr(self, handler)(sender, payload)
+        self._dispatch(sender, payload)
 
     def _on_late_payload(self, sender: int, payload: Any) -> None:
         """Past rounds and halted replicas still serve catch-up — and
@@ -291,9 +221,7 @@ class HotStuffReplica(BaseReplica):
         state = self.round_state(round_number)
         if sender != self.leader_of_round(round_number):
             return
-        if message.statement.phase != HS_PROPOSE or message.statement.signer != sender:
-            return
-        if not verify_statement(self.ctx.registry, message.statement):
+        if not self._valid(message.statement, sender, HS_PROPOSE):
             return
         if message.block.digest != message.statement.digest:
             return
@@ -303,12 +231,11 @@ class HotStuffReplica(BaseReplica):
         self._vote(state, HS_PHASES[0], message.digest)
 
     def _vote(self, state: _HsRound, phase: str, digest: str) -> None:
-        if phase in state.voted_phases:
+        if phase in state.signed:
             return
-        state.voted_phases.add(phase)
-        state.votes_cast[phase] = digest
+        state.signed[phase] = {digest}
         statement = make_statement(self.keypair, phase, state.number, digest)
-        self._send_to_leader(HsVote(statement=statement), state.number)
+        self._send_to_leader(HsVote(statement=statement))
 
     def _on_vote(self, sender: int, message: HsVote) -> None:
         """Leader-side vote aggregation into a QC."""
@@ -316,33 +243,20 @@ class HotStuffReplica(BaseReplica):
         if self.leader_of_round(round_number) != self.player_id:
             return
         statement = message.statement
-        if statement.phase not in HS_PHASES or statement.signer != sender:
-            return
-        if not verify_statement(self.ctx.registry, statement):
+        if statement.phase not in HS_PHASES or not self._valid(statement, sender, statement.phase):
             return
         state = self.round_state(round_number)
-        voters = state.votes.setdefault(statement.phase, {}).setdefault(statement.digest, set())
-        voters.add(sender)
-        if self.ctx.aggregate_certs:
-            state.vote_statements.setdefault(statement.phase, {}).setdefault(
-                statement.digest, {}
-            )[sender] = statement
+        voters = state.voters(statement.phase, statement.digest)
+        voters[sender] = statement if self.ctx.aggregate_certs else None
         if len(voters) < self.config.quorum_size:
             return
         if statement.phase in state.certified_phases:
             return
         state.certified_phases.add(statement.phase)
         certificate = self._build_certificate(
-            state, statement.phase, round_number, statement.digest, voters
+            statement.phase, round_number, statement.digest, voters
         )
-        message_type = HS_DECIDE if statement.phase == HS_PHASES[-1] else statement.phase + "-qc"
-        self.broadcast(
-            HsCertificateMessage(certificate=certificate),
-            message_type=message_type,
-            size_bytes=certificate.size_bytes,
-            round_number=round_number,
-            phase=statement.phase,
-        )
+        self.broadcast(HsCertificateMessage(certificate=certificate))
         if statement.phase == HS_PHASES[0]:
             block = state.blocks.get(statement.digest)
             if block is None and state.sent_proposal is not None:
@@ -353,11 +267,10 @@ class HotStuffReplica(BaseReplica):
 
     def _build_certificate(
         self,
-        state: _HsRound,
         phase: str,
         round_number: int,
         digest: str,
-        voters: Set[int],
+        voters: Dict[int, Optional[SignedStatement]],
     ) -> QuorumCertificate:
         """Aggregate the leader's collected votes into a certificate.
 
@@ -366,11 +279,7 @@ class HotStuffReplica(BaseReplica):
         on, the retained vote statements are folded into a real
         :class:`AggregateQC` whose bitmap + tag receivers verify.
         """
-        aggregate = None
-        if self.ctx.aggregate_certs:
-            statements = state.vote_statements.get(phase, {}).get(digest, {})
-            if statements:
-                aggregate = aggregate_statements(statements.values())
+        aggregate = aggregate_statements(voters.values()) if self.ctx.aggregate_certs else None
         return QuorumCertificate(
             phase=phase,
             round_number=round_number,
@@ -433,8 +342,7 @@ class HotStuffReplica(BaseReplica):
             if message.block is not None and message.block.digest == certificate.digest:
                 state.blocks.setdefault(certificate.digest, message.block)
             state.decide_certificate = certificate
-            if not state.finalized:
-                self._commit_decided(state, certificate.digest)
+            self._commit_decided(state, certificate.digest)
             return
         if certificate.phase == HS_PHASES[0]:
             block = state.blocks.get(certificate.digest)
@@ -448,14 +356,7 @@ class HotStuffReplica(BaseReplica):
     def _request_catch_up(self, round_number: int) -> None:
         """Ask peers for the decide QC this replica may have missed."""
         statement = make_statement(self.keypair, HS_NEWVIEW, round_number, "")
-        message = HsNewView(statement=statement)
-        self.broadcast(
-            message,
-            message_type="hs-newview",
-            size_bytes=message.size_bytes,
-            round_number=round_number,
-            phase=HS_NEWVIEW,
-        )
+        self.broadcast(HsNewView(statement=statement))
 
     def _on_newview(self, sender: int, message: HsNewView) -> None:
         """Serve a catch-up request: resend the decide QC with the block.
@@ -468,10 +369,7 @@ class HotStuffReplica(BaseReplica):
         """
         if not self.ctx.network.unreliable or sender == self.player_id:
             return
-        statement = message.statement
-        if statement.phase != HS_NEWVIEW or statement.signer != sender:
-            return
-        if not verify_statement(self.ctx.registry, statement):
+        if not self._valid(message.statement, sender, HS_NEWVIEW):
             return
         self._offer_catch_up_range(sender, message.round_number)
 
@@ -485,10 +383,8 @@ class HotStuffReplica(BaseReplica):
         block = state.blocks.get(state.decided_digest)
         if block is None:
             return
-        reply = HsCertificateMessage(certificate=state.decide_certificate, block=block)
         self.send_direct(
-            requester, reply, HS_DECIDE, reply.size_bytes, round_number,
-            phase=HS_PHASES[-1],
+            requester, HsCertificateMessage(certificate=state.decide_certificate, block=block)
         )
 
     def _on_late_certificate(self, sender: int, message: HsCertificateMessage) -> None:

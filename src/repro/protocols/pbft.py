@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.agents.player import Player
-from repro.core.messages import SignedStatement
+from repro.core.messages import SignedStatement, WireMessage
 from repro.protocols.base import ProtocolConfig, ProtocolContext
-from repro.protocols.twophase import TwoPhaseReplica, TwoPhaseRound
+from repro.protocols.phases import PhaseRow, PhaseTableReplica
 
 PREPREPARE = "pbft-preprepare"
 PREPARE = "pbft-prepare"
@@ -32,93 +32,39 @@ VIEW_CHANGE = "pbft-view-change"
 
 
 @dataclass(frozen=True)
-class PrePrepare:
+class PrePrepare(WireMessage):
     block: Any
     statement: SignedStatement
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        return self.block.size_estimate_bytes + self.statement.size_bytes
-
 
 @dataclass(frozen=True)
-class PhaseVote:
-    """A Prepare or Commit vote: statement only, O(κ) size."""
+class PhaseVote(WireMessage):
+    """A Prepare or Commit vote: statement only, O(κ) size — the signed
+    phase tells the two apart.  A commit ships the block along."""
 
     statement: SignedStatement
     block: Optional[Any] = None
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
-
-    @property
-    def digest(self) -> str:
-        return self.statement.digest
-
-    @property
-    def size_bytes(self) -> int:
-        block_size = self.block.size_estimate_bytes if self.block is not None else 0
-        return self.statement.size_bytes + block_size
-
 
 @dataclass(frozen=True)
-class PbftViewChange:
+class PbftViewChange(WireMessage):
+    SIGNS_VALUE = False
+
     statement: SignedStatement
 
-    @property
-    def round_number(self) -> int:
-        return self.statement.round_number
 
-    @property
-    def digest(self) -> None:
-        return None
+class PBFTReplica(PhaseTableReplica):
+    """pBFT: the bare prepare → commit table, no accountability."""
 
-    @property
-    def size_bytes(self) -> int:
-        return self.statement.size_bytes
-
-
-class PBFTReplica(TwoPhaseReplica):
-    """pBFT: the bare prepare/commit skeleton, no accountability."""
-
-    PROPOSE, PREPARE, COMMIT, VIEW_CHANGE = PREPREPARE, PREPARE, COMMIT, VIEW_CHANGE
-    Proposal, Prepare, ViewChange = PrePrepare, PhaseVote, PbftViewChange
-
-    _HANDLERS = {
-        PrePrepare: "_on_proposal",
-        PhaseVote: "_on_phase_vote",
-        PbftViewChange: "_on_view_change",
-    }
+    PROPOSE, VIEW_CHANGE = PREPREPARE, VIEW_CHANGE
+    Proposal, ViewChange = PrePrepare, PbftViewChange
+    PHASES = (
+        PhaseRow(PREPARE, PhaseVote, then=COMMIT),
+        PhaseRow(COMMIT, PhaseVote, then="_commit_decided"),
+    )
 
     def handle_payload(self, sender: int, payload: Any) -> None:
-        if self._accept(sender, payload):
-            handler = self._HANDLERS.get(type(payload))
-            if handler is not None:
-                getattr(self, handler)(sender, payload)
-
-    def _on_phase_vote(self, sender: int, vote: PhaseVote) -> None:
-        """Prepare and Commit share one wire class; the signed phase
-        tells them apart."""
-        if vote.statement.phase == PREPARE:
-            self._on_prepare(sender, vote)
-        elif vote.statement.phase == COMMIT:
-            self._on_commit(sender, vote)
-
-    def _make_commit(self, state: TwoPhaseRound, digest: str) -> PhaseVote:
-        """A pBFT commit carries no justification: the vote and the block."""
-        return PhaseVote(
-            statement=self._sign(COMMIT, state.number, digest),
-            block=state.blocks.get(digest),
-        )
+        self._dispatch(sender, payload)
 
     def _on_timeout(self, round_number: int) -> None:
         """Stalled frontier: a bare ViewChange vote, no evidence."""

@@ -148,13 +148,47 @@ class TestViolationDetection:
         result = checked(get_scenario("honest")).run(seed=0)
         replica = result.replicas[result.honest_ids[0]]
         state = next(iter(replica._rounds.values()))
-        for digest, by_signer in state.commits.items():
+        for digest, by_signer in state.tally["commit"].items():
             signers = sorted(by_signer)
             if len(signers) >= 2:
                 # Re-key one statement under a different signer id.
                 by_signer[signers[0]] = by_signer[signers[1]]
                 break
         report = run_oracle(result, scenario=get_scenario("honest"))
+        assert "quorum-certs" in report.violated_names
+
+    @staticmethod
+    def _rekey_first_two(by_signer):
+        """Re-key one retained statement under another signer's id."""
+        first, second = sorted(by_signer)[:2]
+        by_signer[first] = by_signer[second]
+
+    def test_quorum_certs_audit_hotstuff_leader_votes(self):
+        """The votes a HotStuff leader retains to aggregate live in the
+        same tally as everyone's quorums, so they are audited too."""
+        scenario = checked(get_scenario("honest")).with_params(
+            protocol="hotstuff", aggregate_certs=True
+        )
+        result = scenario.run(seed=0)
+        assert result.oracle.verdict("quorum-certs").status == "ok"
+        leader_state = result.replicas[0]._rounds[0]
+        by_signer = next(iter(leader_state.tally["hs-prepare"].values()))
+        self._rekey_first_two(by_signer)
+        report = run_oracle(result, scenario=scenario)
+        assert "quorum-certs" in report.violated_names
+
+    def test_quorum_certs_audit_view_change_votes(self):
+        scenario = checked(get_scenario("liveness"))
+        result = scenario.run(seed=0)
+        assert result.oracle.verdict("quorum-certs").status == "ok"
+        votes = next(
+            state.view_changes
+            for pid in result.honest_ids
+            for state in result.replicas[pid]._rounds.values()
+            if len(state.view_changes) >= 2
+        )
+        self._rekey_first_two(votes)
+        report = run_oracle(result, scenario=scenario)
         assert "quorum-certs" in report.violated_names
 
 

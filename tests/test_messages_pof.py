@@ -92,8 +92,8 @@ class TestMessageSizes:
         stmt = _stmt(registry, 0, phase="commit")
         votes_small = frozenset({_stmt(registry, 1)})
         votes_large = frozenset(_stmt(registry, i) for i in range(4))
-        small = CommitMessage(statement=stmt, votes=votes_small)
-        large = CommitMessage(statement=stmt, votes=votes_large)
+        small = CommitMessage(statement=stmt, justification=votes_small)
+        large = CommitMessage(statement=stmt, justification=votes_large)
         assert large.size_bytes > small.size_bytes
 
     def test_propose_includes_block(self, registry):

@@ -70,7 +70,7 @@ class TestRecvValidation:
         statement = make_statement(key, Phase.VOTE.value, 0, "a" * 64)
         vote = VoteMessage(statement=statement, propose_signature=Signature(0, "00" * 32))
         replicas[1].handle_payload(3, vote)
-        assert replicas[1].round_state(0).votes == {}
+        assert replicas[1].round_state(0).tally == {}
 
     def test_commit_with_undersized_justification_ignored(self):
         config, ctx, replicas = _deployment()
@@ -81,8 +81,10 @@ class TestRecvValidation:
         commit_statement = make_statement(
             ctx.registry.keypair_of(2), Phase.COMMIT.value, 0, digest
         )
-        replicas[1].handle_payload(2, CommitMessage(statement=commit_statement, votes=votes))
-        assert replicas[1].round_state(0).commits == {}
+        replicas[1].handle_payload(
+            2, CommitMessage(statement=commit_statement, justification=votes)
+        )
+        assert replicas[1].round_state(0).tally == {}
 
     def test_commit_with_forged_justification_ignored(self):
         config, ctx, replicas = _deployment()
@@ -94,8 +96,10 @@ class TestRecvValidation:
         commit_statement = make_statement(
             ctx.registry.keypair_of(2), Phase.COMMIT.value, 0, digest
         )
-        replicas[1].handle_payload(2, CommitMessage(statement=commit_statement, votes=votes))
-        assert replicas[1].round_state(0).commits == {}
+        replicas[1].handle_payload(
+            2, CommitMessage(statement=commit_statement, justification=votes)
+        )
+        assert replicas[1].round_state(0).tally == {}
 
     def test_expose_with_invalid_proofs_burns_nobody(self):
         config, ctx, replicas = _deployment()
@@ -105,9 +109,29 @@ class TestRecvValidation:
         proof = FraudProof(*sorted([good, forged]))
         statement = make_statement(ctx.registry.keypair_of(3), Phase.EXPOSE.value, 0, "")
         replicas[1].handle_payload(
-            3, ExposeMessage(round_number=0, proofs=frozenset({proof}), statement=statement)
+            3, ExposeMessage(proofs=frozenset({proof}), statement=statement)
         )
         assert ctx.collateral.burned_players() == set()
+
+    @pytest.mark.parametrize("proof_round,aborts", [(0, True), (5, False)])
+    def test_expose_aborts_only_on_fraud_of_its_signed_round(self, proof_round, aborts):
+        """An Expose names its round in the signed statement, and only
+        double-signs of that round count towards aborting it: a genuine
+        proof about another round still burns its culprit, but is no
+        reason to abandon this one."""
+        config, ctx, replicas = _deployment()  # n=4: t0 = 0, one proof suffices
+        key2 = ctx.registry.keypair_of(2)
+        proof = FraudProof(*sorted(
+            make_statement(key2, Phase.VOTE.value, proof_round, digest * 64)
+            for digest in "ab"
+        ))
+        statement = make_statement(ctx.registry.keypair_of(3), Phase.EXPOSE.value, 0, "")
+        expose = ExposeMessage(proofs=frozenset({proof}), statement=statement)
+        assert expose.round_number == 0
+        replicas[1].handle_payload(3, expose)
+        assert ctx.collateral.burned_players() == {2}
+        assert ctx.trace.count("expose_accepted") == int(aborts)
+        assert replicas[1].current_round == int(aborts)
 
 
 class TestExposePath:

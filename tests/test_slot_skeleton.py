@@ -1,4 +1,5 @@
-"""Structural contract of the slot skeleton.
+"""Structural contract of the slot skeleton, the wire layer and the
+phase-table driver.
 
 ``BaseReplica`` owns the slot lifecycle; the concrete replicas define
 only their protocol pieces.  The frozen host-time benchmark (``perf/``)
@@ -7,6 +8,12 @@ class* and refuses names that are merely inherited, and its timeout
 spans only fire if the slot timer looks the callback up on the
 instance — so both facts are pinned here, in tier-1, rather than found
 out in the benchmark pipeline.
+
+The second half pins that each mechanism exists once: what a message
+says about itself lives on the wire base, an envelope is described in
+one place, the receive-boundary check, the fraud detector and the
+sign-once gate each have one home, and the all-to-all family has one
+quorum loop and one retransmission loop.
 """
 
 import ast
@@ -20,10 +27,17 @@ from repro.experiments.registry import get_scenario
 from repro.protocols.base import BaseReplica
 from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.pbft import PBFTReplica
+from repro.protocols.phases import PhaseTableReplica
 from repro.protocols.polygraph import PolygraphReplica
 from repro.protocols.trap import TrapReplica
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+#: Where messages and replicas are written.
+REPLICA_CODE = sorted(
+    [SRC / "core" / "replica.py", *(SRC / "protocols").glob("*.py")]
+)
+WIRE_CODE = sorted([*(SRC / "core").glob("*.py"), *(SRC / "protocols").glob("*.py")])
 CONCRETE = (PRFTReplica, PBFTReplica, HotStuffReplica, PolygraphReplica)
 LIFECYCLE = (
     "start",
@@ -105,3 +119,131 @@ def test_slot_timer_reaches_a_wrapped_class_callback(monkeypatch, protocol, cls,
     assert fired
     if protocol == "prft":
         assert len(fired) == result.ctx.trace.count("timeout")
+
+
+# ----------------------------------------------------------------------
+# One wire layer, one phase table
+# ----------------------------------------------------------------------
+def _scoped(path):
+    """(node, enclosing class name, enclosing function name) for every
+    node of the module at ``path``."""
+    found = []
+
+    def visit(node, cls, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((child, cls, func))
+                visit(child, cls, child.name)
+            else:
+                found.append((child, cls, func))
+                visit(child, cls, func)
+
+    visit(ast.parse(path.read_text()), None, None)
+    return found
+
+
+def _calls(path, name):
+    """(class, function) scopes of every call to ``name`` in ``path``."""
+    return [
+        (cls, func)
+        for node, cls, func in _scoped(path)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    ]
+
+
+def test_messages_describe_themselves_on_the_wire_base():
+    """``size_bytes`` / ``round_number`` / ``digest`` are computed on
+    the wire base; besides it only the three things a message is made
+    of size or place themselves."""
+    owners = {
+        (path.name, cls, node.name)
+        for path in WIRE_CODE
+        for node, cls, _ in _scoped(path)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("size_bytes", "round_number", "digest")
+    }
+    assert owners == {
+        ("messages.py", "WireMessage", "size_bytes"),
+        ("messages.py", "WireMessage", "round_number"),
+        ("messages.py", "WireMessage", "digest"),
+        ("messages.py", "SignedStatement", "size_bytes"),
+        ("hotstuff.py", "QuorumCertificate", "size_bytes"),
+        # Evidence, not a message: a proof is its two statements.
+        ("pof.py", "FraudProof", "size_bytes"),
+        ("pof.py", "FraudProof", "round_number"),
+    }
+
+
+def test_an_envelope_is_described_in_one_place():
+    """No caller spells a message's type, size or round: the only
+    ``message_type=`` keywords are ``BaseReplica``'s one ``Envelope(...)``
+    and the network layer's own bookkeeping."""
+    sites = {
+        (str(path.relative_to(SRC)), cls, func)
+        for path in sorted(SRC.rglob("*.py"))
+        for node, cls, func in _scoped(path)
+        if isinstance(node, ast.keyword) and node.arg == "message_type"
+    }
+    outside_net = {site for site in sites if not site[0].startswith("net/")}
+    assert outside_net == {("protocols/base.py", "BaseReplica", "_send_plan")}
+    assert _calls(SRC / "protocols" / "base.py", "Envelope") == [("BaseReplica", "_send_plan")]
+    for path in REPLICA_CODE:
+        if path.name != "base.py":
+            assert _calls(path, "Envelope") == [], path.name
+
+
+def test_receive_boundary_check_has_one_home():
+    sites = {
+        (path.name, cls, func)
+        for path in REPLICA_CODE
+        for cls, func in _calls(path, "verify_statement")
+    }
+    assert sites == {
+        ("base.py", "BaseReplica", "_valid"),
+        # A forwarded certificate's leader attestation names its own signer.
+        ("hotstuff.py", "HotStuffReplica", "_attested"),
+    }
+    for name in ("_valid_statement", "_justification_valid"):
+        assert not any(hasattr(cls, name) for cls in CONCRETE + (TrapReplica,))
+
+
+def test_fraud_detector_and_sign_once_gate_have_one_home():
+    constructed = [
+        (path.name, cls, func)
+        for path in sorted(SRC.rglob("*.py"))
+        for cls, func in _calls(path, "FraudDetector")
+    ]
+    assert constructed == [("base.py", "AccountableMixin", "__init__")]
+    double_votes = sorted(
+        (path.name, func)
+        for path in REPLICA_CODE
+        for cls, func in _calls(path, "double_votes")
+    )
+    # The driver's gate, and pRFT's fabricated vote against a lone proposal.
+    assert double_votes == [("phases.py", "_may_sign"), ("replica.py", "_on_proposal")]
+    for cls in (PRFTReplica, PolygraphReplica, TrapReplica):
+        own = set(vars(cls))
+        assert not own & {"_absorb", "_absorb_justification", "detector", "__init__"}
+    assert "_punish" not in vars(PRFTReplica) and "_punish" not in vars(PolygraphReplica)
+
+
+def test_all_to_all_family_has_one_quorum_loop_and_one_retransmission():
+    family = (PRFTReplica, PBFTReplica, PolygraphReplica, TrapReplica)
+    for cls in family:
+        assert issubclass(cls, PhaseTableReplica)
+        assert "_retransmit_round" not in vars(cls)
+        for gone in ("_on_vote", "_on_reveal", "_on_prepare", "_on_commit", "_on_phase"):
+            assert gone not in vars(cls), f"{cls.__name__}.{gone}"
+        phase_handlers = {cls._HANDLERS[row.wire] for row in cls.PHASES}
+        assert phase_handlers == {"_on_phase"}
+    definitions = [
+        path.name
+        for path in sorted(SRC.rglob("*.py"))
+        for node, _, _ in _scoped(path)
+        if isinstance(node, ast.FunctionDef) and node.name == "_retransmit_round"
+    ]
+    # The abstract hook, the driver's, and HotStuff's collector loop.
+    assert definitions == ["base.py", "hotstuff.py", "phases.py"]
