@@ -3,7 +3,7 @@
 # flag overrides on a catalog entry and on a scenario file), the trace oracle
 # over the full scenario catalog, and the frozen host-time benchmark's
 # view of src/ at a tenth of its scale, and the behavioural differential
-# of the tree against itself.
+# of the tree against itself (two runs, two hash seeds).
 
 PYTHON ?= python
 PYTHONPATH := src
@@ -122,8 +122,11 @@ perf-compare:
 # PYTHONHASHSEED=0: every catalog scenario, every pin_matrix shape x 5
 # protocols, the attacked-run set and N generated fuzz trials, comparing
 # canonical record, full trace, per-replica chains and proofs, and
-# per-message-type counts/bytes.  Exits 1 naming the first differing
-# cell.  A refactor PR runs it against its parent; ~10 s at N=200.
+# per-message-type counts/bytes.  Each tree then runs again under
+# PYTHONHASHSEED=1 and is compared with itself.  Exits 1 after listing
+# every differing (cell, section) pair, or if the working tree disagrees
+# with itself across hash seeds (BASE doing so is only reported).  A
+# refactor PR runs it against its parent; ~20 s at N=200.
 N ?= 200
 differential:
 	@test -n "$(BASE)" || { echo "usage: make differential BASE=<rev> [N=200]"; exit 2; }
@@ -134,7 +137,8 @@ differential:
 
 # The tree against itself (no worktree, so it also runs on a tarball of
 # the sources): keeps the tool from rotting and proves that one tree run
-# twice is identical in every compared section.
+# twice, and under two hash seeds, is identical in every compared
+# section, so a set/dict-order leak into behaviour fails `make check`.
 differential-smoke:
 	$(PYTHON) tools/differential.py "$(CURDIR)" "$(CURDIR)" --fuzz 5
 

@@ -523,12 +523,6 @@ def _run_overrides(args: argparse.Namespace, scenario: Scenario) -> Dict[str, An
     for field in ("region_spread", "region_jitter"):
         if field in overrides and overrides.get("delay", scenario.delay) != "regional":
             raise SystemExit(f"{_OPTION[field]} needs --regions")
-    for count, pinned in (("rational", "rational_ids"), ("byzantine", "byzantine_ids")):
-        if count in overrides and getattr(scenario, pinned):
-            raise SystemExit(
-                f"{_OPTION[count]} cannot apply: scenario {scenario.name!r} pins "
-                f"{pinned}={getattr(scenario, pinned)}"
-            )
     return overrides
 
 
@@ -705,7 +699,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.experiments.fuzz import run_campaign, run_fuzz, write_repro
+    from repro.experiments.fuzz import run_fuzz, write_repro
 
     if args.budget < 1:
         raise SystemExit("budget must be at least 1")
@@ -715,27 +709,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise SystemExit("shrink-budget must be non-negative")
     if args.max_shrinks < 0:
         raise SystemExit("max-shrinks must be non-negative")
-    if args.guided or args.resume or args.campaign_id or args.db:
-        if args.inject_violation:
-            raise SystemExit("--inject-violation is a run_fuzz self-test; "
-                             "not available in campaign mode")
-        try:
-            fuzz = run_campaign(
-                budget=args.budget,
-                fuzz_seed=args.seed,
-                profile=args.profile,
-                jobs=args.jobs,
-                guided=args.guided,
-                campaign_id=args.campaign_id,
-                db=args.db,
-                resume=args.resume,
-                shrink_budget=args.shrink_budget,
-                max_shrinks=args.max_shrinks,
-                checkpoint_every=args.checkpoint_every,
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
-    else:
+    try:
         fuzz = run_fuzz(
             budget=args.budget,
             fuzz_seed=args.seed,
@@ -744,7 +718,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             inject_violation=args.inject_violation,
             shrink_budget=args.shrink_budget,
             max_shrinks=args.max_shrinks,
+            guided=args.guided,
+            campaign_id=args.campaign_id,
+            db=args.db,
+            resume=args.resume,
+            checkpoint_every=args.checkpoint_every,
         )
+    except ValueError as error:
+        raise SystemExit(str(error))
     rows = [
         [checker, totals["ok"], totals["violated"], totals["skipped"]]
         for checker, totals in sorted(fuzz.checker_totals().items())

@@ -208,7 +208,9 @@ class FraudDetector:
         members are removed by one set difference over the shared
         statement objects, so the n-th copy of a circulating
         certificate costs no per-member work; the rest are absorbed in
-        the set's own iteration order.
+        (signer, phase, digest) order — never the set's own iteration
+        order, which follows ``PYTHONHASHSEED`` and would decide which
+        conflicting pair becomes the proof.
         """
         if isinstance(justification, AggregateQC):
             if phases is not None and justification.phase not in phases:
@@ -219,8 +221,8 @@ class FraudDetector:
             known = self._absorbed.get(next(iter(justification)).round_number)
             if known:
                 fresh = justification - known
-                if len(fresh) > 1:
-                    fresh = [statement for statement in justification if statement in fresh]
+            if len(fresh) > 1:
+                fresh = sorted(fresh, key=lambda s: (s.signer, s.phase, s.digest))
         return self.absorb_all(
             statement for statement in fresh if phases is None or statement.phase in phases
         )

@@ -156,7 +156,7 @@ class PRFTReplica(AccountableMixin, PhaseTableReplica):
         """
         self._absorb_late(payload)
         if isinstance(payload, ExposeMessage):
-            for proof in payload.proofs:
+            for proof in sorted(payload.proofs, key=lambda proof: proof.accused):
                 if proof.verify(self.ctx.registry):
                     self._punish(proof)
             return
@@ -400,7 +400,7 @@ class PRFTReplica(AccountableMixin, PhaseTableReplica):
         # round is bound by the signature, and old fraud is no reason to
         # abandon a later round.
         valid_accused = set()
-        for proof in message.proofs:
+        for proof in sorted(message.proofs, key=lambda proof: proof.accused):
             if proof.verify(self.ctx.registry):
                 if proof.round_number == message.round_number:
                     valid_accused.add(proof.accused)

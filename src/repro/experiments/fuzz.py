@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.checks.oracle import FORK_RESILIENT_PROTOCOLS
 from repro.experiments.registry import PROTOCOL_FACTORIES, Scenario
 from repro.experiments.results import RunRecord
-from repro.experiments.sweep import _pool_context
+from repro.experiments.sweep import SweepJob, run_jobs
 from repro.protocols.base import ProtocolConfig
 from repro.search.space import StrategyGene, draw_gene
 
@@ -261,34 +261,6 @@ def injected_violation_trial(fuzz_seed: int) -> FuzzTrial:
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
-def run_trial(trial: FuzzTrial) -> RunRecord:
-    """Execute one trial oracle-checked (worker entry point)."""
-    from repro.experiments.warehouse import (
-        maybe_persist_records,
-        suppressed_run_autopersist,
-    )
-
-    from repro.search.score import with_near_miss
-
-    start = time.perf_counter()
-    with suppressed_run_autopersist():
-        result = trial.scenario.run(seed=trial.seed)
-    elapsed = time.perf_counter() - start
-    record = RunRecord.from_result(
-        trial.scenario, seed=trial.seed, result=result, wall_time=elapsed
-    )
-    # The continuous near-miss score rides on every fuzz record: runs
-    # that pressed the failure boundary without crossing it (burns,
-    # exposure events, timeout storms, deep reorgs) rank future guided
-    # campaigns toward their neighbourhood.
-    record = with_near_miss(record, result)
-    # Opt-in warehouse mirror (REPRO_WAREHOUSE): a ≥10⁴-trial campaign
-    # becomes resumable and triagable — every trial's verdicts land as
-    # it finishes, queryable via `repro report campaign`.
-    maybe_persist_records([record], source="fuzz")
-    return record
-
-
 @dataclass(frozen=True)
 class ShrunkRepro:
     """A minimal reproducing configuration for one violation."""
@@ -365,32 +337,85 @@ def run_fuzz(
     inject_violation: bool = False,
     shrink_budget: int = 64,
     max_shrinks: int = 5,
+    guided: bool = False,
+    campaign_id: Optional[str] = None,
+    db: Optional[str] = None,
+    resume: bool = False,
+    checkpoint_every: int = 16,
 ) -> FuzzResult:
-    """Run a fuzz campaign: generate, execute, oracle-check, shrink.
+    """Run a fuzz campaign: generate, order, execute, oracle-check, shrink.
 
     Deterministic for ``(budget, fuzz_seed, profile, inject_violation)``
-    whatever ``jobs`` is.  The first ``max_shrinks`` violating trials
-    are shrunk (each shrink re-runs the scenario up to
-    ``shrink_budget`` times).
+    whatever ``jobs`` is; ``guided`` moves the execution order (see
+    :func:`campaign_order`), never a trial's identity.  The first
+    ``max_shrinks`` violating trials are shrunk (each shrink re-runs the
+    scenario up to ``shrink_budget`` times).
+
+    With a warehouse (explicit ``db`` or ``REPRO_WAREHOUSE``), the
+    campaign lands its records and its trial cursor together every
+    ``checkpoint_every`` trials under ``campaign_id``; ``resume=True``
+    picks up an interrupted campaign from its stored cursor *and stored
+    order* (so resumption is exact even if the near-miss statistics
+    have since moved).  The result covers the trials executed by this
+    call, in execution order.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     if max_shrinks < 0 or shrink_budget < 0:
         raise ValueError("max_shrinks and shrink_budget must be non-negative")
+    from repro.experiments.warehouse import Warehouse, auto_db_path
+
+    db_path = db or auto_db_path()
+    cid = campaign_id or default_campaign_id(fuzz_seed, profile, budget, guided)
     started = time.perf_counter()
     trials = [generate_trial(fuzz_seed, index, profile) for index in range(budget)]
     if inject_violation:
         trials[0] = injected_violation_trial(fuzz_seed)
-    if jobs == 1 or len(trials) <= 1:
-        records = [run_trial(trial) for trial in trials]
-    else:
-        with _pool_context().Pool(processes=min(jobs, len(trials))) as pool:
-            records = pool.map(run_trial, trials, 1)
+    order: List[int] = []
+    start_at = 0
+    if resume:
+        if db_path is None:
+            raise ValueError("--resume needs a warehouse (--db or REPRO_WAREHOUSE)")
+        with Warehouse(db_path) as store:
+            checkpoint = store.load_cursor(cid)
+        if checkpoint is not None:
+            if (
+                checkpoint.fuzz_seed != fuzz_seed
+                or checkpoint.profile != profile
+                or checkpoint.budget != budget
+            ):
+                raise ValueError(
+                    f"campaign {cid!r} was checkpointed with"
+                    f" seed={checkpoint.fuzz_seed} profile={checkpoint.profile!r}"
+                    f" budget={checkpoint.budget}; refusing to resume with"
+                    f" different parameters"
+                )
+            order = list(checkpoint.order)
+            start_at = checkpoint.cursor
+    if not order:
+        order = campaign_order(trials, guided, db_path)
+    ordered_trials = [trials[index] for index in order[start_at:]]
+
+    def checkpoint_at(done: int, chunk_records: Sequence[RunRecord]) -> None:
+        """Land the chunk's records *and* the cursor together, so a
+        resumed campaign never re-runs trials whose results were kept
+        nor skips trials whose results were lost."""
+        with Warehouse(db_path) as store:
+            store.ingest_records(chunk_records, source=f"campaign:{cid}")
+            store.save_cursor(cid, fuzz_seed, profile, budget, start_at + done, order)
+
+    records = run_jobs(
+        [
+            SweepJob(trial.index, trial.scenario, trial.seed, source="fuzz", near_miss=True)
+            for trial in ordered_trials
+        ],
+        workers=jobs,
+        chunk=max(1, checkpoint_every) if db_path else None,
+        on_chunk=checkpoint_at if db_path else None,
+    )
     result = FuzzResult(
         fuzz_seed=fuzz_seed, budget=budget, profile=profile,
-        trials=trials, records=records,
+        trials=ordered_trials, records=records,
     )
     for trial, record in result.violating[:max_shrinks]:
         result.shrunk.append(shrink(
@@ -402,7 +427,7 @@ def run_fuzz(
 
 
 # ----------------------------------------------------------------------
-# Campaigns: guided ordering + resumable checkpoints
+# Campaign identity and guided ordering
 # ----------------------------------------------------------------------
 def default_campaign_id(fuzz_seed: int, profile: str, budget: int, guided: bool) -> str:
     tag = "guided" if guided else "linear"
@@ -447,107 +472,6 @@ def campaign_order(
     return sorted(
         range(len(trials)), key=lambda i: (-priority(trials[i]), i)
     )
-
-
-def run_campaign(
-    budget: int,
-    fuzz_seed: int = 0,
-    profile: str = "safe",
-    jobs: int = 1,
-    guided: bool = False,
-    campaign_id: Optional[str] = None,
-    db: Optional[str] = None,
-    resume: bool = False,
-    shrink_budget: int = 64,
-    max_shrinks: int = 5,
-    checkpoint_every: int = 16,
-) -> FuzzResult:
-    """A fuzz campaign with optional guided ordering and checkpointing.
-
-    With a warehouse (explicit ``db`` or ``REPRO_WAREHOUSE``), the
-    campaign saves its trial cursor every ``checkpoint_every`` trials
-    under ``campaign_id``; ``resume=True`` picks up an interrupted
-    campaign from its stored cursor *and stored order* (so resumption
-    is exact even if the near-miss statistics have since moved).  The
-    result covers the trials executed by this call, in execution
-    order.
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    from repro.experiments.warehouse import Warehouse, auto_db_path
-
-    db_path = db or auto_db_path()
-    cid = campaign_id or default_campaign_id(fuzz_seed, profile, budget, guided)
-    started = time.perf_counter()
-    trials = [generate_trial(fuzz_seed, index, profile) for index in range(budget)]
-    order: List[int] = []
-    start_at = 0
-    if resume:
-        if db_path is None:
-            raise ValueError("--resume needs a warehouse (--db or REPRO_WAREHOUSE)")
-        with Warehouse(db_path) as store:
-            checkpoint = store.load_cursor(cid)
-        if checkpoint is not None:
-            if (
-                checkpoint.fuzz_seed != fuzz_seed
-                or checkpoint.profile != profile
-                or checkpoint.budget != budget
-            ):
-                raise ValueError(
-                    f"campaign {cid!r} was checkpointed with"
-                    f" seed={checkpoint.fuzz_seed} profile={checkpoint.profile!r}"
-                    f" budget={checkpoint.budget}; refusing to resume with"
-                    f" different parameters"
-                )
-            order = list(checkpoint.order)
-            start_at = checkpoint.cursor
-    if not order:
-        order = campaign_order(trials, guided, db_path)
-    pending = order[start_at:]
-
-    def checkpoint_at(position: int, chunk_records: Sequence[RunRecord]) -> None:
-        """Land the chunk's records *and* the cursor together, so a
-        resumed campaign never re-runs trials whose results were kept
-        nor skips trials whose results were lost."""
-        if db_path is None:
-            return
-        with Warehouse(db_path) as store:
-            store.ingest_records(chunk_records, source=f"campaign:{cid}")
-            store.save_cursor(cid, fuzz_seed, profile, budget, position, order)
-
-    ordered_trials = [trials[index] for index in pending]
-    records: List[RunRecord] = []
-    step = max(1, checkpoint_every)
-    pool_cm = (
-        _pool_context().Pool(processes=min(jobs, max(1, len(ordered_trials))))
-        if jobs > 1 and len(ordered_trials) > 1
-        else None
-    )
-    try:
-        for chunk_start in range(0, len(ordered_trials), step):
-            chunk = ordered_trials[chunk_start : chunk_start + step]
-            if pool_cm is None:
-                chunk_records = [run_trial(trial) for trial in chunk]
-            else:
-                chunk_records = pool_cm.map(run_trial, chunk, 1)
-            records.extend(chunk_records)
-            checkpoint_at(start_at + chunk_start + len(chunk), chunk_records)
-    finally:
-        if pool_cm is not None:
-            pool_cm.terminate()
-            pool_cm.join()
-    checkpoint_at(len(order), ())
-    result = FuzzResult(
-        fuzz_seed=fuzz_seed, budget=budget, profile=profile,
-        trials=ordered_trials, records=records,
-    )
-    for trial, record in result.violating[:max_shrinks]:
-        result.shrunk.append(shrink(
-            trial.scenario, trial.seed,
-            target=record.invariant_violations, budget=shrink_budget,
-        ))
-    result.wall_time = time.perf_counter() - started
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -99,7 +99,8 @@ class Scenario:
 
     Roster: ``rational``/``byzantine`` counts place deviators at the
     lowest free ids (matching the CLI's convention); ``rational_ids``/
-    ``byzantine_ids`` override with explicit placements.  ``theta``
+    ``byzantine_ids`` pin explicit placements instead (setting a count
+    *and* its id list is refused, not silently resolved).  ``theta``
     sets every rational player's type; ``thetas`` overrides per player
     (one entry per rational id, in ascending id order).
 
@@ -333,6 +334,12 @@ class Scenario:
             raise ValueError("tolerance must be 'prft' or 'bft'")
         if self.attack == "censorship" and not self.censored_tx_ids:
             raise ValueError("censorship scenarios need censored_tx_ids")
+        for count, pinned in (("rational", "rational_ids"), ("byzantine", "byzantine_ids")):
+            if getattr(self, count) and getattr(self, pinned):
+                raise ValueError(
+                    f"{count}={getattr(self, count)} cannot apply: scenario "
+                    f"{self.name!r} pins {pinned}={getattr(self, pinned)}"
+                )
         rationals = self.resolved_rational_ids()
         byzantines = self.resolved_byzantine_ids()
         if set(rationals) & set(byzantines):

@@ -23,6 +23,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.robustness import check_robustness
 from repro.protocols.runner import RunResult
+from repro.sim.streaming import percentile_of_sorted
 
 ParamItems = Tuple[Tuple[str, Any], ...]
 
@@ -441,17 +442,9 @@ def mean(values: Sequence[float]) -> float:
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The q-th percentile (0..100) by linear interpolation."""
-    if not values:
-        raise ValueError("percentile of no values")
     if not 0 <= q <= 100:
         raise ValueError("q must lie in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+    return percentile_of_sorted(sorted(values), q)
 
 
 def group_by_params(records: Iterable[RunRecord]) -> Dict[ParamItems, List[RunRecord]]:

@@ -883,9 +883,10 @@ _suppress_run_persist = False
 
 @contextmanager
 def suppressed_run_autopersist() -> Iterator[None]:
-    """Sweep/fuzz workers build the full (params-carrying) record
-    themselves; this silences the bare ``Scenario.run`` hook inside so
-    one run never lands twice with different params metadata."""
+    """The one worker (``sweep.run_job``) builds the full
+    (params-carrying) record itself; this silences the bare
+    ``Scenario.run`` hook inside so one run never lands twice with
+    different params metadata."""
     global _suppress_run_persist
     previous = _suppress_run_persist
     _suppress_run_persist = True

@@ -40,7 +40,6 @@ from repro.sim.metrics import (
     CommitLog,
     MetricsCollector,
     ThroughputReport,
-    build_throughput_report,
     report_from_accumulator,
 )
 from repro.sim.streaming import ThroughputAccumulator
@@ -80,9 +79,9 @@ def build_context(
     builds the link-layer pipeline (delay → partition → drop →
     duplication → reorder-jitter); each stochastic stage is seeded from
     ``seed``, so faults replay identically for the same (scenario,
-    seed) pair.  ``retention`` (the bounded-memory soak path) sizes the
-    trace recorder's per-kind ring buffers and the commit log's dedup
-    window; the all-defaults spec keeps both unbounded.
+    seed) pair.  ``retention`` sizes the trace recorder's per-kind ring
+    buffers and the commit log's dedup window; the all-defaults spec
+    keeps both unbounded.
     """
     engine = SimulationEngine()
     pipeline = LinkPipeline.build(
@@ -256,21 +255,18 @@ class Deployment:
             config, seed=spec.seed, production=spec.production
         )
         self.ctx.workload = self.workload
-        self.workload.install(self.ctx, self.replicas)
-        # Bounded-memory soak path: any retention window switches the
-        # throughput pipeline to the streaming accumulator — it observes
-        # every submission and first commit as they happen, keeping only
-        # the in-flight map and O(1) sketches instead of the full
-        # submission schedule joined against the commit log at the end.
+        # Every run that gets a throughput report owns the one streaming
+        # accumulator.  It is wired before the workload installs, so
+        # install-time submissions (a static batch, a closed loop's
+        # first window) are observed like any later one.
         self.accumulator: Optional[ThroughputAccumulator] = None
-        if spec.retention.active and (
-            config.duration is not None or spec.workload.continuous
-        ):
+        if config.duration is not None or spec.workload.continuous:
             self.accumulator = ThroughputAccumulator(
                 resolution=spec.retention.backlog_resolution
             )
             self.workload.attach_accumulator(self.accumulator)
             self.ctx.commit_log.subscribe(self.accumulator.note_commit)
+        self.workload.install(self.ctx, self.replicas)
         if spec.retention.submission_window is not None:
             self.workload.bound_submissions(spec.retention.submission_window)
         self._executed = False
@@ -290,7 +286,7 @@ class Deployment:
             ctx=self.ctx,
             submitted_tx_ids=self.workload.submitted_ids(),
         )
-        if self.spec.config.duration is not None or self.spec.workload.continuous:
+        if self.accumulator is not None:
             result.throughput = self._throughput_report(result)
         return result
 
@@ -301,18 +297,10 @@ class Deployment:
         duration = self.spec.config.duration
         quiesced = self.ctx.engine.last_event_time
         horizon = quiesced if duration is None else min(duration, quiesced)
-        if self.accumulator is not None:
-            return report_from_accumulator(
-                self.accumulator,
-                blocks=result.final_block_count(),
-                horizon=max(horizon, 1e-9),
-            )
-        return build_throughput_report(
-            self.workload.submissions(),
-            self.ctx.commit_log.commit_times(),
+        return report_from_accumulator(
+            self.accumulator,
             blocks=result.final_block_count(),
             horizon=max(horizon, 1e-9),
-            resolution=self.spec.retention.backlog_resolution,
         )
 
 

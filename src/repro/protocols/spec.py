@@ -263,11 +263,9 @@ class RetentionSpec:
     - ``ledger_window`` — final blocks whose transaction bodies each
       chain retains; deeper final blocks keep header + digest only
       (chain length, digests and parent links are unaffected).
-    - ``backlog_resolution`` — cap on retained backlog-series points
-      (windowed downsampling; peak stays exact).
-
-    Any window set also switches the deployment's throughput pipeline
-    to the streaming accumulator (O(backlog) instead of O(submitted)).
+    - ``backlog_resolution`` — the resolution the run's throughput
+      accumulator keeps its backlog series at (windowed downsampling as
+      the run goes; peak and final stay exact).
     """
 
     trace_window: Optional[int] = None
@@ -284,11 +282,6 @@ class RetentionSpec:
                 raise ValueError(f"{name} must be positive when set")
         if self.backlog_resolution is not None and self.backlog_resolution < 2:
             raise ValueError("backlog_resolution must be at least 2 when set")
-
-    @property
-    def active(self) -> bool:
-        """True when any knob departs from the unbounded legacy defaults."""
-        return self != RetentionSpec()
 
 
 # The ``replace`` idiom on every sub-spec: frozen dataclasses already

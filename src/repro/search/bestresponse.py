@@ -39,9 +39,13 @@ schedule and quorum.  Environment coordinates are searchable only for
 active genes — an honest player cannot choose the network's weather.
 
 Everything is deterministic: candidate order is fixed, scenario names
-encode the search point (and seed the runs), and the multiprocessing
-pool returns outcomes in submission order, so ``--jobs N`` produces
-the same report as ``--jobs 1``.
+encode the search point (and seed the runs), and every (point, seed)
+run goes through the shared :func:`repro.experiments.sweep.run_jobs`
+map, which returns records in submission order, so ``--jobs N``
+produces the same report as ``--jobs 1``.  A point's utility, burn and
+terminal states are read off its records: the probe is always a
+rational id, so its Equation 1 utility under the scenario's ``theta`` is
+already a record field.
 """
 
 from __future__ import annotations
@@ -50,11 +54,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import PROTOCOL_FACTORIES, Scenario
-from repro.experiments.sweep import _pool_context
-from repro.gametheory.payoff import PlayerType
+from repro.experiments.results import RunRecord
+from repro.experiments.sweep import SweepJob, run_jobs
 from repro.protocols.base import ProtocolConfig
 from repro.search.space import StrategyGene, victim_split
 
@@ -205,68 +210,17 @@ def build_point_scenario(
     return Scenario(**fields)
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """One (scenario, seeds, probe) evaluation unit — pool-picklable."""
-
-    index: int
-    scenario: Scenario
-    probe: int
-    theta: int
-    seeds: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PointOutcome:
-    """What one evaluation produced, mean over its seeds."""
-
-    index: int
-    utility: float
-    burned: bool
-    states: Tuple[str, ...]
-
-
-def _run_point(point: EvalPoint) -> PointOutcome:
-    """Worker entry point: run the seeds, average the probe's Eq. 1
-    utility, mirror near-miss-scored records into the warehouse."""
-    from repro.experiments.results import RunRecord
-    from repro.experiments.warehouse import (
-        maybe_persist_records,
-        suppressed_run_autopersist,
+def _probe_outcome(
+    probe: int, records: Sequence[RunRecord]
+) -> Tuple[float, bool, Tuple[str, ...]]:
+    """(mean Eq. 1 utility, ever burned, terminal states) of ``probe``
+    over one point's per-seed records."""
+    utilities = [dict(record.utilities)[probe] for record in records]
+    return (
+        sum(utilities) / len(utilities),
+        any(probe in record.penalised for record in records),
+        tuple(record.state for record in records),
     )
-    from repro.search.score import with_near_miss
-
-    utilities: List[float] = []
-    states: List[str] = []
-    burned = False
-    records = []
-    for seed in point.seeds:
-        with suppressed_run_autopersist():
-            result = point.scenario.run(seed=seed)
-        utilities.append(result.realised_utility(
-            point.probe, PlayerType(point.theta)
-        ))
-        states.append(result.system_state().name)
-        burned = burned or point.probe in result.penalised_players()
-        record = RunRecord.from_result(point.scenario, seed=seed, result=result)
-        records.append(with_near_miss(record, result))
-    maybe_persist_records(records, source="search")
-    return PointOutcome(
-        index=point.index,
-        utility=sum(utilities) / len(utilities),
-        burned=burned,
-        states=tuple(states),
-    )
-
-
-def evaluate_points(
-    points: Sequence[EvalPoint], jobs: int = 1
-) -> List[PointOutcome]:
-    """Run a batch, serially or on a worker pool, in submission order."""
-    if jobs <= 1 or len(points) <= 1:
-        return [_run_point(point) for point in points]
-    with _pool_context().Pool(processes=min(jobs, len(points))) as pool:
-        return pool.map(_run_point, points, 1)
 
 
 # ----------------------------------------------------------------------
@@ -329,64 +283,55 @@ class _Evaluator:
     seeds: Tuple[int, ...]
     jobs: int
     evaluations: int = 0
-    _baselines: Dict[str, PointOutcome] = field(default_factory=dict)
-
-    def _honest_point(self, k: int, cls: str, env: SearchEnv) -> EvalPoint:
-        twin = StrategyGene(coalition=k)
-        scenario = build_point_scenario(
-            self.protocol, self.theta, twin, env, self.n, cls=cls,
-        )
-        return EvalPoint(
-            index=-1,
-            scenario=scenario,
-            probe=min(_roster(self.n, k, cls)),
-            theta=self.theta,
-            seeds=self.seeds,
-        )
+    _baselines: Dict[str, float] = field(default_factory=dict)
 
     def evaluate(self, candidates: Sequence[StrategyGene]) -> List[Deviation]:
         """Evaluate each candidate gene in each of its environments."""
         floor = _quorum_floor(self.protocol, self.n)
-        units: List[Tuple[StrategyGene, SearchEnv, EvalPoint]] = []
-        baseline_points: Dict[str, EvalPoint] = {}
+        units: List[Tuple[StrategyGene, SearchEnv, Scenario]] = []
+        baseline_points: Dict[str, Scenario] = {}
         for gene in candidates:
             cls = gene_class(gene)
-            roster = _roster(self.n, gene.coalition, cls)
             for env in environments(gene, floor):
-                scenario = build_point_scenario(
+                units.append((gene, env, build_point_scenario(
                     self.protocol, self.theta, gene, env, self.n,
-                )
-                point = EvalPoint(
-                    index=len(units),
-                    scenario=scenario,
-                    probe=min(roster),
-                    theta=self.theta,
-                    seeds=self.seeds,
-                )
-                units.append((gene, env, point))
+                )))
                 key = self._baseline_key(gene.coalition, cls, env)
                 if key not in self._baselines and key not in baseline_points:
-                    baseline_points[key] = self._honest_point(
-                        gene.coalition, cls, env
+                    baseline_points[key] = build_point_scenario(
+                        self.protocol, self.theta, StrategyGene(coalition=gene.coalition),
+                        env, self.n, cls=cls,
                     )
-        batch = [point for _, _, point in units] + list(baseline_points.values())
-        outcomes = evaluate_points(batch, jobs=self.jobs)
+        batch = [scenario for _, _, scenario in units] + list(baseline_points.values())
+        records = run_jobs(
+            [
+                SweepJob(index, scenario, seed, source="search", near_miss=True)
+                for index, (scenario, seed) in enumerate(product(batch, self.seeds))
+            ],
+            workers=self.jobs,
+        )
         self.evaluations += len(batch)
-        for key, outcome in zip(baseline_points, outcomes[len(units):]):
-            self._baselines[key] = outcome
+        # A point's per-seed records are adjacent; its probe — the
+        # lowest coalition id — is always a rational player.
+        span = len(self.seeds)
+        outcomes = [
+            _probe_outcome(min(scenario.rational_ids), records[at * span : (at + 1) * span])
+            for at, scenario in enumerate(batch)
+        ]
+        for key, (utility, _, _) in zip(baseline_points, outcomes[len(units):]):
+            self._baselines[key] = utility
         deviations: List[Deviation] = []
-        for (gene, env, point), outcome in zip(units, outcomes[: len(units)]):
-            cls = gene_class(gene)
-            baseline = self._baselines[self._baseline_key(gene.coalition, cls, env)]
+        for (gene, env, scenario), (utility, burned, states) in zip(units, outcomes):
+            key = self._baseline_key(gene.coalition, gene_class(gene), env)
             deviations.append(Deviation(
                 gene=gene,
                 env=env,
-                probe=point.probe,
-                utility=outcome.utility,
-                honest_utility=baseline.utility,
-                burned=outcome.burned,
-                states=outcome.states,
-                scenario=point.scenario,
+                probe=min(scenario.rational_ids),
+                utility=utility,
+                honest_utility=self._baselines[key],
+                burned=burned,
+                states=states,
+                scenario=scenario,
                 seeds=self.seeds,
             ))
         return deviations

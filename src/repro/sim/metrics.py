@@ -11,8 +11,10 @@ Continuous-workload runs (the pBFT/HotStuff evaluation framing:
 blocks/sec and commit latency under sustained client load) additionally
 record *when* each transaction became client-visible: the
 :class:`CommitLog` collects first-finalisation times as replicas commit
-blocks, and :func:`build_throughput_report` folds them together with the
-workload's submission schedule into a :class:`ThroughputReport` —
+blocks and announces each first commit to the run's
+:class:`~repro.sim.streaming.ThroughputAccumulator`, which the workload
+also tells of every submission; :func:`report_from_accumulator` — the
+only builder — projects it into a :class:`ThroughputReport`:
 blocks/sec, the per-transaction commit-latency distribution, and the
 client-side backlog (submitted but not yet committed) over time.
 """
@@ -22,9 +24,9 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.sim.streaming import BacklogSeries, LatencySketch, ThroughputAccumulator
+from repro.sim.streaming import ThroughputAccumulator
 
 
 @dataclass
@@ -240,18 +242,6 @@ class CommitLog:
         return self._evicted > 0
 
 
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """q-th percentile (0..100) of an already-sorted sequence."""
-    if not ordered:
-        raise ValueError("percentile of no values")
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
-
-
 @dataclass(frozen=True)
 class ThroughputReport:
     """Per-run throughput metrics of one continuous-workload execution.
@@ -259,9 +249,11 @@ class ThroughputReport:
     ``horizon`` is the virtual-time span the rates are normalised over
     (the configured duration, or the quiesce time when the run drained
     early).  Latencies are per-transaction first-commit minus
-    submission time, over the transactions that committed; backlog is
-    the client-side count of submitted-but-uncommitted transactions,
-    sampled at every submission and first-commit instant.
+    submission time, over the transactions that committed (exact
+    percentiles below the sketch's ``exact_limit`` commits, P² estimates
+    beyond; count, mean and max exact either way); backlog is the
+    client-side count of submitted-but-uncommitted transactions at the
+    end of every submission and first-commit instant.
     """
 
     horizon: float
@@ -321,78 +313,19 @@ class ThroughputReport:
         return tuple(kept)
 
 
-def build_throughput_report(
-    submissions: Sequence[Tuple[str, float]],
-    commit_times: Mapping[str, float],
-    blocks: int,
-    horizon: float,
-    resolution: Optional[int] = None,
-    exact_limit: int = LatencySketch.DEFAULT_EXACT_LIMIT,
-) -> ThroughputReport:
-    """Fold a workload's submission schedule and the commit log into a
-    :class:`ThroughputReport`.
-
-    Latencies feed a :class:`~repro.sim.streaming.LatencySketch`: runs
-    that commit fewer than ``exact_limit`` transactions report the same
-    percentiles as the historical sorted-list path; longer runs spill
-    into the O(1)-memory P² estimators.  Count, mean and max stay
-    exact either way.
-
-    Args:
-        submissions: ordered ``(tx_id, submit_time)`` pairs.
-        commit_times: ``{tx_id: first commit time}`` (the commit log).
-        blocks: finalized blocks on the longest honest chain.
-        horizon: the virtual-time span to normalise rates over.
-        resolution: cap on retained ``backlog_series`` points (windowed
-            downsampling; None keeps every point, the legacy default).
-        exact_limit: sample count below which percentiles are exact.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    sketch = LatencySketch(exact_limit=exact_limit)
-    for tx_id, submitted_at in submissions:
-        if tx_id in commit_times:
-            sketch.add(commit_times[tx_id] - submitted_at)
-    # Backlog walk: +1 at each submission, -1 at each commit of a
-    # submitted tx.  Ties resolve commits first: a transaction needs at
-    # least one network delay to commit, so a commit and a submission
-    # at the same instant are causally commit-then-submit (the
-    # closed-loop client tops up its window *in reaction to* commits).
-    edges: List[Tuple[float, int, int]] = []
-    for tx_id, submitted_at in submissions:
-        edges.append((submitted_at, 1, 1))
-        if tx_id in commit_times:
-            edges.append((commit_times[tx_id], 0, -1))
-    edges.sort()
-    series = BacklogSeries(resolution=resolution)
-    backlog = 0
-    for when, _, delta in edges:
-        backlog += delta
-        series.append(when, backlog)
-    return ThroughputReport(
-        horizon=horizon,
-        blocks=blocks,
-        submitted=len(submissions),
-        committed=sketch.count,
-        blocks_per_sec=blocks / horizon,
-        latency_mean=sketch.mean,
-        latency_p50=sketch.percentile(50) if sketch.count else 0.0,
-        latency_p99=sketch.percentile(99) if sketch.count else 0.0,
-        latency_max=sketch.max,
-        peak_backlog=series.peak,
-        final_backlog=series.final,
-        backlog_series=series.points(),
-    )
-
-
 def report_from_accumulator(
     accumulator: ThroughputAccumulator,
     blocks: int,
     horizon: float,
 ) -> ThroughputReport:
-    """Project a streaming :class:`~repro.sim.streaming.ThroughputAccumulator`
-    (the bounded-memory soak path) into the same :class:`ThroughputReport`
-    shape the batch builder produces."""
+    """Project a run's :class:`~repro.sim.streaming.ThroughputAccumulator`
+    into its :class:`ThroughputReport`.
+
+    Args:
+        accumulator: what the workload and the commit log streamed into.
+        blocks: finalized blocks on the longest honest chain.
+        horizon: the virtual-time span to normalise rates over.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     sketch = accumulator.latency

@@ -1,24 +1,23 @@
-"""O(1)-memory streaming estimators for soak-length runs.
+"""O(1)-memory streaming estimators: the one throughput pipeline.
 
-A ≥10⁶-transaction soak cannot afford the O(events) state the batch
-metrics path keeps: the full per-transaction latency list and an
-unbounded backlog series.  This module provides the bounded-memory
-replacements:
+Every run that reports throughput observes its submissions and first
+commits as they happen, so a ≥10⁶-transaction soak holds the same
+bounded state a ten-transaction smoke does — never the full
+per-transaction latency list or an unbounded backlog series:
 
 * :class:`P2Quantile` — the classic P² (piecewise-parabolic) single
   quantile estimator of Jain & Chlamtac (CACM '85): five markers,
   O(1) memory, one pass.
 * :class:`LatencySketch` — exact count/mean/min/max plus p50/p99.
   Small samples (up to ``exact_limit``) are kept exactly, so short
-  runs report byte-identical percentiles to the historical sorted-list
-  path; past the limit the sample spills into seeded P² estimators.
+  runs report exact percentiles; past the limit the sample spills into
+  seeded P² estimators.
 * :class:`BacklogSeries` — the backlog-over-time curve at a bounded
   resolution (windowed downsampling; ``peak`` stays exact because it
   is tracked as a scalar, never recovered from the series).
-* :class:`ThroughputAccumulator` — the streaming replacement for
-  "store every submission, join against the commit log at the end":
-  it observes submissions and first commits as they happen and keeps
-  only the in-flight set plus the sketches above.
+* :class:`ThroughputAccumulator` — the observer the deployment wires
+  between the workload and the commit log: it keeps only the in-flight
+  set plus the sketches above.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ __all__ = [
 
 
 def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
-    """q-th percentile (0..100) of an already-sorted sequence, with the
-    same linear-interpolation convention as the batch metrics path."""
+    """q-th percentile (0..100) of an already-sorted sequence by linear
+    interpolation — the one such formula in the tree."""
     if not ordered:
         raise ValueError("percentile of no values")
     if len(ordered) == 1:
@@ -168,10 +167,10 @@ class LatencySketch:
     """Streaming latency distribution: exact count/mean/min/max, plus
     p50/p99 — exact up to ``exact_limit`` samples, P² estimates beyond.
 
-    The exact phase keeps a sorted buffer and answers percentiles with
-    the same interpolation as the historical batch path, so every run
-    that commits fewer than ``exact_limit`` transactions reports
-    unchanged numbers.  On the ``exact_limit``-th sample the buffer
+    The exact phase keeps a sorted buffer and answers percentiles by
+    :func:`percentile_of_sorted`, so every run that commits fewer than
+    ``exact_limit`` transactions reports exact numbers whatever order
+    its commits arrived in.  On the ``exact_limit``-th sample the buffer
     seeds one P² estimator per tracked quantile and is released: from
     then on memory stays constant no matter how long the run is.
     """
@@ -250,35 +249,44 @@ class BacklogSeries:
     """The submitted-but-uncommitted curve at a bounded resolution.
 
     Points are ``(time, backlog-after-the-instant)`` with same-time
-    updates merged, exactly like the batch edge walk.  When
-    ``resolution`` is set and the series exceeds twice that many
-    points it is downsampled: time is split into ``resolution`` equal
-    windows and the last point of each window kept (plus the
-    highest-valued retained point, so the plotted curve keeps its
-    visible crest).  ``peak`` is a scalar tracked on every update and
-    is never affected by downsampling.
+    updates merged.  When ``resolution`` is set and the series exceeds
+    twice that many points it is downsampled: time is split into
+    ``resolution`` equal windows and the last point of each window kept
+    (plus the highest-valued retained point, so the plotted curve keeps
+    its visible crest).
+
+    ``peak`` is taken over *instant-final* values — each instant's
+    value is sealed into a scalar when time advances past it, and the
+    still-open last point counts as it stands — so it is unaffected by
+    downsampling and by whether a same-instant commit or submission is
+    observed first (a closed-loop client tops up its window *in
+    reaction to* a commit: the transient in between is not backlog).
     """
 
-    __slots__ = ("resolution", "_points", "peak", "final", "truncated")
+    __slots__ = ("resolution", "_points", "_sealed_peak", "final", "truncated")
 
     def __init__(self, resolution: Optional[int] = None) -> None:
         if resolution is not None and resolution < 2:
             raise ValueError("resolution must be at least 2")
         self.resolution = resolution
         self._points: List[Tuple[float, int]] = []
-        self.peak = 0
+        self._sealed_peak = 0
         self.final = 0
         self.truncated = False
 
+    @property
+    def peak(self) -> int:
+        return max(self._sealed_peak, self.final)
+
     def append(self, when: float, backlog: int) -> None:
-        if backlog > self.peak:
-            self.peak = backlog
-        self.final = backlog
         points = self._points
         if points and points[-1][0] == when:
             points[-1] = (when, backlog)
         else:
+            if self.final > self._sealed_peak:
+                self._sealed_peak = self.final
             points.append((when, backlog))
+        self.final = backlog
         if self.resolution is not None and len(points) > 2 * self.resolution:
             self._downsample()
 
@@ -315,10 +323,11 @@ class BacklogSeries:
 
 
 class ThroughputAccumulator:
-    """Streaming submission/commit observer for bounded-memory runs.
+    """Streaming submission/commit observer behind every throughput report.
 
     Wired between the workload (every :meth:`note_submit`) and the
-    commit log (every first-commit notification).  Memory is O(current
+    commit log (every first-commit notification) before the workload
+    installs, so install-time submissions count.  Memory is O(current
     backlog) for the in-flight map plus O(1) for the sketches — never
     O(total transactions).  Re-notification of an already-consumed or
     unknown transaction is ignored, which makes the accumulator safe
@@ -352,7 +361,3 @@ class ThroughputAccumulator:
     @property
     def backlog(self) -> int:
         return len(self._pending)
-
-    @property
-    def peak_backlog(self) -> int:
-        return self.series.peak

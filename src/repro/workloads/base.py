@@ -9,9 +9,10 @@ replays the identical arrival sequence, whatever the worker count.
 Submissions are broadcast to every replica's mempool (clients gossip to
 the whole committee, the model under which Definition 1's censorship
 clause — "input to all honest players" — is stated).  The workload
-records each submission's time, and the deployment's
-:class:`~repro.sim.metrics.CommitLog` records each transaction's first
-honest finalisation, which together yield the run's
+tells the run's :class:`~repro.sim.streaming.ThroughputAccumulator` of
+each submission and the deployment's
+:class:`~repro.sim.metrics.CommitLog` tells it of each transaction's
+first honest finalisation, which together yield the run's
 :class:`~repro.sim.metrics.ThroughputReport`.
 
 The round loop consults :meth:`Workload.finished` for the *quiesce*
@@ -55,12 +56,13 @@ class Workload(ABC):
         self._dropped_submissions = 0
 
     # ------------------------------------------------------------------
-    # Bounded-memory soak hooks (RetentionSpec)
+    # Throughput observer and the RetentionSpec submission window
     # ------------------------------------------------------------------
     def attach_accumulator(self, accumulator: Any) -> None:
-        """Stream every submission into ``accumulator.note_submit`` —
-        the deployment wires this when any retention window is set, so
-        throughput no longer needs the full submission record."""
+        """Stream every submission into ``accumulator.note_submit``.
+        The deployment wires this, before :meth:`install`, for every run
+        that reports throughput, so the report never needs the full
+        submission record."""
         self._accumulator = accumulator
 
     def bound_submissions(self, window: int) -> None:

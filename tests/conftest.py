@@ -18,6 +18,7 @@ from repro.net.delays import DelayModel, FixedDelay
 from repro.net.partition import PartitionSchedule
 from repro.protocols.base import ProtocolConfig
 from repro.protocols.runner import NetworkSpec, RunResult, RunSpec, run
+from repro.sim.streaming import ThroughputAccumulator
 
 
 def pytest_collection_modifyitems(config, items):
@@ -27,6 +28,21 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "large_n" in item.keywords:
             item.add_marker(pytest.mark.slow)
+
+
+def replay_throughput(
+    submissions, commit_times, submit_first: bool = False, **accumulator_kwargs
+) -> ThroughputAccumulator:
+    """Feed a submission schedule and a ``{tx_id: commit time}`` map to
+    a fresh accumulator in time order; ``submit_first`` picks which side
+    of a same-instant commit/submission pair is observed first."""
+    accumulator = ThroughputAccumulator(**{"resolution": None, **accumulator_kwargs})
+    rank = {"submit": int(not submit_first), "commit": int(submit_first)}
+    events = [(when, rank["submit"], "submit", tx) for tx, when in submissions]
+    events += [(when, rank["commit"], "commit", tx) for tx, when in commit_times.items()]
+    for when, _, kind, tx in sorted(events):
+        getattr(accumulator, f"note_{kind}")(tx, when)
+    return accumulator
 
 
 def roster(

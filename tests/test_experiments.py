@@ -74,6 +74,15 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Scenario(name="x", attack="censorship")  # no censored ids
 
+    def test_a_count_next_to_its_pinned_ids_is_refused(self):
+        # It used to run one rational player and ignore the count.
+        with pytest.raises(ValueError, match=r"rational=3 cannot apply.*rational_ids=\(5,\)"):
+            Scenario(name="x", n=7, rational=3, rational_ids=(5,))
+        with pytest.raises(ValueError, match="byzantine_ids"):
+            get_scenario("partition-fork").with_params(byzantine=1)
+        with pytest.raises(ValueError, match="rational_ids"):
+            run_sweep(get_scenario("lone-abstainer"), grid={"rational": [1, 2]})
+
     def test_with_params_rejects_unknown_axis(self):
         with pytest.raises(KeyError, match="unknown scenario field"):
             get_scenario("honest").with_params(warp_factor=9)

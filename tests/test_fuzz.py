@@ -16,11 +16,12 @@ from repro.experiments.fuzz import (
     injected_violation_trial,
     load_scenario_file,
     run_fuzz,
-    run_trial,
     shrink,
     violated_checkers,
     write_repro,
 )
+from repro.experiments.sweep import SweepJob, run_job
+from repro.experiments.warehouse import Warehouse
 
 SMOKE_BUDGET = 25
 SMOKE_SEED = 0
@@ -81,13 +82,26 @@ class TestFuzzSmoke:
         assert totals["no-honest-pof"]["ok"] == SMOKE_BUDGET
         assert totals["collateral"]["ok"] == SMOKE_BUDGET
 
-    def test_fuzz_is_deterministic_across_worker_counts(self):
+    def test_serial_parallel_and_resumed_are_byte_identical(self, tmp_path):
+        """The one executor's contract: the same 8 trials serially, on 4
+        workers, checkpointed every 3, and resumed from a stored cursor."""
         serial = run_fuzz(budget=8, fuzz_seed=1, profile="safe", jobs=1)
         parallel = run_fuzz(budget=8, fuzz_seed=1, profile="safe", jobs=4)
         assert [r.canonical() for r in serial.records] == [
             r.canonical() for r in parallel.records
         ]
         assert serial.to_json() == parallel.to_json()
+        campaign = dict(budget=8, fuzz_seed=1, profile="safe", jobs=4,
+                        db=str(tmp_path / "wh.sqlite"), campaign_id="c")
+        checkpointed = run_fuzz(checkpoint_every=3, **campaign)
+        assert checkpointed.to_json() == serial.to_json()
+        with Warehouse(campaign["db"]) as store:
+            cursor = store.load_cursor("c")
+            assert cursor.finished and store.run_count() == 8
+            # Killed before its first checkpoint landed: order stored, cursor 0.
+            store.save_cursor("c", 1, "safe", 8, 0, cursor.order)
+        resumed = run_fuzz(resume=True, **campaign)
+        assert resumed.to_json() == serial.to_json()
 
 
 @pytest.mark.fuzz
@@ -139,10 +153,12 @@ class TestInjectionAndShrinking:
 
 
 class TestTrialExecution:
-    def test_run_trial_attaches_oracle_verdicts(self):
-        record = run_trial(generate_trial(0, 1, "safe"))
+    def test_worker_attaches_oracle_verdicts_and_near_miss(self):
+        trial = generate_trial(0, 1, "safe")
+        record = run_job(SweepJob(trial.index, trial.scenario, trial.seed, near_miss=True))
         assert isinstance(record, RunRecord)
         assert record.invariants is not None
+        assert record.near_miss is not None
 
     def test_violated_checkers_helper(self):
         trial = injected_violation_trial(0)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.agents.player import honest_player
 from repro.core.replica import prft_factory
-from repro.experiments import get_scenario
+from repro.experiments import Scenario, get_scenario
 from repro.ledger.block import Block
 from repro.protocols.base import ProtocolConfig
 from repro.ledger.chain import Chain
@@ -117,14 +117,24 @@ class TestCommitLogRetention:
 
 
 class TestRetentionSpec:
-    def test_defaults_are_inactive(self):
-        assert not RetentionSpec().active
+    def test_a_window_does_not_change_the_throughput_report(self):
+        """One pipeline: a retention window that evicts nothing leaves
+        the report alone — the closed loop's install-time window of
+        submissions included."""
+        base = get_scenario("closed-loop-prft")
+        plain = base.run(seed=0).throughput
+        windowed = base.with_params(trace_window=100_000).run(seed=0).throughput
+        assert plain.submitted > plain.committed > 0
+        assert windowed.summary() == plain.summary()
+        assert windowed.backlog_series == plain.backlog_series
 
-    def test_any_window_activates(self):
-        for field in ("trace_window", "commit_window", "submission_window",
-                      "ledger_window"):
-            assert RetentionSpec(**{field: 5}).active
-        assert RetentionSpec(backlog_resolution=8).active
+    def test_backlog_resolution_keeps_a_static_batch_scalars(self):
+        base = Scenario(name="static-duration", protocol="prft", n=4,
+                        duration=50, tx_count=20, max_time=100)
+        plain = base.run(seed=0).throughput
+        capped = base.with_params(backlog_resolution=64).run(seed=0).throughput
+        assert capped.submitted == capped.committed == 20
+        assert capped.summary() == plain.summary()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,7 +151,7 @@ class TestRetentionSpec:
         derived = base.derive(retention={"trace_window": 7})
         assert derived.retention.trace_window == 7
         assert derived.retention.commit_window is None
-        assert not base.retention.active
+        assert base.retention == RetentionSpec()
 
 
 class TestLedgerRetention:

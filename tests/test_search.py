@@ -5,6 +5,7 @@ CI's search-smoke job); plain ``pytest`` also runs it as part of the
 default tier.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,7 @@ from repro.experiments.fuzz import (
     campaign_order,
     default_campaign_id,
     generate_trial,
-    run_campaign,
+    run_fuzz,
 )
 from repro.experiments.warehouse import Warehouse
 from repro.search.bestresponse import (
@@ -208,7 +209,7 @@ class TestCampaigns:
     def test_campaign_checkpoints_and_resume_is_exact(self, tmp_path):
         db = str(tmp_path / "wh.sqlite")
         cid = "camp-test"
-        full = run_campaign(
+        full = run_fuzz(
             budget=8, fuzz_seed=3, profile="safe", campaign_id=cid,
             db=db, max_shrinks=0, checkpoint_every=3,
         )
@@ -218,7 +219,7 @@ class TestCampaigns:
         assert cursor is not None and cursor.finished
         assert stored_runs == 8
         # a finished campaign resumes to a no-op
-        resumed = run_campaign(
+        resumed = run_fuzz(
             budget=8, fuzz_seed=3, profile="safe", campaign_id=cid,
             db=db, resume=True, max_shrinks=0,
         )
@@ -226,7 +227,7 @@ class TestCampaigns:
         # an interrupted campaign picks up exactly where the cursor stopped
         with Warehouse(db) as store:
             store.save_cursor(cid, 3, "safe", 8, 5, list(cursor.order))
-        tail = run_campaign(
+        tail = run_fuzz(
             budget=8, fuzz_seed=3, profile="safe", campaign_id=cid,
             db=db, resume=True, max_shrinks=0,
         )
@@ -236,13 +237,13 @@ class TestCampaigns:
 
     def test_resume_rejects_mismatched_parameters(self, tmp_path):
         db = str(tmp_path / "wh.sqlite")
-        run_campaign(budget=3, fuzz_seed=1, profile="safe", campaign_id="c",
-                     db=db, max_shrinks=0)
+        run_fuzz(budget=3, fuzz_seed=1, profile="safe", campaign_id="c",
+                 db=db, max_shrinks=0)
         with pytest.raises(ValueError, match="refusing to resume"):
-            run_campaign(budget=3, fuzz_seed=2, profile="safe", campaign_id="c",
-                         db=db, resume=True, max_shrinks=0)
+            run_fuzz(budget=3, fuzz_seed=2, profile="safe", campaign_id="c",
+                     db=db, resume=True, max_shrinks=0)
         with pytest.raises(ValueError, match="needs a warehouse"):
-            run_campaign(budget=3, fuzz_seed=1, resume=True, max_shrinks=0)
+            run_fuzz(budget=3, fuzz_seed=1, resume=True, max_shrinks=0)
 
     def test_default_campaign_id(self):
         assert default_campaign_id(0, "safe", 40, False) == "fuzz-0-safe-40-linear"
@@ -279,6 +280,19 @@ class TestBestResponse:
         report = search_equilibrium(("prft",), thetas=(1, 2, 3), n=4, seeds=(0,))
         assert report.dsic
         assert all(result.evaluations > 0 for result in report.results)
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(protocols=("prft", "trap"), n=4),
+         "94992c9ca7ad16e5a4dad9b159afe4a77566cfa2639c57da82511321a32efb9f"),
+        (dict(protocols=("pbft",), thetas=(1,)),
+         "3f67699d5e22b53532d855c9617a27fbfb8888ac5d0a95f830bc4cbd27889b0b"),
+    ])
+    def test_search_smoke_reports_are_pinned(self, kwargs, digest):
+        """`make search-smoke`'s two invocations, byte for byte: the
+        hashes were generated at 7c6cec5, before the search read its
+        utilities, burns and states off the shared worker's records."""
+        report = search_equilibrium(jobs=2, **kwargs).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("protocol", ["pbft", "trap"])
     def test_baseline_deviation_replays_identically(self, protocol, tmp_path):

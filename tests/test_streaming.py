@@ -4,9 +4,10 @@ Covers the P² quantile estimator against exact percentiles on
 adversarial input orderings, the LatencySketch's exact-phase
 byte-compatibility with the historical sorted-list path, the bounded
 BacklogSeries (exact peak/final under downsampling), the
-ThroughputAccumulator, the resolution cap on build_throughput_report,
-the RunRecord series cap, and a differential gate over a tier-1
-catalog run: reported percentiles match an exact recomputation.
+ThroughputAccumulator (tie-order independence, the resolution cap), the
+RunRecord series cap, and a differential gate over a tier-1 catalog
+run: the reported numbers match an exact recomputation from the run's
+own submission/commit history.
 """
 
 import bisect
@@ -15,7 +16,7 @@ import random
 import pytest
 
 from repro.experiments import get_scenario
-from repro.sim.metrics import ThroughputReport, build_throughput_report
+from repro.sim.metrics import ThroughputReport, report_from_accumulator
 from repro.sim.streaming import (
     BacklogSeries,
     LatencySketch,
@@ -23,6 +24,7 @@ from repro.sim.streaming import (
     ThroughputAccumulator,
     percentile_of_sorted,
 )
+from tests.conftest import replay_throughput
 
 
 def rank_of(ordered, value):
@@ -150,6 +152,19 @@ class TestBacklogSeries:
         series.append(2.0, 1)
         assert series.points() == ((1.0, 2), (2.0, 1))
 
+    def test_peak_counts_instant_final_values_only(self):
+        # 2 → (commit) 1 → (submit) 2 at one instant, in either order:
+        # the transient 3 of submit-then-commit is not a backlog of 3.
+        for transient in (1, 3):
+            series = BacklogSeries()
+            series.append(0.0, 2)
+            series.append(5.0, transient)
+            series.append(5.0, 2)
+            assert series.peak == 2
+            assert series.points() == ((0.0, 2), (5.0, 2))
+        series.append(6.0, 4)  # the still-open last point counts
+        assert series.peak == 4
+
     def test_peak_and_final_survive_downsampling(self):
         series = BacklogSeries(resolution=8)
         rng = random.Random(3)
@@ -178,31 +193,45 @@ class TestBacklogSeries:
 
 
 class TestThroughputAccumulator:
-    def test_matches_batch_builder_on_same_schedule(self):
+    def _schedule(self):
         rng = random.Random(4)
         submissions = [(f"tx{i}", float(i)) for i in range(300)]
         commit_times = {
-            f"tx{i}": float(i) + rng.uniform(0.5, 3.0)
+            # Whole-number latencies, so commits tie with later submissions.
+            f"tx{i}": float(i) + rng.randint(1, 3)
             for i in range(300)
             if i % 5  # every fifth submission never commits
         }
-        accumulator = ThroughputAccumulator(resolution=None)
-        events = [(when, "submit", tx) for tx, when in submissions]
-        events += [(when, "commit", tx) for tx, when in commit_times.items()]
-        for when, kind, tx in sorted(events):
-            if kind == "submit":
-                accumulator.note_submit(tx, when)
-            else:
-                accumulator.note_commit(tx, when)
-        batch = build_throughput_report(
-            submissions, commit_times, blocks=10, horizon=400.0
+        return submissions, commit_times
+
+    def test_matches_exact_recomputation_of_the_schedule(self):
+        submissions, commit_times = self._schedule()
+        accumulator = replay_throughput(submissions, commit_times)
+        latencies = sorted(
+            commit_times[tx] - when for tx, when in submissions if tx in commit_times
         )
-        assert accumulator.submitted == batch.submitted
-        assert accumulator.committed == batch.committed
-        assert accumulator.latency.mean == pytest.approx(batch.latency_mean)
-        assert accumulator.latency.percentile(99) == pytest.approx(batch.latency_p99)
-        assert accumulator.series.peak == batch.peak_backlog
-        assert accumulator.backlog == batch.final_backlog
+        assert accumulator.submitted == len(submissions)
+        assert accumulator.committed == len(latencies)
+        assert accumulator.latency.mean == pytest.approx(sum(latencies) / len(latencies))
+        assert accumulator.latency.percentile(99) == percentile_of_sorted(latencies, 99.0)
+        # Backlog after each instant, recomputed from the schedule alone.
+        instants = sorted({when for _, when in submissions} | set(commit_times.values()))
+        backlog = [
+            sum(when <= now for _, when in submissions)
+            - sum(when <= now for when in commit_times.values())
+            for now in instants
+        ]
+        assert accumulator.series.points() == tuple(zip(instants, backlog))
+        assert accumulator.series.peak == max(backlog)
+        assert accumulator.backlog == backlog[-1]
+
+    def test_same_instant_observation_order_does_not_matter(self):
+        submissions, commit_times = self._schedule()
+        commits_first = replay_throughput(submissions, commit_times)
+        submits_first = replay_throughput(submissions, commit_times, submit_first=True)
+        assert commits_first.series.peak == submits_first.series.peak
+        assert commits_first.series.final == submits_first.series.final
+        assert commits_first.series.points() == submits_first.series.points()
 
     def test_duplicate_and_unknown_notifications_ignored(self):
         accumulator = ThroughputAccumulator()
@@ -227,21 +256,22 @@ class TestReportCaps:
             backlog_series=tuple(points),
         )
 
-    def test_build_report_resolution_caps_series(self):
+    def test_accumulator_resolution_caps_series(self):
         submissions = [(f"tx{i}", float(i)) for i in range(4_000)]
         commits = {tx: when + 1.0 for tx, when in submissions}
-        capped = build_throughput_report(
-            submissions, commits, blocks=5, horizon=4_100.0, resolution=16
-        )
-        legacy = build_throughput_report(
-            submissions, commits, blocks=5, horizon=4_100.0
+        capped, unbounded = (
+            report_from_accumulator(
+                replay_throughput(submissions, commits, resolution=resolution),
+                blocks=5, horizon=4_100.0,
+            )
+            for resolution in (16, None)
         )
         assert len(capped.backlog_series) <= 2 * 16 + 1
-        assert len(legacy.backlog_series) > len(capped.backlog_series)
+        assert len(unbounded.backlog_series) > len(capped.backlog_series)
         # Scalars are unaffected by the series cap.
-        assert capped.peak_backlog == legacy.peak_backlog
-        assert capped.final_backlog == legacy.final_backlog
-        assert capped.latency_p99 == legacy.latency_p99
+        assert capped.peak_backlog == unbounded.peak_backlog
+        assert capped.final_backlog == unbounded.final_backlog
+        assert capped.latency_p99 == unbounded.latency_p99
 
     def test_record_series_small_series_verbatim(self):
         points = [(float(i), i % 3) for i in range(10)]
@@ -287,20 +317,38 @@ class TestDifferentialAgainstExact:
         assert report.latency_p50 <= 1.01 * percentile_of_sorted(ordered, 50.0)
         assert report.latency_p99 <= 1.01 * percentile_of_sorted(ordered, 99.0)
 
+    @pytest.mark.parametrize("name", ["poisson-honest", "closed-loop-prft"])
+    def test_catalog_run_counts_and_backlog_match_exact(self, name):
+        """Counts, peak and final against a commits-first edge walk over
+        the run's own history — install-time submissions included."""
+        result = get_scenario(name).run(seed=0)
+        report = result.throughput
+        submissions = result.ctx.workload.submissions()
+        commit_times = result.ctx.commit_log.commit_times()
+        edges = [(when, 1, 1) for _, when in submissions]
+        edges += [(commit_times[tx], 0, -1) for tx, _ in submissions if tx in commit_times]
+        backlog, walk = 0, {}
+        for when, _, delta in sorted(edges):
+            backlog += delta
+            walk[when] = backlog
+        assert report.submitted == len(submissions)
+        assert report.committed == len(self._exact_latencies(result))
+        assert report.peak_backlog == max(walk.values())
+        assert report.final_backlog == backlog
+        assert report.backlog_series == tuple(walk.items())
+
     def test_forced_sketch_phase_stays_close_to_exact(self):
-        """Rebuild the same run's report with a tiny exact_limit so the
-        sketch phase engages; estimates must stay within a few percentile
-        ranks of exact even on this short stream."""
+        """Replay the same run's history through an accumulator with a
+        tiny exact_limit so the sketch phase engages; estimates must
+        stay within a few percentile ranks of exact even on this short
+        stream."""
         result = get_scenario("poisson-honest").run(seed=0)
-        commit_times = dict(result.ctx.commit_log.commit_times())
-        submissions = list(result.ctx.workload.submissions())
-        forced = build_throughput_report(
-            submissions,
-            commit_times,
-            blocks=result.throughput.blocks,
-            horizon=result.throughput.horizon,
+        forced = replay_throughput(
+            result.ctx.workload.submissions(),
+            result.ctx.commit_log.commit_times(),
             exact_limit=8,
-        )
+        ).latency
+        assert not forced.exact
         ordered = self._exact_latencies(result)
-        for q, estimate in ((50.0, forced.latency_p50), (99.0, forced.latency_p99)):
-            assert abs(rank_of(ordered, estimate) - q) <= 7.5
+        for q in (50.0, 99.0):
+            assert abs(rank_of(ordered, forced.percentile(q)) - q) <= 7.5

@@ -32,7 +32,7 @@ from repro.protocols.runner import (
     run,
 )
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import CommitLog, ThroughputReport, build_throughput_report
+from repro.sim.metrics import CommitLog, ThroughputReport, report_from_accumulator
 from repro.workloads import (
     WORKLOAD_KINDS,
     Burst,
@@ -41,6 +41,7 @@ from repro.workloads import (
     StaticBatch,
     make_transactions,
 )
+from tests.conftest import replay_throughput
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "golden_records.json"
 
@@ -421,11 +422,13 @@ class TestLastEventTime:
 # ----------------------------------------------------------------------
 # Throughput-report arithmetic
 # ----------------------------------------------------------------------
-class TestBuildThroughputReport:
+class TestThroughputReport:
     def test_latency_and_backlog_walk(self):
         submissions = [("a", 0.0), ("b", 1.0), ("c", 2.0)]
         commits = {"a": 4.0, "b": 4.0}
-        report = build_throughput_report(submissions, commits, blocks=1, horizon=10.0)
+        report = report_from_accumulator(
+            replay_throughput(submissions, commits), blocks=1, horizon=10.0
+        )
         assert report.submitted == 3 and report.committed == 2
         assert report.latency_mean == pytest.approx(3.5)
         assert report.latency_max == pytest.approx(4.0)
@@ -433,13 +436,19 @@ class TestBuildThroughputReport:
         assert report.final_backlog == 1
         assert report.blocks_per_sec == pytest.approx(0.1)
 
-    def test_commit_tie_resolves_before_submission(self):
+    @pytest.mark.parametrize("submit_first", [False, True])
+    def test_same_instant_commit_and_submission_do_not_inflate_peak(self, submit_first):
         # A commit and an unrelated submission at the same instant must
-        # not inflate the peak (the closed-loop top-up pattern).
+        # not inflate the peak (the closed-loop top-up pattern),
+        # whichever of the two the accumulator hears of first.
         submissions = [("a", 0.0), ("b", 5.0)]
         commits = {"a": 5.0}
-        report = build_throughput_report(submissions, commits, blocks=1, horizon=10.0)
+        report = report_from_accumulator(
+            replay_throughput(submissions, commits, submit_first=submit_first),
+            blocks=1, horizon=10.0,
+        )
         assert report.peak_backlog == 1
+        assert report.backlog_series == ((0.0, 1), (5.0, 1))
 
     def test_commit_log_restricts_and_notifies(self):
         class Block:

@@ -3,8 +3,8 @@
     python tools/differential.py BASE_TREE CHANGE_TREE [--fuzz N]
 
 Runs one fixed set of cells against each tree's ``src/`` (one child
-process per tree, ``PYTHONHASHSEED=0``) and compares, cell by cell and
-section by section, everything a refactor must not move:
+process per tree and hash seed) and compares, cell by cell and section
+by section, everything a refactor must not move:
 
 - ``record``   — the canonical ``RunRecord``;
 - ``trace``    — every trace event, in record order (kinds, order,
@@ -19,10 +19,17 @@ scenarios plus the Polygraph and TRAP forks, each × ``crypto_cache_size``
 ∈ {0, default} × aggregate certificates off/on); and N generated fuzz
 trials (even indices from the ``safe`` profile, odd from ``wild``).
 
-Exit 0 when every cell agrees; exit 1 naming the first differing cell
-and section, with the first differing line of that section from a
-re-run of the one cell on both trees.  ``make differential BASE=<rev>``
-wraps this with the ``git worktree`` mechanics of ``perf-compare``.
+Both trees run under ``PYTHONHASHSEED=0`` for the BASE-vs-CHANGE
+comparison, then again under ``PYTHONHASHSEED=1``: a tree whose two
+runs disagree leaks set/dict hash order into its behaviour.  CHANGE
+disagreeing with itself fails; BASE doing so is only reported (that bug
+is the parent's).
+
+Exit 0 when every cell agrees; exit 1 after naming *every* differing
+(cell, section) pair, each with the first differing line of that
+section from a re-run of the differing cells.  ``make differential
+BASE=<rev>`` wraps this with the ``git worktree`` mechanics of
+``perf-compare``.
 """
 
 from __future__ import annotations
@@ -126,11 +133,12 @@ def sections(scenario: Any, seed: int) -> Dict[str, List[str]]:
     }
 
 
-def dump(fuzz: int, only: str, out: str) -> None:
-    """Write {cell: {section: sha256}} — or, for one cell, its lines."""
+def dump(fuzz: int, only: List[str], out: str) -> None:
+    """Write {cell: {section: sha256}} — or, for the ``only`` cells,
+    their lines."""
     table: Dict[str, Any] = {}
     for name, scenario, seed in cells(fuzz):
-        if only and name != only:
+        if only and name not in only:
             continue
         found = sections(scenario, seed)
         table[name] = found if only else {
@@ -141,47 +149,76 @@ def dump(fuzz: int, only: str, out: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Parent side: one child per tree, then the comparison.
+# Parent side: one child per (tree, hash seed), then the comparisons.
 # ----------------------------------------------------------------------
-def _spawn(tree: Path, fuzz: int, only: str, out: Path) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--dump", str(out),
-         "--fuzz", str(fuzz), "--only", only],
-        env=env,
-    )
+Run = Tuple[str, Path, str]  # (label, tree, PYTHONHASHSEED)
 
 
-def _dump_both(trees: List[Path], fuzz: int, only: str, tmp: Path) -> List[Dict[str, Any]]:
-    outs = [tmp / f"{side}{'-cell' if only else ''}.json" for side in ("base", "change")]
-    children = [_spawn(tree, fuzz, only, out) for tree, out in zip(trees, outs)]
+def _dump_pair(runs: List[Run], fuzz: int, only: List[str], tmp: Path) -> List[Dict[str, Any]]:
+    """The two runs' tables, from two concurrent children."""
+    outs = [tmp / f"{label}-{hash_seed}-{len(only)}.json" for label, _, hash_seed in runs]
+    children = [
+        subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--dump", str(out),
+             "--fuzz", str(fuzz), *(arg for name in only for arg in ("--only", name))],
+            env=dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=hash_seed),
+        )
+        for (_, tree, hash_seed), out in zip(runs, outs)
+    ]
     if any([child.wait() for child in children]):
         raise SystemExit("differential: a child run failed")
     return [json.loads(out.read_text()) for out in outs]
 
 
+def _report(left: Run, right: Run, tables: Dict[Run, Any], fuzz: int, tmp: Path) -> int:
+    """Print every (cell, section) on which the two runs differ, with
+    its first differing line; return how many there are."""
+    names = [f"{label}@{hash_seed}" for label, _, hash_seed in (left, right)]
+    old, new = tables[left], tables[right]
+    differing = [
+        (name, section) for name in old for section in SECTIONS
+        if old[name][section] != new[name][section]
+    ]
+    if differing:
+        old, new = _dump_pair([left, right], fuzz, sorted({name for name, _ in differing}), tmp)
+    for name, section in differing:
+        print(f"differential: {name} differs in section '{section}' ({names[0]} vs {names[1]})")
+        before, after = old[name][section], new[name][section]
+        for index in range(max(len(before), len(after))):
+            was = before[index] if index < len(before) else "<end>"
+            now = after[index] if index < len(after) else "<end>"
+            if was != now:
+                print(f"  line {index}:\n    {names[0]}: {was[:400]}\n    {names[1]}: {now[:400]}")
+                break
+    return len(differing)
+
+
 def compare(base_tree: Path, change_tree: Path, fuzz: int) -> int:
-    trees = [base_tree, change_tree]
     with tempfile.TemporaryDirectory() as scratch:
         tmp = Path(scratch)
-        base, change = _dump_both(trees, fuzz, "", tmp)
-        if list(base) != list(change):
+        base, change = ("base", base_tree, "0"), ("change", change_tree, "0")
+        base_reseeded, change_reseeded = ("base", base_tree, "1"), ("change", change_tree, "1")
+        tables: Dict[Run, Any] = {}
+        for pair in ([base, change], [base_reseeded, change_reseeded]):
+            tables.update(zip(pair, _dump_pair(pair, fuzz, [], tmp)))
+        if list(tables[base]) != list(tables[change]):
             print("differential: the two trees ran different cell sets")
             return 1
-        for name in base:
-            for section in SECTIONS:
-                if base[name][section] == change[name][section]:
-                    continue
-                print(f"differential: {name} differs in section '{section}'")
-                old, new = (table[name][section] for table in _dump_both(trees, fuzz, name, tmp))
-                for index in range(max(len(old), len(new))):
-                    before = old[index] if index < len(old) else "<end>"
-                    after = new[index] if index < len(new) else "<end>"
-                    if before != after:
-                        print(f"  line {index}:\n    base:   {before[:400]}\n    change: {after[:400]}")
-                        break
-                return 1
-        print(f"differential: {len(base)} cells x {len(SECTIONS)} sections identical")
+        moved = _report(base, change, tables, fuzz, tmp)
+        leaked = _report(change, change_reseeded, tables, fuzz, tmp)
+        inherited = _report(base, base_reseeded, tables, fuzz, tmp)
+        if inherited:
+            print(f"differential: BASE disagrees with itself across hash seeds on "
+                  f"{inherited} (cell, section) pairs (reported, not fatal)")
+        if leaked:
+            print(f"differential: CHANGE disagrees with itself across hash seeds on "
+                  f"{leaked} (cell, section) pairs: hash order leaks into behaviour")
+        if moved:
+            print(f"differential: BASE and CHANGE differ on {moved} (cell, section) pairs")
+        if moved or leaked:
+            return 1
+        print(f"differential: {len(tables[base])} cells x {len(SECTIONS)} sections identical, "
+              f"and CHANGE agrees with itself across hash seeds")
         return 0
 
 
@@ -190,7 +227,7 @@ def main() -> int:
     parser.add_argument("trees", nargs="*", type=Path, help="BASE_TREE CHANGE_TREE")
     parser.add_argument("--fuzz", type=int, default=200, help="generated fuzz trials")
     parser.add_argument("--dump", help=argparse.SUPPRESS)
-    parser.add_argument("--only", default="", help=argparse.SUPPRESS)
+    parser.add_argument("--only", action="append", default=[], help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:
         dump(args.fuzz, args.only, args.dump)
