@@ -91,8 +91,18 @@ perf-smoke:
 	$(PYTHON) -m pytest perf -q
 	$(PYTHON) perf/run.py --scale 0.1 --repeats 3
 
-# Host-time before/after: `make perf-compare BASE=<rev>` checks BASE out
-# into a temporary git worktree and runs the frozen benchmark on it and
+# Both before/after gates below need BASE's files next to the working
+# tree.  `git archive | tar` only reads the repository — no worktree is
+# registered, so it also runs where `git worktree` is refused — and
+# perf/run.py and tools/differential.py cope with a tree that is not a
+# repository.  Leaves $$tmp (removed on exit) and $$base set.
+define extract_base
+tmp=$$(mktemp -d); base=$$tmp/base; trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$base"; git archive "$(BASE)" | tar -x -C "$$base"
+endef
+
+# Host-time before/after: `make perf-compare BASE=<rev>` extracts BASE
+# into a temporary directory and runs the frozen benchmark on it and
 # on the working tree — same seed, one workload at a time, the two
 # trees taking turns at going first so a slow minute of the host does
 # not land on one side — then prints perf/compare.py's verdict per
@@ -101,9 +111,7 @@ perf-smoke:
 PERF_SEED ?= 0
 perf-compare:
 	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<rev> [PERF_SEED=0]"; exit 2; }
-	@set -e; tmp=$$(mktemp -d); base=$$tmp/base; status=0; order="base change"; \
-	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	git worktree add --quiet --detach "$$base" "$(BASE)"; \
+	@set -e; $(extract_base); status=0; order="base change"; \
 	for workload in $$($(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
 		for side in $$order; do \
 			if [ $$side = base ]; then tree=$$base; else tree=$(CURDIR); fi; \
@@ -116,8 +124,8 @@ perf-compare:
 		order=$$(echo $$order | awk '{print $$2, $$1}'); \
 	done; exit $$status
 
-# Behaviour before/after: `make differential BASE=<rev> [N=200]` checks
-# BASE out into a temporary git worktree (as perf-compare does) and runs
+# Behaviour before/after: `make differential BASE=<rev> [N=200]` extracts
+# BASE into a temporary directory (as perf-compare does) and runs
 # tools/differential.py on it and on the working tree under
 # PYTHONHASHSEED=0: every catalog scenario, every pin_matrix shape x 5
 # protocols, the attacked-run set and N generated fuzz trials, comparing
@@ -130,12 +138,10 @@ perf-compare:
 N ?= 200
 differential:
 	@test -n "$(BASE)" || { echo "usage: make differential BASE=<rev> [N=200]"; exit 2; }
-	@set -e; tmp=$$(mktemp -d); base=$$tmp/base; \
-	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	git worktree add --quiet --detach "$$base" "$(BASE)"; \
+	@set -e; $(extract_base); \
 	$(PYTHON) tools/differential.py "$$base" "$(CURDIR)" --fuzz $(N)
 
-# The tree against itself (no worktree, so it also runs on a tarball of
+# The tree against itself (no BASE, so it also runs on a tarball of
 # the sources): keeps the tool from rotting and proves that one tree run
 # twice, and under two hash seeds, is identical in every compared
 # section, so a set/dict-order leak into behaviour fails `make check`.

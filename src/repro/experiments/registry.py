@@ -24,6 +24,7 @@ collusions, cross-protocol grids) exist to be swept.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -128,7 +129,7 @@ class Scenario:
     Faults: ``loss_rate`` drops each delivery independently,
     ``duplicate_rate`` delivers an extra copy, ``reorder_jitter`` adds
     uniform per-delivery jitter (which reorders traffic relative to
-    send order); all three are stages of the network's link-layer
+    send order); all three are steps of the network's link-layer
     pipeline, seeded per (scenario, seed).  ``crash_spec`` lists
     ``(replica, crash_time[, recover_time])`` outage windows — a
     2-tuple is a permanent crash.  With every fault knob at its
@@ -269,6 +270,15 @@ class Scenario:
     MAX_N = 256
 
     def __post_init__(self) -> None:
+        for field_name, (accepted, declared) in _SCALAR_FIELDS.items():
+            value = getattr(self, field_name)
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and bool not in accepted
+            ):
+                raise ValueError(
+                    f"scenario {self.name!r}: {field_name} must be {declared}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         if not 1 <= self.n <= self.MAX_N:
             raise ValueError(
                 f"n must lie in [1, {self.MAX_N}]; got {self.n} "
@@ -643,6 +653,29 @@ class Scenario:
                 f"unknown scenario field(s) {sorted(unknown)}; valid: {sorted(valid)}"
             )
         return cls(**{key: _tupleize(value) for key, value in data.items()})
+
+
+def _scalar_field(hint: Any) -> Optional[Tuple[Tuple[type, ...], str]]:
+    """(classes admitted, how to name them) for a field declared
+    ``int``, ``float``, ``str``, ``bool`` or ``Optional`` of one; None
+    for the tuple-valued axes.  An int is fine where a float is
+    declared; a bool is an int only where ``bool`` is declared."""
+    members = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    scalars = [member for member in members if member is not type(None)]
+    if len(scalars) != 1 or scalars[0] not in (int, float, str, bool):
+        return None
+    accepted = members + ((int,) if scalars[0] is float else ())
+    declared = scalars[0].__name__ + (" or None" if len(members) > 1 else "")
+    return accepted, declared
+
+
+#: Every scalar field's declared type is its validator (checked first
+#: thing in ``Scenario.__post_init__``).
+_SCALAR_FIELDS = {
+    name: checked
+    for name, hint in typing.get_type_hints(Scenario).items()
+    if (checked := _scalar_field(hint)) is not None
+}
 
 
 def _jsonable(value: Any) -> Any:

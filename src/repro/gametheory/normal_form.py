@@ -154,19 +154,6 @@ class NormalFormGame:
         strictly = any(x > y for x, y in zip(a, b))
         return at_least and strictly
 
-    def pareto_optimal_equilibria(self) -> List[Profile]:
-        """Nash equilibria not Pareto-dominated by another equilibrium."""
-        equilibria = self.pure_nash_equilibria()
-        return [
-            profile
-            for profile in equilibria
-            if not any(
-                self.pareto_dominates(other, profile)
-                for other in equilibria
-                if other != profile
-            )
-        ]
-
     def focal_equilibrium(self) -> Profile:
         """The focal point among equilibria (Schelling, Section 4.3).
 

@@ -132,10 +132,6 @@ class Chain:
     def height_of(self, digest: str) -> Optional[int]:
         return self._height_by_digest.get(digest)
 
-    def block_at(self, height: int) -> Block:
-        """The block at ``height`` (genesis is height 0)."""
-        return self._entries[height].block
-
     def status_at(self, height: int) -> ConfirmationStatus:
         return self._entries[height].status
 

@@ -61,9 +61,6 @@ class CollateralRegistry:
         """Burn several deposits; returns the number newly burned."""
         return sum(1 for player_id in set(player_ids) if self.burn(player_id, reason))
 
-    def is_burned(self, player_id: int) -> bool:
-        return self._accounts[player_id].burned
-
     def balance_of(self, player_id: int) -> float:
         """Remaining deposit: 0 if burned, else L."""
         account = self._accounts[player_id]

@@ -81,9 +81,6 @@ class Mempool:
         selected = [tx for tx in self._pending if tx.tx_id not in banned]
         return selected[:limit]
 
-    def pending_ids(self) -> List[str]:
-        return [tx.tx_id for tx in self._pending]
-
     def __len__(self) -> int:
         return len(self._pending)
 

@@ -11,14 +11,13 @@ delayed — under one of three synchrony flavours:
   which delays are bounded.
 
 :class:`~repro.net.network.Network` is the message bus: every send is
-routed through an ordered :class:`~repro.net.faults.LinkPipeline` of
-link-layer stages — the configured
-:class:`~repro.net.delays.DelayModel`, the active
+timed by the deployment's :class:`~repro.net.faults.LinkPipeline` — the
+configured :class:`~repro.net.delays.DelayModel`, the active
 :class:`~repro.net.partition.PartitionSchedule` (messages across a
-partition are deferred until the partition heals), and optional fault
-stages (probabilistic drop, duplication, reorder-jitter) for the
-adversarial-network scenarios.  With no fault stages, channels are the
-paper's reliable exactly-once baseline.
+partition are deferred until the partition heals), and three optional
+seeded faults (probabilistic drop, duplication, reorder-jitter) for the
+adversarial-network scenarios.  With every fault knob at zero, channels
+are the paper's reliable exactly-once baseline.
 """
 
 from repro.net.delays import (
@@ -29,34 +28,20 @@ from repro.net.delays import (
     SynchronousDelay,
 )
 from repro.net.envelope import Envelope
-from repro.net.faults import (
-    DelayStage,
-    DuplicateStage,
-    LinkPipeline,
-    LinkStage,
-    LossStage,
-    PartitionStage,
-    ReorderJitterStage,
-)
+from repro.net.faults import LinkPipeline
 from repro.net.network import Network, UnknownRecipientError
 from repro.net.partition import Partition, PartitionSchedule
 
 __all__ = [
     "AsynchronousDelay",
     "DelayModel",
-    "DelayStage",
-    "DuplicateStage",
     "Envelope",
     "FixedDelay",
     "LinkPipeline",
-    "LinkStage",
-    "LossStage",
     "Network",
     "PartialSynchronyDelay",
     "Partition",
     "PartitionSchedule",
-    "PartitionStage",
-    "ReorderJitterStage",
     "SynchronousDelay",
     "UnknownRecipientError",
 ]

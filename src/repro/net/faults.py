@@ -1,248 +1,101 @@
-"""The link-layer fault pipeline: composable delivery-time transforms.
+"""The link layer: when, and whether, each copy of an envelope arrives.
 
 The paper's RFT(t, k) results and the pRFT robustness theorems are
 stated over networks that may *lose*, *reorder* and *delay* messages;
 Polygraph's evaluation (Civit et al., ICDCS '21) runs under partial
-synchrony with faulty links.  This module turns the network's delivery
-decision into an ordered chain of small, deterministic
-:class:`LinkStage` objects — the pipeline the :class:`~repro.net.network.Network`
-routes every envelope through:
+synchrony with faulty links.  :meth:`LinkPipeline.transmit` is the
+network's whole delivery decision, five steps in a fixed order:
 
     delay → partition → probabilistic drop → duplication → reorder-jitter
 
-Each stage maps a list of candidate delivery times to a new list:
-dropping an envelope means returning fewer times (possibly none),
-duplicating means returning more, jitter perturbs each.  Payloads are
-never transformed — channels remain tamper-proof; only *whether* and
-*when* each copy arrives is at stake.
+Payloads are never transformed — channels remain tamper-proof; only
+*whether* and *when* each copy arrives is at stake.
 
-Determinism contract: every stochastic stage owns a ``random.Random``
-seeded from ``(run seed, stage name)`` via :func:`stage_seed`, and the
-engine delivers events deterministically, so one ``(Scenario, seed)``
+Determinism contract: each stochastic step owns a ``random.Random``
+seeded from ``(run seed, step name)`` via :func:`stage_seed` and draws
+from it only when its knob is non-zero — once per envelope for loss
+and duplication, once per surviving copy for jitter — so turning one
+fault on never shifts another's pattern, and one ``(Scenario, seed)``
 pair replays the identical fault pattern — including which envelopes
-are lost — across processes and machines.  A pipeline holding only the
-delay and partition stages reproduces the pre-pipeline network
-byte-for-byte (``deliver_at = max(now + delay, heal_time)``).
+are lost — across processes and machines.  With every knob at zero the
+link is the paper's reliable one: ``deliver_at = max(now + delay,
+heal_time)``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.net.delays import DelayModel, FixedDelay
 from repro.net.partition import PartitionSchedule
 
+#: How long after the original a duplicated copy lands.  A fixed
+#: offset, so duplication costs exactly one RNG draw per envelope.
+DUPLICATE_SPACING = 0.5
+
 
 def stage_seed(seed: str, stage_name: str) -> int:
-    """A stable 64-bit integer seed for one stage of one deployment."""
+    """A stable 64-bit integer seed for one step of one deployment."""
     digest = hashlib.sha256(f"{seed}|link|{stage_name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-class LinkStage(ABC):
-    """One link-layer transform in the pipeline.
-
-    ``transmit`` receives the candidate delivery times produced by the
-    stages before it (the pipeline entry is ``[send_time]``) and
-    returns the transformed list.  ``fault_injecting`` marks stages
-    that make the link unreliable (drop, duplicate or reorder) —
-    protocols consult :attr:`Network.unreliable` to decide whether
-    their timeout paths should retransmit.
-    """
-
-    name: str = "stage"
-    fault_injecting: bool = False
-
-    @abstractmethod
-    def transmit(
-        self, sender: int, recipient: int, send_time: float, times: List[float]
-    ) -> List[float]:
-        """Map candidate delivery times to new times ([] drops the envelope)."""
-
-
-class DelayStage(LinkStage):
-    """Applies the deployment's :class:`~repro.net.delays.DelayModel`."""
-
-    name = "delay"
-
-    def __init__(self, model: Optional[DelayModel] = None) -> None:
-        self.model = model or FixedDelay()
-
-    def transmit(
-        self, sender: int, recipient: int, send_time: float, times: List[float]
-    ) -> List[float]:
-        return [t + self.model.delay(sender, recipient, send_time) for t in times]
-
-
-class PartitionStage(LinkStage):
-    """Defers cross-partition traffic until the partition heals.
-
-    The heal time is computed at the *send* instant (a message queued
-    behind a partition waits for the window active when it was sent),
-    matching the paper's partial-synchrony reading of partitions as
-    long delays.
-    """
-
-    name = "partition"
-
-    def __init__(self, schedule: Optional[PartitionSchedule] = None) -> None:
-        self.schedule = schedule or PartitionSchedule()
-
-    def transmit(
-        self, sender: int, recipient: int, send_time: float, times: List[float]
-    ) -> List[float]:
-        earliest = self.schedule.heal_time(sender, recipient, send_time)
-        return [max(t, earliest) for t in times]
-
-
-class LossStage(LinkStage):
-    """Drops each delivery independently with probability ``rate``."""
-
-    name = "loss"
-    fault_injecting = True
-
-    def __init__(self, rate: float, seed: int = 0) -> None:
-        if not 0 <= rate < 1:
-            raise ValueError("loss rate must lie in [0, 1)")
-        self.rate = rate
-        self._rng = random.Random(seed)
-
-    def transmit(
-        self, sender: int, recipient: int, send_time: float, times: List[float]
-    ) -> List[float]:
-        return [t for t in times if self._rng.random() >= self.rate]
-
-
-class DuplicateStage(LinkStage):
-    """Duplicates each delivery with probability ``rate``.
-
-    The extra copy lands ``spacing`` time units after the original —
-    a fixed offset, so duplication costs exactly one RNG draw per
-    candidate and the fault pattern stays easy to reason about.
-    Receivers must be idempotent (they are: all protocol handlers
-    key state by sender/digest).
-    """
-
-    name = "duplicate"
-    fault_injecting = True
-
-    def __init__(self, rate: float, spacing: float = 0.5, seed: int = 0) -> None:
-        if not 0 <= rate <= 1:
-            raise ValueError("duplicate rate must lie in [0, 1]")
-        if spacing < 0:
-            raise ValueError("duplicate spacing must be non-negative")
-        self.rate = rate
-        self.spacing = spacing
-        self._rng = random.Random(seed)
-
-    def transmit(
-        self, sender: int, recipient: int, send_time: float, times: List[float]
-    ) -> List[float]:
-        out: List[float] = []
-        for t in times:
-            out.append(t)
-            if self._rng.random() < self.rate:
-                out.append(t + self.spacing)
-        return out
-
-
-class ReorderJitterStage(LinkStage):
-    """Adds uniform jitter in [0, ``jitter``] to every delivery.
-
-    Because the engine orders simultaneous events FIFO, jitter is what
-    actually *reorders* messages relative to their send order — two
-    envelopes sent back-to-back can swap arrival order once their
-    jitters differ by more than the send gap.
-    """
-
-    name = "reorder-jitter"
-    fault_injecting = True
-
-    def __init__(self, jitter: float, seed: int = 0) -> None:
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        self.jitter = jitter
-        self._rng = random.Random(seed)
-
-    def transmit(
-        self, sender: int, recipient: int, send_time: float, times: List[float]
-    ) -> List[float]:
-        return [t + self._rng.uniform(0.0, self.jitter) for t in times]
-
-
 class LinkPipeline:
-    """An ordered chain of :class:`LinkStage`\\ s applied to every send."""
+    """One deployment's link: a delay model, a partition schedule and
+    three seeded fault knobs applied to every send."""
 
-    def __init__(self, stages: Sequence[LinkStage]) -> None:
-        self._stages = tuple(stages)
-
-    @property
-    def stages(self) -> Sequence[LinkStage]:
-        return self._stages
-
-    @property
-    def fault_injecting(self) -> bool:
-        """True if any stage can drop, duplicate or reorder traffic."""
-        return any(stage.fault_injecting for stage in self._stages)
-
-    @property
-    def delay_model(self) -> DelayModel:
-        """The delay model of the (first) delay stage, for checkers."""
-        for stage in self._stages:
-            if isinstance(stage, DelayStage):
-                return stage.model
-        return FixedDelay()
-
-    @property
-    def partitions(self) -> PartitionSchedule:
-        for stage in self._stages:
-            if isinstance(stage, PartitionStage):
-                return stage.schedule
-        return PartitionSchedule()
-
-    def transmit(self, sender: int, recipient: int, send_time: float) -> List[float]:
-        """Delivery times for one envelope sent now ([] = lost)."""
-        times = [send_time]
-        for stage in self._stages:
-            times = stage.transmit(sender, recipient, send_time, times)
-            if not times:
-                return []
-        return times
-
-    @classmethod
-    def build(
-        cls,
+    def __init__(
+        self,
         delay_model: Optional[DelayModel] = None,
         partitions: Optional[PartitionSchedule] = None,
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
         reorder_jitter: float = 0.0,
         seed: str = "default",
-    ) -> "LinkPipeline":
-        """The canonical pipeline in the canonical stage order.
+    ) -> None:
+        if not 0 <= loss_rate < 1:
+            raise ValueError("loss rate must lie in [0, 1)")
+        if not 0 <= duplicate_rate <= 1:
+            raise ValueError("duplicate rate must lie in [0, 1]")
+        if reorder_jitter < 0:
+            raise ValueError("jitter must be non-negative")
+        self._delay_model = delay_model or FixedDelay()
+        self._partitions = partitions
+        self._loss_rate = loss_rate
+        self._duplicate_rate = duplicate_rate
+        self._jitter = reorder_jitter
+        self._loss = random.Random(stage_seed(seed, "loss"))
+        self._duplicate = random.Random(stage_seed(seed, "duplicate"))
+        self._reorder = random.Random(stage_seed(seed, "reorder-jitter"))
 
-        With all fault knobs at zero this is exactly the legacy
-        delay-then-partition network: the empty fault pipeline is the
-        identity, which is what keeps every pre-existing scenario
-        byte-identical.
+    @property
+    def fault_injecting(self) -> bool:
+        """True if the link can drop, duplicate or reorder traffic —
+        protocols consult :attr:`Network.unreliable` to decide whether
+        their timeout paths should retransmit."""
+        return bool(self._loss_rate or self._duplicate_rate or self._jitter)
+
+    def transmit(self, sender: int, recipient: int, send_time: float) -> List[float]:
+        """Delivery times for one envelope sent now ([] = lost).
+
+        A partition defers to the heal time computed at the *send*
+        instant (the paper's partial-synchrony reading of partitions
+        as long delays).  Receivers must be idempotent under
+        duplication (they are: all protocol handlers key state by
+        sender/digest).  Because the engine orders simultaneous events
+        FIFO, jitter is what actually *reorders* messages relative to
+        their send order.
         """
-        stages: List[LinkStage] = [
-            DelayStage(delay_model),
-            PartitionStage(partitions),
-        ]
-        if loss_rate:
-            stages.append(LossStage(loss_rate, seed=stage_seed(seed, LossStage.name)))
-        if duplicate_rate:
-            stages.append(
-                DuplicateStage(duplicate_rate, seed=stage_seed(seed, DuplicateStage.name))
-            )
-        if reorder_jitter:
-            stages.append(
-                ReorderJitterStage(
-                    reorder_jitter, seed=stage_seed(seed, ReorderJitterStage.name)
-                )
-            )
-        return cls(stages)
+        at = send_time + self._delay_model.delay(sender, recipient, send_time)
+        if self._partitions is not None:
+            at = max(at, self._partitions.heal_time(sender, recipient, send_time))
+        if self._loss_rate and self._loss.random() < self._loss_rate:
+            return []
+        times = [at]
+        if self._duplicate_rate and self._duplicate.random() < self._duplicate_rate:
+            times.append(at + DUPLICATE_SPACING)
+        if self._jitter:
+            times = [t + self._reorder.uniform(0.0, self._jitter) for t in times]
+        return times

@@ -1,22 +1,22 @@
 """The message bus tying engine, link pipeline and replicas together.
 
-``Network`` routes every envelope through the deployment's
-:class:`~repro.net.faults.LinkPipeline` — an ordered chain of
-link-layer stages (delay → partition → drop → duplication →
-reorder-jitter) — and schedules one delivery per surviving copy.
-Payloads are tamper-proof (the pipeline transforms delivery *times*,
-never contents); with no fault stages configured, channels are
-reliable and exactly-once, as the paper's baseline model assumes.
+``Network`` asks the deployment's
+:class:`~repro.net.faults.LinkPipeline` (delay → partition → drop →
+duplication → reorder-jitter) when each envelope arrives and schedules
+one delivery per surviving copy.  Payloads are tamper-proof (the
+pipeline decides delivery *times*, never contents); with every fault
+knob at zero, channels are reliable and exactly-once, as the paper's
+baseline model assumes.  This package is also the only place an
+:class:`~repro.net.envelope.Envelope` is described: replicas hand
+:meth:`Network.broadcast` a plan and the traffic's description once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.net.delays import DelayModel
 from repro.net.envelope import Envelope
 from repro.net.faults import LinkPipeline
-from repro.net.partition import PartitionSchedule
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.trace import TraceRecorder
@@ -34,18 +34,12 @@ class Network:
     def __init__(
         self,
         engine: SimulationEngine,
-        delay_model: Optional[DelayModel] = None,
-        partitions: Optional[PartitionSchedule] = None,
+        pipeline: Optional[LinkPipeline] = None,
         metrics: Optional[MetricsCollector] = None,
         trace: Optional[TraceRecorder] = None,
-        pipeline: Optional[LinkPipeline] = None,
     ) -> None:
-        if pipeline is not None and (delay_model is not None or partitions is not None):
-            raise ValueError("pass either a pipeline or delay_model/partitions, not both")
         self._engine = engine
-        self._pipeline = pipeline or LinkPipeline.build(
-            delay_model=delay_model, partitions=partitions
-        )
+        self._pipeline = pipeline if pipeline is not None else LinkPipeline()
         self.metrics = metrics if metrics is not None else MetricsCollector()
         # `is not None`, not `or`: an empty recorder is falsy (len 0)
         # but may carry a retention window that must survive.
@@ -55,18 +49,6 @@ class Network:
         # broadcast path never re-sorts.
         self._participants: Tuple[int, ...] = ()
         self._crash_faults = False
-
-    @property
-    def engine(self) -> SimulationEngine:
-        return self._engine
-
-    @property
-    def pipeline(self) -> LinkPipeline:
-        return self._pipeline
-
-    @property
-    def delay_model(self) -> DelayModel:
-        return self._pipeline.delay_model
 
     @property
     def unreliable(self) -> bool:
@@ -101,7 +83,7 @@ class Network:
         view it was dropped, and the metrics say so instead of
         silently counting it as delivered.
         """
-        self.metrics.record_drop(envelope.message_type, reason)
+        self.metrics.record_drop(reason)
         self.trace.record(
             self._engine.now,
             "drop",
@@ -150,43 +132,34 @@ class Network:
 
         for index, deliver_at in enumerate(times):
             if index:
-                self.metrics.record_duplicate(envelope.message_type, envelope.size_bytes)
-            self._engine.schedule_at(
-                max(deliver_at, now),
-                deliver,
-                label=f"deliver:{envelope.message_type}:{envelope.sender}->{envelope.recipient}",
-            )
+                self.metrics.record_duplicate(envelope.size_bytes)
+            self._engine.schedule_at(max(deliver_at, now), deliver)
 
     def broadcast(
         self,
         sender: int,
-        payload_for: Callable[[int], Optional[object]],
+        plan: Dict[int, Any],
         message_type: str,
         size_bytes: int,
         round_number: int = -1,
     ) -> int:
-        """Send to every registered player (including the sender).
+        """Put on the wire what ``plan`` maps each recipient to — a
+        payload, several, or None — in the plan's own order.
 
-        ``payload_for(recipient)`` builds the payload per recipient;
-        returning None skips that recipient.  Per-recipient payloads are
-        what let byzantine players *equivocate* — send conflicting
-        messages to different subsets — while honest players pass a
-        constant function.  Returns the number of envelopes sent.
+        Per-recipient payloads are what let byzantine players
+        *equivocate* — send conflicting messages to different subsets —
+        while an honest plan maps every participant (the sender
+        included) to one message.  Every copy travels under the one
+        description given here.  Returns the number of envelopes sent.
         """
         sent = 0
-        for recipient in self._participants:
-            payload = payload_for(recipient)
-            if payload is None:
-                continue
-            self.send(
-                Envelope(
-                    sender=sender,
-                    recipient=recipient,
-                    payload=payload,
-                    message_type=message_type,
-                    size_bytes=size_bytes,
-                    round_number=round_number,
+        for recipient, planned in plan.items():
+            payloads = planned if isinstance(planned, (list, tuple)) else (planned,)
+            for payload in payloads:
+                if payload is None:
+                    continue
+                self.send(
+                    Envelope(sender, recipient, payload, message_type, size_bytes, round_number)
                 )
-            )
-            sent += 1
+                sent += 1
         return sent

@@ -24,7 +24,6 @@ from repro.core.messages import Justification, SignedStatement, WireMessage, ver
 from repro.core.pof import FraudDetector, FraudProof
 from repro.crypto.keys import KeyPair
 from repro.crypto.registry import KeyRegistry
-from repro.crypto.signatures import Signature, sign
 from repro.ledger.block import Block
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
@@ -646,12 +645,6 @@ class BaseReplica(ABC):
     # ------------------------------------------------------------------
     # Crypto helpers
     # ------------------------------------------------------------------
-    def sign_value(self, value: Any) -> Signature:
-        return sign(self.keypair, value)
-
-    def verify_value(self, signature: Signature, value: Any) -> bool:
-        return self.ctx.registry.verify(signature, value)
-
     def _valid(self, statement: SignedStatement, sender: int, phase: str) -> bool:
         """Recv-boundary validation: right phase, right signer, valid sig."""
         return (
@@ -684,36 +677,16 @@ class BaseReplica(ABC):
         return self._send_plan(plan, message)
 
     def _send_plan(self, plan: Dict[int, Any], message: WireMessage) -> int:
-        """Put on the wire what ``plan`` maps each recipient to (a
-        payload, several, or None).
+        """Hand the network ``plan`` (recipient → a payload, several, or
+        None) as one fan-out.
 
         The prescribed ``message`` describes the traffic — its wire
         type, size and round are read off it once — and an equivocating
         alternative travels under the same description.
         """
-        wire_type, size_bytes, round_number = (
-            message.wire_type, message.size_bytes, message.round_number
+        return self.ctx.network.broadcast(
+            self.player_id, plan, message.wire_type, message.size_bytes, message.round_number
         )
-        sent = 0
-        for recipient, planned in plan.items():
-            if planned is None:
-                continue
-            messages = planned if isinstance(planned, (list, tuple)) else [planned]
-            for payload in messages:
-                if payload is None:
-                    continue
-                self.ctx.network.send(
-                    Envelope(
-                        sender=self.player_id,
-                        recipient=recipient,
-                        payload=payload,
-                        message_type=wire_type,
-                        size_bytes=size_bytes,
-                        round_number=round_number,
-                    )
-                )
-                sent += 1
-        return sent
 
     def send_direct(self, recipient: int, message: WireMessage) -> int:
         """One strategy-mediated point-to-point send.

@@ -140,10 +140,6 @@ class CrashSchedule:
             replica = replicas.get(window.replica)
             if replica is None:
                 raise ValueError(f"crash schedule names unknown replica {window.replica}")
-            engine.schedule_at(
-                window.crash_time, replica.crash, label=f"crash:{window.replica}"
-            )
+            engine.schedule_at(window.crash_time, replica.crash)
             if window.recover_time is not None:
-                engine.schedule_at(
-                    window.recover_time, replica.recover, label=f"recover:{window.replica}"
-                )
+                engine.schedule_at(window.recover_time, replica.recover)

@@ -77,14 +77,14 @@ def build_context(
 
     The arguments are a :class:`RunSpec`'s own sub-specs.  ``network``
     builds the link-layer pipeline (delay → partition → drop →
-    duplication → reorder-jitter); each stochastic stage is seeded from
+    duplication → reorder-jitter); each stochastic step is seeded from
     ``seed``, so faults replay identically for the same (scenario,
     seed) pair.  ``retention`` sizes the trace recorder's per-kind ring
     buffers and the commit log's dedup window; the all-defaults spec
     keeps both unbounded.
     """
     engine = SimulationEngine()
-    pipeline = LinkPipeline.build(
+    pipeline = LinkPipeline(
         delay_model=network.delay_model,
         partitions=network.partitions,
         loss_rate=network.loss_rate,

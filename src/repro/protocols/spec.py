@@ -52,8 +52,9 @@ class NetworkSpec:
 
     Defaults are the paper's baseline — reliable exactly-once channels
     under a fixed unit delay (``delay_model=None`` means
-    ``FixedDelay(1.0)``).  The fault knobs are the stages of the
-    link-layer pipeline, and are range-checked here and nowhere else.
+    ``FixedDelay(1.0)``).  The fault knobs are the seeded steps of the
+    link-layer pipeline, range-checked here so a bad spec fails before
+    anything is assembled.
     """
 
     delay_model: Optional[DelayModel] = None

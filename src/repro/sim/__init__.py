@@ -20,14 +20,13 @@ every run is exactly reproducible from its configuration.
 
 from repro.sim.engine import Event, SimulationEngine
 from repro.sim.metrics import MetricsCollector
-from repro.sim.timers import TimerHandle, TimerService
+from repro.sim.timers import TimerService
 from repro.sim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "Event",
     "MetricsCollector",
     "SimulationEngine",
-    "TimerHandle",
     "TimerService",
     "TraceEvent",
     "TraceRecorder",

@@ -26,7 +26,6 @@ class Event:
     time: float
     seq: int
     callback: Callable[[], None] = field(compare=False)
-    label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
     _owner: Optional["SimulationEngine"] = field(default=None, compare=False, repr=False)
     _in_queue: bool = field(default=False, compare=False, repr=False)
@@ -97,7 +96,7 @@ class SimulationEngine:
             self._queue = [e for e in self._queue if not e.cancelled]
             heapq.heapify(self._queue)
 
-    def schedule(self, delay: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to fire ``delay`` time units from now.
 
         Returns the :class:`Event`, whose :meth:`Event.cancel` method
@@ -110,7 +109,6 @@ class SimulationEngine:
             time=self._now + delay,
             seq=next(self._sequence),
             callback=callback,
-            label=label,
             _owner=self,
             _in_queue=True,
         )
@@ -118,9 +116,9 @@ class SimulationEngine:
         self._live += 1
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute virtual ``time`` (>= now)."""
-        return self.schedule(time - self._now, callback, label=label)
+        return self.schedule(time - self._now, callback)
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False if the queue is empty."""

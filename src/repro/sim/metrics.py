@@ -56,9 +56,7 @@ class MetricsCollector:
         self._by_round: Dict[int, MessageStats] = defaultdict(MessageStats)
         self._total = MessageStats()
         self._dropped_by_reason: Dict[str, int] = defaultdict(int)
-        self._dropped_by_type: Dict[str, int] = defaultdict(int)
         self._duplicates = MessageStats()
-        self._duplicates_by_type: Dict[str, int] = defaultdict(int)
 
     def record_send(self, message_type: str, size_bytes: int, round_number: int = -1) -> None:
         """Account one message leaving a sender."""
@@ -66,22 +64,18 @@ class MetricsCollector:
         self._by_round[round_number].add(size_bytes)
         self._total.add(size_bytes)
 
-    def record_drop(self, message_type: str, reason: str) -> None:
+    def record_drop(self, reason: str) -> None:
         """Account one message that never reached a live state machine.
 
         ``reason`` is ``"loss"`` (dropped by the link pipeline),
         ``"crashed"`` or ``"halted"`` (delivered to a recipient that
-        could not process it).  Counted both by reason and by message
-        type, so a lossy run can report *which* traffic was lost.
+        could not process it).
         """
         self._dropped_by_reason[reason] += 1
-        self._dropped_by_type[message_type] += 1
 
-    def record_duplicate(self, message_type: str, size_bytes: int) -> None:
-        """Account one extra link-layer copy of an already-sent message,
-        both in aggregate (count + bytes) and per message type."""
+    def record_duplicate(self, size_bytes: int) -> None:
+        """Account one extra link-layer copy of an already-sent message."""
         self._duplicates.add(size_bytes)
-        self._duplicates_by_type[message_type] += 1
 
     @property
     def total_dropped(self) -> int:
@@ -94,17 +88,6 @@ class MetricsCollector:
     def dropped_by_reason(self) -> Dict[str, int]:
         """Return {reason: count} for every observed drop reason."""
         return dict(self._dropped_by_reason)
-
-    def dropped_by_type(self) -> Dict[str, int]:
-        """Return {message_type: count} for every dropped type."""
-        return dict(self._dropped_by_type)
-
-    def dropped_of(self, message_type: str) -> int:
-        return self._dropped_by_type.get(message_type, 0)
-
-    def duplicates_by_type(self) -> Dict[str, int]:
-        """Return {message_type: extra copies} for every duplicated type."""
-        return dict(self._duplicates_by_type)
 
     @property
     def total_messages(self) -> int:

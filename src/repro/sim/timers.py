@@ -9,25 +9,9 @@ the stale one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Tuple
 
 from repro.sim.engine import Event, SimulationEngine
-
-
-@dataclass
-class TimerHandle:
-    """A handle to a scheduled timer; ``cancel()`` revokes it."""
-
-    key: Tuple[Hashable, str]
-    event: Event
-
-    def cancel(self) -> None:
-        self.event.cancel()
-
-    @property
-    def active(self) -> bool:
-        return not self.event.cancelled
 
 
 class TimerService:
@@ -35,7 +19,7 @@ class TimerService:
 
     def __init__(self, engine: SimulationEngine) -> None:
         self._engine = engine
-        self._timers: Dict[Tuple[Hashable, str], TimerHandle] = {}
+        self._timers: Dict[Tuple[Hashable, str], Event] = {}
 
     def set_timer(
         self,
@@ -43,11 +27,12 @@ class TimerService:
         name: str,
         delay: float,
         callback: Callable[[], None],
-    ) -> TimerHandle:
+    ) -> Event:
         """Arm (or re-arm) the timer ``name`` for ``owner``.
 
         An existing timer with the same key is cancelled first, so each
-        (owner, name) pair has at most one live timer.
+        (owner, name) pair has at most one live timer.  The returned
+        :class:`Event`'s ``cancel()`` revokes it.
         """
         key = (owner, name)
         existing = self._timers.get(key)
@@ -55,22 +40,20 @@ class TimerService:
             existing.cancel()
 
         def fire() -> None:
-            live = self._timers.get(key)
-            if live is not None and live.event is event:
+            if self._timers.get(key) is event:
                 del self._timers[key]
             callback()
 
-        event = self._engine.schedule(delay, fire, label=f"timer:{owner}:{name}")
-        handle = TimerHandle(key=key, event=event)
-        self._timers[key] = handle
-        return handle
+        event = self._engine.schedule(delay, fire)
+        self._timers[key] = event
+        return event
 
     def cancel(self, owner: Hashable, name: str) -> bool:
         """Cancel the timer if it is armed.  Returns True if one was live."""
-        handle = self._timers.pop((owner, name), None)
-        if handle is None or not handle.active:
+        event = self._timers.pop((owner, name), None)
+        if event is None or event.cancelled:
             return False
-        handle.cancel()
+        event.cancel()
         return True
 
     def cancel_all(self, owner: Hashable) -> int:
@@ -78,13 +61,13 @@ class TimerService:
         keys = [key for key in self._timers if key[0] == owner]
         cancelled = 0
         for key in keys:
-            handle = self._timers.pop(key)
-            if handle.active:
-                handle.cancel()
+            event = self._timers.pop(key)
+            if not event.cancelled:
+                event.cancel()
                 cancelled += 1
         return cancelled
 
     def is_armed(self, owner: Hashable, name: str) -> bool:
         """True if (owner, name) has a live timer."""
-        handle = self._timers.get((owner, name))
-        return handle is not None and handle.active
+        event = self._timers.get((owner, name))
+        return event is not None and not event.cancelled

@@ -69,16 +69,14 @@ class PoissonOpenLoop(Workload):
         if self._engine.now + gap >= self.duration:
             self._exhausted = True
             return
-        self._engine.schedule(gap, self._arrive, label="poisson-arrival")
+        self._engine.schedule(gap, self._arrive)
 
     def _arrive(self) -> None:
         if self.coalesce_window > 0:
             self._held.append(self._next_transaction())
             if not self._flush_scheduled:
                 self._flush_scheduled = True
-                self._engine.schedule(
-                    self.coalesce_window, self._flush, label="poisson-coalesce-flush"
-                )
+                self._engine.schedule(self.coalesce_window, self._flush)
         else:
             self.submit([self._next_transaction()])
         self._schedule_next()
@@ -125,7 +123,7 @@ class Burst(Workload):
 
     def _start(self, ctx: Any) -> None:
         for when, count in self.schedule:
-            self._engine.schedule_at(when, lambda c=count: self._burst(c), label="burst-arrival")
+            self._engine.schedule_at(when, lambda c=count: self._burst(c))
 
     def _burst(self, count: int) -> None:
         self.submit([self._next_transaction() for _ in range(count)])

@@ -1,5 +1,7 @@
 """Shared fixtures and run helpers for protocol-level tests."""
 
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import pytest
@@ -28,6 +30,20 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "large_n" in item.keywords:
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture(scope="session")
+def perf_layers():
+    """``perf/layers.py`` of the frozen benchmark, imported by path
+    (it imports ``perf/spans.py`` as ``spans`` in turn); tests read
+    it, never edit it."""
+    perf = str(Path(__file__).resolve().parent.parent / "perf")
+    sys.path.insert(0, perf)
+    try:
+        import layers
+    finally:
+        sys.path.remove(perf)
+    return layers
 
 
 def replay_throughput(

@@ -13,6 +13,7 @@ from repro.checks import (
 )
 from repro.checks.invariants import OracleContext
 from repro.experiments import RunRecord, Scenario, get_scenario, scenario_catalog
+from repro.gametheory.payoff import PlayerType
 
 
 def checked(scenario):
@@ -242,6 +243,38 @@ class TestScenarioJson:
     def test_unknown_field_rejected(self):
         with pytest.raises(KeyError):
             Scenario.from_dict({"name": "x", "warp_drive": True})
+
+    @pytest.mark.parametrize("field,value,complaint", [
+        # accepted, and carried into the run as a string, before the check
+        ("rounds", "2", "rounds must be int, got str '2'"),
+        ("timeout", "15", "timeout must be float, got str '15'"),
+        # a bare "'<=' not supported" TypeError naming no field before it
+        ("n", "7", "n must be int, got str '7'"),
+        ("loss_rate", [0.1], "loss_rate must be float, got tuple (0.1,)"),
+        ("n", True, "n must be int, got bool True"),
+        ("delta", False, "delta must be float, got bool False"),
+        ("aggregate_certs", 1, "aggregate_certs must be bool, got int 1"),
+        ("regions", "2", "regions must be int or None, got str '2'"),
+        ("attack", 3, "attack must be str or None, got int 3"),
+        ("rounds", 2.0, "rounds must be int, got float 2.0"),
+        ("rounds", None, "rounds must be int, got NoneType None"),
+    ])
+    def test_wrong_typed_scalar_names_its_field(self, field, value, complaint):
+        """The declared type is the validator, for files, ``with_params``,
+        sweep grids and library callers alike."""
+        with pytest.raises(ValueError) as caught:
+            Scenario.from_dict({"name": "x", field: value})
+        assert str(caught.value) == f"scenario 'x': {complaint}"
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            get_scenario("honest").with_params(**{field: value})
+
+    def test_an_int_is_fine_where_a_float_is_declared(self):
+        scenario = Scenario.from_dict(
+            {"name": "x", "delta": 2, "timeout": 30, "duration": None, "max_block_txs": 8}
+        )
+        assert (scenario.delta, scenario.timeout, scenario.max_block_txs) == (2, 30, 8)
+        # ...and an IntEnum member where an int is.
+        assert Scenario(name="x", theta=PlayerType.FORK_SEEKING).theta == 1
 
 
 class TestCatchUpNeverDoubleSigns:

@@ -181,6 +181,14 @@ class TestEveryFlagOverrides:
         assert str(caught.value) == error.args[0]
 
 
+    def test_a_wrong_typed_file_value_is_a_one_line_exit(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"name": "typo", "n": "7"}))
+        with pytest.raises(SystemExit) as caught:
+            main(["run", str(path)])
+        assert str(caught.value) == f"{path}: scenario 'typo': n must be int, got str '7'"
+
+
 class TestScenarios:
     def test_honest_scenario(self, capsys):
         assert main(["run", "honest", "-n", "5", "--rounds", "2"]) == 0

@@ -1,6 +1,6 @@
 """Tests for the link-layer fault pipeline and the replica lifecycle.
 
-Covers repro.net.faults (stages, pipeline, determinism),
+Covers repro.net.faults (the five steps of the pipeline, determinism),
 repro.protocols.lifecycle (CrashSchedule, crash/recovery state
 machine), the Network's drop/duplicate accounting, and the
 adversarial-network scenario axes end to end.
@@ -14,15 +14,7 @@ from repro.experiments import Scenario, get_scenario, run_sweep, scenario_catalo
 from repro.experiments.results import RunRecord, records_to_json
 from repro.net.delays import FixedDelay
 from repro.net.envelope import Envelope
-from repro.net.faults import (
-    DelayStage,
-    DuplicateStage,
-    LinkPipeline,
-    LossStage,
-    PartitionStage,
-    ReorderJitterStage,
-    stage_seed,
-)
+from repro.net.faults import LinkPipeline, stage_seed
 from repro.net.network import Network
 from repro.net.partition import Partition, PartitionSchedule
 from repro.protocols.lifecycle import CrashSchedule, CrashWindow, ReplicaStatus
@@ -38,61 +30,72 @@ class TestStages:
         assert stage_seed("run/0", "loss") != stage_seed("run/0", "duplicate")
         assert stage_seed("run/0", "loss") != stage_seed("run/1", "loss")
 
-    def test_delay_and_partition_stages_reproduce_legacy_formula(self):
+    def test_delay_and_partition_reproduce_legacy_formula(self):
         """delay → partition must equal max(now + delay, heal_time)."""
         schedule = PartitionSchedule()
         schedule.add(Partition.of({0}, {1}), 0.0, 50.0)
-        pipeline = LinkPipeline.build(delay_model=FixedDelay(2.0), partitions=schedule)
+        pipeline = LinkPipeline(delay_model=FixedDelay(2.0), partitions=schedule)
         assert pipeline.transmit(0, 1, 5.0) == [50.0]   # deferred to heal
         assert pipeline.transmit(0, 2, 5.0) == [7.0]    # unpartitioned
         assert not pipeline.fault_injecting
 
-    def test_loss_stage_rates_validated(self):
+    def test_rates_validated(self):
         with pytest.raises(ValueError):
-            LossStage(-0.1)
+            LinkPipeline(loss_rate=-0.1)
         with pytest.raises(ValueError):
-            LossStage(1.0)
+            LinkPipeline(loss_rate=1.0)
         with pytest.raises(ValueError):
-            DuplicateStage(1.5)
+            LinkPipeline(duplicate_rate=1.5)
         with pytest.raises(ValueError):
-            ReorderJitterStage(-1.0)
+            LinkPipeline(reorder_jitter=-1.0)
 
-    def test_loss_stage_deterministic_per_seed(self):
-        a = LossStage(0.5, seed=7)
-        b = LossStage(0.5, seed=7)
-        pattern_a = [a.transmit(0, 1, 0.0, [1.0]) for _ in range(50)]
-        pattern_b = [b.transmit(0, 1, 0.0, [1.0]) for _ in range(50)]
+    def test_loss_deterministic_per_seed(self):
+        a = LinkPipeline(delay_model=FixedDelay(1.0), loss_rate=0.5, seed="run/7")
+        b = LinkPipeline(delay_model=FixedDelay(1.0), loss_rate=0.5, seed="run/7")
+        pattern_a = [a.transmit(0, 1, 0.0) for _ in range(50)]
+        pattern_b = [b.transmit(0, 1, 0.0) for _ in range(50)]
         assert pattern_a == pattern_b
         assert any(times == [] for times in pattern_a)      # some dropped
         assert any(times == [1.0] for times in pattern_a)   # some kept
 
     def test_zero_loss_never_drops(self):
-        pipeline = LinkPipeline.build(delay_model=FixedDelay(1.0), loss_rate=0.0)
+        pipeline = LinkPipeline(delay_model=FixedDelay(1.0), loss_rate=0.0)
         for _ in range(20):
             assert pipeline.transmit(0, 1, 0.0) == [1.0]
 
-    def test_duplicate_stage_appends_spaced_copy(self):
-        stage = DuplicateStage(1.0, spacing=0.25, seed=0)
-        assert stage.transmit(0, 1, 0.0, [3.0]) == [3.0, 3.25]
+    def test_duplicate_lands_half_a_unit_later(self):
+        pipeline = LinkPipeline(delay_model=FixedDelay(3.0), duplicate_rate=1.0)
+        assert pipeline.transmit(0, 1, 0.0) == [3.0, 3.5]
 
     def test_jitter_bounds(self):
-        stage = ReorderJitterStage(2.0, seed=3)
+        pipeline = LinkPipeline(delay_model=FixedDelay(5.0), reorder_jitter=2.0, seed="run/3")
         for _ in range(50):
-            (t,) = stage.transmit(0, 1, 0.0, [5.0])
+            (t,) = pipeline.transmit(0, 1, 0.0)
             assert 5.0 <= t <= 7.0
 
-    def test_pipeline_stops_after_total_drop(self):
+    def test_a_lost_envelope_is_not_duplicated(self):
         pipeline = LinkPipeline(
-            [DelayStage(FixedDelay(1.0)), LossStage(0.999999, seed=1), DuplicateStage(1.0)]
+            delay_model=FixedDelay(1.0), loss_rate=0.999999, duplicate_rate=1.0, seed="run/1"
         )
         results = [pipeline.transmit(0, 1, 0.0) for _ in range(20)]
         assert all(times == [] for times in results)
 
+    def test_each_fault_draws_from_its_own_stream(self):
+        """Turning duplication and jitter on never changes *which*
+        envelopes are lost: a zero knob draws nothing, and each step
+        has its own seeded stream."""
+        lossy = LinkPipeline(loss_rate=0.5, seed="run/0")
+        noisy = LinkPipeline(
+            loss_rate=0.5, duplicate_rate=0.5, reorder_jitter=1.0, seed="run/0"
+        )
+        lost = [not lossy.transmit(0, 1, 0.0) for _ in range(50)]
+        assert lost == [not noisy.transmit(0, 1, 0.0) for _ in range(50)]
+
     def test_fault_injecting_flag(self):
-        assert LinkPipeline.build(loss_rate=0.1).fault_injecting
-        assert LinkPipeline.build(duplicate_rate=0.1).fault_injecting
-        assert LinkPipeline.build(reorder_jitter=0.1).fault_injecting
-        assert not LinkPipeline.build().fault_injecting
+        assert LinkPipeline(loss_rate=0.1).fault_injecting
+        assert LinkPipeline(duplicate_rate=0.1).fault_injecting
+        assert LinkPipeline(reorder_jitter=0.1).fault_injecting
+        assert not LinkPipeline().fault_injecting
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +103,7 @@ class TestStages:
 # ----------------------------------------------------------------------
 def _lossy_network(**build_kwargs):
     engine = SimulationEngine()
-    network = Network(engine, pipeline=LinkPipeline.build(**build_kwargs))
+    network = Network(engine, pipeline=LinkPipeline(**build_kwargs))
     inboxes = {i: [] for i in range(3)}
     for i in range(3):
         network.register(i, lambda env, i=i: inboxes[i].append(env))
@@ -108,11 +111,6 @@ def _lossy_network(**build_kwargs):
 
 
 class TestNetworkFaults:
-    def test_pipeline_and_legacy_args_are_exclusive(self):
-        engine = SimulationEngine()
-        with pytest.raises(ValueError):
-            Network(engine, delay_model=FixedDelay(), pipeline=LinkPipeline.build())
-
     def test_dropped_send_counted_and_traced(self):
         engine, network, inboxes = _lossy_network(
             delay_model=FixedDelay(1.0), loss_rate=0.999999, seed="drop-test"

@@ -10,6 +10,7 @@ from repro.net.delays import (
     SynchronousDelay,
 )
 from repro.net.envelope import Envelope
+from repro.net.faults import LinkPipeline
 from repro.net.network import Network
 from repro.net.partition import Partition, PartitionSchedule
 from repro.sim.engine import SimulationEngine
@@ -168,7 +169,9 @@ class TestPartitionSchedule:
 
 def _mk_network(delay=None, partitions=None):
     engine = SimulationEngine()
-    network = Network(engine, delay_model=delay or FixedDelay(1.0), partitions=partitions)
+    network = Network(
+        engine, LinkPipeline(delay_model=delay or FixedDelay(1.0), partitions=partitions)
+    )
     inboxes = {i: [] for i in range(4)}
     for i in range(4):
         network.register(i, lambda env, i=i: inboxes[i].append(env))
@@ -209,7 +212,7 @@ class TestNetwork:
 
     def test_broadcast_reaches_everyone_including_sender(self):
         engine, network, inboxes = _mk_network()
-        sent = network.broadcast(0, lambda recipient: "v", "msg", 10)
+        sent = network.broadcast(0, dict.fromkeys(network.participants(), "v"), "msg", 10)
         engine.run()
         assert sent == 4
         assert all(len(inbox) == 1 for inbox in inboxes.values())
@@ -217,17 +220,29 @@ class TestNetwork:
     def test_broadcast_per_recipient_payloads(self):
         """Equivocation hook: different recipients can get different payloads."""
         engine, network, inboxes = _mk_network()
-        network.broadcast(0, lambda r: f"v{r % 2}", "msg", 10)
+        network.broadcast(0, {r: f"v{r % 2}" for r in network.participants()}, "msg", 10)
         engine.run()
         assert inboxes[0][0].payload == "v0"
         assert inboxes[1][0].payload == "v1"
 
     def test_broadcast_skips_none(self):
         engine, network, inboxes = _mk_network()
-        sent = network.broadcast(0, lambda r: None if r == 2 else "v", "msg", 10)
+        sent = network.broadcast(0, {0: "v", 1: "v", 2: None, 3: "v"}, "msg", 10)
         engine.run()
         assert sent == 3
         assert inboxes[2] == []
+
+    def test_broadcast_sends_every_payload_planned_for_a_recipient(self):
+        """A plan entry may be several payloads (None among them is skipped);
+        all travel under the one description, in the plan's order."""
+        engine, network, inboxes = _mk_network()
+        sent = network.broadcast(0, {3: ["a", None, "b"], 1: ("c",)}, "vote", 7, round_number=2)
+        engine.run()
+        assert sent == 3
+        assert [env.payload for env in inboxes[3]] == ["a", "b"]
+        assert [e.player for e in network.trace.events("deliver")] == [3, 3, 1]
+        assert network.metrics.by_type() == {"vote": (3, 21)}
+        assert network.metrics.round_totals() == {2: (3, 21)}
 
     def test_partition_defers_not_drops(self):
         """Reliable channels: cross-partition traffic is delayed to heal time."""

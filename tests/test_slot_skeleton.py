@@ -17,7 +17,6 @@ quorum loop and one retransmission loop.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 import pytest
@@ -52,14 +51,9 @@ LIFECYCLE = (
 
 
 @pytest.fixture(scope="module")
-def fine_spans():
+def fine_spans(perf_layers):
     """``perf/layers.py::FINE_SPANS``, read from the frozen benchmark."""
-    sys.path.insert(0, str(ROOT / "perf"))
-    try:
-        import layers
-    finally:
-        sys.path.remove(str(ROOT / "perf"))
-    return layers.FINE_SPANS
+    return perf_layers.FINE_SPANS
 
 
 @pytest.mark.parametrize("name", LIFECYCLE)
@@ -178,21 +172,19 @@ def test_messages_describe_themselves_on_the_wire_base():
 
 
 def test_an_envelope_is_described_in_one_place():
-    """No caller spells a message's type, size or round: the only
-    ``message_type=`` keywords are ``BaseReplica``'s one ``Envelope(...)``
-    and the network layer's own bookkeeping."""
-    sites = {
-        (str(path.relative_to(SRC)), cls, func)
-        for path in sorted(SRC.rglob("*.py"))
-        for node, cls, func in _scoped(path)
-        if isinstance(node, ast.keyword) and node.arg == "message_type"
-    }
-    outside_net = {site for site in sites if not site[0].startswith("net/")}
-    assert outside_net == {("protocols/base.py", "BaseReplica", "_send_plan")}
-    assert _calls(SRC / "protocols" / "base.py", "Envelope") == [("BaseReplica", "_send_plan")]
-    for path in REPLICA_CODE:
-        if path.name != "base.py":
-            assert _calls(path, "Envelope") == [], path.name
+    """No caller spells a message's type, size or round, or builds an
+    ``Envelope``: replicas hand ``Network.broadcast`` a plan, and the
+    only ``Envelope(`` calls and ``message_type=`` keywords are the
+    network layer's own."""
+    outside_net = [path for path in sorted(SRC.rglob("*.py")) if path.parent.name != "net"]
+    for path in outside_net:
+        assert _calls(path, "Envelope") == [], path.name
+        assert not any(
+            isinstance(node, ast.keyword) and node.arg == "message_type"
+            for node, _, _ in _scoped(path)
+        ), path.name
+    assert _calls(SRC / "net" / "network.py", "Envelope") == [("Network", "broadcast")]
+    assert ("BaseReplica", "_send_plan") in _calls(SRC / "protocols" / "base.py", "broadcast")
 
 
 def test_receive_boundary_check_has_one_home():
