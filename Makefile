@@ -107,12 +107,18 @@ endef
 # trees taking turns at going first so a slow minute of the host does
 # not land on one side — then prints perf/compare.py's verdict per
 # workload.  Exits 1 on any `worse`, a changed record_sha256 or more
-# failed operations.  ~4 min; PERF_SEED picks the seed.
+# failed operations.  ~4 min; PERF_SEED picks the seed, and
+# WORKLOAD="name ..." narrows the run to the named BENCHMARK.json
+# workloads (~1 min each) for iterating on one hot path.
 PERF_SEED ?= 0
+WORKLOAD ?=
+perf_compare_usage = usage: make perf-compare BASE=<rev> [WORKLOAD="<BENCHMARK.json workload> ..."] [PERF_SEED=0]
 perf-compare:
-	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<rev> [PERF_SEED=0]"; exit 2; }
-	@set -e; $(extract_base); status=0; order="base change"; \
-	for workload in $$($(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+	@test -n "$(BASE)" || { echo '$(perf_compare_usage)'; exit 2; }
+	@set -e; workloads=$$($(PYTHON) -c 'import json, sys; known = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]; want = sys.argv[1:] or known; unknown = [w for w in want if w not in known]; sys.exit("perf-compare: unknown workload(s) %s; choose from %s" % (unknown, known)) if unknown else print(*want)' $(WORKLOAD)) \
+		|| { echo '$(perf_compare_usage)'; exit 2; }; \
+	$(extract_base); status=0; order="base change"; \
+	for workload in $$workloads; do \
 		for side in $$order; do \
 			if [ $$side = base ]; then tree=$$base; else tree=$(CURDIR); fi; \
 			echo "perf-compare: $$workload, $$side ($$tree)"; \

@@ -189,8 +189,8 @@ RUN_FLAGS: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
              "(lifetime counters stay exact)")),
     ("--commit-window", "commit_window", dict(
         type=int,
-        help="bound the commit log's first-commit maps and the mempool "
-             "seen-id history to N transactions")),
+        help="bound the commit log's first-commit maps and each mempool's "
+             "inclusion history to the newest N transactions")),
     ("--submission-window", "submission_window", dict(
         type=int, help="keep only the last N workload submission records")),
     ("--ledger-window", "ledger_window", dict(

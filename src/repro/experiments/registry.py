@@ -185,7 +185,7 @@ class Scenario:
     :class:`~repro.protocols.spec.RetentionSpec` and bound the
     simulator's O(history) structures for soak runs — ``trace_window``
     keeps the last N trace events per kind, ``commit_window`` bounds
-    the commit log's dedup maps and the mempool's seen-id history,
+    the commit log's dedup maps and each mempool's inclusion history,
     ``submission_window`` bounds the workload's retained submission
     records, ``ledger_window`` strips transaction bodies from final
     blocks deeper than N below the head, and ``backlog_resolution``

@@ -48,6 +48,16 @@ class Block:
             object.__setattr__(self, "_digest", cached)
         return cached
 
+    @property
+    def tx_ids(self) -> Tuple[str, ...]:
+        """The transactions' ids in block order, cached like ``digest``:
+        every replica landing the block reads them."""
+        cached = self.__dict__.get("_tx_ids")
+        if cached is None:
+            cached = tuple(tx.tx_id for tx in self.transactions)
+            object.__setattr__(self, "_tx_ids", cached)
+        return cached
+
     def contains(self, tx_id: str) -> bool:
         """True if the block includes the transaction with ``tx_id``."""
         return any(tx.tx_id == tx_id for tx in self.transactions)

@@ -69,8 +69,11 @@ class Chain:
         height = self._height_by_digest.get(digest)
         if height is None:
             raise KeyError(f"no block {digest[:8]} on this chain")
-        for entry in self._entries[: height + 1]:
-            entry.status = ConfirmationStatus.FINAL
+        # Finality is prefix-closed (appends extend the tentative suffix,
+        # rollback pops only that suffix): stop at the first final entry.
+        while self._entries[height].status is not ConfirmationStatus.FINAL:
+            self._entries[height].status = ConfirmationStatus.FINAL
+            height -= 1
 
     def prune_final_bodies(self, keep_last: int) -> int:
         """Drop transaction bodies from final blocks deeper than the

@@ -9,61 +9,54 @@ re-propose confirmed transactions.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.ledger.transaction import Transaction
+from repro.sim.metrics import evict_oldest
 
 
 class Mempool:
-    """Ordered pool of pending transactions.
+    """Ordered pool of pending transactions, keyed by id.
 
+    The one contract: a duplicate is ignored while its original is
+    pending or among the newest ``history_limit`` inclusions.
     ``history_limit`` (the retention soak path; ``None`` = unbounded
-    legacy) caps the known/included dedup histories at the newest
-    ``history_limit`` ids each — a soak run would otherwise accumulate
-    one set entry per transaction ever seen.  Eviction is oldest-first;
-    a duplicate arriving more than ``history_limit`` submissions after
-    its original can be re-admitted, so the limit should comfortably
-    exceed any link-layer duplication spread.
+    legacy) caps the inclusion history — a soak run would otherwise
+    keep one entry per transaction ever finalised — evicting
+    oldest-first, so it should comfortably exceed how far behind its
+    inclusion a link-layer duplicate can arrive.
     """
 
-    def __init__(self) -> None:
-        self._pending: List[Transaction] = []
-        # Insertion-ordered so bounded eviction drops the oldest ids.
-        self._known_ids: Dict[str, None] = {}
-        self._included_ids: Dict[str, None] = {}
-        self.history_limit: Optional[int] = None
-
-    def _trim_history(self) -> None:
-        limit = self.history_limit
-        if limit is None:
-            return
-        while len(self._known_ids) > limit:
-            del self._known_ids[next(iter(self._known_ids))]
-        while len(self._included_ids) > limit:
-            del self._included_ids[next(iter(self._included_ids))]
+    def __init__(self, history_limit: Optional[int] = None) -> None:
+        # Both insertion-ordered: pending is the FIFO the leader drains,
+        # and bounded eviction drops the oldest inclusions.
+        self._pending: Dict[str, Transaction] = {}
+        self._included: Dict[str, None] = {}
+        self.history_limit = history_limit
 
     def submit(self, transaction: Transaction) -> bool:
         """Add a transaction; duplicates (by id) are ignored."""
-        if transaction.tx_id in self._known_ids:
-            return False
-        self._known_ids[transaction.tx_id] = None
-        if transaction.tx_id not in self._included_ids:
-            self._pending.append(transaction)
-        self._trim_history()
-        return True
+        return self.submit_all((transaction,)) == 1
 
     def submit_all(self, transactions: Iterable[Transaction]) -> int:
         """Submit many; returns how many were new."""
-        return sum(1 for tx in transactions if self.submit(tx))
+        pending, included = self._pending, self._included
+        before = len(pending)
+        for tx in transactions:
+            tx_id = tx.tx_id
+            if tx_id not in pending and tx_id not in included:
+                pending[tx_id] = tx
+        return len(pending) - before
 
     def mark_included(self, tx_ids: Iterable[str]) -> None:
         """Record that these transactions reached the ledger."""
-        ordered = list(tx_ids)
-        for tx_id in ordered:
-            self._included_ids[tx_id] = None
-        ids = set(ordered)
-        self._pending = [tx for tx in self._pending if tx.tx_id not in ids]
-        self._trim_history()
+        pending, included = self._pending, self._included
+        for tx_id in tx_ids:
+            included[tx_id] = None
+            pending.pop(tx_id, None)
+        if self.history_limit is not None:
+            evict_oldest(included, self.history_limit)
 
     def select(
         self,
@@ -77,12 +70,13 @@ class Mempool:
         """
         if limit < 0:
             raise ValueError("limit must be non-negative")
-        banned = censor or set()
-        selected = [tx for tx in self._pending if tx.tx_id not in banned]
-        return selected[:limit]
+        candidates: Iterable[Transaction] = self._pending.values()
+        if censor:
+            candidates = (tx for tx in candidates if tx.tx_id not in censor)
+        return list(islice(candidates, limit))
 
     def __len__(self) -> int:
         return len(self._pending)
 
     def __contains__(self, tx_id: str) -> bool:
-        return any(tx.tx_id == tx_id for tx in self._pending)
+        return tx_id in self._pending

@@ -220,9 +220,7 @@ class BaseReplica(ABC):
         self.config = config
         self.ctx = ctx
         self.chain = Chain()
-        self.mempool = Mempool()
-        if ctx.retention.commit_window is not None:
-            self.mempool.history_limit = ctx.retention.commit_window
+        self.mempool = Mempool(history_limit=ctx.retention.commit_window)
         #: (requester, round) -> virtual time of the last catch-up offer,
         #: so duplicated or storm-replayed requests inside half a timeout
         #: are answered once instead of once per copy.
@@ -471,7 +469,7 @@ class BaseReplica(ABC):
         """Finalize ``block`` (already appended to the chain) for its round."""
         state.finalized = True
         self.chain.finalize(block.digest)
-        self.mempool.mark_included(tx.tx_id for tx in block.transactions)
+        self.mempool.mark_included(block.tx_ids)
         self.ctx.collateral.note_block_mined()
         self.note_block_finalized(block)
         self.trace(kind, round=state.number, digest=block.digest[:12])
@@ -565,7 +563,7 @@ class BaseReplica(ABC):
         inflight: set = set()
         for number, block in self._acked_blocks.items():
             if number >= self.current_round:
-                inflight.update(tx.tx_id for tx in block.transactions)
+                inflight.update(block.tx_ids)
         return inflight
 
     def _note_proposal_acked(self, round_number: int, block: Any) -> None:
@@ -930,7 +928,7 @@ class BaseReplica(ABC):
         """Re-broadcast the round's already-emitted messages (first
         timeout on a faulty link)."""
 
-    def submit_transactions(self, transactions: List[Any]) -> None:
+    def submit_transactions(self, transactions: Iterable[Any]) -> None:
         """Client entry point: feed transactions into this replica."""
         self.mempool.submit_all(transactions)
 

@@ -255,9 +255,11 @@ class RetentionSpec:
       silently passing.
     - ``commit_window`` — newest first-commit records kept by the
       :class:`~repro.sim.metrics.CommitLog` for dedup after listeners
-      fire, and the bound on each mempool's known/included-id history.
-      Must comfortably exceed the finalisation spread between the
-      fastest and slowest honest replica.
+      fire, and the bound on each mempool's inclusion history (a
+      duplicate is ignored while its original is pending or among the
+      newest ``commit_window`` inclusions).  Must comfortably exceed
+      the finalisation spread between the fastest and slowest honest
+      replica.
     - ``submission_window`` — newest ``(tx_id, time)`` pairs the
       workload keeps; older submissions are handed to the streaming
       throughput accumulator and forgotten.

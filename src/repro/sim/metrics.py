@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.sim.streaming import ThroughputAccumulator
@@ -124,6 +125,17 @@ class MetricsCollector:
 # ----------------------------------------------------------------------
 # Commit observation (continuous-workload support)
 # ----------------------------------------------------------------------
+def evict_oldest(history: Dict[str, Any], limit: int) -> int:
+    """Cut an insertion-ordered dict to its newest ``limit`` keys and
+    return how many were evicted — one pass over the excess, so a dict
+    trimmed once per block pays one scan of its deleted prefix, not one
+    per key."""
+    excess = max(0, len(history) - limit)
+    for key in list(islice(history, excess)):
+        del history[key]
+    return excess
+
+
 class CommitLog:
     """First-finalisation times per transaction and per block digest.
 
@@ -192,11 +204,8 @@ class CommitLog:
         everything evicted — truncation only shrinks the dedup maps."""
         window = self._window
         assert window is not None
-        while len(self._tx_first) > window:
-            del self._tx_first[next(iter(self._tx_first))]
-            self._evicted += 1
-        while len(self._block_first) > window:
-            del self._block_first[next(iter(self._block_first))]
+        self._evicted += evict_oldest(self._tx_first, window)
+        evict_oldest(self._block_first, window)
 
     def first_commit(self, tx_id: str) -> Optional[float]:
         return self._tx_first.get(tx_id)

@@ -48,7 +48,7 @@ class Workload(ABC):
     def __init__(self) -> None:
         self._submissions: List[Tuple[str, float]] = []
         self._engine: Any = None
-        self._replicas: Dict[int, Any] = {}
+        self._replicas: Tuple[Any, ...] = ()
         self._counter = 0
         self._installed = False
         self._accumulator: Any = None
@@ -104,7 +104,7 @@ class Workload(ABC):
             raise RuntimeError("a workload instance can only be installed once")
         self._installed = True
         self._engine = ctx.engine
-        self._replicas = dict(replicas)
+        self._replicas = tuple(replicas[player_id] for player_id in sorted(replicas))
         self._start(ctx)
 
     @abstractmethod
@@ -126,13 +126,14 @@ class Workload(ABC):
     def submit(self, transactions: Sequence[Transaction]) -> None:
         """Record and broadcast a batch of client transactions."""
         now = self._engine.now
-        for tx in transactions:
+        batch = tuple(transactions)
+        for tx in batch:
             self._submissions.append((tx.tx_id, now))
             if self._accumulator is not None:
                 self._accumulator.note_submit(tx.tx_id, now)
         self._trim_submissions()
-        for player_id in sorted(self._replicas):
-            self._replicas[player_id].submit_transactions(list(transactions))
+        for replica in self._replicas:
+            replica.submit_transactions(batch)
 
     # ------------------------------------------------------------------
     # Observations

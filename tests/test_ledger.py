@@ -53,6 +53,12 @@ class TestBlock:
         assert block.contains("t1")
         assert not block.contains("t2")
 
+    def test_tx_ids_in_block_order_and_outside_equality(self):
+        block = Block(0, 0, "p", (Transaction("t2"), Transaction("t1")))
+        assert block.tx_ids == ("t2", "t1") and block.tx_ids is block.tx_ids
+        assert block == Block(0, 0, "p", block.transactions)
+        assert genesis_block().tx_ids == ()
+
     def test_genesis_deterministic(self):
         assert genesis_block().digest == genesis_block().digest
 
@@ -60,6 +66,16 @@ class TestBlock:
         small = Block(0, 0, "p", (Transaction("t", payload=""),))
         big = Block(0, 0, "p", (Transaction("t", payload="x" * 100),))
         assert big.size_estimate_bytes == small.size_estimate_bytes + 100
+
+
+class WholePrefixChain(Chain):
+    """The reference ``finalize``: assign FINAL to the entire prefix,
+    whatever its current status (what ``Chain.finalize`` did before it
+    learnt to stop at the first already-final ancestor)."""
+
+    def finalize(self, digest):
+        for entry in self._entries[: self._height_by_digest[digest] + 1]:
+            entry.status = ConfirmationStatus.FINAL
 
 
 class TestChain:
@@ -146,6 +162,63 @@ class TestChain:
             chain.append_tentative(_block(chain.head(), r))
         assert len(chain) == count
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("append")),
+        st.tuples(st.just("finalize"), st.integers(0, 10**6)),
+        st.tuples(st.just("rollback")),
+        st.tuples(st.just("prune"), st.integers(1, 4)),
+    ), max_size=40))
+    def test_finalize_agrees_with_whole_prefix_assignment(self, ops):
+        chain, reference = Chain(), WholePrefixChain()
+        for step, (name, *args) in enumerate(ops):
+            for each in (chain, reference):
+                if name == "append":
+                    each.append_tentative(_block(each.head(), step, "t"))
+                elif name == "finalize":  # any on-chain digest, final or not
+                    on_chain = each.blocks(include_genesis=True)
+                    each.finalize(on_chain[args[0] % len(on_chain)].digest)
+                elif name == "rollback":
+                    each.rollback_tentative()
+                else:
+                    each.prune_final_bodies(keep_last=args[0])
+            assert chain.blocks() == reference.blocks()
+            assert chain.final_height() == reference.final_height()
+            assert [chain.status_at(h) for h in range(len(chain) + 1)] == [
+                reference.status_at(h) for h in range(len(reference) + 1)
+            ]
+
+
+_ALPHABET = "abcdefgh"
+_IDS = st.sampled_from(_ALPHABET)
+_TXS = st.builds(Transaction, _IDS, st.sampled_from(["", "x"]))
+
+
+class ModelPool:
+    """The mempool contract spelt out on lists: distinct pending ids in
+    arrival order; inclusions in first-inclusion order, cut to the
+    newest ``limit`` after each ``mark_included``."""
+
+    def __init__(self, limit):
+        self.limit, self.pending, self.included = limit, [], []
+
+    def submit(self, tx):
+        if tx.tx_id in [p.tx_id for p in self.pending] + self.included:
+            return False
+        self.pending.append(tx)
+        return True
+
+    def submit_all(self, txs):
+        return sum([self.submit(tx) for tx in txs])
+
+    def mark_included(self, tx_ids):
+        self.included += [i for i in dict.fromkeys(tx_ids) if i not in self.included]
+        self.pending = [tx for tx in self.pending if tx.tx_id not in tx_ids]
+        if self.limit is not None:
+            del self.included[: -self.limit]
+
+    def select(self, limit, censor=None):
+        return [tx for tx in self.pending if tx.tx_id not in (censor or ())][:limit]
+
 
 class TestMempool:
     def test_submit_and_select_fifo(self):
@@ -182,6 +255,72 @@ class TestMempool:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
             Mempool().select(-1)
+
+    def test_pending_transaction_is_never_admitted_twice(self):
+        """The history bound must not forget a transaction that is
+        still pending: a leader would propose it twice in one block."""
+        pool = Mempool()
+        pool.history_limit = 2
+        for tx_id in "abc":
+            assert pool.submit(Transaction(tx_id))
+        assert not pool.submit(Transaction("a"))
+        assert [tx.tx_id for tx in pool.select(10)] == ["a", "b", "c"]
+
+    def test_edge_answers(self):
+        pool = Mempool()
+        assert pool.select(0) == [] and pool.select(3) == []
+        pool.mark_included(["ghost"])  # never pending: only remembered
+        pool.submit(Transaction("ghost"))
+        assert len(pool) == 0 and "ghost" not in pool
+        pool.submit_all([Transaction("a"), Transaction("b")])
+        assert pool.select(0) == []
+        assert pool.select(5, censor={"a", "b"}) == []
+        assert len(pool) == 2
+
+    def test_select_cost_is_limit_plus_censored_not_backlog(self):
+        class CountingSet(set):
+            tests = 0
+
+            def __contains__(self, item):
+                self.tests += 1
+                return super().__contains__(item)
+
+        pool = Mempool()
+        pool.submit_all([Transaction(f"t{i}") for i in range(10_000)])
+        censor = CountingSet({"t1", "t3", "t9999"})
+        selected = pool.select(5, censor=censor)
+        assert [tx.tx_id for tx in selected] == ["t0", "t2", "t4", "t5", "t6"]
+        assert censor.tests <= 5 + len(censor)
+
+    def test_history_is_one_container_at_its_limit(self):
+        limit = 16
+        pool = Mempool(history_limit=limit)
+        for i in range(10 * limit):
+            pool.submit(Transaction(f"t{i}"))
+            pool.mark_included([f"t{i}"])
+        containers = [v for v in vars(pool).values() if hasattr(v, "__len__")]
+        assert sorted(len(c) for c in containers) == [0, limit]
+        assert len(pool) == 0
+
+    @given(
+        st.sampled_from([None, 1, 3, 8]),
+        st.lists(st.one_of(
+            st.tuples(st.just("submit"), _TXS),
+            st.tuples(st.just("submit_all"), st.lists(_TXS, max_size=5)),
+            st.tuples(st.just("mark_included"), st.lists(_IDS, max_size=4)),
+            st.tuples(st.just("select"), st.integers(0, 6),
+                      st.one_of(st.none(), st.sets(_IDS, max_size=3))),
+        ), max_size=40),
+    )
+    def test_agrees_with_the_list_model(self, history_limit, ops):
+        pool, model = Mempool(history_limit=history_limit), ModelPool(history_limit)
+        for name, *args in ops:
+            assert getattr(pool, name)(*args) == getattr(model, name)(*args)
+            assert pool.select(100) == model.select(100)
+            assert len(pool) == len(model.pending)
+            assert [i in pool for i in _ALPHABET] == [
+                any(tx.tx_id == i for tx in model.pending) for i in _ALPHABET
+            ]
 
 
 class TestCollateral:

@@ -105,6 +105,15 @@ class TestCommitLogRetention:
         assert log.committed_transactions == 10
         assert log.committed_blocks == 10
 
+    def test_truncated_counts_transaction_evictions_only(self):
+        log = CommitLog(window=3)
+        head = Chain().head()
+        for i in range(10):  # ten empty blocks: only block records evicted
+            head = make_block(head, i + 1, [])
+            log.note(0, float(i), head)
+        assert log.committed_blocks == 10 and not log.truncated
+        assert list(log.commit_times()) == []
+
     def test_unbounded_log_never_truncates(self):
         log = CommitLog()
         self._feed(log, 10)

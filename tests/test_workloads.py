@@ -10,6 +10,7 @@ through Scenario, sweeps and the CLI.
 """
 
 import json
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
@@ -564,6 +565,34 @@ class TestWorkloadClasses:
         ))
         with pytest.raises(RuntimeError):
             deployment.workload.install(deployment.ctx, deployment.replicas)
+
+    def test_submit_fan_out_costs_o_n_calls_whatever_the_batch_size(self):
+        """Ingest cost, counted not timed: handing a batch to all n
+        mempools makes a fixed number of Python-level calls per replica
+        and none per transaction."""
+        n = 8
+        deployment = Deployment(get_scenario("honest").with_params(n=n).build_run_spec())
+
+        def python_calls(batch):
+            calls = 0
+
+            def profiler(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            previous = sys.getprofile()
+            sys.setprofile(profiler)
+            try:
+                deployment.workload.submit(batch)
+            finally:
+                sys.setprofile(previous)
+            return calls
+
+        one = python_calls(make_transactions(1, prefix="one"))
+        many = python_calls(make_transactions(64, prefix="many"))
+        assert one == many <= 4 * n
+        assert all("one-0" in replica.mempool and "many-63" in replica.mempool
+                   for replica in deployment.replicas.values())
 
     def test_poisson_validation(self):
         with pytest.raises(ValueError):
