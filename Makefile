@@ -9,7 +9,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare differential differential-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
+.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare profile differential differential-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
 
 check: test smoke catalog-check report-smoke search-smoke perf-smoke differential-smoke
 	@echo "check: OK"
@@ -129,6 +129,15 @@ perf-compare:
 			|| status=1; \
 		order=$$(echo $$order | awk '{print $$2, $$1}'); \
 	done; exit $$status
+
+# Where a workload's host time goes: `make profile WORKLOAD=<name>`
+# prints one BENCHMARK.json workload's top self-time rows under cProfile,
+# then the cycle collector's passes per generation and the seconds
+# inside them from a second, unprofiled run.  Candidates for the next
+# hot-path change, never a number to claim — that is perf-compare's.
+profile:
+	@test -n "$(WORKLOAD)" || { echo 'usage: make profile WORKLOAD=<BENCHMARK.json workload> [PERF_SEED=0]'; exit 2; }
+	$(PYTHON) tools/profile_workload.py $(WORKLOAD) --seed $(PERF_SEED)
 
 # Behaviour before/after: `make differential BASE=<rev> [N=200]` extracts
 # BASE into a temporary directory (as perf-compare does) and runs

@@ -49,6 +49,10 @@ class Network:
         # broadcast path never re-sorts.
         self._participants: Tuple[int, ...] = ()
         self._crash_faults = False
+        # Bound once: a delivery is this method plus its envelope on the
+        # event, not a closure or a fresh bound method per send — tracked
+        # allocations per message are the collector's share of a run.
+        self._bound_deliver = self._deliver
 
     @property
     def unreliable(self) -> bool:
@@ -102,38 +106,36 @@ class Network:
         the paper's all-to-all broadcasts; this also keeps quorum sizes
         uniform) — and are subject to the same link faults.
         """
-        if envelope.recipient not in self._handlers:
-            raise UnknownRecipientError(f"unknown recipient {envelope.recipient}")
-        now = self._engine.now
-        self.metrics.record_send(envelope.message_type, envelope.size_bytes, envelope.round_number)
+        sender, recipient, _, message_type, size_bytes, round_number = envelope
+        if recipient not in self._handlers:
+            raise UnknownRecipientError(f"unknown recipient {recipient}")
+        engine = self._engine
+        now = engine.now
+        self.metrics.record_send(message_type, size_bytes, round_number)
         self.trace.record(
-            now,
-            "send",
-            envelope.sender,
-            recipient=envelope.recipient,
-            message_type=envelope.message_type,
-            round=envelope.round_number,
+            now, "send", sender, recipient=recipient, message_type=message_type, round=round_number
         )
-        times = self._pipeline.transmit(envelope.sender, envelope.recipient, now)
+        times = self._pipeline.transmit(sender, recipient, now)
         if not times:
             self.note_undeliverable(envelope, reason="loss")
             return
-
-        def deliver() -> None:
-            self.trace.record(
-                self._engine.now,
-                "deliver",
-                envelope.recipient,
-                sender=envelope.sender,
-                message_type=envelope.message_type,
-                round=envelope.round_number,
-            )
-            self._handlers[envelope.recipient](envelope)
-
         for index, deliver_at in enumerate(times):
             if index:
-                self.metrics.record_duplicate(envelope.size_bytes)
-            self._engine.schedule_at(max(deliver_at, now), deliver)
+                self.metrics.record_duplicate(size_bytes)
+            engine.schedule_at(max(deliver_at, now), self._bound_deliver, envelope)
+
+    def _deliver(self, envelope: Envelope) -> None:
+        """One scheduled copy of ``envelope`` reaches its recipient."""
+        sender, recipient, _, message_type, _, round_number = envelope
+        self.trace.record(
+            self._engine.now,
+            "deliver",
+            recipient,
+            sender=sender,
+            message_type=message_type,
+            round=round_number,
+        )
+        self._handlers[recipient](envelope)
 
     def broadcast(
         self,

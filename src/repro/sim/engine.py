@@ -9,26 +9,39 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled ``callback(*args)``.
 
-    Ordering is (time, seq) so that simultaneous events preserve their
-    scheduling order.  ``cancelled`` events stay in the heap but are
-    skipped when popped (lazy deletion); the owning engine keeps a live
-    counter so cancellation is O(1) and ``pending`` never scans.
+    The engine's heap holds ``(time, seq, event)`` entries, so ordering
+    is two C-level comparisons (``seq`` is unique: the third element is
+    never reached) and an ``Event`` is never compared.  ``cancelled``
+    events stay in the heap but are skipped when popped (lazy
+    deletion); the owning engine keeps a live counter so cancellation
+    is O(1) and ``pending`` never scans.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _owner: Optional["SimulationEngine"] = field(default=None, compare=False, repr=False)
-    _in_queue: bool = field(default=False, compare=False, repr=False)
+    __slots__ = (
+        "time", "seq", "callback", "args", "cancelled", "_owner", "_in_queue", "__weakref__"
+    )
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+        owner: Optional["SimulationEngine"] = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self._owner = owner
+        self._in_queue = owner is not None
 
     def cancel(self) -> None:
         """Mark this event so it is skipped when its time comes."""
@@ -46,7 +59,7 @@ class SimulationEngine:
     _COMPACT_MIN_QUEUE = 64
 
     def __init__(self) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._last_event_time = 0.0
@@ -93,37 +106,35 @@ class SimulationEngine:
             len(self._queue) > self._COMPACT_MIN_QUEUE
             and self._live * 2 < len(self._queue)
         ):
-            self._queue = [e for e in self._queue if not e.cancelled]
+            self._queue = [entry for entry in self._queue if not entry[2].cancelled]
             heapq.heapify(self._queue)
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` time units from now.
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
 
-        Returns the :class:`Event`, whose :meth:`Event.cancel` method
-        can be used to revoke it (e.g. a timeout that was beaten by a
-        quorum).
+        Passing the arguments here, rather than closing over them, keeps
+        a scheduled call to one :class:`Event` and one tuple.  Returns
+        the :class:`Event`, whose :meth:`Event.cancel` method can be
+        used to revoke it (e.g. a timeout that was beaten by a quorum).
+        ``delay`` may be ``inf`` (never fires under ``run(until=...)``)
+        but not negative or NaN, which would un-order the heap.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        event = Event(
-            time=self._now + delay,
-            seq=next(self._sequence),
-            callback=callback,
-            _owner=self,
-            _in_queue=True,
-        )
-        heapq.heappush(self._queue, event)
+        time, seq = self._now + delay, next(self._sequence)
+        event = Event(time, seq, callback, args, self)
+        heapq.heappush(self._queue, (time, seq, event))
         self._live += 1
         return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute virtual ``time`` (>= now)."""
-        return self.schedule(time - self._now, callback)
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at absolute virtual ``time`` (>= now)."""
+        return self.schedule(time - self._now, callback, *args)
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             event._in_queue = False
             if event.cancelled:
                 continue
@@ -131,7 +142,7 @@ class SimulationEngine:
             self._now = event.time
             self._last_event_time = event.time
             self._events_processed += 1
-            event.callback()
+            event.callback(*event.args)
             return True
         return False
 
@@ -148,12 +159,13 @@ class SimulationEngine:
         """
         fired = 0
         while self._queue:
+            head = self._queue[0][2]
+            if head.cancelled:  # before the budget check: dead entries are not work left
+                heapq.heappop(self._queue)
+                head._in_queue = False
+                continue
             if max_events is not None and fired >= max_events:
                 return
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)._in_queue = False
-                continue
             if until is not None and head.time >= until:
                 self._now = max(self._now, until)
                 return

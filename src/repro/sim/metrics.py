@@ -42,6 +42,10 @@ class MessageStats:
         self.bytes += size_bytes
 
 
+#: what a type nobody sent reads as — ``.get``, so asking adds no row
+_NO_TRAFFIC = MessageStats()
+
+
 class MetricsCollector:
     """Tallies network traffic by message type and by round.
 
@@ -60,10 +64,16 @@ class MetricsCollector:
         self._duplicates = MessageStats()
 
     def record_send(self, message_type: str, size_bytes: int, round_number: int = -1) -> None:
-        """Account one message leaving a sender."""
-        self._by_type[message_type].add(size_bytes)
-        self._by_round[round_number].add(size_bytes)
-        self._total.add(size_bytes)
+        """Account one message leaving a sender.  Runs once per message,
+        so the three tallies are bumped in place, not through ``add``."""
+        stats = self._by_type[message_type]
+        stats.count += 1
+        stats.bytes += size_bytes
+        stats = self._by_round[round_number]
+        stats.count += 1
+        stats.bytes += size_bytes
+        self._total.count += 1
+        self._total.bytes += size_bytes
 
     def record_drop(self, reason: str) -> None:
         """Account one message that never reached a live state machine.
@@ -99,10 +109,10 @@ class MetricsCollector:
         return self._total.bytes
 
     def messages_of(self, message_type: str) -> int:
-        return self._by_type[message_type].count
+        return self._by_type.get(message_type, _NO_TRAFFIC).count
 
     def bytes_of(self, message_type: str) -> int:
-        return self._by_type[message_type].bytes
+        return self._by_type.get(message_type, _NO_TRAFFIC).bytes
 
     def by_type(self) -> Dict[str, Tuple[int, int]]:
         """Return {type: (count, bytes)} for every observed type."""

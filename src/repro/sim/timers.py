@@ -32,21 +32,23 @@ class TimerService:
 
         An existing timer with the same key is cancelled first, so each
         (owner, name) pair has at most one live timer.  The returned
-        :class:`Event`'s ``cancel()`` revokes it.
+        :class:`Event`'s ``cancel()`` revokes it.  The key and callback
+        ride in the event's arguments, not in a closure over the event,
+        so a fired, cancelled or replaced timer is not a reference
+        cycle and is freed as soon as it is dropped.
         """
         key = (owner, name)
         existing = self._timers.get(key)
         if existing is not None:
             existing.cancel()
-
-        def fire() -> None:
-            if self._timers.get(key) is event:
-                del self._timers[key]
-            callback()
-
-        event = self._engine.schedule(delay, fire)
-        self._timers[key] = event
+        event = self._timers[key] = self._engine.schedule(delay, self._fire, key, callback)
         return event
+
+    def _fire(self, key: Tuple[Hashable, str], callback: Callable[[], None]) -> None:
+        """Only the armed event clears its key: a cancelled or replaced
+        event never fires, so the one firing is the one armed, if any."""
+        self._timers.pop(key, None)
+        callback()
 
     def cancel(self, owner: Hashable, name: str) -> bool:
         """Cancel the timer if it is armed.  Returns True if one was live."""

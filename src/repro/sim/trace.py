@@ -39,6 +39,9 @@ class TraceEvent(NamedTuple):
     detail: Dict[str, Any]
 
 
+_new_event = tuple.__new__
+
+
 class TraceRecorder:
     """Append-only log of :class:`TraceEvent` objects.
 
@@ -46,7 +49,11 @@ class TraceRecorder:
     buffer (``None``, the default, never evicts); older events are
     dropped and counted in :meth:`dropped`.  A parallel ring holds each
     retained event's record-order sequence number, so kinds merge back
-    into the order they were recorded in.
+    into the order they were recorded in.  The rings are the only
+    per-kind state :meth:`record` touches: a kind's lifetime count is
+    its ring's length plus what the ring dropped, and its last event is
+    the ring's newest (``window >= 1``, so a recorded kind always
+    retains one).
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
@@ -55,8 +62,6 @@ class TraceRecorder:
         self._window = window
         self._rings: Dict[str, Deque[TraceEvent]] = {}
         self._seqs: Dict[str, Deque[int]] = {}
-        self._counts: Dict[str, int] = {}
-        self._last: Dict[str, TraceEvent] = {}
         self._dropped: Dict[str, int] = {}
         self._total = 0
 
@@ -66,16 +71,14 @@ class TraceRecorder:
 
     def record(self, time: float, kind: str, player: Optional[int] = None, **detail: Any) -> None:
         """Append one event."""
-        event = TraceEvent(time, kind, player, detail)
-        self._counts[kind] = self._counts.get(kind, 0) + 1
-        self._last[kind] = event
         ring = self._rings.get(kind)
         if ring is None:
             ring = self._rings[kind] = deque(maxlen=self._window)
             self._seqs[kind] = deque(maxlen=self._window)
         if len(ring) == self._window:
             self._dropped[kind] = self._dropped.get(kind, 0) + 1
-        ring.append(event)
+        # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``.
+        ring.append(_new_event(TraceEvent, (time, kind, player, detail)))
         # The lifetime count doubles as the record-order sequence number.
         self._seqs[kind].append(self._total)
         self._total += 1
@@ -97,11 +100,12 @@ class TraceRecorder:
     def count(self, kind: str) -> int:
         """Lifetime number of events of ``kind`` (O(1), exact even when
         the retention window has dropped some of them)."""
-        return self._counts.get(kind, 0)
+        return len(self._rings.get(kind, ())) + self._dropped.get(kind, 0)
 
     def last(self, kind: str) -> Optional[TraceEvent]:
         """The most recent event of ``kind``, or None (O(1))."""
-        return self._last.get(kind)
+        ring = self._rings.get(kind)
+        return ring[-1] if ring else None
 
     def dropped(self, kind: Optional[str] = None) -> int:
         """Events evicted by the retention window (0 when unbounded)."""

@@ -1,0 +1,289 @@
+"""The per-message carrier: reference models, and costs asserted by counting.
+
+The engine, the trace and the network sit under every message of every
+run, so their hot paths are written for cost (tuple heap entries,
+closure-free delivery, counts derived from rings).  These tests hold
+them to plain reference models under random operation sequences, and
+pin the costs the design is for — Python frames made while ordering the
+heap, functions defined per send or per timer, collector-tracked
+objects per message — by *counting* them, never by wall-clock.
+"""
+
+import collections
+import gc
+import sys
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.experiments.registry import get_scenario
+from repro.net.envelope import Envelope
+from repro.net.network import Network
+from repro.sim.engine import SimulationEngine
+from repro.sim.trace import TraceEvent, TraceRecorder
+
+
+# ----------------------------------------------------------------------
+# (a) the engine against a list-based model
+# ----------------------------------------------------------------------
+class ModelEngine:
+    """The engine's contract with no heap, no lazy deletion and no
+    compaction: one list kept sorted by (time, seq), linear removal."""
+
+    def __init__(self):
+        self.entries, self.seq = [], 0
+        self.now = self.last_event_time = 0.0
+        self.events_processed = 0
+
+    pending = property(lambda self: len(self.entries))
+
+    def schedule(self, delay, callback, *args):
+        entry = (self.now + delay, self.seq, callback, args)
+        self.seq += 1
+        self.entries = sorted(self.entries + [entry], key=lambda e: e[:2])
+        return entry
+
+    def schedule_at(self, time, callback, *args):
+        return self.schedule(time - self.now, callback, *args)
+
+    def cancel(self, entry):
+        self.entries = [e for e in self.entries if e is not entry]
+
+    def step(self):
+        if not self.entries:
+            return False
+        self.now, _, callback, args = self.entries.pop(0)
+        self.last_event_time = self.now
+        self.events_processed += 1
+        callback(*args)
+        return True
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while self.entries:
+            if max_events is not None and fired >= max_events:
+                return
+            if until is not None and self.entries[0][0] >= until:
+                break
+            fired += self.step()
+        if until is not None:
+            self.now = max(self.now, until)
+
+
+class Driver:
+    """Applies one operation script to an engine; callbacks log their
+    label and may schedule or cancel from inside the firing event."""
+
+    def __init__(self, engine, cancel):
+        self.engine, self._cancel = engine, cancel
+        self.handles, self.log = [], []
+
+    def schedule(self, delay, label, inner=None, absolute=False):
+        if absolute:
+            handle = self.engine.schedule_at(self.engine.now + delay, self.fire, label, inner)
+        else:
+            handle = self.engine.schedule(delay, self.fire, label, inner)
+        self.handles.append(handle)
+
+    def cancel(self, index):
+        if self.handles:
+            self._cancel(self.handles[index % len(self.handles)])
+
+    def fire(self, label, inner):
+        self.log.append((label, self.engine.now))
+        if inner is not None:
+            self.apply(inner)
+
+    def apply(self, op):
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            self.schedule(op[1], op[2], op[3], absolute=kind == "schedule_at")
+        elif kind == "cancel":
+            self.cancel(op[1])
+        elif kind == "burst":  # more than 64 queued, most of them then cancelled
+            first = len(self.handles)
+            for offset in range(op[1]):
+                self.schedule(1.0 + offset % 7, ("burst", offset))
+            for index in range(first + op[2], len(self.handles)):
+                self.cancel(index)
+        elif kind == "step":
+            self.log.append(("step", self.engine.step()))
+        else:
+            until = None if op[1] is None else self.engine.now + op[1]
+            self.engine.run(until=until, max_events=op[2])
+
+    def state(self):
+        engine = self.engine
+        return (
+            list(self.log), engine.now, engine.last_event_time,
+            engine.pending, engine.events_processed,
+        )
+
+
+# Few distinct delays, so ties (ordered by seq alone) are common.
+_delays = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0, 5, allow_nan=False))
+_labels = st.integers(0, 999)
+_inner = st.one_of(
+    st.none(),
+    st.tuples(st.just("schedule"), _delays, _labels, st.none()),
+    st.tuples(st.just("cancel"), st.integers(0, 500)),
+)
+_ops = st.one_of(
+    st.tuples(st.sampled_from(["schedule", "schedule_at"]), _delays, _labels, _inner),
+    st.tuples(st.just("cancel"), st.integers(0, 500)),
+    st.tuples(st.just("burst"), st.integers(65, 90), st.integers(0, 30)),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run"), st.one_of(st.none(), _delays), st.one_of(st.none(), st.integers(0, 40))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ops, max_size=40))
+# The event budget runs out with only a cancelled entry left queued: the
+# clock must land where it would had that entry never been scheduled.
+@example([("schedule", 1.0, 1, None), ("schedule", 5.0, 2, None), ("cancel", 1), ("run", 10.0, 1)])
+def test_engine_matches_the_list_model(script):
+    model = ModelEngine()
+    real, reference = Driver(SimulationEngine(), lambda e: e.cancel()), Driver(model, model.cancel)
+    for op in script:
+        real.apply(op)
+        reference.apply(op)
+        assert real.state() == reference.state(), op
+    real.engine.run()
+    reference.engine.run()
+    assert real.state() == reference.state()
+    assert real.engine.pending == 0
+
+
+def test_the_model_script_crosses_the_compaction_threshold():
+    """The ``burst`` operation is what makes the property test reach
+    heap compaction; hold it to that."""
+    driver = Driver(SimulationEngine(), lambda e: e.cancel())
+    driver.apply(("burst", 90, 5))
+    assert driver.engine.pending == 5
+    assert len(driver.engine._queue) < SimulationEngine._COMPACT_MIN_QUEUE
+
+
+# ----------------------------------------------------------------------
+# (b) the trace against a plain list
+# ----------------------------------------------------------------------
+def _retained(history, window, kind):
+    """What a per-kind ring of ``window`` keeps of ``history``."""
+    of_kind = [event for event in history if event.kind == kind]
+    return of_kind if window is None else of_kind[-window:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([None, 1, 3]),
+    st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([None, 0, 1])), max_size=30),
+)
+def test_trace_matches_the_list_model(window, script):
+    trace, history = TraceRecorder(window=window), []
+    for time, (kind, player) in enumerate(script):
+        trace.record(float(time), kind, player, index=time)
+        history.append(TraceEvent(float(time), kind, player, {"index": time}))
+        kept = {k: _retained(history, window, k) for k in "abcz"}
+        assert len(trace) == len(history)
+        for k in "abcz":
+            lifetime = [event for event in history if event.kind == k]
+            assert trace.count(k) == len(lifetime)
+            assert trace.last(k) == (lifetime[-1] if lifetime else None)
+            assert trace.dropped(k) == len(lifetime) - len(kept[k])
+            assert trace.truncated(k) == (len(lifetime) > len(kept[k]))
+        assert trace.dropped() == len(history) - sum(map(len, kept.values()))
+        assert trace.truncated() == (trace.dropped() > 0)
+        for kinds in ("a", "z", ("a", "c"), ("c", "z", "a"), None):
+            names = "abc" if kinds is None else kinds
+            union = [e for e in history if e.kind in names and e in kept[e.kind]]
+            for who in (None, 0, 1):
+                expected = [e for e in union if who is None or e.player == who]
+                assert trace.events(kinds, who) == expected
+        assert list(trace) == trace.events()
+
+
+# ----------------------------------------------------------------------
+# (c) no Python frame orders the heap; nothing is defined per send or timer
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["honest", "crash-leader"])
+def test_a_real_run_compares_in_c_and_defines_no_function_per_message(name):
+    """``crash-leader`` is here because its timers *fire*: a per-timer
+    closure that is only ever cancelled would never show up as a call."""
+    calls = collections.Counter()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    scenario = get_scenario(name).with_params(n=4, rounds=1)
+    sys.setprofile(profiler)
+    try:
+        result = scenario.run()
+    finally:
+        sys.setprofile(None)
+    assert calls["Network.send"] == result.metrics.total_messages > 0
+    assert calls["TimerService.set_timer"] > 0
+    if name == "crash-leader":
+        assert result.ctx.trace.count("timeout") > 0
+    assert [called for called in calls if called.rsplit(".", 1)[-1] == "__lt__"] == []
+    per_call = ("Network.send.<locals>", "TimerService.set_timer.<locals>")
+    assert [called for called in calls if called.startswith(per_call)] == []
+
+
+# ----------------------------------------------------------------------
+# (d) collector-tracked objects per message
+# ----------------------------------------------------------------------
+def _tracked():
+    return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
+
+
+def test_tracked_objects_per_message():
+    """What the cycle collector must walk per message is the unit that
+    sets its share of a run (15-20 %): at most five objects while a
+    message is in flight — its ``Envelope``, the send's ``TraceEvent``,
+    the ``Event``, its heap entry and its argument tuple — and three
+    once delivered (``Envelope`` + the send and deliver ``TraceEvent``s,
+    which the unbounded trace and the inbox here retain)."""
+    recipients, broadcasts = 8, 100
+    engine = SimulationEngine()
+    network = Network(engine)
+    inbox = []
+    for player in range(recipients):
+        network.register(player, inbox.append)
+    plan = dict.fromkeys(range(recipients), "payload")
+    network.broadcast(0, plan, "vote", 10, 1)  # the rings and counters now exist
+    engine.run()
+    messages = recipients * broadcasts
+    gc.collect()
+    gc.disable()
+    try:
+        before = _tracked()
+        for _ in range(broadcasts):
+            network.broadcast(0, plan, "vote", 10, 1)
+        in_flight = _tracked() - before
+        engine.run()
+        delivered = _tracked() - before
+    finally:
+        gc.enable()
+    assert len(inbox) == recipients + messages
+    # The two snapshots' own Counters and frames are the slack.
+    assert sum(in_flight.values()) <= 5 * messages + 20, in_flight
+    assert delivered["Envelope"] == messages and delivered["TraceEvent"] == 2 * messages
+    assert sum(delivered.values()) <= 3 * messages + 20, delivered
+
+
+# ----------------------------------------------------------------------
+# (e) Envelope's surface
+# ----------------------------------------------------------------------
+def test_envelope_surface():
+    envelope = Envelope(0, 1, "payload", "vote", 99)
+    assert Envelope._fields == (
+        "sender", "recipient", "payload", "message_type", "size_bytes", "round_number"
+    )
+    assert envelope.round_number == -1
+    assert envelope == Envelope(0, 1, "payload", "vote", 99, round_number=-1)
+    assert envelope != Envelope(0, 1, "payload", "vote", 99, round_number=3)
+    assert (envelope.sender, envelope.recipient, envelope.payload) == (0, 1, "payload")
+    assert (envelope.message_type, envelope.size_bytes) == ("vote", 99)
+    with pytest.raises(AttributeError):
+        envelope.recipient = 2

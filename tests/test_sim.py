@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine, timers, trace and metrics."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,6 +41,43 @@ class TestEngine:
         engine = SimulationEngine()
         with pytest.raises(ValueError):
             engine.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        """``nan < 0`` is false, so a NaN used to be scheduled, fire
+        first, set the clock to NaN and leave the heap un-ordered (every
+        comparison against its entry is false)."""
+        engine = SimulationEngine()
+        fired = []
+        with pytest.raises(ValueError, match="nan"):
+            engine.schedule(float("nan"), lambda: fired.append("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            engine.schedule_at(float("nan"), lambda: fired.append("nan"))
+        engine.schedule(1.0, lambda: fired.append("late"))
+        engine.schedule(0.5, lambda: fired.append("early"))
+        engine.run(until=10)
+        assert fired == ["early", "late"]
+        assert engine.now == 10
+
+    def test_infinite_delay_is_legal_and_never_reached(self):
+        """A link that never heals delivers at ``inf``."""
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(float("inf"), lambda: fired.append("never"))
+        engine.schedule_at(float("inf"), lambda: fired.append("never"))
+        engine.schedule(1.0, lambda: fired.append("once"))
+        engine.run(until=1e9)
+        assert fired == ["once"]
+        assert (engine.pending, engine.now) == (2, 1e9)
+
+    def test_scheduled_arguments_reach_the_callback(self):
+        engine = SimulationEngine()
+        seen = []
+        engine.schedule(2.0, lambda *args: seen.append(args), "a", 1)
+        engine.schedule_at(1.0, lambda *args: seen.append(args), "b")
+        event = engine.schedule(3.0, lambda *args: seen.append(args))
+        assert (event.time, event.cancelled) == (3.0, False)
+        engine.run()
+        assert seen == [("b",), ("a", 1), ()]
 
     def test_cancelled_event_skipped(self):
         engine = SimulationEngine()
@@ -222,6 +262,43 @@ class TestTimerService:
         engine.run()
         assert not timers.is_armed(0, "t")
 
+    def test_only_the_armed_event_clears_its_key(self):
+        """A timer cancelled and re-armed from inside another timer's
+        callback at the same instant stays armed until it fires itself."""
+        engine = SimulationEngine()
+        timers = TimerService(engine)
+        fired = []
+
+        def rearm():
+            timers.cancel(0, "t")
+            timers.set_timer(0, "t", 1.0, lambda: fired.append(engine.now))
+
+        timers.set_timer(0, "other", 1.0, rearm)
+        timers.set_timer(0, "t", 1.0, lambda: fired.append("stale"))
+        engine.run(until=1.5)
+        assert timers.is_armed(0, "t") and fired == []
+        engine.run()
+        assert fired == [2.0] and not timers.is_armed(0, "t")
+
+    @pytest.mark.parametrize("ending", ["fires", "cancelled", "replaced"])
+    def test_a_finished_timer_is_freed_without_the_cycle_collector(self, ending):
+        """A timer must not be a reference cycle (it was: the callback
+        closed over its own event), or each one waits for a collector
+        pass — thousands per faulty run."""
+        engine = SimulationEngine()
+        timers = TimerService(engine)
+        gc.disable()
+        try:
+            timer = weakref.ref(timers.set_timer(0, "t", 1.0, lambda: None))
+            if ending == "cancelled":
+                assert timers.cancel(0, "t")
+            elif ending == "replaced":
+                timers.set_timer(0, "t", 5.0, lambda: None)
+            engine.run(until=2.0)  # pops the entry, fired or dead
+            assert timer() is None
+        finally:
+            gc.enable()
+
 
 class TestTrace:
     def test_record_and_filter(self):
@@ -252,6 +329,17 @@ class TestMetrics:
         assert metrics.messages_of("vote") == 2
         assert metrics.bytes_of("commit") == 500
         assert metrics.by_type()["vote"] == (2, 200)
+
+    def test_reading_a_counter_adds_no_row(self):
+        """Asking about a type nobody sent used to index the
+        ``defaultdict`` and grow the table reports and the differential
+        compare."""
+        metrics = MetricsCollector()
+        metrics.record_send("vote", 10, 1)
+        assert (metrics.messages_of("ghost"), metrics.bytes_of("ghost")) == (0, 0)
+        metrics.per_round_average()
+        assert metrics.by_type() == {"vote": (1, 10)}
+        assert metrics.round_totals() == {1: (1, 10)}
 
     def test_per_round_average(self):
         metrics = MetricsCollector()
