@@ -132,8 +132,9 @@ perf-compare:
 
 # Where a workload's host time goes: `make profile WORKLOAD=<name>`
 # prints one BENCHMARK.json workload's top self-time rows under cProfile,
-# then the cycle collector's passes per generation and the seconds
-# inside them from a second, unprofiled run.  Candidates for the next
+# then the cycle collector's passes and the seconds inside them per
+# generation from a second, unprofiled run, and the tracked objects
+# alive at its end with their six most common types.  Candidates for the next
 # hot-path change, never a number to claim — that is perf-compare's.
 profile:
 	@test -n "$(WORKLOAD)" || { echo 'usage: make profile WORKLOAD=<BENCHMARK.json workload> [PERF_SEED=0]'; exit 2; }

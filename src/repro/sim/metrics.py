@@ -28,6 +28,7 @@ from itertools import islice
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.sim.streaming import ThroughputAccumulator
+from repro.sim.trace import check_window
 
 
 @dataclass
@@ -172,9 +173,7 @@ class CommitLog:
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise ValueError("window must be positive")
-        self._window = window
+        self._window = check_window(window)
         self._observed: Optional[FrozenSet[int]] = None
         self._tx_first: Dict[str, float] = {}
         self._block_first: Dict[str, float] = {}

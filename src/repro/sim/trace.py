@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import merge
+from itertools import repeat
 from typing import Any, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 
@@ -30,7 +31,11 @@ class TraceEvent(NamedTuple):
     ``kind`` is a short verb: "send", "deliver", "tentative", "final",
     "expose", "view_change", "burn", "propose", "timeout", ...
     ``player`` is the acting player's id (or None for system events).
-    ``detail`` carries event-specific structured data.
+    ``detail`` carries event-specific structured data, its keys in the
+    order they were recorded.
+
+    The recorder does not keep these: every read builds fresh ones, so
+    a reader may mutate ``detail`` without changing the trace.
     """
 
     time: float
@@ -39,29 +44,41 @@ class TraceEvent(NamedTuple):
     detail: Dict[str, Any]
 
 
+# ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``.
 _new_event = tuple.__new__
 
 
-class TraceRecorder:
-    """Append-only log of :class:`TraceEvent` objects.
+def check_window(window: Optional[int]) -> Optional[int]:
+    """``window`` if it is None or an int (not a bool) >= 1, else a ValueError naming it."""
+    if window is not None and (
+        isinstance(window, bool) or not isinstance(window, int) or window < 1
+    ):
+        raise ValueError(f"window must be an int >= 1, got {type(window).__name__} {window!r}")
+    return window
 
-    Each event kind keeps its newest ``window`` events in a ring
-    buffer (``None``, the default, never evicts); older events are
-    dropped and counted in :meth:`dropped`.  A parallel ring holds each
-    retained event's record-order sequence number, so kinds merge back
-    into the order they were recorded in.  The rings are the only
-    per-kind state :meth:`record` touches: a kind's lifetime count is
-    its ring's length plus what the ring dropped, and its last event is
-    the ring's newest (``window >= 1``, so a recorded kind always
-    retains one).
+
+class TraceRecorder:
+    """Append-only log of :class:`TraceEvent` objects, stored as columns.
+
+    Each event kind keeps its newest ``window`` events (``None``, the
+    default, never evicts) in five parallel rings: the record-order
+    sequence number (so kinds merge back into record order), time,
+    player, key schema and values.  The schema is ``tuple(detail)``
+    interned per recorder, so a call site's keys are stored once; the
+    values are an exact tuple, which the cycle collector untracks at
+    its first pass when every value is atomic — a retained event is
+    nothing the collector walks.  Reads rebuild each event and its
+    ``detail`` dict, so the cost sits with the reads that want events.
+    Evicted events are counted in :meth:`dropped`; a kind's lifetime
+    count is its rings' length plus what they dropped, and its last
+    event is the rings' newest (``window >= 1``, so a recorded kind
+    always retains one).
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
-        if window is not None and window < 1:
-            raise ValueError("window must be positive")
-        self._window = window
-        self._rings: Dict[str, Deque[TraceEvent]] = {}
-        self._seqs: Dict[str, Deque[int]] = {}
+        self._window = check_window(window)
+        self._rings: Dict[str, Tuple[Deque[Any], ...]] = {}
+        self._schemas: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._dropped: Dict[str, int] = {}
         self._total = 0
 
@@ -73,39 +90,52 @@ class TraceRecorder:
         """Append one event."""
         ring = self._rings.get(kind)
         if ring is None:
-            ring = self._rings[kind] = deque(maxlen=self._window)
-            self._seqs[kind] = deque(maxlen=self._window)
-        if len(ring) == self._window:
+            ring = self._rings[kind] = tuple(deque(maxlen=self._window) for _ in range(5))
+        seqs, times, players, schemas, values = ring
+        if len(seqs) == self._window:
             self._dropped[kind] = self._dropped.get(kind, 0) + 1
-        # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``.
-        ring.append(_new_event(TraceEvent, (time, kind, player, detail)))
         # The lifetime count doubles as the record-order sequence number.
-        self._seqs[kind].append(self._total)
+        seqs.append(self._total)
+        times.append(time)
+        players.append(player)
+        keys = tuple(detail)
+        schemas.append(self._schemas.setdefault(keys, keys))
+        values.append(tuple(detail.values()))
         self._total += 1
 
     def events(
         self, kind: Union[None, str, Tuple[str, ...]] = None, player: Optional[int] = None
     ) -> List[TraceEvent]:
         """Return retained events in record order, optionally filtered
-        by kind (one name, or a tuple of names) and/or player.  Costs
-        O(matching kinds), not a scan of the whole trace."""
-        if isinstance(kind, str):  # one ring is already in record order
-            selected: Iterable[TraceEvent] = self._rings.get(kind, ())
+        by kind (one name, or a tuple of names, each read once) and/or
+        player.  Costs O(matching kinds), not a scan of the whole trace."""
+        if kind is None:
+            kinds: Iterable[str] = self._rings
         else:
-            kinds = self._rings if kind is None else [k for k in kind if k in self._rings]
-            pairs = merge(*(zip(self._seqs[k], self._rings[k]) for k in kinds))
-            selected = (event for _, event in pairs)
-        return [event for event in selected if player is None or event.player == player]
+            kinds = (kind,) if isinstance(kind, str) else dict.fromkeys(kind)
+        per_kind = [zip(*self._rings[name], repeat(name)) for name in kinds if name in self._rings]
+        rows = per_kind[0] if len(per_kind) == 1 else merge(*per_kind)
+        return [
+            _new_event(TraceEvent, (time, name, who, dict(zip(keys, values))))
+            for _, time, who, keys, values, name in rows
+            if player is None or who == player
+        ]
 
     def count(self, kind: str) -> int:
         """Lifetime number of events of ``kind`` (O(1), exact even when
         the retention window has dropped some of them)."""
-        return len(self._rings.get(kind, ())) + self._dropped.get(kind, 0)
+        ring = self._rings.get(kind)
+        return (len(ring[0]) if ring else 0) + self._dropped.get(kind, 0)
 
     def last(self, kind: str) -> Optional[TraceEvent]:
         """The most recent event of ``kind``, or None (O(1))."""
         ring = self._rings.get(kind)
-        return ring[-1] if ring else None
+        if ring is None:
+            return None
+        _, times, players, schemas, values = ring
+        return _new_event(
+            TraceEvent, (times[-1], kind, players[-1], dict(zip(schemas[-1], values[-1])))
+        )
 
     def dropped(self, kind: Optional[str] = None) -> int:
         """Events evicted by the retention window (0 when unbounded)."""

@@ -12,6 +12,7 @@ objects per message — by *counting* them, never by wall-clock.
 import collections
 import gc
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -173,16 +174,26 @@ def _retained(history, window, kind):
     return of_kind if window is None else of_kind[-window:]
 
 
+# Key sets and key orders vary within one kind; details may be empty or
+# hold a list.
+_details = st.lists(
+    st.tuples(st.sampled_from(["x", "y", "round"]),
+              st.one_of(st.integers(-3, 300), st.none(), st.lists(st.integers(0, 3), max_size=2))),
+    unique_by=lambda item: item[0], max_size=3,
+).map(dict)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([None, 1, 3]),
-    st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([None, 0, 1])), max_size=30),
+    st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([None, 0, 1]), _details),
+             max_size=30),
 )
 def test_trace_matches_the_list_model(window, script):
     trace, history = TraceRecorder(window=window), []
-    for time, (kind, player) in enumerate(script):
-        trace.record(float(time), kind, player, index=time)
-        history.append(TraceEvent(float(time), kind, player, {"index": time}))
+    for time, (kind, player, detail) in enumerate(script):
+        trace.record(float(time), kind, player, **detail)
+        history.append(TraceEvent(float(time), kind, player, dict(detail)))
         kept = {k: _retained(history, window, k) for k in "abcz"}
         assert len(trace) == len(history)
         for k in "abcz":
@@ -193,13 +204,26 @@ def test_trace_matches_the_list_model(window, script):
             assert trace.truncated(k) == (len(lifetime) > len(kept[k]))
         assert trace.dropped() == len(history) - sum(map(len, kept.values()))
         assert trace.truncated() == (trace.dropped() > 0)
-        for kinds in ("a", "z", ("a", "c"), ("c", "z", "a"), None):
+        # A kind named twice is read once.
+        for kinds in ("a", "z", ("a", "c"), ("c", "z", "a"), ("a", "a"), ["c", "a", "c"], None):
             names = "abc" if kinds is None else kinds
             union = [e for e in history if e.kind in names and e in kept[e.kind]]
             for who in (None, 0, 1):
                 expected = [e for e in union if who is None or e.player == who]
                 assert trace.events(kinds, who) == expected
         assert list(trace) == trace.events()
+    kept = {k: _retained(history, window, k) for k in "abc"}
+    expected = [e for e in history if e in kept[e.kind]]
+    first, second = trace.events(), trace.events()
+    assert first == second == expected
+    assert [list(e.detail) for e in first] == [list(e.detail) for e in expected]
+    # Every read builds fresh events, so a reader's edits stay its own.
+    assert all(a is not b and a.detail is not b.detail for a, b in zip(first, second))
+    for event in first + [trace.last(k) for k in "abc" if trace.count(k)]:
+        event.detail.clear()
+        event.detail["edited"] = True
+    assert trace.events() == expected
+    assert [trace.last(k) for k in "abc"] == [kept[k][-1] if kept[k] else None for k in "abc"]
 
 
 # ----------------------------------------------------------------------
@@ -237,23 +261,31 @@ def _tracked():
     return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
 
 
-def test_tracked_objects_per_message():
-    """What the cycle collector must walk per message is the unit that
-    sets its share of a run (15-20 %): at most five objects while a
-    message is in flight — its ``Envelope``, the send's ``TraceEvent``,
-    the ``Event``, its heap entry and its argument tuple — and three
-    once delivered (``Envelope`` + the send and deliver ``TraceEvent``s,
-    which the unbounded trace and the inbox here retain)."""
-    recipients, broadcasts = 8, 100
+def _carrier(recipients):
+    """An engine and a network whose recipients keep only a count."""
     engine = SimulationEngine()
     network = Network(engine)
-    inbox = []
+    received = []
     for player in range(recipients):
-        network.register(player, inbox.append)
+        network.register(player, lambda envelope: received.append(None))
     plan = dict.fromkeys(range(recipients), "payload")
     network.broadcast(0, plan, "vote", 10, 1)  # the rings and counters now exist
     engine.run()
+    return engine, network, plan, received
+
+
+def test_tracked_objects_per_message():
+    """What the cycle collector must walk per message is the unit that
+    sets its share of a run (15-20 %): at most five objects while a
+    message is in flight — its ``Envelope``, the send's detail value
+    tuple, the ``Event``, its heap entry and its argument tuple — and
+    none once delivered and collected.  The unbounded trace keeps the
+    send and the deliver as columns, and their value tuples hold only
+    atomic values, so the collector untracks them at its first pass."""
+    recipients, broadcasts = 8, 100
+    engine, network, plan, received = _carrier(recipients)
     messages = recipients * broadcasts
+    _tracked()  # a first call fills caches of its own; they are not per message
     gc.collect()
     gc.disable()
     try:
@@ -262,14 +294,39 @@ def test_tracked_objects_per_message():
             network.broadcast(0, plan, "vote", 10, 1)
         in_flight = _tracked() - before
         engine.run()
-        delivered = _tracked() - before
+        gc.collect()
+        retained = _tracked() - before
     finally:
         gc.enable()
-    assert len(inbox) == recipients + messages
+    assert len(received) == recipients + messages
     # The two snapshots' own Counters and frames are the slack.
     assert sum(in_flight.values()) <= 5 * messages + 20, in_flight
-    assert delivered["Envelope"] == messages and delivered["TraceEvent"] == 2 * messages
-    assert sum(delivered.values()) <= 3 * messages + 20, delivered
+    assert retained["TraceEvent"] == 0
+    assert sum(retained.values()) <= 0.01 * messages, retained
+
+
+def test_retained_bytes_per_record():
+    """A retained 3-key ``send`` / ``deliver`` record costs its five
+    column slots, its sequence number, its time and its value tuple —
+    153 B measured here, where a ``TraceEvent`` plus a ``detail`` dict
+    was 328."""
+    recipients, broadcasts = 8, 1000
+    engine, network, plan, received = _carrier(recipients)
+    records = len(network.trace)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(broadcasts):
+            network.broadcast(0, plan, "vote", 10, 1)
+        engine.run()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    records = len(network.trace) - records
+    assert records == 2 * recipients * broadcasts
+    assert grown / records <= 180, grown / records
 
 
 # ----------------------------------------------------------------------

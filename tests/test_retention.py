@@ -82,6 +82,13 @@ class TestTraceRecorderRetention:
         with pytest.raises(ValueError):
             TraceRecorder(window=0)
 
+    def test_a_repeated_kind_is_read_once(self):
+        trace = TraceRecorder()
+        trace.record(0.0, "send", 0)
+        trace.record(1.0, "final", 0)
+        assert [e.kind for e in trace.events(("send", "send"))] == ["send"]
+        assert [e.kind for e in trace.events(["final", "send", "final"])] == ["send", "final"]
+
 
 class TestCommitLogRetention:
     def _feed(self, log, count):
@@ -123,6 +130,15 @@ class TestCommitLogRetention:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             CommitLog(window=0)
+
+
+# The rule Scenario applies to trace_window / commit_window: an int, not
+# a bool, >= 1 — refused at construction, not at the first event.
+@pytest.mark.parametrize("owner", [TraceRecorder, CommitLog])
+@pytest.mark.parametrize("window", [True, 2.5, 0, "3"])
+def test_a_bad_window_is_refused_at_construction(owner, window):
+    with pytest.raises(ValueError, match="window must be an int >= 1"):
+        owner(window=window)
 
 
 class TestRetentionSpec:

@@ -7,10 +7,13 @@ workload ``NAME`` twice in this process.  The first run is under
 cProfile and prints the top-N rows by self time — candidates only:
 cProfile charges every Python call and no C-level work, so it inflates
 call-heavy code.  The second run is unprofiled and counts, through
-``gc.callbacks``, the cycle collector's passes per generation and the
-seconds spent inside them, which no profile row shows.  ``perf/`` is
-imported by path and not edited; timings to *claim* come from ``make
-perf-compare``, never from here.  ``make profile WORKLOAD=<name>``.
+``gc.callbacks``, the cycle collector's passes and the seconds spent
+inside them per generation, which no profile row shows; then, with the
+run's result still alive and after one collection, the objects the
+collector tracks and their six most common types — what every later
+full collection walks.  ``perf/`` is imported by path and not edited;
+timings to *claim* come from ``make perf-compare``, never from here.
+``make profile WORKLOAD=<name>``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import gc
 import pstats
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -49,28 +53,33 @@ def profiled_run(workload: Any, seed: int) -> pstats.Stats:
     return pstats.Stats(profile)
 
 
-def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], float]:
-    """Unprofiled ``run`` seconds, collector passes per generation and
-    the seconds spent inside them."""
-    passes, inside, started = [0, 0, 0], 0.0, 0.0
+def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], List[float], Counter]:
+    """Unprofiled ``run`` seconds, collector passes and seconds inside
+    them per generation, and the tracked objects alive at its end by
+    type."""
+    passes, inside, started = [0, 0, 0], [0.0, 0.0, 0.0], 0.0
 
     def on_collection(phase: str, info: Dict[str, int]) -> None:
-        nonlocal inside, started
+        nonlocal started
         if phase == "start":
             started = time.perf_counter()
         else:
             passes[info["generation"]] += 1
-            inside += time.perf_counter() - started
+            inside[info["generation"]] += time.perf_counter() - started
 
     prepared = workload.prepare(1.0, seed)
     gc.callbacks.append(on_collection)
     try:
         start = time.perf_counter()
-        workload.run(prepared, seed)
+        result = workload.run(prepared, seed)
         run_s = time.perf_counter() - start
     finally:
         gc.callbacks.remove(on_collection)
-    return run_s, passes, inside
+    # ``result`` is still alive here: what the run retains is counted,
+    # its garbage (and the profiled run's) is not.
+    gc.collect()
+    live = Counter(type(obj).__name__ for obj in gc.get_objects())
+    return run_s, passes, inside, live
 
 
 def main() -> int:
@@ -87,12 +96,15 @@ def main() -> int:
     print(f"{args.workload}, seed {args.seed}: prepare + run under cProfile, by self time")
     stats.sort_stats("tottime").print_stats(args.top)
 
-    run_s, passes, inside = collector_run(workload, args.seed)
+    run_s, passes, inside, live = collector_run(workload, args.seed)
     print(
         f"unprofiled run: {run_s:.3f} s; collector passes gen 0 / 1 / 2: "
-        f"{passes[0]} / {passes[1]} / {passes[2]}, {inside:.3f} s inside them "
-        f"({100 * inside / run_s:.0f} % of the run)"
+        f"{passes[0]} / {passes[1]} / {passes[2]}, seconds inside them "
+        f"{inside[0]:.3f} / {inside[1]:.3f} / {inside[2]:.3f} "
+        f"({100 * sum(inside) / run_s:.0f} % of the run)"
     )
+    top = ", ".join(f"{name} {count:,}" for name, count in live.most_common(6))
+    print(f"tracked objects alive at the end: {sum(live.values()):,}; top types: {top}")
     return 0
 
 
