@@ -9,7 +9,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare profile differential differential-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke example clean
+.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare profile differential differential-smoke bench bench-smoke bench-scaling bench-network bench-throughput bench-big-committees bench-pipelining bench-soak soak-smoke pipelining-smoke large-n-smoke claims clean
 
 check: test smoke catalog-check report-smoke search-smoke perf-smoke differential-smoke
 	@echo "check: OK"
@@ -164,14 +164,19 @@ differential:
 differential-smoke:
 	$(PYTHON) tools/differential.py "$(CURDIR)" "$(CURDIR)" --fuzz 5
 
+# Every paper claim (benchmarks/claims.py, one CLAIMS row per theorem,
+# claim, table and figure) evaluated by its tier-1 test, each row's
+# paper-shaped table printed.
+claims:
+	$(PYTHON) -m pytest tests/test_claims.py -q -s
+
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# One untimed pass over every bench_*.py (each harness is already
-# paper-sized-small; the whole suite is seconds).  REPRO_BENCH_SMOKE
+# One untimed pass over every bench_*.py study.  REPRO_BENCH_SMOKE
 # shrinks the size knobs and relaxes the wall-clock assertions of the
-# benchmarks that expose them.  Run by the informational CI job,
-# which uploads BENCH_*.json.
+# studies that expose them.  Run by CI's bench-smoke job, which then
+# gates the appended BENCH_*.json entries (a >15 % drop fails it).
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_NO_SPEEDUP_ASSERT=1 \
 		$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/bench_soak.py \
@@ -242,9 +247,6 @@ large-n-smoke:
 	$(PYTHON) -m repro.cli run honest --protocol hotstuff -n 64 --rounds 1 --aggregate-certs --check
 	$(PYTHON) -m repro.cli run honest --protocol polygraph -n 64 --rounds 1 --aggregate-certs --check
 	$(PYTHON) -m repro.cli run honest --protocol trap -n 64 --rounds 1 --aggregate-certs --check
-
-example:
-	$(PYTHON) examples/sweep_quickstart.py
 
 clean:
 	rm -rf .pytest_cache .benchmarks

@@ -28,25 +28,11 @@ import tracemalloc
 from typing import Dict
 
 from repro.analysis.report import render_table
-from repro.core.replica import prft_factory
+from repro.experiments import Scenario
 from repro.ledger.validation import chains_agree
-from repro.net.delays import RegionalDelay
-from repro.protocols.base import ProtocolConfig
-from repro.protocols.hotstuff import hotstuff_factory
-from repro.protocols.pbft import pbft_factory
-from repro.protocols.polygraph import polygraph_factory
-from repro.protocols.runner import (
-    NetworkSpec,
-    ProductionSpec,
-    RetentionSpec,
-    RunSpec,
-    WorkloadSpec,
-    run,
-)
-from repro.protocols.trap import trap_factory
 
 from benchmarks.bench_results import record_bench
-from benchmarks.helpers import once, roster, smoke_mode
+from benchmarks.helpers import once, smoke_mode
 
 #: soak target per protocol; smoke keeps the same shape at a tenth the
 #: scale (and the CI job keeps the same tracemalloc ceiling).
@@ -62,59 +48,31 @@ N = 4
 #: accumulation (an unbounded 10⁶-tx run needs several hundred MiB).
 MEMORY_CEILING_MIB = 192.0
 
-PROTOCOLS = (
-    ("prft", prft_factory),
-    ("pbft", pbft_factory),
-    ("hotstuff", hotstuff_factory),
-    ("polygraph", polygraph_factory),
-    ("trap", trap_factory),
-)
+PROTOCOLS = ("prft", "pbft", "hotstuff", "polygraph", "trap")
 
 
-def _soak_spec(protocol: str, factory, txs: int) -> RunSpec:
+def _soak_scenario(protocol: str, txs: int) -> Scenario:
     """One soak deployment: Poisson arrivals over a 2-region WAN with
-    the full retention stack enabled."""
+    the full retention stack enabled.  The run is bounded at
+    ``duration + 8 * timeout`` (``Scenario.effective_max_time``)."""
     duration = txs / RATE * 1.05  # 5% tail so the last arrivals drain
-    if protocol == "prft":
-        config = ProtocolConfig.for_prft(n=N, timeout=30.0, duration=duration)
-    else:
-        config = ProtocolConfig.for_bft(n=N, timeout=30.0, duration=duration)
-    return RunSpec(
-        factory=factory,
-        players=tuple(roster(N)),
-        config=config,
-        network=NetworkSpec(
-            delay_model=RegionalDelay(
-                assignment=[i % 2 for i in range(N)],
-                delta=0.5,
-                spread=3.0,
-                jitter=0.2,
-                seed=0,
-            )
-        ),
-        workload=WorkloadSpec(kind="poisson", rate=RATE),
-        production=ProductionSpec(
-            pipeline_depth=4, max_block_txs=4096, coalesce_window=0.5
-        ),
-        retention=RetentionSpec(
-            trace_window=256,
-            commit_window=16_384,
-            submission_window=1024,
-            ledger_window=8,
-            backlog_resolution=512,
-        ),
-        seed=f"soak/{protocol}/0",
-        max_time=duration + 240.0,
-        max_events=80_000_000,
+    return Scenario(
+        name=f"soak/{protocol}", protocol=protocol, n=N, timeout=30.0,
+        delay="regional", regions=2, delta=0.5, region_spread=3.0, region_jitter=0.2,
+        workload="poisson", arrival_rate=RATE, duration=duration,
+        pipeline_depth=4, max_block_txs=4096, coalesce_window=0.5,
+        trace_window=256, commit_window=16_384, submission_window=1024,
+        ledger_window=8, backlog_resolution=512,
+        max_time=duration + 240.0, max_events=80_000_000,
     )
 
 
-def _soak_run(protocol: str, factory, txs: int) -> Dict[str, object]:
-    spec = _soak_spec(protocol, factory, txs)
+def _soak_run(protocol: str, txs: int) -> Dict[str, object]:
+    scenario = _soak_scenario(protocol, txs)
     started = time.perf_counter()
     tracemalloc.start()
     try:
-        result = run(spec)
+        result = scenario.run(seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -141,13 +99,13 @@ def _experiment():
     measurements: Dict[str, object] = {"txs": TXS, "rate": RATE, "n": N}
 
     runs: Dict[str, Dict[str, object]] = {}
-    for protocol, factory in PROTOCOLS:
-        runs[protocol] = _soak_run(protocol, factory, TXS)
+    for protocol in PROTOCOLS:
+        runs[protocol] = _soak_run(protocol, TXS)
     measurements["soak"] = runs
 
     # Sub-linearity probe: the same pRFT deployment at a tenth the
     # scale; the big run's peak must come in well under 10× this one.
-    measurements["scaling_small"] = _soak_run("prft", prft_factory, TXS // 10)
+    measurements["scaling_small"] = _soak_run("prft", TXS // 10)
 
     measurements["wall_seconds"] = round(time.perf_counter() - started, 2)
     return measurements

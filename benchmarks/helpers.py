@@ -1,104 +1,20 @@
-"""Shared scenario builders for the benchmark harnesses.
+"""Shared knobs for the benchmark studies.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper
-(see DESIGN.md's per-experiment index) and prints a paper-shaped table;
-run with ``pytest benchmarks/ --benchmark-only -s`` to see the output.
+The paper's claims are rows of ``benchmarks/claims.py`` (evaluated by
+``tests/test_claims.py``); the ``bench_*.py`` files here are the
+studies around them — sweep scaling, the crypto fast path, faulty
+links, throughput, big committees, pipelining, the soak and the
+adversary search.  Run them with
+``pytest benchmarks/ --benchmark-only -s`` to see their tables.
 
-``make bench-smoke`` (and the informational CI job) runs every
-harness once with timing disabled and exports ``REPRO_BENCH_SMOKE=1``;
-benchmarks that expose a size knob (the crypto fast path, the sweep
-scaling study) shrink to tiny-n configurations and relax their
-wall-clock assertions, so the smoke pass only checks that every
-harness still runs end to end.
+``make bench-smoke`` (and the CI bench-smoke job) runs every study
+once with timing disabled and exports ``REPRO_BENCH_SMOKE=1``; studies
+that expose a size knob shrink to tiny-n configurations and relax
+their wall-clock assertions, so the smoke pass only checks that every
+study still runs end to end.
 """
 
 import os
-from typing import Dict, List, Optional, Sequence
-
-from repro.agents.collusion import Collusion, assign_strategies
-from repro.agents.player import (
-    Player,
-    byzantine_player,
-    honest_player,
-    rational_player,
-)
-from repro.agents.strategies import AbstainStrategy, EquivocateStrategy, HonestStrategy
-from repro.core.replica import prft_factory
-from repro.gametheory.payoff import PlayerType
-from repro.net.delays import DelayModel, FixedDelay
-from repro.net.partition import Partition, PartitionSchedule
-from repro.protocols.base import ProtocolConfig
-from repro.protocols.runner import (
-    NetworkSpec,
-    RunResult,
-    RunSpec,
-    run,
-)
-
-
-def roster(
-    n: int,
-    rational_ids: Sequence[int] = (),
-    byzantine_ids: Sequence[int] = (),
-    theta: PlayerType = PlayerType.FORK_SEEKING,
-) -> List[Player]:
-    players: List[Player] = []
-    for i in range(n):
-        if i in rational_ids:
-            players.append(rational_player(i, theta))
-        elif i in byzantine_ids:
-            players.append(byzantine_player(i, HonestStrategy()))
-        else:
-            players.append(honest_player(i))
-    return players
-
-
-def attack_run(
-    factory,
-    n: int,
-    rational_ids: Sequence[int],
-    byzantine_ids: Sequence[int],
-    attack: str,
-    config: ProtocolConfig,
-    theta: PlayerType = PlayerType.FORK_SEEKING,
-    censored: Sequence[str] = (),
-    partition_window: Optional[float] = None,
-    max_time: float = 10_000.0,
-) -> RunResult:
-    """Run ``factory`` under a collusion executing ``attack``."""
-    players = roster(n, rational_ids, byzantine_ids, theta=theta)
-    collusion = Collusion.of(players)
-    assign_strategies(players, collusion, attack, censored_tx_ids=censored or None)
-    partitions = None
-    if partition_window is not None:
-        partitions = PartitionSchedule()
-        partitions.add(
-            Partition.of(collusion.split_a, collusion.split_b), 0.0, partition_window
-        )
-    spec = base_spec(factory, players, config).derive(
-        network={"delay_model": FixedDelay(1.0), "partitions": partitions},
-        max_time=max_time,
-    )
-    return run(spec)
-
-
-def base_spec(factory, players: Sequence[Player], config: ProtocolConfig) -> RunSpec:
-    """The benchmarks' shared deployment template; harnesses derive
-    their variations from it (``spec.derive(...)``) rather than
-    re-assembling flat kwargs."""
-    return RunSpec(
-        factory=factory,
-        players=tuple(players),
-        config=config,
-        network=NetworkSpec(delay_model=FixedDelay(1.0)),
-    )
-
-
-def honest_run(factory, config: ProtocolConfig, delay: Optional[DelayModel] = None) -> RunResult:
-    spec = base_spec(factory, roster(config.n), config)
-    if delay is not None:
-        spec = spec.derive(network={"delay_model": delay})
-    return run(spec)
 
 
 def once(benchmark, func):

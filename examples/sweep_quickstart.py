@@ -3,8 +3,8 @@
 
 Expands the registered ``honest`` scenario over four committee sizes
 x three seeds (12 independent jobs), runs them on two worker
-processes, and prints the per-grid-point aggregates plus where the
-records would land on disk.  Swap the scenario name for any entry in
+processes, prints the per-grid-point aggregates and writes the records
+to ``sweep_quickstart.json`` in the working directory.  Swap the scenario name for any entry in
 ``repro list-scenarios`` — e.g. ``liveness`` or ``partition-fork`` —
 to sweep an attack instead.
 
@@ -36,8 +36,8 @@ def main() -> None:
         title=f"honest sweep: {len(sweep.records)} runs in {sweep.wall_time:.2f}s",
     ))
 
-    write_json("/tmp/sweep_quickstart.json", sweep.records, meta=sweep.meta())
-    print("\nfull records written to /tmp/sweep_quickstart.json")
+    write_json("sweep_quickstart.json", sweep.records, meta=sweep.meta())
+    print("\nfull records written to ./sweep_quickstart.json")
     print("same thing from the shell:")
     print("  repro sweep honest --grid n=4,6,8,10 --seeds 3 --jobs 2 --out results.json")
 

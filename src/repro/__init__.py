@@ -27,8 +27,8 @@ seeds) run through the experiment-orchestration layer::
     sweep = run_sweep(get_scenario("honest"), grid={"n": [4, 8, 16]},
                       seeds=10, jobs=4)
 
-See ``examples/`` for attack scenarios and ``benchmarks/`` for the
-regeneration of every table and figure in the paper.
+See ``examples/`` for the public API and ``benchmarks/claims.py`` for
+every theorem, table and figure of the paper as one checked row.
 """
 
 from typing import List

@@ -10,7 +10,7 @@
 - :mod:`~repro.analysis.complexity` — per-round message counts and
   byte sizes with fitted growth exponents (the Figure-3 table);
 - :mod:`~repro.analysis.report` — plain-text table rendering used by
-  the benchmark harnesses to print paper-shaped output.
+  the claim rows and benchmark studies to print paper-shaped output.
 """
 
 from repro.analysis.accountability import AccountabilityReport, check_accountability

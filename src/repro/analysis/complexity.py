@@ -11,10 +11,8 @@ Polygraph) is the reproduction target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Any, List, Sequence
 
-from repro.protocols.base import ProtocolConfig
-from repro.protocols.runner import RunSpec, run
 from repro.sim.metrics import fit_exponent
 
 
@@ -38,30 +36,17 @@ class ComplexityMeasurement:
         return fit_exponent(self.sizes, self.bytes_per_round)
 
 
-def measure_complexity(
-    protocol_name: str,
-    factory: Callable,
-    sizes: Sequence[int],
-    rounds: int = 2,
-    config_builder: Callable[[int], ProtocolConfig] = None,
-) -> ComplexityMeasurement:
-    """Run honest deployments at each n and collect per-round traffic."""
-    from repro.agents.player import honest_player
-
+def measure_complexity(scenario: Any, sizes: Sequence[int]) -> ComplexityMeasurement:
+    """Run ``scenario`` (a :class:`~repro.experiments.Scenario`) at each
+    committee size n and collect its per-round traffic."""
     messages: List[float] = []
     volumes: List[float] = []
     for n in sizes:
-        if config_builder is not None:
-            config = config_builder(n)
-        else:
-            config = ProtocolConfig.for_prft(n=n, max_rounds=rounds)
-        players = tuple(honest_player(i) for i in range(n))
-        result = run(RunSpec(factory=factory, players=players, config=config))
-        count, size = result.metrics.per_round_average()
+        count, size = scenario.with_params(n=n).run(seed=0).metrics.per_round_average()
         messages.append(count)
         volumes.append(size)
     return ComplexityMeasurement(
-        protocol=protocol_name,
+        protocol=scenario.protocol,
         sizes=list(sizes),
         messages_per_round=messages,
         bytes_per_round=volumes,

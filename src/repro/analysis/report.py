@@ -1,8 +1,8 @@
 """Plain-text table rendering for benchmark output.
 
-The benchmark harnesses print paper-shaped tables (Table 1, Table 2,
-the Figure-3 complexity table, ...) to stdout; this module is the one
-formatter they share.
+The claim rows and benchmark studies print paper-shaped tables
+(Table 1, Table 2, the Figure-3 complexity table, ...) to stdout; this
+module is the one formatter they share.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ collusions, cross-protocol grids) exist to be swept.
 from __future__ import annotations
 
 import dataclasses
-import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,7 +49,7 @@ from repro.net.delays import (
     SynchronousDelay,
 )
 from repro.net.partition import Partition, PartitionSchedule
-from repro.protocols.base import ProtocolConfig
+from repro.protocols.base import ProtocolConfig, check_declared_types
 from repro.protocols.lifecycle import CrashSchedule
 from repro.protocols.hotstuff import hotstuff_factory
 from repro.protocols.pbft import pbft_factory
@@ -270,15 +269,7 @@ class Scenario:
     MAX_N = 256
 
     def __post_init__(self) -> None:
-        for field_name, (accepted, declared) in _SCALAR_FIELDS.items():
-            value = getattr(self, field_name)
-            if not isinstance(value, accepted) or (
-                isinstance(value, bool) and bool not in accepted
-            ):
-                raise ValueError(
-                    f"scenario {self.name!r}: {field_name} must be {declared}, "
-                    f"got {type(value).__name__} {value!r}"
-                )
+        check_declared_types(self, f"scenario {self.name!r}")
         if not 1 <= self.n <= self.MAX_N:
             raise ValueError(
                 f"n must lie in [1, {self.MAX_N}]; got {self.n} "
@@ -350,13 +341,24 @@ class Scenario:
                     f"{count}={getattr(self, count)} cannot apply: scenario "
                     f"{self.name!r} pins {pinned}={getattr(self, pinned)}"
                 )
+        # Normalise nested sequences (sweep grids hand us lists) to
+        # tuples so the scenario stays hashable/picklable.
+        for axis in ("partition_windows", "partition_groups", "crash_spec"):
+            object.__setattr__(self, axis, tuple(tuple(entry) for entry in getattr(self, axis)))
+        for axis, ids in (
+            ("rational_ids", self.rational_ids),
+            ("byzantine_ids", self.byzantine_ids),
+            ("partition_groups", sum(self.partition_groups, ())),
+        ):
+            if not all(type(i) is int and 0 <= i < self.n for i in ids):
+                raise ValueError(f"{axis} must name ints in [0, n={self.n}); got {ids!r}")
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"{axis} names a player twice: {ids!r}")
         rationals = self.resolved_rational_ids()
         byzantines = self.resolved_byzantine_ids()
         if set(rationals) & set(byzantines):
             raise ValueError("a player cannot be both rational and byzantine")
         deviators = set(rationals) | set(byzantines)
-        if deviators and (min(deviators) < 0 or max(deviators) >= self.n):
-            raise ValueError("deviator ids must lie in [0, n)")
         if len(deviators) >= self.n and self.n > 0:
             raise ValueError("rational + byzantine must be fewer than n")
         if self.thetas and len(self.thetas) != len(rationals):
@@ -384,34 +386,19 @@ class Scenario:
                 self, "burst_schedule",
                 tuple((float(t), int(c)) for t, c in self.burst_schedule),
             )
-        # An axis that belongs to a frozen sub-spec is range-checked by
-        # that spec and nowhere else: folding the fields here surfaces a
-        # bad loss rate / depth / window at construction time with the
-        # owner's own message.  A continuous workload also compiles a
-        # throwaway instance for the duration-relative rules its
-        # constructor owns ("some burst must fall before the duration").
-        specs = self._axis_specs()
-        if self.workload != "static":
-            specs["workload"].build(self.build_config())
-        if self.partition_windows:
-            object.__setattr__(
-                self, "partition_windows",
-                tuple(tuple(window) for window in self.partition_windows),
-            )
-        if self.partition_groups:
-            object.__setattr__(
-                self, "partition_groups",
-                tuple(tuple(group) for group in self.partition_groups),
-            )
-        if self.crash_spec:
-            # Normalise nested sequences (sweep grids hand us lists) to
-            # tuples so the scenario stays hashable/picklable, then let
-            # CrashSchedule validate windows and overlap.
-            object.__setattr__(
-                self, "crash_spec", tuple(tuple(entry) for entry in self.crash_spec)
-            )
-            schedule = self.build_crash_schedule()
-            for replica in schedule.replicas():
+        # An axis is range-checked by the object that owns it and nowhere
+        # else: assembling the whole run once — config, delay model,
+        # roster (player types), partitions, crash schedule, sub-specs —
+        # surfaces a bad timeout / theta / window / loss rate here, at
+        # construction time, with the owner's own message.  A continuous
+        # workload also compiles a throwaway instance for the
+        # duration-relative rules its constructor owns ("some burst must
+        # fall before the duration").
+        spec = self.build_run_spec(0)
+        if spec.workload.continuous:
+            spec.workload.build(spec.config)
+        if spec.faults.crash_schedule is not None:
+            for replica in spec.faults.crash_schedule.replicas():
                 if not 0 <= replica < self.n:
                     raise ValueError(f"crash_spec names replica {replica} outside [0, n)")
 
@@ -653,29 +640,6 @@ class Scenario:
                 f"unknown scenario field(s) {sorted(unknown)}; valid: {sorted(valid)}"
             )
         return cls(**{key: _tupleize(value) for key, value in data.items()})
-
-
-def _scalar_field(hint: Any) -> Optional[Tuple[Tuple[type, ...], str]]:
-    """(classes admitted, how to name them) for a field declared
-    ``int``, ``float``, ``str``, ``bool`` or ``Optional`` of one; None
-    for the tuple-valued axes.  An int is fine where a float is
-    declared; a bool is an int only where ``bool`` is declared."""
-    members = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
-    scalars = [member for member in members if member is not type(None)]
-    if len(scalars) != 1 or scalars[0] not in (int, float, str, bool):
-        return None
-    accepted = members + ((int,) if scalars[0] is float else ())
-    declared = scalars[0].__name__ + (" or None" if len(members) > 1 else "")
-    return accepted, declared
-
-
-#: Every scalar field's declared type is its validator (checked first
-#: thing in ``Scenario.__post_init__``).
-_SCALAR_FIELDS = {
-    name: checked
-    for name, hint in typing.get_type_hints(Scenario).items()
-    if (checked := _scalar_field(hint)) is not None
-}
 
 
 def _jsonable(value: Any) -> Any:

@@ -12,7 +12,9 @@ lands a decided block on the chain.
 
 from __future__ import annotations
 
+import functools
 import math
+import typing
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Container, Dict, Iterable, List, Optional
@@ -36,6 +38,41 @@ from repro.protocols.lifecycle import ReplicaStatus
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import CommitLog
 from repro.sim.timers import TimerService
+
+
+def check_declared_types(instance: Any, owner: str) -> None:
+    """Refuse any field whose value is not its declared scalar type.
+
+    The one type validator of every typed spec (``Scenario``, the
+    ``RunSpec`` sub-specs, :class:`ProtocolConfig`): a field declared
+    ``int``, ``float``, ``str``, ``bool`` or ``Optional`` of one admits
+    exactly that.  An int is fine where a float is declared; a bool is
+    an int only where ``bool`` is declared.  Tuple- and object-valued
+    fields are left to their owners.
+    """
+    for name, (accepted, declared) in _scalar_fields(type(instance)).items():
+        value = getattr(instance, name)
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and bool not in accepted
+        ):
+            raise ValueError(
+                f"{owner}: {name} must be {declared}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_fields(cls: type) -> Dict[str, Tuple[Tuple[type, ...], str]]:
+    """Field → (classes admitted, how to name them) for ``cls``'s scalar fields."""
+    checked = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        members = typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
+        scalars = [member for member in members if member is not type(None)]
+        if len(scalars) == 1 and scalars[0] in (int, float, str, bool):
+            accepted = members + ((int,) if scalars[0] is float else ())
+            declared = scalars[0].__name__ + (" or None" if len(members) > 1 else "")
+            checked[name] = (accepted, declared)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -64,7 +101,7 @@ class ProtocolConfig:
         discount: the δ of Equation 1.
         view_change_evidence: whether ViewChange messages carry the
             sender's held statements (pBFT-style certificates).  On by
-            default; the ablation benchmark switches it off to show
+            default; the ``ablation`` claim row switches it off to show
             that stalled fork attempts then escape attribution.
     """
 
@@ -81,6 +118,7 @@ class ProtocolConfig:
     view_change_evidence: bool = True
 
     def __post_init__(self) -> None:
+        check_declared_types(self, "ProtocolConfig")
         if self.n < 1:
             raise ValueError("need at least one player")
         if not 0 <= self.t0 < self.n:
@@ -93,6 +131,8 @@ class ProtocolConfig:
             raise ValueError("max_rounds must be at least 1")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive when set")
+        if self.deposit < 0:
+            raise ValueError("deposit must be non-negative")
 
     @property
     def quorum_size(self) -> int:

@@ -31,7 +31,12 @@ from repro.crypto.registry import DEFAULT_VERIFY_CACHE_SIZE
 from repro.ledger.transaction import Transaction
 from repro.net.delays import DelayModel
 from repro.net.partition import PartitionSchedule
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
+from repro.protocols.base import (
+    BaseReplica,
+    ProtocolConfig,
+    ProtocolContext,
+    check_declared_types,
+)
 from repro.protocols.lifecycle import CrashSchedule
 from repro.workloads import (
     WORKLOAD_KINDS,
@@ -64,6 +69,7 @@ class NetworkSpec:
     reorder_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        check_declared_types(self, "NetworkSpec")
         if not 0 <= self.loss_rate < 1:
             raise ValueError("loss_rate must lie in [0, 1)")
         if not 0 <= self.duplicate_rate <= 1:
@@ -90,6 +96,7 @@ class CryptoSpec:
     aggregate_certs: bool = False
 
     def __post_init__(self) -> None:
+        check_declared_types(self, "CryptoSpec")
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
 
@@ -131,6 +138,7 @@ class ProductionSpec:
     coalesce_window: float = 0.0
 
     def __post_init__(self) -> None:
+        check_declared_types(self, "ProductionSpec")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be at least 1")
         if self.max_block_txs is not None and self.max_block_txs < 1:
@@ -177,6 +185,7 @@ class WorkloadSpec:
     bursts: Tuple[Tuple[float, int], ...] = ()
 
     def __post_init__(self) -> None:
+        check_declared_types(self, "WorkloadSpec")
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(
                 f"unknown workload kind {self.kind!r}; choose from {WORKLOAD_KINDS}"
@@ -278,6 +287,7 @@ class RetentionSpec:
     backlog_resolution: Optional[int] = None
 
     def __post_init__(self) -> None:
+        check_declared_types(self, "RetentionSpec")
         for name in ("trace_window", "commit_window", "submission_window",
                      "ledger_window"):
             value = getattr(self, name)

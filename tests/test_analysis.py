@@ -3,8 +3,8 @@ edge paths, complexity fitting, report formatting.
 
 Complements test_runner_analysis.py (happy paths) with the branches it
 leaves untested: fork diagnostics, strict-ordering suffixes, failed
-censorship resistance, forgeable-backend refusal, exponent-fit errors
-and custom complexity config builders.
+censorship resistance, forgeable-backend refusal and exponent-fit
+errors.
 """
 
 import math
@@ -15,9 +15,7 @@ from repro.analysis.accountability import check_accountability
 from repro.analysis.complexity import measure_complexity
 from repro.analysis.report import render_table
 from repro.analysis.robustness import check_robustness
-from repro.core.replica import prft_factory
 from repro.experiments import Scenario, get_scenario
-from repro.protocols.base import ProtocolConfig
 from repro.sim.metrics import fit_exponent
 
 
@@ -100,19 +98,6 @@ class TestAccountabilityEdges:
 
 
 class TestComplexity:
-    def test_custom_config_builder_is_used(self):
-        sizes = [4, 8]
-        seen = []
-
-        def builder(n: int) -> ProtocolConfig:
-            seen.append(n)
-            return ProtocolConfig.for_bft(n=n, max_rounds=1)
-
-        measurement = measure_complexity("prft", prft_factory, sizes, config_builder=builder)
-        assert seen == sizes
-        assert measurement.protocol == "prft"
-        assert all(value > 0 for value in measurement.bytes_per_round)
-
     def test_fit_exponent_recovers_known_power_law(self):
         sizes = [2, 4, 8, 16]
         values = [3.0 * n**2 for n in sizes]
@@ -127,7 +112,7 @@ class TestComplexity:
             fit_exponent([4, 4], [1.0, 2.0])
 
     def test_exponent_properties_match_fit(self):
-        measurement = measure_complexity("prft", prft_factory, sizes=[4, 8], rounds=1)
+        measurement = measure_complexity(get_scenario("honest").with_params(rounds=1), [4, 8])
         expected = fit_exponent(measurement.sizes, measurement.messages_per_round)
         assert measurement.message_exponent == pytest.approx(expected)
         assert math.isfinite(measurement.size_exponent)

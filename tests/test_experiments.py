@@ -74,6 +74,35 @@ class TestRegistry:
         with pytest.raises(ValueError):
             Scenario(name="x", attack="censorship")  # no censored ids
 
+    @pytest.mark.parametrize("axes,complaint", [
+        # accepted, and run with a changed roster
+        ({"rational_ids": (1.5,)}, r"rational_ids must name ints in \[0, n=9\)"),
+        ({"byzantine_ids": (2, 2)}, "byzantine_ids names a player twice"),
+        ({"partition_windows": ((0.0, 10.0),), "partition_groups": ((0, 1), (2, 99))},
+         r"partition_groups must name ints in \[0, n=9\)"),
+        # accepted, then refused only inside run()
+        ({"rational": 1, "theta": 7}, "7 is not a valid PlayerType"),
+        ({"rational": 1, "thetas": (9,)}, "9 is not a valid PlayerType"),
+        ({"timeout": 0.0}, "timeout must be positive"),
+        ({"rounds": 0}, "max_rounds must be at least 1"),
+        ({"t0": 9}, r"t0 must lie in \[0, n\)"),
+        ({"quorum": 0}, r"quorum must lie in \[1, n\]"),
+        ({"delta": -1.0}, "delta must be non-negative"),
+        ({"delay": "partial", "gst": -5.0}, "gst must be non-negative"),
+        ({"deposit": -1.0}, "deposit must be non-negative"),
+        ({"max_events": 0}, "max_events must be at least 1"),
+        ({"partition_windows": ((10.0, 2.0),)}, "window must have positive length"),
+        ({"partition_windows": ((0.0, 5.0, 9.0),)}, "too many values to unpack"),
+        ({"partition_windows": ((0.0, 10.0),), "partition_groups": ((0, 1), (1, 2))},
+         "partition_groups names a player twice"),
+    ])
+    def test_a_malformed_axis_is_refused_at_construction(self, axes, complaint):
+        """Each axis's owner — the id check, PlayerType, ProtocolConfig,
+        the delay model, RunSpec, the partition schedule — refuses it
+        when the scenario is built, not mid-run."""
+        with pytest.raises(ValueError, match=complaint):
+            Scenario(name="x", **axes)
+
     def test_a_count_next_to_its_pinned_ids_is_refused(self):
         # It used to run one rational player and ignore the count.
         with pytest.raises(ValueError, match=r"rational=3 cannot apply.*rational_ids=\(5,\)"):

@@ -9,6 +9,7 @@ from repro.analysis.complexity import measure_complexity
 from repro.analysis.report import render_table
 from repro.analysis.robustness import check_robustness
 from repro.core.replica import prft_factory
+from repro.experiments import get_scenario
 from repro.gametheory.payoff import PlayerType
 from repro.ledger.transaction import Transaction
 from repro.protocols.base import ProtocolConfig
@@ -141,14 +142,17 @@ class TestAccountabilityChecker:
         assert report.ground_truth_deviators == {5}
 
 
+ONE_ROUND = get_scenario("honest").with_params(rounds=1)
+
+
 class TestComplexityMeasurement:
     def test_prft_growth_superlinear(self):
-        measurement = measure_complexity("prft", prft_factory, sizes=[4, 8, 12], rounds=1)
+        measurement = measure_complexity(ONE_ROUND, sizes=[4, 8, 12])
         assert measurement.message_exponent > 1.5
         assert measurement.size_exponent > measurement.message_exponent
 
     def test_rows_align(self):
-        measurement = measure_complexity("prft", prft_factory, sizes=[4, 8], rounds=1)
+        measurement = measure_complexity(ONE_ROUND, sizes=[4, 8])
         assert len(measurement.sizes) == len(measurement.messages_per_round) == 2
 
 

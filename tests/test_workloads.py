@@ -27,6 +27,8 @@ from repro.protocols.runner import (
     Deployment,
     FaultSpec,
     NetworkSpec,
+    ProductionSpec,
+    RetentionSpec,
     RunResult,
     RunSpec,
     WorkloadSpec,
@@ -114,6 +116,27 @@ class TestSpecs:
     def test_config_duration_validation(self):
         with pytest.raises(ValueError, match="duration"):
             ProtocolConfig.for_prft(n=5, duration=0.0)
+
+    @pytest.mark.parametrize("owner,field,value", [
+        # accepted and run: depth 2.5 ran as depth 2 does
+        (ProductionSpec, "pipeline_depth", 2.5),
+        (ProductionSpec, "pipeline_depth", True),
+        (CryptoSpec, "cache_size", 2.5),
+        (RetentionSpec, "backlog_resolution", 2.5),
+        (RetentionSpec, "ledger_window", True),
+        (ProtocolConfig, "n", 4.0),
+        # accepted, then crashing mid-run (TypeError, islice, ...)
+        (RetentionSpec, "submission_window", 2.5),
+        (RetentionSpec, "ledger_window", 2.5),
+        (ProductionSpec, "max_block_txs", 2.5),
+        (WorkloadSpec, "outstanding", 2.5),
+    ])
+    def test_a_spec_refuses_what_its_declared_int_is_not(self, owner, field, value):
+        """The declared field type is the one validator, as on Scenario."""
+        required = {"t0": 1} if owner is ProtocolConfig else {}
+        with pytest.raises(ValueError) as caught:
+            owner(**required, **{field: value})
+        assert str(caught.value).startswith(f"{owner.__name__}: {field} must be int")
 
     def test_deployment_executes_once(self):
         config = ProtocolConfig.for_prft(n=4, max_rounds=1)
