@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.robustness import check_robustness
-from repro.core.messages import SignedStatement, statement_value, verify_statement
+from repro.core.messages import SignedStatement, verify_statement
 from repro.core.pof import FraudProof
 from repro.crypto.aggregate import AggregateQC
 from repro.ledger.chain import ConfirmationStatus
@@ -537,12 +537,7 @@ class QuorumCertificateChecker(InvariantChecker):
                 ok = (
                     aggregate.signer_count >= 1
                     and aggregate.round_number == round_number
-                    and registry.verify_aggregate(
-                        aggregate,
-                        statement_value(
-                            aggregate.phase, aggregate.round_number, aggregate.digest
-                        ),
-                    )
+                    and registry.verify_aggregate(aggregate)
                 )
                 if not ok:
                     violations.append(_violation(

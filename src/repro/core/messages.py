@@ -34,7 +34,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, ClassVar, FrozenSet, Iterable, Optional, Tuple, Union
 
-from repro.crypto.aggregate import AggregateQC, aggregate_statements
+from repro.crypto.aggregate import AggregateQC, aggregate_statements, statement_value
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.keys import KeyPair
 from repro.crypto.registry import KeyRegistry
@@ -58,11 +58,6 @@ class Phase(str, enum.Enum):
     COMMIT_VIEW = "commit-view"
 
 
-def statement_value(phase: str, round_number: int, digest: str) -> Tuple[Any, ...]:
-    """The canonical tuple a statement signature covers."""
-    return ("prft", phase, round_number, digest)
-
-
 @dataclass(frozen=True, order=True)
 class SignedStatement:
     """A player's signature over (phase, round, digest)."""
@@ -83,9 +78,9 @@ class SignedStatement:
         """Canonical bytes of :meth:`value`, serialised once per statement.
 
         The statement is frozen, so the signed tuple can never change;
-        memoizing here is what makes one serialisation per statement
-        per process possible (the tuple itself is rebuilt by every
-        ``value()`` call and cannot carry a cache).
+        :func:`make_statement` stores the bytes it signed here, and any
+        other statement memoizes them on first use (the tuple itself is
+        rebuilt by every ``value()`` call and cannot carry a cache).
         """
         cached = self.__dict__.get("_value_bytes")
         if cached is None:
@@ -119,31 +114,52 @@ class SignedStatement:
         )
 
 
-def make_statement(keypair: KeyPair, phase: str, round_number: int, digest: str) -> SignedStatement:
-    """Sign (phase, round, digest) and wrap the result."""
-    signature = sign(keypair, statement_value(phase, round_number, digest))
-    return SignedStatement(
-        phase=phase, round_number=round_number, digest=digest, signature=signature
-    )
+def make_statement(
+    keypair: KeyPair,
+    phase: str,
+    round_number: int,
+    digest: str,
+    message: Optional[bytes] = None,
+) -> SignedStatement:
+    """Sign (phase, round, digest) and wrap the result.
+
+    The value is serialised once — or not at all when the caller hands
+    in its canonical bytes as ``message`` — and the statement keeps
+    the signed bytes as its :meth:`~SignedStatement.value_bytes`.
+    """
+    if message is None:
+        message = canonical_bytes(statement_value(phase, round_number, digest))
+    statement = SignedStatement(phase, round_number, digest, sign(keypair, message=message))
+    object.__setattr__(statement, "_value_bytes", message)
+    return statement
 
 
 def verify_statement(registry: KeyRegistry, statement: SignedStatement) -> bool:
     """Check the statement's signature against the trusted setup.
 
-    Routes the statement's memoized bytes and digest into the
-    registry, so repeat verifications of the same signature — every
-    replica checks every quorum-certificate member — are cache hits
-    that never rebuild or re-serialise the signed tuple.  When the
-    registry's cache is disabled, the statement is handed over as a
-    value so the reference path genuinely re-serialises it.
+    A statement that verified against ``registry`` before carries its
+    :attr:`~repro.crypto.registry.KeyRegistry.verified_mark` and is
+    answered from it, counted as a cache hit: every replica checks
+    every quorum-certificate member, and the oracle checks them all
+    again, on the one shared object.  Otherwise the statement's
+    memoized bytes and digest go to :meth:`KeyRegistry.verify`, whose
+    cache answers an equal copy, and a valid statement is stamped.
+    When the registry's cache is disabled nothing is stamped and the
+    statement is handed over as a value, so the reference path
+    genuinely re-serialises it.
     """
-    if registry.cache_enabled:
-        return registry.verify(
-            statement.signature,
-            message=statement.value_bytes(),
-            digest=statement.value_digest(),
-        )
-    return registry.verify(statement.signature, statement.value())
+    mark = registry.verified_mark
+    if mark is None:
+        return registry.verify(statement.signature, statement.value())
+    if statement.__dict__.get("_verified") is mark:
+        registry.cache_hits += 1
+        return True
+    if not registry.verify(
+        statement.signature, message=statement.value_bytes(), digest=statement.value_digest()
+    ):
+        return False
+    object.__setattr__(statement, "_verified", mark)
+    return True
 
 
 def verify_quorum(
@@ -247,9 +263,7 @@ def verify_justification(
             return False
         if justification.signer_count < minimum:
             return False
-        return registry.verify_aggregate(
-            justification, statement_value(phase, round_number, digest)
-        )
+        return registry.verify_aggregate(justification)
     return verify_quorum(
         registry,
         justification,
@@ -272,23 +286,16 @@ def expand_aggregate(
     working on bitmap-only wire formats.  This is only sound *after*
     ``verify_aggregate`` has succeeded: expanding an unverified
     aggregate would fabricate signatures for players who never signed,
-    framing honest bitmap members.  The expansion is memoized on the
-    (frozen) aggregate instance.
+    framing honest bitmap members.  The shared pin is serialised once
+    for all signers, and the expansion is memoized on the (frozen)
+    aggregate instance.
     """
     cached = aggregate.__dict__.get("_expanded")
     if cached is None:
+        pin = (aggregate.phase, aggregate.round_number, aggregate.digest)
+        message = canonical_bytes(statement_value(*pin))
         cached = tuple(
-            SignedStatement(
-                phase=aggregate.phase,
-                round_number=aggregate.round_number,
-                digest=aggregate.digest,
-                signature=sign(
-                    registry.keypair_of(signer),
-                    statement_value(
-                        aggregate.phase, aggregate.round_number, aggregate.digest
-                    ),
-                ),
-            )
+            make_statement(registry.keypair_of(signer), *pin, message=message)
             for signer in aggregate.signers
         )
         object.__setattr__(aggregate, "_expanded", cached)

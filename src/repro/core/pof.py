@@ -30,7 +30,6 @@ from repro.core.messages import (
     KAPPA,
     SignedStatement,
     expand_aggregate,
-    statement_value,
     verify_quorum,
     verify_statement,
 )
@@ -246,12 +245,7 @@ class FraudDetector:
         fresh_bitmap = aggregate.signer_bitmap & ~seen_bitmap
         if not fresh_bitmap:
             return []
-        if not self.registry.verify_aggregate(
-            aggregate,
-            statement_value(
-                aggregate.phase, aggregate.round_number, aggregate.digest
-            ),
-        ):
+        if not self.registry.verify_aggregate(aggregate):
             return []
         self._absorbed_aggregates.setdefault(aggregate.round_number, {})[key] = (
             seen_bitmap | aggregate.signer_bitmap

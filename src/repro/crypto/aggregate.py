@@ -16,8 +16,9 @@ The aggregate tag is a hash over the sorted (signer, tag) pairs, so
   aggregate without secret material (tags are public), and
 - the registry can *verify* the whole certificate in one call by
   re-deriving each bitmap member's tag from the trusted setup and
-  recombining — O(quorum) tag derivations on first sight, a single
-  cache lookup afterwards.
+  recombining — O(quorum) tag derivations on first sight; afterwards
+  the verdict is read back off the certificate object itself, or, for
+  an equal copy, from one cache lookup.
 
 Accountability survives aggregation (the Polygraph constraint): the
 bitmap names the individual signers, and because the simulation's tags
@@ -79,14 +80,20 @@ def aggregate_tag(tags_by_signer: Mapping[int, str]) -> str:
     return hashlib.sha256(b"repro-agg|" + payload).hexdigest()
 
 
+def statement_value(phase: str, round_number: int, digest: str) -> Tuple[Any, ...]:
+    """The canonical tuple a statement signature covers."""
+    return ("prft", phase, round_number, digest)
+
+
 @dataclass(frozen=True)
 class AggregateQC:
     """A whole quorum certificate in O(κ + n/8) bytes.
 
     Binds one canonical statement value (phase, round, digest) to the
     exact signer set (as a bitmap) and their combined tag.  Verify with
-    :meth:`repro.crypto.registry.KeyRegistry.verify_aggregate`; never
-    trust the bitmap of an unverified aggregate.
+    :meth:`repro.crypto.registry.KeyRegistry.verify_aggregate`, which
+    checks it against its own pin; never trust the bitmap of an
+    unverified aggregate.
     """
 
     phase: str

@@ -21,6 +21,19 @@ a whole statement-set certificate, keyed by its content — as
 :meth:`KeyRegistry.verify_aggregate` does for aggregate certificates —
 so a justification broadcast to n receivers is checked member by
 member once per deployment, not once per receiver.
+
+Below both caches, the verdict is a property of the signed object.
+Every receiver of a broadcast, and the post-run oracle, holds the
+*same* frozen statement or certificate, so the first successful check
+stamps it with the registry's :attr:`KeyRegistry.verified_mark` and
+every later check of that object reads the stamp back — no
+serialisation, no hashing, no cache lookup.  The object is frozen, so
+the stamp cannot go stale; a forged or re-attributed copy is another
+object, carries no stamp and takes the path above; the mark is an
+inert ``object()`` private to one registry, so a stamp never vouches
+for an object under another registry and adds no reference cycle.  A
+stamp hit counts as a cache hit, and with the cache disabled
+(``verify_cache_size=0``) nothing is stamped or read.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import hashlib
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.crypto.aggregate import AggregateQC, aggregate_tag
+from repro.crypto.aggregate import AggregateQC, aggregate_tag, statement_value
 from repro.crypto.backends import CryptoBackend, DEFAULT_BACKEND, get_backend
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.keys import KeyPair, generate_keypair
@@ -65,15 +78,19 @@ class KeyRegistry:
         self._backend = get_backend(backend)
         self._keys: Dict[int, KeyPair] = {}
         self._cache: "OrderedDict[Tuple[int, str, bytes], bool]" = OrderedDict()
-        # Aggregate-certificate verdicts, keyed (bitmap, agg_tag,
-        # value digest); same exactness argument as the per-signature
-        # cache — a forged tag or flipped bitmap bit is a different
-        # key, misses, and is re-derived from the secrets.
-        self._agg_cache: "OrderedDict[Tuple[int, str, bytes], bool]" = OrderedDict()
+        # Aggregate-certificate verdicts, keyed (bitmap, agg_tag, phase,
+        # round, digest) — the pin determines the signed value, so the
+        # key needs no serialisation; same exactness argument as the
+        # per-signature cache — a forged tag or flipped bitmap bit is a
+        # different key, misses, and is re-derived from the secrets.
+        self._agg_cache: "OrderedDict[Tuple[int, str, str, int, str], bool]" = OrderedDict()
         # Statement-set certificate verdicts, keyed by the caller's
         # content key (pin + members, tags included).
         self._quorum_cache: "OrderedDict[Hashable, int]" = OrderedDict()
         self._cache_size = max(0, int(verify_cache_size))
+        # What a signed object carries once it verified here (see the
+        # module docstring); None turns the stamps off with the cache.
+        self.verified_mark: Optional[object] = object() if self._cache_size else None
         self.cache_hits = 0
         self.cache_misses = 0
         self.agg_cache_hits = 0
@@ -236,55 +253,50 @@ class KeyRegistry:
         message = canonical_bytes(value)
         return message, hashlib.sha256(message).digest()
 
-    def verify_aggregate(
-        self,
-        aggregate: AggregateQC,
-        value: Any = None,
-        message: Optional[bytes] = None,
-    ) -> bool:
-        """Validate a whole aggregate certificate in one call.
+    def verify_aggregate(self, aggregate: AggregateQC) -> bool:
+        """Validate a whole aggregate certificate against its own pin.
 
-        Re-derives each bitmap member's tag over the single
-        canonicalised ``value`` (or pre-serialised ``message``) from
-        the trusted-setup secrets, recombines them and compares against
-        the certificate's aggregate tag.  Empty bitmaps and unknown
-        signers fail outright.  Verdicts are cached keyed by
-        ``(bitmap, agg_tag, value digest)``, so re-checks of the same
-        certificate — every receiver of a broadcast checks it — are a
-        single dictionary lookup.
+        Re-derives each bitmap member's tag over the certificate's
+        (phase, round, digest) value, canonicalised once, from the
+        trusted-setup secrets, recombines them and compares against the
+        certificate's aggregate tag.  Empty bitmaps and unknown signers
+        fail outright.  A certificate that verified here before is
+        answered from its stamp (see the module docstring), an equal
+        copy from the verdict cache keyed ``(bitmap, agg_tag, pin)``;
+        only a first sight builds the keypair list and serialises.
         """
+        mark = self.verified_mark
+        if mark is not None and aggregate.__dict__.get("_verified") is mark:
+            self.agg_cache_hits += 1
+            return True
         signers = aggregate.signers
         if not signers:
             return False
-        keypairs = []
-        for signer in signers:
-            keypair = self._keys.get(signer)
-            if keypair is None:
-                return False
-            keypairs.append(keypair)
-        if message is None:
-            message, value_digest = self.batch_canonicalize(value)
-        else:
-            value_digest = hashlib.sha256(message).digest()
-        if self._cache_size == 0:
-            expected = aggregate_tag(
-                {kp.player_id: self._backend.tag(kp.secret, message) for kp in keypairs}
-            )
-            return expected == aggregate.agg_tag
-        key = (aggregate.signer_bitmap, aggregate.agg_tag, value_digest)
-        cached = self._agg_cache.get(key)
-        if cached is not None:
+        phase, round_number, digest = aggregate.phase, aggregate.round_number, aggregate.digest
+        key = (aggregate.signer_bitmap, aggregate.agg_tag, phase, round_number, digest)
+        valid = self._agg_cache.get(key) if mark is not None else None
+        if valid is not None:
             self._agg_cache.move_to_end(key)
             self.agg_cache_hits += 1
-            return cached
-        self.agg_cache_misses += 1
-        expected = aggregate_tag(
-            {kp.player_id: self._backend.tag(kp.secret, message) for kp in keypairs}
-        )
-        valid = expected == aggregate.agg_tag
-        self._agg_cache[key] = valid
-        if len(self._agg_cache) > self._cache_size:
-            self._agg_cache.popitem(last=False)
+        else:
+            keypairs = []
+            for signer in signers:
+                keypair = self._keys.get(signer)
+                if keypair is None:
+                    return False
+                keypairs.append(keypair)
+            message, _ = self.batch_canonicalize(statement_value(phase, round_number, digest))
+            valid = aggregate.agg_tag == aggregate_tag(
+                {kp.player_id: self._backend.tag(kp.secret, message) for kp in keypairs}
+            )
+            if mark is None:
+                return valid
+            self.agg_cache_misses += 1
+            self._agg_cache[key] = valid
+            if len(self._agg_cache) > self._cache_size:
+                self._agg_cache.popitem(last=False)
+        if valid:
+            object.__setattr__(aggregate, "_verified", mark)
         return valid
 
     def aggregate_cache_info(self) -> Dict[str, int]:

@@ -42,16 +42,20 @@ class Signature:
         return 32
 
 
-def sign(keypair: KeyPair, value: Any) -> Signature:
+def sign(keypair: KeyPair, value: Any = None, message: Optional[bytes] = None) -> Signature:
     """Sign ``value`` with ``keypair`` and return the signature.
 
     The tag derivation is delegated to the keypair's backend; the
     default ``hmac-sha256`` backend produces
-    ``SHA-256(secret || '|' || canonical(value))``.
+    ``SHA-256(secret || '|' || canonical(value))``.  A caller that
+    already holds ``canonical(value)`` passes it as ``message`` (and may
+    omit ``value``), as for
+    :meth:`~repro.crypto.registry.KeyRegistry.verify`.
     """
+    if message is None:
+        message = canonical_bytes(value)
     backend = get_backend(getattr(keypair, "backend", DEFAULT_BACKEND))
-    tag = backend.tag(keypair.secret, canonical_bytes(value))
-    return Signature(signer=keypair.player_id, tag=tag)
+    return Signature(signer=keypair.player_id, tag=backend.tag(keypair.secret, message))
 
 
 def verify(

@@ -382,9 +382,11 @@ class Scenario:
         if self.tx_count is not None and self.workload != "static":
             raise ValueError("tx_count only applies to the static workload")
         if self.burst_schedule:
+            # Counts keep their type: WorkloadSpec refuses a non-int
+            # count below rather than have it rounded here.
             object.__setattr__(
                 self, "burst_schedule",
-                tuple((float(t), int(c)) for t, c in self.burst_schedule),
+                tuple((float(t), c) for t, c in self.burst_schedule),
             )
         # An axis is range-checked by the object that owns it and nowhere
         # else: assembling the whole run once — config, delay model,

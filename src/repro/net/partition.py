@@ -14,6 +14,7 @@ is just a pattern of long delays).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
@@ -76,6 +77,8 @@ class PartitionSchedule:
         self._windows: List[_Window] = []
 
     def add(self, partition: Partition, start: float, end: float) -> None:
+        if math.isnan(start) or math.isnan(end):
+            raise ValueError("partition window times must not be NaN")
         if end <= start:
             raise ValueError("window must have positive length")
         for window in self._windows:

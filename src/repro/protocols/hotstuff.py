@@ -21,7 +21,6 @@ from repro.core.messages import (
     SignedStatement,
     WireMessage,
     make_statement,
-    statement_value,
     verify_statement,
 )
 from repro.crypto.aggregate import AggregateQC, aggregate_statements
@@ -307,10 +306,7 @@ class HotStuffReplica(BaseReplica):
             or aggregate.signer_count < self.config.quorum_size
         ):
             return False
-        return self.ctx.registry.verify_aggregate(
-            aggregate,
-            statement_value(aggregate.phase, aggregate.round_number, aggregate.digest),
-        )
+        return self.ctx.registry.verify_aggregate(aggregate)
 
     def _on_certificate(self, sender: int, message: HsCertificateMessage) -> None:
         round_number = message.round_number

@@ -20,6 +20,7 @@ through the protocol's ``on_recover`` hook.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,6 +51,12 @@ class CrashWindow:
     recover_time: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if type(self.replica) is not int:
+            raise ValueError(f"crash replica must be an int, got {self.replica!r}")
+        if math.isnan(self.crash_time) or (
+            self.recover_time is not None and math.isnan(self.recover_time)
+        ):
+            raise ValueError("crash and recover times must not be NaN")
         if self.crash_time < 0:
             raise ValueError("crash_time must be non-negative")
         if self.recover_time is not None and self.recover_time <= self.crash_time:
@@ -99,7 +106,7 @@ class CrashSchedule:
                 raise ValueError(
                     f"crash spec entry {entry!r} must be (replica, crash[, recover])"
                 )
-            schedule.add(int(replica), float(crash_time), recover_time)
+            schedule.add(replica, float(crash_time), recover_time)
         return schedule
 
     def add(

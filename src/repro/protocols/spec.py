@@ -22,6 +22,7 @@ reliable-link, static-batch run the golden records pin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -203,11 +204,14 @@ class WorkloadSpec:
         if self.transactions is not None:
             object.__setattr__(self, "transactions", tuple(self.transactions))
         if self.bursts:
-            object.__setattr__(
-                self, "bursts", tuple((float(t), int(c)) for t, c in self.bursts)
-            )
-            if any(t < 0 or c < 1 for t, c in self.bursts):
-                raise ValueError("burst entries must be (time >= 0, count >= 1)")
+            object.__setattr__(self, "bursts", tuple((float(t), c) for t, c in self.bursts))
+            for t, c in self.bursts:
+                if type(c) is not int:
+                    raise ValueError(f"burst counts must be ints, got {c!r}")
+                if math.isnan(t):
+                    raise ValueError("burst times must not be NaN")
+                if t < 0 or c < 1:
+                    raise ValueError("burst entries must be (time >= 0, count >= 1)")
 
     @property
     def continuous(self) -> bool:

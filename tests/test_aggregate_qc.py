@@ -18,6 +18,7 @@ representation's contract down with seeded randomised properties:
 - the ``Scenario.n`` bounds and the big-committee smoke at n = 64.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -98,9 +99,7 @@ class TestVerifyAggregate:
     def test_honest_aggregate_verifies(self, registry):
         aggregate = aggregate_for(registry, self.quorum())
         assert aggregate.signers == tuple(self.quorum())
-        assert registry.verify_aggregate(
-            aggregate, statement_value(PHASE, ROUND, DIGEST)
-        )
+        assert registry.verify_aggregate(aggregate)
 
     def test_batch_canonicalize_matches_statement_value(self, registry):
         message, digest = registry.batch_canonicalize(
@@ -113,9 +112,7 @@ class TestVerifyAggregate:
         for _ in range(25):
             signers = sorted(rng.sample(range(N), rng.randint(1, N)))
             aggregate = aggregate_for(registry, signers)
-            assert registry.verify_aggregate(
-                aggregate, statement_value(PHASE, ROUND, DIGEST)
-            )
+            assert registry.verify_aggregate(aggregate)
 
     def test_every_single_bit_flip_is_detected(self, registry):
         """Flipping any one bit of the signer bitmap must invalidate the
@@ -123,7 +120,6 @@ class TestVerifyAggregate:
         tags are still folded in."""
         rng = random.Random("agg-bit-flips")
         aggregate = aggregate_for(registry, self.quorum())
-        value = statement_value(PHASE, ROUND, DIGEST)
         for _ in range(40):
             bit = rng.randrange(N)
             forged = AggregateQC(
@@ -133,7 +129,7 @@ class TestVerifyAggregate:
                 signer_bitmap=aggregate.signer_bitmap ^ (1 << bit),
                 agg_tag=aggregate.agg_tag,
             )
-            assert not registry.verify_aggregate(forged, value), f"bit {bit}"
+            assert not registry.verify_aggregate(forged), f"bit {bit}"
 
     def test_forged_tag_rejected(self, registry):
         aggregate = aggregate_for(registry, self.quorum())
@@ -144,14 +140,15 @@ class TestVerifyAggregate:
             signer_bitmap=aggregate.signer_bitmap,
             agg_tag="0" * len(aggregate.agg_tag),
         )
-        assert not registry.verify_aggregate(
-            forged, statement_value(PHASE, ROUND, DIGEST)
-        )
+        assert not registry.verify_aggregate(forged)
 
     def test_wrong_value_rejected(self, registry):
+        """A certificate is checked against its own pin: an honest one
+        moved onto another digest keeps a tag over the old value."""
         aggregate = aggregate_for(registry, self.quorum())
+        assert registry.verify_aggregate(aggregate)
         assert not registry.verify_aggregate(
-            aggregate, statement_value(PHASE, ROUND, OTHER_DIGEST)
+            dataclasses.replace(aggregate, digest=OTHER_DIGEST)
         )
 
     def test_unknown_signer_rejected(self, registry):
@@ -163,18 +160,14 @@ class TestVerifyAggregate:
             signer_bitmap=aggregate.signer_bitmap | (1 << (N + 7)),
             agg_tag=aggregate.agg_tag,
         )
-        assert not registry.verify_aggregate(
-            forged, statement_value(PHASE, ROUND, DIGEST)
-        )
+        assert not registry.verify_aggregate(forged)
 
     def test_empty_bitmap_rejected(self, registry):
         empty = AggregateQC(
             phase=PHASE, round_number=ROUND, digest=DIGEST,
             signer_bitmap=0, agg_tag="deadbeef",
         )
-        assert not registry.verify_aggregate(
-            empty, statement_value(PHASE, ROUND, DIGEST)
-        )
+        assert not registry.verify_aggregate(empty)
 
     def test_sub_quorum_rejected_by_justification_check(self, registry):
         quorum_size = 48
@@ -208,10 +201,9 @@ class TestVerifyAggregate:
     def test_verdict_cache_counts(self):
         registry = KeyRegistry.trusted_setup(range(8), seed="agg-cache")
         aggregate = aggregate_for(registry, range(6))
-        value = statement_value(PHASE, ROUND, DIGEST)
-        assert registry.verify_aggregate(aggregate, value)
+        assert registry.verify_aggregate(aggregate)
         before = registry.aggregate_cache_info()
-        assert registry.verify_aggregate(aggregate, value)
+        assert registry.verify_aggregate(aggregate)
         after = registry.aggregate_cache_info()
         assert after["hits"] == before["hits"] + 1
 

@@ -7,6 +7,8 @@ tag has a different ``(signer, tag, digest)`` key, so it can never ride
 an honest signature's cache entry.
 """
 
+import dataclasses
+import gc
 import json
 
 import pytest
@@ -19,6 +21,7 @@ from repro.core.messages import (
     verify_quorum,
     verify_statement,
 )
+from repro.crypto.aggregate import AggregateQC, aggregate_statements
 from repro.crypto.backends import backend_names, get_backend
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.registry import KeyRegistry
@@ -115,15 +118,24 @@ class TestVerificationCache:
         assert info["misses"] == 100
 
     def test_eviction_is_lru(self):
+        """Driven through ``registry.verify`` with each statement's bytes:
+        ``verify_statement`` would answer a repeat from the statement's
+        own stamp and never reach the LRU behind it."""
         registry = KeyRegistry.trusted_setup([0], verify_cache_size=2)
         keypair = registry.keypair_of(0)
         a, b, c = (make_statement(keypair, "vote", r, DIGEST) for r in range(3))
-        verify_statement(registry, a)
-        verify_statement(registry, b)
-        verify_statement(registry, a)  # refresh a; b is now oldest
-        verify_statement(registry, c)  # evicts b
+
+        def verify(stmt):
+            return registry.verify(
+                stmt.signature, message=stmt.value_bytes(), digest=stmt.value_digest()
+            )
+
+        verify(a)
+        verify(b)
+        verify(a)  # refresh a; b is now oldest
+        verify(c)  # evicts b
         before = registry.cache_info()["misses"]
-        verify_statement(registry, b)
+        assert verify(b)
         assert registry.cache_info()["misses"] == before + 1
 
     def test_negative_verdicts_also_cached(self):
@@ -145,6 +157,80 @@ class TestVerificationCache:
         stmt = make_statement(registry.keypair_of(0), "vote", 1, DIGEST)
         assert verify_statement(registry, stmt)
         assert registry.cache_info() == {"hits": 0, "misses": 0, "size": 0, "maxsize": 0}
+
+
+# ----------------------------------------------------------------------
+# The verdict stamped on the signed object
+# ----------------------------------------------------------------------
+class TestVerdictOnTheObject:
+    """A signed object that verified carries the registry's mark; the
+    property under test is that nothing else can ride it."""
+
+    def setup_method(self):
+        self.registry = KeyRegistry.trusted_setup(range(4))
+        self.stmt = make_statement(self.registry.keypair_of(0), "vote", 1, DIGEST)
+        assert verify_statement(self.registry, self.stmt)
+
+    def test_a_repeat_is_answered_from_the_stamp_and_counted_as_a_hit(self, monkeypatch):
+        before = self.registry.cache_info()
+        monkeypatch.setattr(KeyRegistry, "verify", None)  # never reached
+        assert verify_statement(self.registry, self.stmt)
+        after = self.registry.cache_info()
+        assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
+
+    def test_a_reattributed_copy_of_a_stamped_statement_is_rejected(self):
+        stolen = dataclasses.replace(self.stmt, signature=Signature(1, self.stmt.signature.tag))
+        assert not verify_statement(self.registry, stolen)
+        forged = dataclasses.replace(self.stmt, signature=Signature(0, "00" * 32))
+        assert not verify_statement(self.registry, forged)
+        assert verify_statement(self.registry, self.stmt)
+
+    def test_a_stamp_does_not_vouch_under_another_registry(self):
+        other = KeyRegistry.trusted_setup(range(4), seed="elsewhere")
+        assert not verify_statement(other, self.stmt)
+        assert verify_statement(self.registry, self.stmt)
+
+    def test_a_flipped_bit_on_a_stamped_certificate_is_rejected(self):
+        aggregate = aggregate_statements(
+            make_statement(self.registry.keypair_of(i), "vote", 1, DIGEST) for i in range(3)
+        )
+        assert self.registry.verify_aggregate(aggregate)
+        assert self.registry.verify_aggregate(aggregate)  # from the stamp
+        for bit in range(4):
+            flipped = dataclasses.replace(aggregate, signer_bitmap=aggregate.signer_bitmap ^ (1 << bit))
+            assert not self.registry.verify_aggregate(flipped), bit
+        # An equal copy is answered by the verdict cache and stamped too.
+        copy = dataclasses.replace(aggregate)
+        before = self.registry.aggregate_cache_info()["hits"]
+        assert self.registry.verify_aggregate(copy)
+        assert self.registry.aggregate_cache_info()["hits"] == before + 1
+        assert copy.__dict__["_verified"] is self.registry.verified_mark
+
+    def test_the_mark_holds_nothing_the_collector_walks(self):
+        mark = self.registry.verified_mark
+        assert self.stmt.__dict__["_verified"] is mark
+        assert gc.get_referents(mark) == [] and not gc.is_tracked(mark)
+
+    @pytest.mark.parametrize("name", ["honest", "honest-hotstuff-aggregate"])
+    def test_with_the_cache_off_nothing_is_stamped_or_counted(self, name):
+        scenario = get_scenario("honest").with_params(n=4, rounds=1, crypto_cache_size=0)
+        if name == "honest-hotstuff-aggregate":
+            scenario = scenario.with_params(
+                protocol="hotstuff", tolerance="bft", aggregate_certs=True
+            )
+        def signed_objects():
+            return [o for o in gc.get_objects() if isinstance(o, (SignedStatement, AggregateQC))]
+
+        # self.stmt and other tests' objects, kept alive so no id is reused
+        earlier = {id(obj): obj for obj in signed_objects()}
+        result = scenario.run(seed=0)
+        registry = result.ctx.registry
+        assert registry.verified_mark is None
+        signed = [obj for obj in signed_objects() if id(obj) not in earlier]
+        assert signed
+        assert not any("_verified" in obj.__dict__ for obj in signed)
+        assert (registry.cache_hits, registry.cache_misses) == (0, 0)
+        assert (registry.agg_cache_hits, registry.agg_cache_misses) == (0, 0)
 
 
 # ----------------------------------------------------------------------

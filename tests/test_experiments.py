@@ -103,6 +103,29 @@ class TestRegistry:
         with pytest.raises(ValueError, match=complaint):
             Scenario(name="x", **axes)
 
+    @pytest.mark.parametrize("axes,complaint", [
+        # each ran, coerced (replica 1; 2, 1 and 4 transactions) or
+        # ignored (a partition-free run), or failed only inside run()
+        ({"crash_spec": ((1.5, 2, 3),)}, "crash replica must be an int, got 1.5"),
+        ({"crash_spec": ((True, 2, 3),)}, "crash replica must be an int, got True"),
+        ({"crash_spec": ((1, float("nan"), 3),)}, "times must not be NaN"),
+        ({"crash_spec": ((1, 2, float("nan")),)}, "times must not be NaN"),
+        ({"burst_schedule": ((1.0, 2.5),)}, "burst counts must be ints, got 2.5"),
+        ({"burst_schedule": ((1.0, True),)}, "burst counts must be ints, got True"),
+        ({"burst_schedule": ((1.0, "4"),)}, "burst counts must be ints, got '4'"),
+        ({"burst_schedule": ((float("nan"), 4),)}, "burst times must not be NaN"),
+        ({"partition_windows": ((float("nan"), 30.0),)}, "window times must not be NaN"),
+        ({"partition_windows": ((0.0, float("nan")),)}, "window times must not be NaN"),
+    ])
+    def test_a_malformed_tuple_axis_entry_is_refused(self, axes, complaint):
+        """A replica id or a count is a non-bool int and a time is not
+        NaN, refused by the entry's owner: the crash window, the
+        workload spec, the partition schedule."""
+        if "burst_schedule" in axes:
+            axes = {**axes, "workload": "burst", "duration": 50.0}
+        with pytest.raises(ValueError, match=complaint):
+            Scenario(name="x", **axes)
+
     def test_a_count_next_to_its_pinned_ids_is_refused(self):
         # It used to run one rational player and ignore the count.
         with pytest.raises(ValueError, match=r"rational=3 cannot apply.*rational_ids=\(5,\)"):

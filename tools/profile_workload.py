@@ -6,14 +6,15 @@ Runs the ``prepare`` + ``run`` phases of the ``perf/workloads.py``
 workload ``NAME`` twice in this process.  The first run is under
 cProfile and prints the top-N rows by self time — candidates only:
 cProfile charges every Python call and no C-level work, so it inflates
-call-heavy code.  The second run is unprofiled and counts, through
-``gc.callbacks``, the cycle collector's passes and the seconds spent
-inside them per generation, which no profile row shows; then, with the
-run's result still alive and after one collection, the objects the
-collector tracks and their six most common types — what every later
-full collection walks.  ``perf/`` is imported by path and not edited;
-timings to *claim* come from ``make perf-compare``, never from here.
-``make profile WORKLOAD=<name>``.
+call-heavy code — then a second table for one ``post`` call (oracle,
+record, hash) on that finished run.  The second run is unprofiled and
+counts, through ``gc.callbacks``, the cycle collector's passes and the
+seconds spent inside them per generation, which no profile row shows;
+then, with the run's result still alive and after one collection, the
+objects the collector tracks and their six most common types — what
+every later full collection walks.  ``perf/`` is imported by path and
+not edited; timings to *claim* come from ``make perf-compare``, never
+from here.  ``make profile WORKLOAD=<name>``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,14 +44,20 @@ def load_workloads() -> Dict[str, Any]:
     return WORKLOADS
 
 
-def profiled_run(workload: Any, seed: int) -> pstats.Stats:
+def profiled(call: Callable[[], Any]) -> Tuple[pstats.Stats, Any]:
+    """``call()`` under cProfile: its stats and its result."""
     profile = cProfile.Profile()
     profile.enable()
     try:
-        workload.run(workload.prepare(1.0, seed), seed)
+        result = call()
     finally:
         profile.disable()
-    return pstats.Stats(profile)
+    return pstats.Stats(profile), result
+
+
+def _prepare_and_run(workload: Any, seed: int) -> Tuple[Any, Any]:
+    prepared = workload.prepare(1.0, seed)
+    return prepared, workload.run(prepared, seed)
 
 
 def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], List[float], Counter]:
@@ -92,9 +99,13 @@ def main() -> int:
     args = parser.parse_args()
     workload = workloads[args.workload]
 
-    stats = profiled_run(workload, args.seed)
+    stats, (prepared, outcome) = profiled(lambda: _prepare_and_run(workload, args.seed))
     print(f"{args.workload}, seed {args.seed}: prepare + run under cProfile, by self time")
     stats.sort_stats("tottime").print_stats(args.top)
+    stats, _ = profiled(lambda: workload.post(prepared, outcome, args.seed, repetitions=1))
+    print(f"{args.workload}, seed {args.seed}: one post call under cProfile, by self time")
+    stats.sort_stats("tottime").print_stats(args.top)
+    del prepared, outcome  # the collector run below counts only its own result
 
     run_s, passes, inside, live = collector_run(workload, args.seed)
     print(
