@@ -120,7 +120,7 @@ def check_robustness(
         eventual_liveness=liveness,
         censorship_resistance=censorship,
         progressed=progressed,
-        fork_heights=disagreement_heights(chains, final_only=True),
+        fork_heights=[] if agreement else disagreement_heights(chains, final_only=True),
         max_final_height=max_height,
         min_final_height=min_height,
     )

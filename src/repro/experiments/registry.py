@@ -187,7 +187,8 @@ class Scenario:
     the commit log's dedup maps and each mempool's inclusion history,
     ``submission_window`` bounds the workload's retained submission
     records, ``ledger_window`` strips transaction bodies from final
-    blocks deeper than N below the head, and ``backlog_resolution``
+    blocks deeper than N below the head (refused with
+    ``censored_tx_ids``, whose audit reads them), and ``backlog_resolution``
     downsamples the throughput report's backlog series.  All default to
     None (unbounded), which replays byte-identically to the
     pre-retention simulator; lifetime counters stay exact either way,
@@ -335,6 +336,11 @@ class Scenario:
             raise ValueError("tolerance must be 'prft' or 'bft'")
         if self.attack == "censorship" and not self.censored_tx_ids:
             raise ValueError("censorship scenarios need censored_tx_ids")
+        if self.censored_tx_ids and self.ledger_window is not None:
+            raise ValueError(
+                "censored_tx_ids cannot be audited under ledger_window: the "
+                "check reads final block bodies, which ledger_window prunes"
+            )
         for count, pinned in (("rational", "rational_ids"), ("byzantine", "byzantine_ids")):
             if getattr(self, count) and getattr(self, pinned):
                 raise ValueError(

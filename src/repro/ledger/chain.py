@@ -17,6 +17,13 @@ from typing import Dict, List, Optional
 from repro.ledger.block import Block, genesis_block
 
 
+def check_suffix_count(name: str, value: object) -> None:
+    """Refuse a ⌊c / ⌊z suffix length that is not a non-negative int:
+    a bool would slice as 0 or 1, a float would fail unnamed."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int; got {value!r}")
+
+
 class ConfirmationStatus(enum.Enum):
     """Confirmation level of a block on a local chain."""
 
@@ -171,8 +178,7 @@ class Chain:
         This is the ⌊z operator from Section 3.1's common-prefix
         property and Definition 1's c-strict ordering.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
+        check_suffix_count("count", count)
         blocks = self.blocks(include_genesis=True)
         if count == 0:
             return blocks

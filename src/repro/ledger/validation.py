@@ -7,14 +7,19 @@
   each chain leaves a chain that prefixes all others.
 - :func:`strict_ordering_holds` — Definition 1's c-strict ordering:
   for honest chains C1, C2 with |C1| ≤ |C2|, C1^{⌊c} ⊆ C2^{⌊c}.
+
+Each is stated over *pairs* of ledgers; none is evaluated pair by
+pair.  Ledgers are pairwise prefix-consistent iff each is a prefix of
+the longest one L (if A, B prefix L and |A| ≤ |B|, A = L[:|A|] = B[:|A|]),
+so an audit of n ledgers of L blocks costs O(n·L) digest reads and
+list comparisons in C, not O(n²·L).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
-from repro.ledger.block import Block
-from repro.ledger.chain import Chain
+from repro.ledger.chain import Chain, check_suffix_count
 
 
 #: Prefix equivocating strategies stamp on their synthetic fork-marker
@@ -31,10 +36,16 @@ def is_adversarial_marker(tx_id: str) -> bool:
     return tx_id.startswith(ADVERSARIAL_MARKER_PREFIX)
 
 
-def _is_prefix(shorter: Sequence[Block], longer: Sequence[Block]) -> bool:
-    if len(shorter) > len(longer):
-        return False
-    return all(a.digest == b.digest for a, b in zip(shorter, longer))
+def _off_longest(views: List[List[str]]) -> Tuple[List[str], List[List[str]]]:
+    """The longest view, and every view that is not a prefix of it."""
+    longest = max(views, key=len, default=[])
+    return longest, [view for view in views if view != longest[:len(view)]]
+
+
+def _views(chains: Dict[int, Chain], final_only: bool, genesis: bool = False) -> List[List[str]]:
+    """Each chain's block digests, bottom-up: every digest is read once."""
+    read = Chain.final_blocks if final_only else Chain.blocks
+    return [[block.digest for block in read(chain, genesis)] for chain in chains.values()]
 
 
 def chains_agree(chains: Dict[int, Chain], final_only: bool = True) -> bool:
@@ -45,35 +56,21 @@ def chains_agree(chains: Dict[int, Chain], final_only: bool = True) -> bool:
     blocks are allowed to differ because the protocol may roll them
     back.
     """
-    views: List[List[Block]] = []
-    for chain in chains.values():
-        views.append(chain.final_blocks() if final_only else chain.blocks())
-    for i, left in enumerate(views):
-        for right in views[i + 1:]:
-            depth = min(len(left), len(right))
-            for height in range(depth):
-                if left[height].digest != right[height].digest:
-                    return False
-    return True
+    return not _off_longest(_views(chains, final_only))[1]
 
 
 def common_prefix_holds(chains: Dict[int, Chain], z: int) -> bool:
     """Common-prefix with parameter z over full (tentative+final) chains.
 
     Each player's chain minus its z newest blocks must be a prefix of
-    every other player's full chain.
+    every other player's full chain.  Equivalently, every chain starts
+    with the same (longest length − z) blocks; a chain shorter than that
+    fails, as the longest chain so trimmed cannot prefix it.
     """
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    full_views = {pid: chain.blocks(include_genesis=True) for pid, chain in chains.items()}
-    for pid, view in full_views.items():
-        trimmed = view[:-z] if z else view
-        for other_pid, other_view in full_views.items():
-            if other_pid == pid:
-                continue
-            if not _is_prefix(trimmed, other_view):
-                return False
-    return True
+    check_suffix_count("z", z)
+    views = _views(chains, final_only=False, genesis=True)
+    depth = max(0, max(map(len, views), default=0) - z)
+    return all(view[:depth] == views[0][:depth] for view in views)
 
 
 def strict_ordering_holds(chains: Dict[int, Chain], c: int) -> bool:
@@ -81,35 +78,21 @@ def strict_ordering_holds(chains: Dict[int, Chain], c: int) -> bool:
 
     For every pair of chains with |C1| ≤ |C2|, the ledger C1 minus its
     c newest blocks must be a prefix of C2 minus its c newest blocks.
+    Trimming keeps the length order, so this is prefix-consistency of
+    the trimmed ledgers.
     """
-    if c < 0:
-        raise ValueError("c must be non-negative")
-    views = [chain.final_blocks(include_genesis=True) for chain in chains.values()]
-    for i, left in enumerate(views):
-        for right in views[i + 1:]:
-            shorter, longer = (left, right) if len(left) <= len(right) else (right, left)
-            shorter_trim = shorter[:-c] if c else shorter
-            longer_trim = longer[:-c] if c else longer
-            if not _is_prefix(shorter_trim, longer_trim):
-                return False
-    return True
+    check_suffix_count("c", c)
+    views = _views(chains, final_only=True, genesis=True)
+    return not _off_longest([view[:-c] if c else view for view in views])[1]
 
 
 def disagreement_heights(chains: Dict[int, Chain], final_only: bool = True) -> List[int]:
     """Heights at which some pair of chains holds conflicting blocks.
 
     Used by the state classifier to detect σ_Fork and by tests to
-    pinpoint where a fork was created.
+    pinpoint where a fork was created.  A pair conflicts at a height
+    iff one of them differs there from the longest chain, which holds a
+    block at every height either does.
     """
-    views = {}
-    for pid, chain in chains.items():
-        views[pid] = chain.final_blocks() if final_only else chain.blocks()
-    conflicts = set()
-    pids = sorted(views)
-    for i, left_pid in enumerate(pids):
-        for right_pid in pids[i + 1:]:
-            left, right = views[left_pid], views[right_pid]
-            for height in range(min(len(left), len(right))):
-                if left[height].digest != right[height].digest:
-                    conflicts.add(height + 1)
-    return sorted(conflicts)
+    longest, forked = _off_longest(_views(chains, final_only))
+    return sorted({h + 1 for view in forked for h, d in enumerate(view) if d != longest[h]})

@@ -58,6 +58,12 @@ class TestRobustnessClauses:
         assert report.censorship_resistance is True
         assert report.strongly_robust is True
 
+    @pytest.mark.parametrize("bad", [True, 1.5])
+    def test_suffix_parameter_must_be_an_int(self, bad):
+        result = get_scenario("honest").run(seed=0)
+        with pytest.raises(ValueError, match="^c must be a non-negative int"):
+            check_robustness(result, c=bad)
+
     def test_heights_reported(self):
         result = get_scenario("honest").run(seed=0)
         report = check_robustness(result)

@@ -1,7 +1,7 @@
 """Unit and property tests for the ledger substrate (repro.ledger)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ledger.block import Block, genesis_block
 from repro.ledger.chain import Chain, ConfirmationStatus
@@ -428,6 +428,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             strict_ordering_holds(chains, -1)
 
+    @pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1", None])
+    def test_suffix_parameters_must_be_ints(self, bad):
+        """A bool would slice as 0 or 1; a float would fail unnamed."""
+        chains = {0: _chain_of(2), 1: _chain_of(2)}
+        for name, call in (
+            ("c", lambda: strict_ordering_holds(chains, bad)),
+            ("z", lambda: common_prefix_holds(chains, bad)),
+            ("count", lambda: chains[0].without_last(bad)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be a non-negative int"):
+                call()
+
     @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5))
     def test_shared_prefix_always_ordered(self, extra_left, extra_right):
         """Property: two chains grown from a common finalised prefix by
@@ -444,3 +456,106 @@ class TestValidation:
             right.finalize(block.digest)
         c = max(extra_left, extra_right)
         assert strict_ordering_holds({0: left, 1: right}, c)
+
+
+# ----------------------------------------------------------------------
+# The predicates against Definition 1's pairwise wording
+# ----------------------------------------------------------------------
+def _ids(blocks):
+    return [block.digest for block in blocks]
+
+
+def _is_prefix(shorter, longer):
+    return len(shorter) <= len(longer) and shorter == longer[:len(shorter)]
+
+
+def _minus_newest(view, count):
+    """C^{⌊count}: the ledger without its ``count`` newest blocks."""
+    return view[:max(0, len(view) - count)]
+
+
+def _audit_views(chains, final_only):
+    return [
+        _ids(chain.final_blocks() if final_only else chain.blocks())
+        for chain in chains.values()
+    ]
+
+
+def reference_chains_agree(chains, final_only):
+    """No two honest ledgers hold different blocks at the same height."""
+    views = _audit_views(chains, final_only)
+    return all(
+        left[height] == right[height]
+        for i, left in enumerate(views)
+        for right in views[i + 1:]
+        for height in range(min(len(left), len(right)))
+    )
+
+
+def reference_disagreement_heights(chains, final_only):
+    views = _audit_views(chains, final_only)
+    return sorted({
+        height + 1
+        for i, left in enumerate(views)
+        for right in views[i + 1:]
+        for height in range(min(len(left), len(right)))
+        if left[height] != right[height]
+    })
+
+
+def reference_strict_ordering(chains, c):
+    """For all honest C1, C2 with |C1| ≤ |C2|: C1^{⌊c} ⪯ C2^{⌊c}."""
+    views = [_ids(chain.final_blocks(include_genesis=True)) for chain in chains.values()]
+    return all(
+        _is_prefix(_minus_newest(one, c), _minus_newest(two, c))
+        for i, one in enumerate(views)
+        for j, two in enumerate(views)
+        if i != j and len(one) <= len(two)
+    )
+
+
+def reference_common_prefix(chains, z):
+    """Every chain minus its z newest blocks prefixes every other chain."""
+    views = [_ids(chain.blocks(include_genesis=True)) for chain in chains.values()]
+    return all(
+        _is_prefix(_minus_newest(one, z), two)
+        for i, one in enumerate(views)
+        for j, two in enumerate(views)
+        if i != j
+    )
+
+
+@st.composite
+def chain_families(draw):
+    """0–6 chains, each a prefix of one shared trunk followed by a fork
+    of up to three blocks drawn from two branches, so chains agree, stop
+    short of one another, or split near their tips (equal-length forks
+    included).  Up to three newest blocks stay tentative, and some
+    chains have their deep final bodies pruned."""
+    trunk = draw(st.lists(st.sampled_from("ab"), max_size=6))
+    family = {}
+    for pid in range(draw(st.integers(0, 6))):
+        tags = trunk[:draw(st.integers(0, len(trunk)))]
+        tags += draw(st.lists(st.sampled_from("xy"), max_size=3))
+        chain = Chain()
+        for height, tag in enumerate(tags):
+            chain.append_tentative(_block(chain.head(), height, tag))
+        final = max(0, len(chain) - draw(st.integers(0, 3)))
+        if final:
+            chain.finalize(chain.blocks()[final - 1].digest)
+        keep_last = draw(st.one_of(st.none(), st.integers(1, 3)))
+        if keep_last is not None:
+            chain.prune_final_bodies(keep_last=keep_last)
+        family[pid] = chain
+    return family
+
+
+@settings(max_examples=600)
+@given(chain_families(), st.integers(0, 4), st.booleans())
+def test_predicates_equal_the_pairwise_definitions(chains, suffix, final_only):
+    assert chains_agree(chains, final_only) == reference_chains_agree(chains, final_only)
+    assert disagreement_heights(chains, final_only) == reference_disagreement_heights(
+        chains, final_only
+    )
+    assert strict_ordering_holds(chains, suffix) == reference_strict_ordering(chains, suffix)
+    assert common_prefix_holds(chains, suffix) == reference_common_prefix(chains, suffix)

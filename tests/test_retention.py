@@ -295,3 +295,16 @@ class TestRetentionEndToEnd:
         for replica in result.replicas.values():
             if replica.current_round > 10:
                 assert min(replica._rounds) > 0  # round 1's state is long gone
+
+    def test_censorship_audit_refuses_pruned_bodies(self):
+        """The censorship check reads final block bodies; under a
+        ledger_window it would find a confirmed transaction missing and
+        report an honest run as censored, so the pairing is refused."""
+        honest = Scenario(
+            name="x", n=4, rounds=6, censored_tx_ids=("tx-0",), check_invariants=True
+        )
+        result = honest.run(seed=0)
+        assert result.oracle.ok
+        assert result.system_state(censored_tx_ids=["tx-0"]).name == "HONEST"
+        with pytest.raises(ValueError, match="censored_tx_ids.*ledger_window"):
+            honest.with_params(ledger_window=1)
