@@ -1,4 +1,4 @@
-"""E15 — crypto fast path: verification cache and backend speedups.
+"""E15 — crypto fast path: verdict stamps, quorum memo and backend speedups.
 
 Runs the same n=16 pRFT deployment three ways and records the wall
 times in ``BENCH_crypto.json``:
@@ -6,17 +6,18 @@ times in ``BENCH_crypto.json``:
 - **no-cache** — ``crypto_cache_size=0``, the reference path: every
   signature check re-serialises the signed tuple and re-derives the
   tag, as the seed implementation did;
-- **cached** — the default: canonical bytes memoized per statement and
-  verification verdicts cached per ``(signer, tag, digest)``, so a
-  signature checked once is a dictionary lookup for the other n − 1
-  replicas;
+- **cached** — the default: canonical bytes memoized per statement,
+  the verdict stamped on the shared signed object (a later check of
+  it, by the other n − 1 replicas or the oracle, reads the stamp) and
+  each fully pinned justification's verdict memoized per deployment
+  (stamp + quorum memo);
 - **fast-sim** — the cached path with CRC tags instead of SHA-256
   (forgeable; only for sweeps that never exercise accountability).
 
 Correctness gate: the cached and uncached runs must produce
 byte-identical canonical :class:`RunRecord` JSON — the fast path may
 only change how fast the identical execution is reached.  Performance
-gate: the cache must deliver ≥ 2× on this workload (relaxed to a
+gate: the fast path must deliver ≥ 2× on this workload (relaxed to a
 printed ratio under ``REPRO_BENCH_SMOKE=1`` or on boxes that opt out
 with ``REPRO_BENCH_NO_SPEEDUP_ASSERT=1``).
 """
@@ -54,8 +55,9 @@ def _timed_record(scenario):
             best = elapsed
         if record is None:
             record = RunRecord.from_result(scenario, seed=SEED, result=result)
-        cache_info = result.ctx.registry.cache_info()
-    return best, record, cache_info
+        registry = result.ctx.registry
+        counts = {"hits": registry.cache_hits, "misses": registry.cache_misses}
+    return best, record, counts
 
 
 def _experiment():
@@ -73,7 +75,7 @@ def test_crypto_fastpath_speedup(benchmark):
 
     times = {name: best for name, (best, _, _) in measured.items()}
     speedup = times["no-cache"] / times["cached"] if times["cached"] else float("inf")
-    cache_info = measured["cached"][2]
+    counts = measured["cached"][2]
 
     # The fast path must not change the execution: canonical records
     # (and hence their JSON serialisation) are byte-identical.
@@ -89,7 +91,7 @@ def test_crypto_fastpath_speedup(benchmark):
         ["cached wall time (s)", times["cached"]],
         ["fast-sim wall time (s)", times["fast-sim"]],
         ["cache speedup", speedup],
-        ["cache hits / misses", f"{cache_info['hits']} / {cache_info['misses']}"],
+        ["stamp hits / tag derivations", f"{counts['hits']} / {counts['misses']}"],
         ["records byte-identical", canonical["cached"] == canonical["no-cache"]],
     ]
     print()
@@ -101,7 +103,7 @@ def test_crypto_fastpath_speedup(benchmark):
             "workload": {"protocol": "prft", "n": N, "rounds": ROUNDS, "seed": SEED},
             "seconds": {name: round(value, 6) for name, value in times.items()},
             "speedup_cached_vs_nocache": round(speedup, 3),
-            "cache": cache_info,
+            "cache": counts,
             "records_byte_identical": canonical["cached"] == canonical["no-cache"],
         },
     )
@@ -110,7 +112,7 @@ def test_crypto_fastpath_speedup(benchmark):
     strict = os.environ.get("REPRO_BENCH_NO_SPEEDUP_ASSERT") != "1" and not smoke_mode()
     if strict:
         assert speedup >= 2.0, (
-            f"expected the verification cache to deliver >=2x on n={N} pRFT, "
+            f"expected the verification fast path to deliver >=2x on n={N} pRFT, "
             f"got {speedup:.2f}x (set REPRO_BENCH_NO_SPEEDUP_ASSERT=1 on "
             f"shared/throttled machines)"
         )

@@ -29,7 +29,6 @@ conformance suite's contract).
 from __future__ import annotations
 
 import enum
-import hashlib
 import inspect
 from dataclasses import dataclass
 from typing import Any, ClassVar, FrozenSet, Iterable, Optional, Tuple, Union
@@ -88,14 +87,6 @@ class SignedStatement:
             object.__setattr__(self, "_value_bytes", cached)
         return cached
 
-    def value_digest(self) -> bytes:
-        """SHA-256 of :meth:`value_bytes`; the verification-cache key."""
-        cached = self.__dict__.get("_value_digest")
-        if cached is None:
-            cached = hashlib.sha256(self.value_bytes()).digest()
-            object.__setattr__(self, "_value_digest", cached)
-        return cached
-
     def canonical(self) -> Tuple[Any, ...]:
         return ("stmt", self.phase, self.round_number, self.digest, self.signature.canonical())
 
@@ -142,8 +133,9 @@ def verify_statement(registry: KeyRegistry, statement: SignedStatement) -> bool:
     answered from it, counted as a cache hit: every replica checks
     every quorum-certificate member, and the oracle checks them all
     again, on the one shared object.  Otherwise the statement's
-    memoized bytes and digest go to :meth:`KeyRegistry.verify`, whose
-    cache answers an equal copy, and a valid statement is stamped.
+    memoized bytes go to :meth:`KeyRegistry.verify`, which derives the
+    tag from the trusted-setup secret, and a valid statement is
+    stamped; an equal copy is another object and is derived afresh.
     When the registry's cache is disabled nothing is stamped and the
     statement is handed over as a value, so the reference path
     genuinely re-serialises it.
@@ -154,9 +146,7 @@ def verify_statement(registry: KeyRegistry, statement: SignedStatement) -> bool:
     if statement.__dict__.get("_verified") is mark:
         registry.cache_hits += 1
         return True
-    if not registry.verify(
-        statement.signature, message=statement.value_bytes(), digest=statement.value_digest()
-    ):
+    if not registry.verify(statement.signature, message=statement.value_bytes()):
         return False
     object.__setattr__(statement, "_verified", mark)
     return True
@@ -175,8 +165,8 @@ def verify_quorum(
 
     Structural constraints (phase/round/digest, when given) are checked
     for every statement first — they are cheap and a violation saves
-    all cryptographic work — then signatures are verified through the
-    registry's cache, then the distinct-signer count is compared to
+    all cryptographic work — then each signature is checked through
+    :func:`verify_statement`, then the distinct-signer count is compared to
     ``minimum``.  All statements must pass for the certificate to
     count, exactly like the per-statement loops this replaces.
 

@@ -73,8 +73,8 @@ class FraudProof:
         Structural conflict is enforced at construction; verification
         is what makes the accusation binding (Definition 6's V(·)).
         Goes through the batch path so repeat checks of a circulating
-        proof (every honest replica re-verifies every Expose) hit the
-        registry's verification cache.
+        proof (every honest replica re-verifies every Expose) read the
+        stamps its two statements carry.
         """
         return verify_quorum(registry, (self.first, self.second))
 

@@ -22,8 +22,8 @@ the paper's analysis relies on: signatures attribute messages to
 players, cannot be forged, and hashes bind block contents.
 
 Performance: serialisation is memoized on frozen values, the registry
-caches verification verdicts in a bounded LRU keyed by
-``(signer, tag, digest)``, and :mod:`~repro.crypto.backends` offers a
+stamps a verified statement or certificate so later checks of the same
+object read the stamp, and :mod:`~repro.crypto.backends` offers a
 non-unforgeable ``fast-sim`` tag backend for sweeps that never
 exercise accountability.
 """

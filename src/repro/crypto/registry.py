@@ -6,34 +6,28 @@ from player id to verification material that every replica consults
 when validating signed messages.  Invalid signatures are discarded at
 the ``Recv`` boundary, exactly as the paper's protocol figure assumes.
 
-The registry is also the deployment's verification fast path.  Every
-replica of a run shares one registry, and quorum certificates make
-each statement's signature checked by every replica — so the registry
-keeps a bounded LRU cache keyed by ``(signer, tag, digest)``: once any
-replica has checked a signature over a value, the other n − 1 checks
-of the same triple are dictionary lookups.  Keying on the *tag* as
-well as the digest is what keeps forgery detection exact: a forged tag
-over an already-verified digest is a different key, misses the cache,
-and is re-derived (and rejected) from the secret material.
+The registry is also the deployment's verification fast path, and it
+has one: the verdict is a property of the signed object.  Every
+receiver of a broadcast, and the post-run oracle, holds the *same*
+frozen statement or certificate, so the first successful check stamps
+it with the registry's :attr:`KeyRegistry.verified_mark` and every
+later check of that object reads the stamp back — no serialisation,
+no hashing, no lookup.  Anything without the stamp has its tag derived
+again from the trusted-setup secret.  The object is frozen, so the
+stamp cannot go stale; only ``True`` verdicts are stamped, and a
+forged, re-attributed or re-signed copy is another object, so its tag
+is derived afresh (and a forgery rejected).  The mark is an inert
+``object()`` private to one registry, so a stamp never vouches for an
+object under another registry and adds no reference cycle.  A stamp
+read counts as a cache hit, a derivation as a cache miss.
 
 One level up, :meth:`KeyRegistry.memoized_quorum` keeps the verdict of
-a whole statement-set certificate, keyed by its content — as
-:meth:`KeyRegistry.verify_aggregate` does for aggregate certificates —
-so a justification broadcast to n receivers is checked member by
-member once per deployment, not once per receiver.
-
-Below both caches, the verdict is a property of the signed object.
-Every receiver of a broadcast, and the post-run oracle, holds the
-*same* frozen statement or certificate, so the first successful check
-stamps it with the registry's :attr:`KeyRegistry.verified_mark` and
-every later check of that object reads the stamp back — no
-serialisation, no hashing, no cache lookup.  The object is frozen, so
-the stamp cannot go stale; a forged or re-attributed copy is another
-object, carries no stamp and takes the path above; the mark is an
-inert ``object()`` private to one registry, so a stamp never vouches
-for an object under another registry and adds no reference cycle.  A
-stamp hit counts as a cache hit, and with the cache disabled
-(``verify_cache_size=0``) nothing is stamped or read.
+a whole statement-set certificate, keyed by its content, so a
+justification broadcast to n receivers is checked member by member
+once per deployment, not once per receiver.  With the cache disabled
+(``verify_cache_size=0``) nothing is stamped, read or memoized: every
+check re-serialises and re-derives, the reference path the fast-path
+benchmark and the determinism cross-check compare against.
 """
 
 from __future__ import annotations
@@ -49,13 +43,14 @@ from repro.crypto.keys import KeyPair, generate_keypair
 from repro.crypto.signatures import Signature
 
 DEFAULT_VERIFY_CACHE_SIZE = 1 << 16
-"""Default bound on cached verification verdicts per registry."""
+"""Default ``verify_cache_size``: any value > 0 turns the stamps on and
+bounds the certificate memo (see :meth:`KeyRegistry.memoized_quorum`)."""
 
 QUORUM_MEMO_PER_PLAYER = 8
 """Certificate verdicts kept per registered player.  A round puts 2n
 distinct justifications in flight (one per Commit and per Reveal), so
 this holds four rounds' worth — the deepest pipeline window; an older
-certificate is simply re-checked through the per-signature cache."""
+certificate is simply re-checked through its members' stamps."""
 
 
 class KeyRegistry:
@@ -74,23 +69,20 @@ class KeyRegistry:
         backend: str = DEFAULT_BACKEND,
         verify_cache_size: int = DEFAULT_VERIFY_CACHE_SIZE,
     ) -> None:
+        if type(verify_cache_size) is not int or verify_cache_size < 0:
+            raise ValueError(
+                f"verify_cache_size must be a non-negative int; got {verify_cache_size!r}"
+            )
         self._seed = seed
         self._backend = get_backend(backend)
         self._keys: Dict[int, KeyPair] = {}
-        self._cache: "OrderedDict[Tuple[int, str, bytes], bool]" = OrderedDict()
-        # Aggregate-certificate verdicts, keyed (bitmap, agg_tag, phase,
-        # round, digest) — the pin determines the signed value, so the
-        # key needs no serialisation; same exactness argument as the
-        # per-signature cache — a forged tag or flipped bitmap bit is a
-        # different key, misses, and is re-derived from the secrets.
-        self._agg_cache: "OrderedDict[Tuple[int, str, str, int, str], bool]" = OrderedDict()
         # Statement-set certificate verdicts, keyed by the caller's
         # content key (pin + members, tags included).
         self._quorum_cache: "OrderedDict[Hashable, int]" = OrderedDict()
-        self._cache_size = max(0, int(verify_cache_size))
+        self._cache_size = verify_cache_size
         # What a signed object carries once it verified here (see the
         # module docstring); None turns the stamps off with the cache.
-        self.verified_mark: Optional[object] = object() if self._cache_size else None
+        self.verified_mark: Optional[object] = object() if verify_cache_size else None
         self.cache_hits = 0
         self.cache_misses = 0
         self.agg_cache_hits = 0
@@ -141,28 +133,26 @@ class KeyRegistry:
     # ------------------------------------------------------------------
     @property
     def cache_enabled(self) -> bool:
-        """Whether verification verdicts are being cached."""
+        """Whether verdicts are stamped and certificate verdicts memoized."""
         return self._cache_size > 0
 
     def verify(
-        self,
-        signature: Signature,
-        value: Any = None,
-        message: Optional[bytes] = None,
-        digest: Optional[bytes] = None,
+        self, signature: Signature, value: Any = None, message: Optional[bytes] = None
     ) -> bool:
         """Check that ``signature`` is a valid signature on ``value``.
 
         Returns ``False`` for unknown signers or forged tags; protocol
-        code treats such messages as if they were never received.
+        code treats such messages as if they were never received.  The
+        tag is always derived from the trusted-setup secret (stamp
+        reads happen in the callers that hold the signed object, e.g.
+        :func:`~repro.core.messages.verify_statement`), and with the
+        cache enabled each derivation counts as a cache miss.
 
-        ``message``/``digest`` let callers that memoize a value's
-        canonical bytes (e.g. :class:`~repro.core.messages.SignedStatement`)
-        skip re-serialisation; ``value`` may then be omitted entirely.
-        With the cache disabled (``verify_cache_size=0``) every call
-        takes the reference path — full re-serialisation (when a value
-        is given) and tag re-derivation — which is what the fast-path
-        benchmark and the determinism cross-check compare against.
+        ``message`` lets callers that memoize a value's canonical bytes
+        (e.g. :class:`~repro.core.messages.SignedStatement`) skip
+        re-serialisation; ``value`` may then be omitted.  With the cache
+        disabled a given ``value`` is always re-serialised — the
+        reference path.
         """
         keypair = self._keys.get(signature.signer)
         if keypair is None:
@@ -170,39 +160,22 @@ class KeyRegistry:
         if self._cache_size == 0:
             if value is not None or message is None:
                 message = canonical_bytes(value)
-            return signature.tag == self._backend.tag(keypair.secret, message)
-        if message is None:
-            message = canonical_bytes(value)
-        if digest is None:
-            digest = hashlib.sha256(message).digest()
-        key = (signature.signer, signature.tag, digest)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        valid = signature.tag == self._backend.tag(keypair.secret, message)
-        self._cache[key] = valid
-        if len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-        return valid
+        else:
+            if message is None:
+                message = canonical_bytes(value)
+            self.cache_misses += 1
+        return signature.tag == self._backend.tag(keypair.secret, message)
 
     def verify_quorum(self, signatures: Iterable[Signature], value: Any) -> bool:
         """Batch-verify many signatures over one shared ``value``.
 
         Quorum certificates are exactly this shape — τ signers over the
-        same (phase, round, digest) — so the value is serialised and
-        digested once for the whole batch; each signature then costs a
-        cache lookup (or one tag derivation on first sight).  False if
-        any signature fails.
+        same (phase, round, digest) — so the value is serialised once
+        for the whole batch and each signature costs one tag
+        derivation.  False if any signature fails.
         """
         message = canonical_bytes(value)
-        digest = hashlib.sha256(message).digest()
-        return all(
-            self.verify(signature, value, message=message, digest=digest)
-            for signature in signatures
-        )
+        return all(self.verify(signature, value, message=message) for signature in signatures)
 
     def verify_all(self, signatures: Iterable[Signature], value: Any) -> bool:
         """Check every signature in ``signatures`` against ``value``."""
@@ -220,8 +193,8 @@ class KeyRegistry:
         negative number for an invalid certificate); thresholds are the
         caller's to re-check on every call.  Bounded LRU of
         :data:`QUORUM_MEMO_PER_PLAYER` entries per registered player
-        (never more than the verification cache's bound); with the
-        cache disabled nothing is remembered.
+        (never more than ``verify_cache_size``); with the cache
+        disabled nothing is remembered.
         """
         if self._cache_size == 0:
             return derive()
@@ -240,74 +213,6 @@ class KeyRegistry:
     def _quorum_cache_size(self) -> int:
         return min(self._cache_size, QUORUM_MEMO_PER_PLAYER * len(self._keys))
 
-    # ------------------------------------------------------------------
-    # Aggregate certificates
-    # ------------------------------------------------------------------
-    def batch_canonicalize(self, value: Any) -> Tuple[bytes, bytes]:
-        """Serialise ``value`` once for a whole certificate.
-
-        Returns ``(message_bytes, sha256_digest)`` — the shared inputs
-        every per-signer tag derivation and cache key of a certificate
-        check needs, computed a single time for the batch.
-        """
-        message = canonical_bytes(value)
-        return message, hashlib.sha256(message).digest()
-
-    def verify_aggregate(self, aggregate: AggregateQC) -> bool:
-        """Validate a whole aggregate certificate against its own pin.
-
-        Re-derives each bitmap member's tag over the certificate's
-        (phase, round, digest) value, canonicalised once, from the
-        trusted-setup secrets, recombines them and compares against the
-        certificate's aggregate tag.  Empty bitmaps and unknown signers
-        fail outright.  A certificate that verified here before is
-        answered from its stamp (see the module docstring), an equal
-        copy from the verdict cache keyed ``(bitmap, agg_tag, pin)``;
-        only a first sight builds the keypair list and serialises.
-        """
-        mark = self.verified_mark
-        if mark is not None and aggregate.__dict__.get("_verified") is mark:
-            self.agg_cache_hits += 1
-            return True
-        signers = aggregate.signers
-        if not signers:
-            return False
-        phase, round_number, digest = aggregate.phase, aggregate.round_number, aggregate.digest
-        key = (aggregate.signer_bitmap, aggregate.agg_tag, phase, round_number, digest)
-        valid = self._agg_cache.get(key) if mark is not None else None
-        if valid is not None:
-            self._agg_cache.move_to_end(key)
-            self.agg_cache_hits += 1
-        else:
-            keypairs = []
-            for signer in signers:
-                keypair = self._keys.get(signer)
-                if keypair is None:
-                    return False
-                keypairs.append(keypair)
-            message, _ = self.batch_canonicalize(statement_value(phase, round_number, digest))
-            valid = aggregate.agg_tag == aggregate_tag(
-                {kp.player_id: self._backend.tag(kp.secret, message) for kp in keypairs}
-            )
-            if mark is None:
-                return valid
-            self.agg_cache_misses += 1
-            self._agg_cache[key] = valid
-            if len(self._agg_cache) > self._cache_size:
-                self._agg_cache.popitem(last=False)
-        if valid:
-            object.__setattr__(aggregate, "_verified", mark)
-        return valid
-
-    def aggregate_cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters and occupancy of the aggregate-verdict cache."""
-        return {
-            "hits": self.agg_cache_hits,
-            "misses": self.agg_cache_misses,
-            "size": len(self._agg_cache),
-            "maxsize": self._cache_size,
-        }
-
     def quorum_cache_info(self) -> Dict[str, int]:
         """Hit/miss counters and occupancy of the certificate-verdict memo."""
         return {
@@ -317,11 +222,51 @@ class KeyRegistry:
             "maxsize": self._quorum_cache_size(),
         }
 
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss counters and occupancy of the verification cache."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "size": len(self._cache),
-            "maxsize": self._cache_size,
-        }
+    # ------------------------------------------------------------------
+    # Aggregate certificates
+    # ------------------------------------------------------------------
+    def batch_canonicalize(self, value: Any) -> Tuple[bytes, bytes]:
+        """Serialise ``value`` once for a whole certificate.
+
+        Returns ``(message_bytes, sha256_digest)`` — the shared input
+        every per-signer tag derivation of a certificate check needs,
+        and its digest, computed a single time for the batch.
+        """
+        message = canonical_bytes(value)
+        return message, hashlib.sha256(message).digest()
+
+    def verify_aggregate(self, aggregate: AggregateQC) -> bool:
+        """Validate a whole aggregate certificate against its own pin.
+
+        A certificate stamped by an earlier check here is answered from
+        the stamp (see the module docstring).  Otherwise each bitmap
+        member's tag is re-derived from the trusted-setup secrets over
+        the certificate's (phase, round, digest) value, canonicalised
+        once, the tags are recombined and compared against the
+        certificate's aggregate tag, and a valid certificate is
+        stamped.  Empty bitmaps and unknown signers fail outright.
+        """
+        mark = self.verified_mark
+        if mark is not None and aggregate.__dict__.get("_verified") is mark:
+            self.agg_cache_hits += 1
+            return True
+        signers = aggregate.signers
+        if not signers:
+            return False
+        keypairs = []
+        for signer in signers:
+            keypair = self._keys.get(signer)
+            if keypair is None:
+                return False
+            keypairs.append(keypair)
+        message, _ = self.batch_canonicalize(
+            statement_value(aggregate.phase, aggregate.round_number, aggregate.digest)
+        )
+        valid = aggregate.agg_tag == aggregate_tag(
+            {kp.player_id: self._backend.tag(kp.secret, message) for kp in keypairs}
+        )
+        if mark is not None:
+            self.agg_cache_misses += 1
+            if valid:
+                object.__setattr__(aggregate, "_verified", mark)
+        return valid

@@ -138,9 +138,10 @@ class Scenario:
     Crypto: ``crypto_backend`` selects the signature backend —
     ``hmac-sha256`` (default, unforgeable) or ``fast-sim`` (CRC tags
     for game-theory sweeps that never exercise unforgeability; refused
-    by fork/accountability scenarios).  ``crypto_cache_size`` bounds
-    the deployment's verified-signature cache; 0 disables caching and
-    restores the re-verify-everything reference path.
+    by fork/accountability scenarios).  ``crypto_cache_size`` > 0 turns
+    on the verification fast path — verified objects are stamped and
+    certificate verdicts memoized (bounded by this size); 0 restores
+    the re-verify-everything reference path.
     ``aggregate_certs`` switches quorum justifications to aggregate
     certificates (one digest + signer bitmap + aggregate tag instead of
     n signed statements on the wire) — a pure representation change:

@@ -81,7 +81,12 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class CryptoSpec:
-    """Signature backend and the deployment's verification cache.
+    """Signature backend and the deployment's verification fast path.
+
+    ``cache_size`` (the ``crypto_cache_size`` axis) 0 is the reference
+    path: every check re-serialises and re-derives the tag.  Any value
+    > 0 stamps verified objects and bounds the certificate memo (see
+    :mod:`repro.crypto.registry`); verdicts are identical either way.
 
     ``aggregate_certs`` switches every quorum-carrying wire format to
     the :class:`~repro.crypto.aggregate.AggregateQC` representation —
@@ -99,7 +104,9 @@ class CryptoSpec:
     def __post_init__(self) -> None:
         check_declared_types(self, "CryptoSpec")
         if self.cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
+            raise ValueError(
+                f"crypto_cache_size must be non-negative; got {self.cache_size!r}"
+            )
 
 
 @dataclass(frozen=True)

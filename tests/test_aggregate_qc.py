@@ -202,10 +202,10 @@ class TestVerifyAggregate:
         registry = KeyRegistry.trusted_setup(range(8), seed="agg-cache")
         aggregate = aggregate_for(registry, range(6))
         assert registry.verify_aggregate(aggregate)
-        before = registry.aggregate_cache_info()
+        before = (registry.agg_cache_hits, registry.agg_cache_misses)
         assert registry.verify_aggregate(aggregate)
-        after = registry.aggregate_cache_info()
-        assert after["hits"] == before["hits"] + 1
+        after = (registry.agg_cache_hits, registry.agg_cache_misses)
+        assert after == (before[0] + 1, before[1])
 
 
 # ----------------------------------------------------------------------

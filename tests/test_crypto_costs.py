@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro.checks import run_oracle
-from repro.crypto.registry import KeyRegistry
+from repro.crypto.registry import QUORUM_MEMO_PER_PLAYER, KeyRegistry
 from repro.experiments.registry import get_scenario
 
 HONEST = get_scenario("honest").with_params(n=4, rounds=2)
@@ -37,7 +37,7 @@ def test_a_statement_value_is_serialised_once_per_signing(name):
     as the statement's ``value_bytes``, so no signature check serialises
     a statement again.  ``expand_aggregate`` serialises its pin once for
     all the signers it re-signs, and a certificate's first check
-    serialises its pin once (counted against the verdict cache below)."""
+    serialises its pin once (counted against its derivations below)."""
     made, serialised_by = 0, collections.Counter()
 
     def profiler(frame, event, arg):
@@ -76,9 +76,9 @@ def test_a_certificate_is_serialised_once_however_many_receivers_check_it(
 
     monkeypatch.setattr(KeyRegistry, "batch_canonicalize", counting)
     registry = SCENARIOS[name].run(seed=0).ctx.registry
-    info = registry.aggregate_cache_info()
-    assert info["hits"] > info["misses"] > 0  # receivers re-check every certificate
-    assert len(canonicalised) == info["misses"]
+    # receivers re-check every certificate
+    assert registry.agg_cache_hits > registry.agg_cache_misses > 0
+    assert len(canonicalised) == registry.agg_cache_misses
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -108,3 +108,17 @@ def test_the_oracle_checks_signatures_without_the_trusted_setup(name, monkeypatc
     assert (len(tags), len(verifies)) == (0, 0)
     assert registry.cache_hits > before[0]  # the audit did check statements
     assert (registry.cache_misses, registry.agg_cache_misses) == before[1:]
+
+
+def test_the_registry_keeps_no_per_check_state():
+    """Verdicts live on the signed objects, so what the registry holds
+    is bounded by the roster — its keys and the certificate memo — not
+    by the number of tags it derived."""
+    n = 5
+    scenario = get_scenario("lossy-honest").with_params(protocol="pbft", n=n)
+    registry = scenario.run(seed=0).ctx.registry
+    assert registry.cache_misses > QUORUM_MEMO_PER_PLAYER * n
+    held = sum(
+        len(value) for value in vars(registry).values() if isinstance(value, (dict, list, set))
+    )
+    assert held <= n + QUORUM_MEMO_PER_PLAYER * n

@@ -1,10 +1,12 @@
-"""The crypto fast path: digest memoization, the bounded verification
-cache, batch quorum verification and the backend knob.
+"""The crypto fast path: serialisation memoization, the verdict stamped
+on the signed object, batch quorum verification, the certificate memo
+and the backend knob.
 
-The security-critical property under test: caching verified signatures
-must never weaken the Recv-boundary checks — a forged or re-attributed
-tag has a different ``(signer, tag, digest)`` key, so it can never ride
-an honest signature's cache entry.
+The security-critical property under test: remembering verdicts must
+never weaken the Recv-boundary checks — only a ``True`` verdict is
+stamped, on the one object that earned it, so a forged, re-attributed
+or re-signed copy is another object and has its tag derived from the
+trusted-setup secret.
 """
 
 import dataclasses
@@ -32,6 +34,11 @@ from repro.experiments.results import RunRecord
 DIGEST = "ab" * 32
 
 
+def _counts(registry):
+    """(stamp reads, tag derivations) of statement checks so far."""
+    return registry.cache_hits, registry.cache_misses
+
+
 # ----------------------------------------------------------------------
 # Serialisation memoization
 # ----------------------------------------------------------------------
@@ -57,7 +64,7 @@ class TestMemoization:
 
 
 # ----------------------------------------------------------------------
-# The bounded verification cache
+# Stamp reads and tag derivations, as the registry counts them
 # ----------------------------------------------------------------------
 class TestVerificationCache:
     def setup_method(self):
@@ -71,19 +78,16 @@ class TestVerificationCache:
     def test_repeat_verification_hits_cache(self):
         stmt = self._statement()
         assert verify_statement(self.registry, stmt)
-        before = self.registry.cache_info()
+        hits, misses = _counts(self.registry)
         assert verify_statement(self.registry, stmt)
-        after = self.registry.cache_info()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
+        assert _counts(self.registry) == (hits + 1, misses)
 
     def test_forged_tag_rejected_after_cache_hit_on_same_digest(self):
-        """The attack the cache key must defeat: warm the cache with a
-        valid signature over a value, then present a forged tag over
-        the *same* value."""
+        """The attack the stamp must defeat: verify a valid signature
+        over a value, then present a forged tag over the *same* value."""
         stmt = self._statement()
         assert verify_statement(self.registry, stmt)
-        assert verify_statement(self.registry, stmt)  # entry is hot
+        assert verify_statement(self.registry, stmt)  # answered from the stamp
         forged = SignedStatement(
             phase=stmt.phase,
             round_number=stmt.round_number,
@@ -91,12 +95,12 @@ class TestVerificationCache:
             signature=Signature(signer=0, tag="00" * 32),
         )
         assert not verify_statement(self.registry, forged)
-        # ...and the honest entry is still good afterwards.
+        # ...and the honest statement is still good afterwards.
         assert verify_statement(self.registry, stmt)
 
     def test_reattributed_tag_rejected_after_cache_hit(self):
-        """Player 1 claiming player 0's cached tag misses the cache
-        (different signer in the key) and fails tag re-derivation."""
+        """Player 1 claiming player 0's verified tag is another object,
+        carries no stamp and fails tag re-derivation."""
         stmt = self._statement(player=0)
         assert verify_statement(self.registry, stmt)
         stolen = SignedStatement(
@@ -107,38 +111,9 @@ class TestVerificationCache:
         )
         assert not verify_statement(self.registry, stolen)
 
-    def test_cache_bounded_under_churn(self):
-        registry = KeyRegistry.trusted_setup([0], verify_cache_size=8)
-        keypair = registry.keypair_of(0)
-        for round_number in range(100):
-            stmt = make_statement(keypair, "vote", round_number, DIGEST)
-            assert verify_statement(registry, stmt)
-        info = registry.cache_info()
-        assert info["size"] <= 8
-        assert info["misses"] == 100
-
-    def test_eviction_is_lru(self):
-        """Driven through ``registry.verify`` with each statement's bytes:
-        ``verify_statement`` would answer a repeat from the statement's
-        own stamp and never reach the LRU behind it."""
-        registry = KeyRegistry.trusted_setup([0], verify_cache_size=2)
-        keypair = registry.keypair_of(0)
-        a, b, c = (make_statement(keypair, "vote", r, DIGEST) for r in range(3))
-
-        def verify(stmt):
-            return registry.verify(
-                stmt.signature, message=stmt.value_bytes(), digest=stmt.value_digest()
-            )
-
-        verify(a)
-        verify(b)
-        verify(a)  # refresh a; b is now oldest
-        verify(c)  # evicts b
-        before = registry.cache_info()["misses"]
-        assert verify(b)
-        assert registry.cache_info()["misses"] == before + 1
-
-    def test_negative_verdicts_also_cached(self):
+    def test_negative_verdicts_are_never_stamped(self):
+        """A forgery is rejected on every check, each check derives its
+        tag afresh (one cache miss), and nothing is ever stamped on it."""
         stmt = self._statement()
         forged = SignedStatement(
             phase=stmt.phase,
@@ -146,17 +121,28 @@ class TestVerificationCache:
             digest=stmt.digest,
             signature=Signature(signer=0, tag="11" * 32),
         )
-        assert not verify_statement(self.registry, forged)
-        before = self.registry.cache_info()
-        assert not verify_statement(self.registry, forged)
-        assert self.registry.cache_info()["hits"] == before["hits"] + 1
+        for _ in range(3):
+            hits, misses = _counts(self.registry)
+            assert not verify_statement(self.registry, forged)
+            assert _counts(self.registry) == (hits, misses + 1)
+            assert "_verified" not in forged.__dict__
 
     def test_cache_disabled_still_correct(self):
         registry = KeyRegistry.trusted_setup(range(2), verify_cache_size=0)
         assert not registry.cache_enabled
         stmt = make_statement(registry.keypair_of(0), "vote", 1, DIGEST)
         assert verify_statement(registry, stmt)
-        assert registry.cache_info() == {"hits": 0, "misses": 0, "size": 0, "maxsize": 0}
+        assert _counts(registry) == (0, 0)
+        assert "_verified" not in stmt.__dict__
+
+    @pytest.mark.parametrize("size", [True, 2.5, "7", -5])
+    def test_a_nonsense_cache_size_is_refused_by_name(self, size):
+        with pytest.raises(ValueError, match="verify_cache_size must be a non-negative int"):
+            KeyRegistry(verify_cache_size=size)
+
+    def test_a_negative_crypto_cache_size_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="crypto_cache_size must be non-negative"):
+            Scenario(name="x", crypto_cache_size=-5)
 
 
 # ----------------------------------------------------------------------
@@ -172,11 +158,10 @@ class TestVerdictOnTheObject:
         assert verify_statement(self.registry, self.stmt)
 
     def test_a_repeat_is_answered_from_the_stamp_and_counted_as_a_hit(self, monkeypatch):
-        before = self.registry.cache_info()
+        hits, misses = _counts(self.registry)
         monkeypatch.setattr(KeyRegistry, "verify", None)  # never reached
         assert verify_statement(self.registry, self.stmt)
-        after = self.registry.cache_info()
-        assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
+        assert _counts(self.registry) == (hits + 1, misses)
 
     def test_a_reattributed_copy_of_a_stamped_statement_is_rejected(self):
         stolen = dataclasses.replace(self.stmt, signature=Signature(1, self.stmt.signature.tag))
@@ -199,12 +184,14 @@ class TestVerdictOnTheObject:
         for bit in range(4):
             flipped = dataclasses.replace(aggregate, signer_bitmap=aggregate.signer_bitmap ^ (1 << bit))
             assert not self.registry.verify_aggregate(flipped), bit
-        # An equal copy is answered by the verdict cache and stamped too.
+        # An equal copy is another object: derived once, then stamped.
         copy = dataclasses.replace(aggregate)
-        before = self.registry.aggregate_cache_info()["hits"]
+        hits, misses = self.registry.agg_cache_hits, self.registry.agg_cache_misses
         assert self.registry.verify_aggregate(copy)
-        assert self.registry.aggregate_cache_info()["hits"] == before + 1
+        assert (self.registry.agg_cache_hits, self.registry.agg_cache_misses) == (hits, misses + 1)
         assert copy.__dict__["_verified"] is self.registry.verified_mark
+        assert self.registry.verify_aggregate(copy)
+        assert self.registry.agg_cache_hits == hits + 1
 
     def test_the_mark_holds_nothing_the_collector_walks(self):
         mark = self.registry.verified_mark
@@ -266,9 +253,9 @@ class TestVerifyQuorum:
 
     def test_structural_mismatch_rejected_without_crypto(self):
         statements = self._quorum(round_number=2)
-        before = self.registry.cache_info()["misses"]
+        before = self.registry.cache_misses
         assert not verify_quorum(self.registry, statements, round_number=1)
-        assert self.registry.cache_info()["misses"] == before  # no tag derived
+        assert self.registry.cache_misses == before  # no tag derived
 
     def test_one_forged_member_poisons_the_certificate(self):
         statements = self._quorum()
@@ -296,9 +283,9 @@ class TestVerifyQuorum:
 class TestQuorumMemo:
     """A fully pinned statement set is verified once per deployment.
 
-    The property under test mirrors the per-signature cache's: the memo
-    key is the pin plus the members *with their tags*, so nothing that
-    differs in anything the check reads can ride a memoized verdict.
+    The property under test mirrors the stamp's: the memo key is the
+    pin plus the members *with their tags*, so nothing that differs in
+    anything the check reads can ride a memoized verdict.
     """
 
     PIN = {"phase": "vote", "round_number": 1, "digest": DIGEST}
@@ -347,10 +334,10 @@ class TestQuorumMemo:
         self._assert_full_path_rejects(self.quorum, **pin)
 
     def test_minimum_is_checked_on_every_call(self):
-        before = self.registry.cache_info()
+        before = _counts(self.registry)
         assert not self._verify(self.quorum, minimum=4)
         assert self._verify(self.quorum, minimum=2)
-        assert self.registry.cache_info() == before  # both answered by the memo
+        assert _counts(self.registry) == before  # both answered by the memo
         # A fourth member makes a different key with its own count.
         fourth = make_statement(self.registry.keypair_of(3), "vote", 1, DIGEST)
         assert self._verify(self.quorum | {fourth}, minimum=4)
@@ -397,7 +384,7 @@ class TestQuorumMemo:
         info = self.registry.quorum_cache_info()
         assert info["misses"] == 201
         assert info["size"] == info["maxsize"] < 200
-        # The bound never exceeds the verification cache's own.
+        # The bound never exceeds verify_cache_size.
         small = KeyRegistry.trusted_setup(range(4), verify_cache_size=2)
         assert small.quorum_cache_info()["maxsize"] == 2
 
@@ -479,8 +466,8 @@ class TestScenarioBackendKnob:
         base = get_scenario("honest").with_params(n=4, rounds=1)
         cached = base.run(seed=0)
         uncached = base.with_params(crypto_cache_size=0).run(seed=0)
-        assert cached.ctx.registry.cache_info()["hits"] > 0
-        assert uncached.ctx.registry.cache_info()["hits"] == 0
+        assert cached.ctx.registry.cache_hits > 0
+        assert uncached.ctx.registry.cache_hits == 0
         assert cached.final_block_count() == uncached.final_block_count()
 
 
@@ -500,11 +487,16 @@ ATTACKED = {
 def _observable(scenario, seed=0):
     result = scenario.run(seed=seed)
     record = RunRecord.from_result(scenario, seed, result)
+    # pBFT replicas keep no fraud detector.
+    detectors = {
+        player: getattr(replica, "detector", None) for player, replica in result.replicas.items()
+    }
     proofs = {
         player: sorted(
-            (accused, proof.canonical()) for accused, proof in replica.detector.proofs().items()
+            (accused, proof.canonical()) for accused, proof in detector.proofs().items()
         )
-        for player, replica in result.replicas.items()
+        for player, detector in detectors.items()
+        if detector is not None
     }
     return (
         json.dumps(record.canonical(), sort_keys=True),
@@ -516,11 +508,31 @@ def _observable(scenario, seed=0):
 @pytest.mark.parametrize("name", sorted(ATTACKED))
 def test_cache_size_is_invisible_on_attacked_runs(name):
     """Where justifications carry double signatures, the reference path
-    (size 0: every tag re-derived), a thrashing cache (size 2: verdicts
-    evicted between receivers) and the default must agree on the
+    (size 0: every tag re-derived), a thrashing memo (size 2: certificate
+    verdicts evicted between receivers) and the default must agree on the
     record, the burns and every replica's proofs — byte for byte."""
     scenario = ATTACKED[name]
     default = _observable(scenario)
     assert any(default[2].values()), "the attack must actually produce fraud proofs"
+    for size in (0, 2):
+        assert _observable(scenario.with_params(crypto_cache_size=size)) == default
+
+
+#: Lossy runs where equal but distinct re-signed copies arrive
+#: (retransmissions): each copy carries no stamp and is derived afresh.
+RETRANSMITTED = {
+    "lossy-honest": get_scenario("lossy-honest"),
+    "lossy-honest-pbft": get_scenario("lossy-honest").with_params(protocol="pbft"),
+    "burst-under-loss": get_scenario("burst-under-loss"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETRANSMITTED))
+def test_cache_size_is_invisible_on_retransmitted_runs(name):
+    """The same contract as above on runs with no attack: the reference
+    path, a size-2 memo and the default agree on the record, the burns
+    and every replica's proofs — byte for byte."""
+    scenario = RETRANSMITTED[name]
+    default = _observable(scenario)
     for size in (0, 2):
         assert _observable(scenario.with_params(crypto_cache_size=size)) == default
