@@ -135,8 +135,10 @@ perf-compare:
 # the same table for one `post` call (oracle, record, hash) on that run,
 # then the cycle collector's passes and the seconds inside them per
 # generation from a second, unprofiled run, and the tracked objects
-# alive at its end with their six most common types.  Candidates for the next
-# hot-path change, never a number to claim — that is perf-compare's.
+# alive at its end with their six most common types, then the objects a
+# third run leaves for the collector once its result is dropped.
+# Candidates for the next hot-path change, never a number to claim —
+# that is perf-compare's.
 profile:
 	@test -n "$(WORKLOAD)" || { echo 'usage: make profile WORKLOAD=<BENCHMARK.json workload> [PERF_SEED=0]'; exit 2; }
 	$(PYTHON) tools/profile_workload.py $(WORKLOAD) --seed $(PERF_SEED)

@@ -9,10 +9,10 @@ realisation of those assumptions:
 - :class:`~repro.crypto.registry.KeyRegistry` — the trusted setup of
   Section 3.3: every player's verification key, shared before the
   protocol starts.
-- :class:`~repro.crypto.signatures.Signature` and the
-  :func:`~repro.crypto.signatures.sign` /
-  :func:`~repro.crypto.signatures.verify` pair — HMAC-style signatures
-  that are unforgeable for any party that does not hold the secret.
+- :class:`~repro.crypto.signatures.Signature` and
+  :func:`~repro.crypto.signatures.sign` — HMAC-style signatures that
+  are unforgeable for any party that does not hold the secret; the
+  registry verifies them.
 - :mod:`~repro.crypto.hashing` — canonical serialisation and hashing of
   protocol values (blocks, messages).
 
@@ -44,7 +44,7 @@ from repro.crypto.backends import (
 from repro.crypto.hashing import digest_hex, hash_value
 from repro.crypto.keys import KeyPair, generate_keypair
 from repro.crypto.registry import DEFAULT_VERIFY_CACHE_SIZE, KeyRegistry
-from repro.crypto.signatures import Signature, sign, verify
+from repro.crypto.signatures import Signature, sign
 
 __all__ = [
     "AggregateQC",
@@ -64,5 +64,4 @@ __all__ = [
     "get_backend",
     "hash_value",
     "sign",
-    "verify",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto.backends import CryptoBackend, DEFAULT_BACKEND, get_backend
+from repro.crypto.backends import DEFAULT_BACKEND, get_backend
 from repro.crypto.hashing import canonical_bytes
 from repro.crypto.keys import KeyPair
 
@@ -57,34 +57,3 @@ def sign(keypair: KeyPair, value: Any = None, message: Optional[bytes] = None) -
     backend = get_backend(getattr(keypair, "backend", DEFAULT_BACKEND))
     return Signature(signer=keypair.player_id, tag=backend.tag(keypair.secret, message))
 
-
-def verify(
-    key: "KeyPair | bytes",
-    signature: Signature,
-    value: Any,
-    backend: "Optional[CryptoBackend | str]" = None,
-) -> bool:
-    """Low-level verification against the signer's secret material.
-
-    ``key`` is either the signer's :class:`KeyPair` — whose backend is
-    then used, keeping this the exact inverse of :func:`sign` on any
-    deployment — or the raw secret bytes, in which case ``backend``
-    names the tag scheme (default ``hmac-sha256``).
-
-    Prefer :meth:`repro.crypto.registry.KeyRegistry.verify`, which
-    looks the signer up in the trusted setup, caches verified tags and
-    reuses each value's serialised bytes.  This function always
-    re-serialises and re-derives the tag — it is the reference path the
-    registry's cache is benchmarked and cross-checked against.
-    """
-    if isinstance(key, KeyPair):
-        secret = key.secret
-        if backend is None:
-            backend = key.backend
-    else:
-        secret = key
-    if backend is None:
-        backend = DEFAULT_BACKEND
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    return signature.tag == backend.tag(secret, canonical_bytes(value))

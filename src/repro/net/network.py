@@ -74,6 +74,17 @@ class Network:
         self._handlers[player_id] = handler
         self._participants = tuple(sorted(self._handlers))
 
+    def release(self) -> None:
+        """Detach every inbox at the end of a run.
+
+        Each inbox is bound to a replica that holds this network back,
+        as is the bound ``_deliver``.  :meth:`participants`, the metrics
+        and the trace stay readable; a later :meth:`send` raises
+        :class:`UnknownRecipientError`.
+        """
+        self._handlers.clear()
+        self._bound_deliver = None
+
     def participants(self) -> Tuple[int, ...]:
         """Ids of all registered players, sorted (cached on register)."""
         return self._participants

@@ -120,7 +120,14 @@ def build_context(
 
 @dataclass
 class RunResult:
-    """Everything observable about one finished run."""
+    """Everything observable about one finished run.
+
+    The replicas, trace, metrics, registry, collateral, commit log and
+    workload record stay readable for as long as the result is held.
+    The event-loop wiring does not: :meth:`Deployment.execute` has
+    released it, so nothing here refers back into a cycle and dropping
+    the result frees the whole deployment by reference counting.
+    """
 
     config: ProtocolConfig
     players: List[Player]
@@ -272,22 +279,37 @@ class Deployment:
         self._executed = False
 
     def execute(self) -> RunResult:
-        """Start every replica, run the event loop, collect the result."""
+        """Start every replica, run the event loop, collect the result.
+
+        Once the result and its throughput report are built, the wiring
+        only the event loop needed is released: the engine's queued
+        events, the armed timers, the network's inboxes, the commit
+        log's listeners and the workload's engine and replica handles.
+        Those references close the cycles through the replicas, so
+        without the release a dropped result waits for a full
+        collection; with it, reference counting frees the deployment.
+        """
         if self._executed:
             raise RuntimeError("a Deployment can only be executed once")
         self._executed = True
         for replica in self.replicas.values():
             replica.start()
-        self.ctx.engine.run(until=self.spec.max_time, max_events=self.spec.max_events)
+        ctx = self.ctx
+        ctx.engine.run(until=self.spec.max_time, max_events=self.spec.max_events)
         result = RunResult(
             config=self.spec.config,
             players=list(self.spec.players),
             replicas=self.replicas,
-            ctx=self.ctx,
+            ctx=ctx,
             submitted_tx_ids=self.workload.submitted_ids(),
         )
         if self.accumulator is not None:
             result.throughput = self._throughput_report(result)
+        ctx.engine.release()
+        ctx.timers.release()
+        ctx.network.release()
+        ctx.commit_log.release()
+        self.workload.release()
         return result
 
     def _throughput_report(self, result: RunResult) -> ThroughputReport:

@@ -109,6 +109,20 @@ class SimulationEngine:
             self._queue = [entry for entry in self._queue if not entry[2].cancelled]
             heapq.heapify(self._queue)
 
+    def release(self) -> None:
+        """Drop every queued event; the clock and the counters stay.
+
+        A queued event's callback is bound to a replica or the network,
+        which hold this engine back, so a finished run's queue closes
+        reference cycles only the collector could free.  After this,
+        :attr:`pending` is 0 and ``cancel()`` on a handle a replica
+        still holds changes nothing here.
+        """
+        for entry in self._queue:
+            entry[2]._in_queue = False
+        self._queue = []
+        self._live = 0
+
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` time units from now.
 

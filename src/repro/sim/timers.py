@@ -69,6 +69,13 @@ class TimerService:
                 cancelled += 1
         return cancelled
 
+    def release(self) -> None:
+        """Forget every armed timer at the end of a run.  An armed
+        event calls this service's ``_fire`` with a callback bound to a
+        replica, and both lead back here; :meth:`is_armed` reads False
+        afterwards."""
+        self._timers.clear()
+
     def is_armed(self, owner: Hashable, name: str) -> bool:
         """True if (owner, name) has a live timer."""
         event = self._timers.get((owner, name))

@@ -107,6 +107,12 @@ class Workload(ABC):
         self._replicas = tuple(replicas[player_id] for player_id in sorted(replicas))
         self._start(ctx)
 
+    def release(self) -> None:
+        """Drop the engine and replica handles at the end of a run; the
+        submission record and :attr:`submitted_count` stay readable."""
+        self._engine = None
+        self._replicas = ()
+
     @abstractmethod
     def _start(self, ctx: Any) -> None:
         """Perform install-time submissions / schedule arrival events."""

@@ -240,3 +240,38 @@ class TestScenarios:
         (record,) = run_sweep(get_scenario("fork"), seeds=1).records
         assert f"messages          | {record.total_messages}" in out
         assert f"final blocks      | {record.final_blocks}" in out
+
+
+class TestCampaignCommands:
+    """``fuzz`` and ``check-catalog`` run many deployments one after
+    another through the real command, in process."""
+
+    def test_fuzz_clean_budget_exits_zero(self, tmp_path, capsys):
+        assert main([
+            "fuzz", "--budget", "2", "--seed", "0", "--jobs", "1",
+            "--artifacts", str(tmp_path),
+        ]) == 0
+        assert "2/2 trials, 0 violating" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fuzz_injected_violation_exits_two_with_a_repro(self, tmp_path, capsys):
+        assert main([
+            "fuzz", "--budget", "2", "--seed", "0", "--inject-violation",
+            "--artifacts", str(tmp_path),
+        ]) == 2
+        repro = tmp_path / "fuzz-0-injected.json"
+        assert f"shrunk fuzz-0-injected -> {repro}" in capsys.readouterr().out
+        artifact = json.loads(repro.read_text())
+        assert artifact["scenario"]["name"] == "fuzz-0-injected"
+        assert artifact["violations"]
+
+    def test_check_catalog_passes_and_names_every_entry(self, capsys):
+        assert main(["check-catalog"]) == 0
+        rows = {
+            line.split("|")[0].strip(): line.split("|")[1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        }
+        assert {name: rows.get(name) for name in scenario_catalog()} == {
+            name: "PASS" for name in scenario_catalog()
+        }

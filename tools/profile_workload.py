@@ -12,7 +12,10 @@ counts, through ``gc.callbacks``, the cycle collector's passes and the
 seconds spent inside them per generation, which no profile row shows;
 then, with the run's result still alive and after one collection, the
 objects the collector tracks and their six most common types — what
-every later full collection walks.  ``perf/`` is imported by path and
+every later full collection walks.  A third run, with the collector
+disabled around it, drops its result and counts what only the
+collector can reclaim: the objects of every finished deployment that
+reference counting did not free.  ``perf/`` is imported by path and
 not edited; timings to *claim* come from ``make perf-compare``, never
 from here.  ``make profile WORKLOAD=<name>``.
 """
@@ -89,6 +92,21 @@ def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], List[floa
     return run_s, passes, inside, live
 
 
+def left_for_collector(workload: Any, seed: int) -> int:
+    """Objects in reference cycles once ``run``'s result is dropped,
+    counted with the collector off for the whole run, so the cells a
+    sweep drops along the way are counted too."""
+    prepared = workload.prepare(1.0, seed)
+    gc.collect()
+    gc.disable()
+    try:
+        result = workload.run(prepared, seed)
+        del result
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
 def main() -> int:
     workloads = load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -116,6 +134,7 @@ def main() -> int:
     )
     top = ", ".join(f"{name} {count:,}" for name, count in live.most_common(6))
     print(f"tracked objects alive at the end: {sum(live.values()):,}; top types: {top}")
+    print(f"objects left for the collector: {left_for_collector(workload, args.seed):,}")
     return 0
 
 
