@@ -133,6 +133,7 @@ perf-compare:
 # Where a workload's host time goes: `make profile WORKLOAD=<name>`
 # prints one BENCHMARK.json workload's top self-time rows under cProfile,
 # the same table for one `post` call (oracle, record, hash) on that run,
+# that run's retained trace records and column bytes per record,
 # then the cycle collector's passes and the seconds inside them per
 # generation from a second, unprofiled run, and the tracked objects
 # alive at its end with their six most common types, then the objects a

@@ -181,10 +181,10 @@ class SimulationEngine:
             if max_events is not None and fired >= max_events:
                 return
             if until is not None and head.time >= until:
-                self._now = max(self._now, until)
+                self._now = max(self._now, float(until))
                 return
             if not self.step():
                 return
             fired += 1
         if until is not None:
-            self._now = max(self._now, until)
+            self._now = max(self._now, float(until))

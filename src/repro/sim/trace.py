@@ -7,9 +7,9 @@ protocol execution and analysis: the robustness checker (Definition 1),
 the accountability checker (Definition 6) and the game-theoretic state
 classifier (Table 2) all operate on traces, never on replica internals.
 
-The recorder stores events one way: a per-kind ring buffer of capacity
-``window``.  The default, ``window=None``, is the unbounded ring — every
-event is kept, the behaviour every oracle check was written against.
+The recorder stores events one way: per kind, typed columns that keep
+the newest ``window`` events.  The default, ``window=None``, keeps
+every event — the behaviour every oracle check was written against.
 Soak runs pass a finite ``window`` so a ≥10⁶-event run holds only the
 newest ``window`` events of each kind.  Lifetime bookkeeping (``count``,
 ``len``, ``last``) stays exact either way, and :meth:`truncated` tells
@@ -19,10 +19,10 @@ complete history or just the retained suffix.
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import merge
-from itertools import repeat
-from typing import Any, Deque, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+import sys
+from array import array
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 
 class TraceEvent(NamedTuple):
@@ -47,6 +47,11 @@ class TraceEvent(NamedTuple):
 # ``tuple.__new__`` skips the NamedTuple's Python-level ``__new__``.
 _new_event = tuple.__new__
 
+#: The player column's value for ``player=None`` (no player id is this small).
+_NO_PLAYER = -(1 << 63)
+#: The schema column is ``array('H')``: a recorder interns at most this many key sets.
+_MAX_SCHEMAS = 1 << 16
+
 
 def check_window(window: Optional[int]) -> Optional[int]:
     """``window`` if it is None or an int (not a bool) >= 1, else a ValueError naming it."""
@@ -57,29 +62,60 @@ def check_window(window: Optional[int]) -> Optional[int]:
     return window
 
 
-class TraceRecorder:
-    """Append-only log of :class:`TraceEvent` objects, stored as columns.
+class _Ring(NamedTuple):
+    """One kind's columns, row i being its i-th oldest stored event,
+    and their appenders, bound once."""
 
-    Each event kind keeps its newest ``window`` events (``None``, the
-    default, never evicts) in five parallel rings: the record-order
-    sequence number (so kinds merge back into record order), time,
-    player, key schema and values.  The schema is ``tuple(detail)``
-    interned per recorder, so a call site's keys are stored once; the
-    values are an exact tuple, which the cycle collector untracks at
-    its first pass when every value is atomic — a retained event is
-    nothing the collector walks.  Reads rebuild each event and its
-    ``detail`` dict, so the cost sits with the reads that want events.
-    Evicted events are counted in :meth:`dropped`; a kind's lifetime
-    count is its rings' length plus what they dropped, and its last
-    event is the rings' newest (``window >= 1``, so a recorded kind
-    always retains one).
+    seqs: array  # 'q': record-order sequence number
+    times: array  # 'd'
+    players: array  # 'q', ``_NO_PLAYER`` for None
+    schemas: array  # 'H': index into the recorder's interned key tuples
+    values: List[Any]  # every row's detail values, flat, ``len(schema)`` per row
+    add_seq: Callable[[int], None]
+    add_time: Callable[[float], None]
+    add_player: Callable[[int], None]
+    add_schema: Callable[[int], None]
+    add_values: Callable[[Iterable[Any]], None]
+
+
+def _open_ring() -> _Ring:
+    columns = (array("q"), array("d"), array("q"), array("H"), [])
+    return _Ring(*columns, *(column.append for column in columns[:4]), columns[4].extend)
+
+
+class TraceRecorder:
+    """Append-only log of :class:`TraceEvent` objects, stored as typed columns.
+
+    Each event kind keeps five columns: the record-order sequence number
+    (so kinds merge back into record order), time and player as
+    ``array('q')`` / ``array('d')`` / ``array('q')``, the key schema as
+    an ``array('H')`` index into ``tuple(detail)`` interned per recorder
+    (one tuple per call site), and one flat list that every record
+    extends with ``detail.values()``.  A stored record thus owns no
+    Python object of its own — no sequence ``int``, time ``float`` or
+    value tuple — only 26 bytes of array slots and a pointer per detail
+    value.  Reads rebuild each event and its ``detail`` dict, walking
+    the values ``len(schema)`` at a time, so the cost sits with the
+    reads that want events.
+
+    A finite ``window`` keeps the newest ``window`` rows of each kind:
+    a kind whose columns reach ``window + max(64, window // 8)`` rows
+    deletes its oldest rows down to ``window``, and reads skip any rows
+    beyond the newest ``window``.  ``window=None`` is the same code with
+    a window no run reaches.  A kind's lifetime count is its rows plus
+    those compaction deleted, and its last event is its newest row
+    (``window >= 1``, so a recorded kind always retains one).
     """
 
     def __init__(self, window: Optional[int] = None) -> None:
         self._window = check_window(window)
-        self._rings: Dict[str, Tuple[Deque[Any], ...]] = {}
-        self._schemas: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self._dropped: Dict[str, int] = {}
+        self._keep = sys.maxsize if window is None else window
+        self._compact_at = self._keep + max(64, self._keep // 8)
+        self._rings: Dict[str, _Ring] = {}
+        self._schema_ids: Dict[Tuple[str, ...], int] = {}
+        self._schemas: List[Tuple[str, ...]] = []
+        self._widths: List[int] = []  # len(self._schemas[i])
+        self._compacted: Dict[str, int] = {}
         self._total = 0
 
     @property
@@ -90,18 +126,59 @@ class TraceRecorder:
         """Append one event."""
         ring = self._rings.get(kind)
         if ring is None:
-            ring = self._rings[kind] = tuple(deque(maxlen=self._window) for _ in range(5))
-        seqs, times, players, schemas, values = ring
-        if len(seqs) == self._window:
-            self._dropped[kind] = self._dropped.get(kind, 0) + 1
-        # The lifetime count doubles as the record-order sequence number.
-        seqs.append(self._total)
-        times.append(time)
-        players.append(player)
+            ring = self._rings[kind] = _open_ring()
+        seqs, times, players, _, _, add_seq, add_time, add_player, add_schema, add_values = ring
         keys = tuple(detail)
-        schemas.append(self._schemas.setdefault(keys, keys))
-        values.append(tuple(detail.values()))
+        schema = self._schema_ids.get(keys)
+        if schema is None:
+            schema = self._intern(keys)
+        try:
+            add_time(time)
+            add_player(_NO_PLAYER if player is None else player)
+        except (TypeError, OverflowError):
+            del times[len(players):]  # a time appended without its player
+            raise
+        # The lifetime count doubles as the record-order sequence number.
+        add_seq(self._total)
+        add_schema(schema)
+        add_values(detail.values())
         self._total += 1
+        if len(seqs) == self._compact_at:
+            self._compact(kind, ring)
+
+    def _intern(self, keys: Tuple[str, ...]) -> int:
+        schema = len(self._schemas)
+        if schema == _MAX_SCHEMAS:
+            raise ValueError(f"a trace holds at most {_MAX_SCHEMAS} distinct detail key sets")
+        self._schemas.append(keys)
+        self._widths.append(len(keys))
+        self._schema_ids[keys] = schema
+        return schema
+
+    def _compact(self, kind: str, ring: _Ring) -> None:
+        """Delete ``kind``'s rows older than its newest ``window``."""
+        cut = len(ring.seqs) - self._keep
+        del ring.values[: sum(map(self._widths.__getitem__, ring.schemas[:cut]))]
+        for column in ring[:4]:
+            del column[:cut]
+        self._compacted[kind] = self._compacted.get(kind, 0) + cut
+
+    def _read(self, kind: str) -> Tuple[array, List[TraceEvent]]:
+        """The sequence numbers and freshly built events of ``kind``'s
+        retained rows, oldest first."""
+        seqs, times, players, schemas, values = self._rings[kind][:5]
+        start = max(0, len(seqs) - self._keep)
+        skipped = sum(map(self._widths.__getitem__, schemas[:start]))
+        # ``zip`` stops at the end of a row's key tuple without pulling
+        # from ``flat``, so each row takes exactly its own values.
+        flat, names = islice(values, skipped, None), self._schemas
+        return seqs[start:], [
+            _new_event(
+                TraceEvent,
+                (time, kind, None if who == _NO_PLAYER else who, dict(zip(names[schema], flat))),
+            )
+            for time, who, schema in zip(times[start:], players[start:], schemas[start:])
+        ]
 
     def events(
         self, kind: Union[None, str, Tuple[str, ...]] = None, player: Optional[int] = None
@@ -113,35 +190,49 @@ class TraceRecorder:
             kinds: Iterable[str] = self._rings
         else:
             kinds = (kind,) if isinstance(kind, str) else dict.fromkeys(kind)
-        per_kind = [zip(*self._rings[name], repeat(name)) for name in kinds if name in self._rings]
-        rows = per_kind[0] if len(per_kind) == 1 else merge(*per_kind)
-        return [
-            _new_event(TraceEvent, (time, name, who, dict(zip(keys, values))))
-            for _, time, who, keys, values, name in rows
-            if player is None or who == player
-        ]
+        reads = [self._read(name) for name in kinds if name in self._rings]
+        if len(reads) == 1:
+            events = reads[0][1]
+        else:
+            seqs, events = array("q"), []
+            for kind_seqs, kind_events in reads:
+                seqs += kind_seqs
+                events += kind_events
+            events = [events[i] for i in sorted(range(len(events)), key=seqs.__getitem__)]
+        if player is not None:
+            events = [event for event in events if event.player == player]
+        return events
 
     def count(self, kind: str) -> int:
         """Lifetime number of events of ``kind`` (O(1), exact even when
         the retention window has dropped some of them)."""
         ring = self._rings.get(kind)
-        return (len(ring[0]) if ring else 0) + self._dropped.get(kind, 0)
+        return (len(ring.seqs) if ring else 0) + self._compacted.get(kind, 0)
 
     def last(self, kind: str) -> Optional[TraceEvent]:
         """The most recent event of ``kind``, or None (O(1))."""
         ring = self._rings.get(kind)
-        if ring is None:
+        if ring is None or not ring.seqs:  # a kind whose first record was refused
             return None
-        _, times, players, schemas, values = ring
+        keys, values = self._schemas[ring.schemas[-1]], ring.values
+        who = ring.players[-1]
         return _new_event(
-            TraceEvent, (times[-1], kind, players[-1], dict(zip(schemas[-1], values[-1])))
+            TraceEvent,
+            (
+                ring.times[-1], kind, None if who == _NO_PLAYER else who,
+                dict(zip(keys, values[len(values) - len(keys):])),
+            ),
         )
 
     def dropped(self, kind: Optional[str] = None) -> int:
         """Events evicted by the retention window (0 when unbounded)."""
-        if kind is not None:
-            return self._dropped.get(kind, 0)
-        return sum(self._dropped.values())
+        if kind is None:
+            return sum(map(self._evicted, self._rings))
+        return self._evicted(kind) if kind in self._rings else 0
+
+    def _evicted(self, kind: str) -> int:
+        """Rows of ``kind`` compaction deleted, plus those past the newest ``window``."""
+        return self._compacted.get(kind, 0) + max(0, len(self._rings[kind].seqs) - self._keep)
 
     def truncated(self, kind: Optional[str] = None) -> bool:
         """True if retention dropped any event (of ``kind``, if given).

@@ -172,12 +172,60 @@ def test_the_model_script_crosses_the_compaction_threshold():
 
 
 # ----------------------------------------------------------------------
-# (b) the trace against a plain list
+# (b) the trace against a list of TraceEvents
 # ----------------------------------------------------------------------
-def _retained(history, window, kind):
-    """What a per-kind ring of ``window`` keeps of ``history``."""
-    of_kind = [event for event in history if event.kind == kind]
-    return of_kind if window is None else of_kind[-window:]
+class ModelTrace:
+    """The recorder's contract as a list of every ``TraceEvent``: each
+    kind keeps its newest ``window`` events, with no columns and no
+    compaction."""
+
+    def __init__(self, window):
+        self.window = window
+        self.history = []  # (index within its kind, event), in record order
+        self.of_kind = collections.defaultdict(list)
+
+    def record(self, event):
+        events = self.of_kind[event.kind]
+        self.history.append((len(events), event))
+        events.append(event)
+
+    def kept(self, kind):
+        events = self.of_kind.get(kind, [])
+        return events if self.window is None else events[-self.window:]
+
+    def retained(self):
+        """Every kind's newest ``window`` events, in record order."""
+        window = self.window or len(self.history)
+        return [
+            event for index, event in self.history
+            if len(self.of_kind[event.kind]) - index <= window
+        ]
+
+
+def _assert_lifetime(trace, model):
+    assert len(trace) == len(model.history)
+    for kind in "abcz":
+        lifetime, kept = model.of_kind.get(kind, []), model.kept(kind)
+        assert trace.count(kind) == len(lifetime)
+        assert trace.last(kind) == (lifetime[-1] if lifetime else None)
+        assert trace.dropped(kind) == len(lifetime) - len(kept)
+        assert trace.truncated(kind) == (len(lifetime) > len(kept))
+    dropped = sum(len(events) - len(model.kept(kind)) for kind, events in model.of_kind.items())
+    assert trace.dropped() == dropped
+    assert trace.truncated() == (dropped > 0)
+
+
+def _assert_reads(trace, model):
+    retained = model.retained()
+    # A kind named twice is read once.
+    for kinds in ("a", "z", ("a", "c"), ("c", "z", "a"), ("a", "a"), ["c", "a", "c"], None):
+        names = "abc" if kinds is None else kinds
+        for who in (None, 0, 1):
+            expected = [
+                e for e in retained if e.kind in names and (who is None or e.player == who)
+            ]
+            assert trace.events(kinds, who) == expected, (kinds, who)
+    assert list(trace) == trace.events() == retained
 
 
 # Key sets and key orders vary within one kind; details may be empty or
@@ -189,37 +237,34 @@ _details = st.lists(
 ).map(dict)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from([None, 1, 3]),
+    st.sampled_from([None, 1, 2, 3, 64]),
     st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([None, 0, 1]), _details),
-             max_size=30),
+             min_size=1, max_size=8),
 )
-def test_trace_matches_the_list_model(window, script):
-    trace, history = TraceRecorder(window=window), []
+@example(1, [("a", None, {}), ("a", 0, {"x": 1, "y": [2]}), ("b", 1, {"round": 3})])
+def test_trace_matches_the_list_model(window, pattern):
+    """The pattern repeats until each kind in it is recorded at least
+    3 × (window + 64) times, so a finite window crosses several
+    compactions; reads are checked on both sides of each."""
+    keep = 64 if window is None else window
+    # A kind compacts when its rows reach keep + slack, down to keep.
+    slack = max(64, keep // 8)
+    per_kind = collections.Counter(kind for kind, _, _ in pattern)
+    script = pattern * -(-3 * (keep + 64) // min(per_kind.values()))
+    trace, model = TraceRecorder(window=window), ModelTrace(window)
     for time, (kind, player, detail) in enumerate(script):
         trace.record(float(time), kind, player, **detail)
-        history.append(TraceEvent(float(time), kind, player, dict(detail)))
-        kept = {k: _retained(history, window, k) for k in "abcz"}
-        assert len(trace) == len(history)
-        for k in "abcz":
-            lifetime = [event for event in history if event.kind == k]
-            assert trace.count(k) == len(lifetime)
-            assert trace.last(k) == (lifetime[-1] if lifetime else None)
-            assert trace.dropped(k) == len(lifetime) - len(kept[k])
-            assert trace.truncated(k) == (len(lifetime) > len(kept[k]))
-        assert trace.dropped() == len(history) - sum(map(len, kept.values()))
-        assert trace.truncated() == (trace.dropped() > 0)
-        # A kind named twice is read once.
-        for kinds in ("a", "z", ("a", "c"), ("c", "z", "a"), ("a", "a"), ["c", "a", "c"], None):
-            names = "abc" if kinds is None else kinds
-            union = [e for e in history if e.kind in names and e in kept[e.kind]]
-            for who in (None, 0, 1):
-                expected = [e for e in union if who is None or e.player == who]
-                assert trace.events(kinds, who) == expected
-        assert list(trace) == trace.events()
-    kept = {k: _retained(history, window, k) for k in "abc"}
-    expected = [e for e in history if e in kept[e.kind]]
+        model.record(TraceEvent(float(time), kind, player, dict(detail)))
+        _assert_lifetime(trace, model)
+        count = len(model.of_kind[kind])
+        if count >= keep + slack - 1 and (count - keep) % slack in (0, 1, slack - 1):
+            _assert_reads(trace, model)
+    _assert_reads(trace, model)
+    if window is not None:
+        assert all(trace.dropped(kind) > 0 for kind in per_kind)
+    expected = model.retained()
     first, second = trace.events(), trace.events()
     assert first == second == expected
     assert [list(e.detail) for e in first] == [list(e.detail) for e in expected]
@@ -229,7 +274,9 @@ def test_trace_matches_the_list_model(window, script):
         event.detail.clear()
         event.detail["edited"] = True
     assert trace.events() == expected
-    assert [trace.last(k) for k in "abc"] == [kept[k][-1] if kept[k] else None for k in "abc"]
+    assert [trace.last(k) for k in "abc"] == [
+        model.kept(k)[-1] if model.kept(k) else None for k in "abc"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -282,12 +329,12 @@ def _carrier(recipients):
 
 def test_tracked_objects_per_message():
     """What the cycle collector must walk per message is the unit that
-    sets its share of a run (15-20 %): at most five objects while a
-    message is in flight — its ``Envelope``, the send's detail value
-    tuple, the ``Event``, its heap entry and its argument tuple — and
-    none once delivered and collected.  The unbounded trace keeps the
-    send and the deliver as columns, and their value tuples hold only
-    atomic values, so the collector untracks them at its first pass."""
+    sets its share of a run (15-20 %): at most four objects while a
+    message is in flight — its ``Envelope``, the ``Event``, its heap
+    entry and its argument tuple — and none once delivered and
+    collected.  The trace keeps the send and the deliver in typed
+    columns and a flat values list, so recording them allocates no
+    tracked object at all."""
     recipients, broadcasts = 8, 100
     engine, network, plan, received = _carrier(recipients)
     messages = recipients * broadcasts
@@ -306,16 +353,17 @@ def test_tracked_objects_per_message():
         gc.enable()
     assert len(received) == recipients + messages
     # The two snapshots' own Counters and frames are the slack.
-    assert sum(in_flight.values()) <= 5 * messages + 20, in_flight
+    assert sum(in_flight.values()) <= 4 * messages + 20, in_flight
     assert retained["TraceEvent"] == 0
     assert sum(retained.values()) <= 0.01 * messages, retained
 
 
 def test_retained_bytes_per_record():
-    """A retained 3-key ``send`` / ``deliver`` record costs its five
-    column slots, its sequence number, its time and its value tuple —
-    153 B measured here, where a ``TraceEvent`` plus a ``detail`` dict
-    was 328."""
+    """A retained 3-key ``send`` / ``deliver`` record costs 26 bytes of
+    array slots (sequence number, time, player, schema index) and three
+    pointers in the values list — 56 B measured here, where a value
+    tuple per record made it 153 and a ``TraceEvent`` plus a ``detail``
+    dict 328."""
     recipients, broadcasts = 8, 1000
     engine, network, plan, received = _carrier(recipients)
     records = len(network.trace)
@@ -332,7 +380,34 @@ def test_retained_bytes_per_record():
         tracemalloc.stop()
     records = len(network.trace) - records
     assert records == 2 * recipients * broadcasts
-    assert grown / records <= 180, grown / records
+    assert grown / records <= 64, grown / records
+
+
+def test_retained_bytes_under_a_window():
+    """A finite window lets a kind grow ``max(64, window // 8)`` rows
+    past ``window`` before it deletes its oldest rows, so after ten
+    windows' worth of records the trace holds at most that many rows
+    per kind, each within the per-record bound above.  A slack of a
+    whole window more would not fit."""
+    window, kinds = 1000, ("send", "deliver", "drop")
+    rows = window + max(64, window // 8)
+    trace = TraceRecorder(window=window)
+    for kind in kinds:  # the columns and the schema now exist
+        trace.record(0.0, kind, 0, recipient=0, message_type="vote", round=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for step in range(10 * window):
+            for kind in kinds:
+                trace.record(float(step), kind, step % 8, recipient=step % 8,
+                             message_type="vote", round=1)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == len(kinds) * (10 * window + 1)
+    assert trace.dropped() == len(kinds) * (9 * window + 1)
+    assert grown <= len(kinds) * rows * 64, grown / (len(kinds) * rows)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the bounded-memory retention path (RetentionSpec et al.).
 
-Covers the TraceRecorder's per-kind ring buffers and exact lifetime
+Covers the TraceRecorder's per-kind windows and exact lifetime
 counters, the CommitLog's consumed-prefix truncation, RetentionSpec
 validation and threading through RunSpec/Scenario/CLI, ledger
 body-pruning and round-state pruning, the mempool history bound, and
@@ -81,6 +81,32 @@ class TestTraceRecorderRetention:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             TraceRecorder(window=0)
+
+    def test_a_refused_record_leaves_the_trace_as_it_was(self):
+        """Time and player are typed columns: a record they cannot hold
+        is refused whole, never half-appended."""
+        trace = TraceRecorder()
+        trace.record(0.0, "send", 0, to=1)
+        for time, player in ((1.0, "p1"), (1.0, 1 << 64), ("soon", 1)):
+            with pytest.raises((TypeError, OverflowError)):
+                trace.record(time, "send", player, to=2)
+        trace.record(2.0, "send", None, to=3)
+        with pytest.raises(TypeError):
+            trace.record(3.0, "crash", "p1")  # the first record of its kind
+        assert (trace.count("crash"), trace.last("crash"), trace.events("crash")) == (0, None, [])
+        assert len(trace) == trace.count("send") == 2
+        assert [(e.time, e.player, e.detail) for e in trace] == [
+            (0.0, 0, {"to": 1}), (2.0, None, {"to": 3}),
+        ]
+
+    def test_schemas_are_bounded_before_anything_is_appended(self):
+        trace = TraceRecorder()
+        for index in range(1 << 16):
+            trace.record(0.0, "step", None, **{f"k{index}": index})
+        with pytest.raises(ValueError, match="65536 distinct detail key sets"):
+            trace.record(1.0, "step", None, fresh=True)
+        assert len(trace) == trace.count("step") == 1 << 16
+        assert trace.last("step").detail == {f"k{(1 << 16) - 1}": (1 << 16) - 1}
 
     def test_a_repeated_kind_is_read_once(self):
         trace = TraceRecorder()

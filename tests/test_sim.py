@@ -126,6 +126,18 @@ class TestEngine:
         engine.run()
         assert fired == [1, 2]
 
+    def test_an_int_bound_leaves_the_clock_a_float(self):
+        """The trace stores times in an ``array('d')``, which would
+        silently turn an int clock into a float; the clock is never one."""
+        for max_events in (None, 0):
+            engine = SimulationEngine()
+            engine.run(until=5, max_events=max_events)
+            assert (engine.now, type(engine.now)) == (5.0, float)
+        engine = SimulationEngine()
+        engine.schedule(10.0, lambda: None)
+        engine.run(until=5)  # stopped by the bound with an event still queued
+        assert (engine.now, type(engine.now)) == (5.0, float)
+
     def test_max_events_bound(self):
         engine = SimulationEngine()
         fired = []

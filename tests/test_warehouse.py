@@ -395,6 +395,29 @@ class TestWarehouseQueries:
             assert finding.change_pct == pytest.approx(0.0)
             assert not finding.regressed
 
+    def test_regression_between_infers_each_direction(self, tmp_path):
+        """No ``gates`` and no ``bench``: every stored bench and metric
+        is compared, a ``*_mib`` metric read lower-is-better and any
+        other name higher-is-better."""
+        stored = {
+            "memory": ({"peak_rss_mib": 40.0, "cells": 7}, {"peak_rss_mib": 60.0, "cells": 7}),
+            "speed": ({"tx_per_s": 100.0}, {"tx_per_s": 50.0}),
+        }
+        with Warehouse(str(tmp_path / "two.sqlite")) as store:
+            for bench, entries in stored.items():
+                for commit, metrics in zip(("base", "head"), entries):
+                    entry = {"timestamp": commit, "commit": commit, "smoke": True, **metrics}
+                    assert store.ingest_bench(bench, [entry]) == 1
+            findings = store.regression_between("base", "head")
+        verdicts = {
+            (f.bench, f.metric): (f.direction, f.smoke, f.regressed) for f in findings
+        }
+        assert verdicts == {
+            ("memory", "cells"): ("higher", True, False),
+            ("memory", "peak_rss_mib"): ("lower", True, True),
+            ("speed", "tx_per_s"): ("higher", True, True),
+        }
+
     def test_axis_aggregates(self, tmp_path):
         records = [
             make_record(seed=seed, params=(("n", n),), robust=(n == 4))

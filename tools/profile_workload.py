@@ -7,7 +7,10 @@ workload ``NAME`` twice in this process.  The first run is under
 cProfile and prints the top-N rows by self time — candidates only:
 cProfile charges every Python call and no C-level work, so it inflates
 call-heavy code — then a second table for one ``post`` call (oracle,
-record, hash) on that finished run.  The second run is unprofiled and
+record, hash) on that finished run, and, for a workload whose result is
+one run, its trace's retained records and the bytes its columns take
+per record (``sys.getsizeof`` of each kind's arrays and values list,
+not of the values they point to).  The second run is unprofiled and
 counts, through ``gc.callbacks``, the cycle collector's passes and the
 seconds spent inside them per generation, which no profile row shows;
 then, with the run's result still alive and after one collection, the
@@ -30,7 +33,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +64,21 @@ def profiled(call: Callable[[], Any]) -> Tuple[pstats.Stats, Any]:
 def _prepare_and_run(workload: Any, seed: int) -> Tuple[Any, Any]:
     prepared = workload.prepare(1.0, seed)
     return prepared, workload.run(prepared, seed)
+
+
+def trace_columns(result: Any) -> Optional[Tuple[int, float]]:
+    """Retained records of ``result``'s trace and its column bytes per
+    retained record, or None when ``result`` holds no trace (a sweep's
+    records)."""
+    trace = getattr(getattr(result, "ctx", None), "trace", None)
+    if trace is None:
+        return None
+    retained = len(trace) - trace.dropped()
+    # A diagnostic read of the recorder's private columns: five per kind.
+    column_bytes = sum(
+        sys.getsizeof(column) for ring in trace._rings.values() for column in ring[:5]
+    )
+    return retained, column_bytes / retained if retained else 0.0
 
 
 def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], List[float], Counter]:
@@ -123,6 +141,9 @@ def main() -> int:
     stats, _ = profiled(lambda: workload.post(prepared, outcome, args.seed, repetitions=1))
     print(f"{args.workload}, seed {args.seed}: one post call under cProfile, by self time")
     stats.sort_stats("tottime").print_stats(args.top)
+    columns = trace_columns(outcome)
+    if columns is not None:
+        print(f"trace: {columns[0]:,} retained records, {columns[1]:.1f} B of columns per record")
     del prepared, outcome  # the collector run below counts only its own result
 
     run_s, passes, inside, live = collector_run(workload, args.seed)
