@@ -1,9 +1,10 @@
 """Shared knobs for the benchmark studies.
 
 The paper's claims are rows of ``benchmarks/claims.py`` (evaluated by
-``tests/test_claims.py``); the ``bench_*.py`` files here are the
-studies around them — sweep scaling, the crypto fast path, faulty
-links, throughput, big committees, pipelining, the soak and the
+``tests/test_claims.py``), and so is every deterministic virtual-time
+number (throughput, the saturation knee, big committees); the
+``bench_*.py`` files here are the studies whose numbers are wall-clock
+or memory — sweep scaling, the crypto fast path, the soak and the
 adversary search.  Run them with
 ``pytest benchmarks/ --benchmark-only -s`` to see their tables.
 

@@ -9,7 +9,7 @@ Subcommands::
     repro search campaign [...]           # guided, checkpointed fuzz campaign
     repro check-catalog                   # trace oracle over every catalog entry
     repro list-scenarios                  # the registered catalog
-    repro ingest [FILE...]                # load BENCH_*.json / sweep JSON / CSV
+    repro ingest [FILE...]                # load BENCH_*.json / sweep or fuzz JSON
                                           # into the SQLite results warehouse
     repro report trajectory|regressions|campaign  # query the warehouse
 
@@ -30,9 +30,10 @@ Examples::
     repro search campaign --budget 200 --db warehouse.sqlite --jobs 8
     repro check-catalog
     repro list-scenarios
-    repro ingest BENCH_throughput.json results.json results.csv --db warehouse.sqlite
-    repro report trajectory --db warehouse.sqlite --metric knee_shift
-    repro report regressions --db warehouse.sqlite --against-stored --fail-over 15
+    repro ingest BENCH_throughput.json results.json --db warehouse.sqlite
+    repro report trajectory --db warehouse.sqlite --bench throughput --metric knee_shift
+    repro report regressions --db warehouse.sqlite --against-stored \
+        --bench throughput --metric closed_loop.prft.blocks_per_sec
     repro report campaign --db warehouse.sqlite
 
 ``run`` resolves its positional — any catalog name, or a scenario /
@@ -59,6 +60,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sqlite3
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -396,8 +398,8 @@ def build_cli_parser() -> argparse.ArgumentParser:
 
     ingest_parser = subparsers.add_parser(
         "ingest",
-        help="load BENCH_*.json trajectories and sweep/fuzz JSON or CSV "
-             "record files into the SQLite results warehouse",
+        help="load BENCH_*.json trajectories and sweep/fuzz JSON record "
+             "files into the SQLite results warehouse",
     )
     ingest_parser.add_argument(
         "files", nargs="*", metavar="FILE",
@@ -426,7 +428,7 @@ def build_cli_parser() -> argparse.ArgumentParser:
     trajectory_parser.add_argument(
         "--metric", default=None,
         help="a flattened metric path, e.g. closed_loop.prft.blocks_per_sec "
-             "(default: the CI gate metrics)",
+             "(one of --bench / --metric is required)",
     )
     trajectory_parser.add_argument(
         "--limit", type=int, default=12,
@@ -436,15 +438,15 @@ def build_cli_parser() -> argparse.ArgumentParser:
 
     regressions_parser = report_sub.add_parser(
         "regressions",
-        help="throughput-regression check: fresh entries vs the stored "
-             "trajectory median, or a diff between two commits",
+        help="regression check of named metrics: fresh entries vs the "
+             "stored trajectory median, or a diff between two commits",
     )
     regressions_parser.add_argument("--db", default="warehouse.sqlite")
     regressions_parser.add_argument(
         "--against-stored", action="store_true",
-        help="gate mode: compare the freshest point of each gated metric "
-             "(per smoke class) against the median of its stored history; "
-             "exit 1 on any regression beyond --fail-over",
+        help="compare the freshest point of each --metric (per smoke "
+             "class) against the median of its stored history; exit 1 on "
+             "any regression beyond --fail-over",
     )
     regressions_parser.add_argument(
         "--fail-over", type=float, default=15.0, metavar="PCT",
@@ -460,8 +462,9 @@ def build_cli_parser() -> argparse.ArgumentParser:
     )
     regressions_parser.add_argument(
         "--metric", action="append", default=[], metavar="NAME[:higher|lower]",
-        help="override the gated metric set (repeatable); direction "
-             "suffix says which way is better (default higher)",
+        help="a metric to compare (repeatable; needs --bench, required "
+             "with --against-stored); direction suffix says which way is "
+             "better (default higher)",
     )
     regressions_parser.add_argument(
         "--bench", default=None, help="restrict --metric / diff mode to one bench"
@@ -726,6 +729,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error))
+    except sqlite3.DatabaseError as error:
+        raise SystemExit(f"fuzz: warehouse: {error}")
     rows = [
         [checker, totals["ok"], totals["violated"], totals["skipped"]]
         for checker, totals in sorted(fuzz.checker_totals().items())
@@ -924,17 +929,12 @@ def _parse_metric_specs(specs: Sequence[str], bench: Optional[str]) -> List[tupl
 
 
 def cmd_report_trajectory(args: argparse.Namespace) -> int:
-    from repro.experiments.warehouse import GATE_METRICS, Warehouse
+    from repro.experiments.warehouse import Warehouse
 
+    if args.bench is None and args.metric is None:
+        raise SystemExit("report trajectory: name what to chart with --bench and/or --metric")
     with Warehouse(args.db) as store:
-        if args.metric is not None:
-            points = store.perf_trajectory(bench=args.bench, metric=args.metric)
-        else:
-            points = []
-            for bench, metric, _ in GATE_METRICS:
-                if args.bench is not None and bench != args.bench:
-                    continue
-                points.extend(store.perf_trajectory(bench=bench, metric=metric))
+        points = store.perf_trajectory(bench=args.bench, metric=args.metric)
     if args.limit:
         by_series: Dict[tuple, List[Any]] = {}
         for point in points:
@@ -955,7 +955,7 @@ def cmd_report_trajectory(args: argparse.Namespace) -> int:
         title=f"perf trajectory ({args.db}): {len(rows)} point(s)",
     ))
     if not rows:
-        print("no stored points match; ingest BENCH_*.json first or try --metric")
+        print("no stored points match; ingest BENCH_*.json first or check the names")
     return 0
 
 
@@ -1000,15 +1000,15 @@ def cmd_report_regressions(args: argparse.Namespace) -> int:
         raise SystemExit("pass either --against-stored or --baseline/--candidate, not both")
     if not diff_mode and not args.against_stored:
         raise SystemExit(
-            "pick a mode: --against-stored (CI gate) or --baseline/--candidate (diff)"
+            "pick a mode: --against-stored or --baseline/--candidate (diff)"
         )
+    if args.against_stored and gates is None:
+        raise SystemExit("--against-stored needs the metrics to compare: --bench B --metric NAME")
     with Warehouse(args.db) as store:
         if args.against_stored:
-            findings = store.regressions_against_stored(
-                fail_over_pct=args.fail_over, gates=gates
-            )
+            findings = store.regressions_against_stored(gates, fail_over_pct=args.fail_over)
             title = (
-                f"regression gate ({args.db}): fresh vs stored median, "
+                f"regressions ({args.db}): fresh vs stored median, "
                 f"tolerance {args.fail_over:g}%"
             )
         else:
@@ -1026,8 +1026,8 @@ def cmd_report_regressions(args: argparse.Namespace) -> int:
     status = _print_findings(findings, title)
     if not findings:
         print(
-            "no comparable history (need >= 2 stored points per gated metric "
-            "and smoke class); gate passes vacuously"
+            "no comparable history (need >= 2 stored points per named metric "
+            "and smoke class)"
         )
     return status
 

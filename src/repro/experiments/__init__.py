@@ -34,14 +34,12 @@ from repro.experiments.results import (
     aggregate,
     mean,
     percentile,
-    read_csv,
     read_json,
     records_to_json,
     write_csv,
     write_json,
 )
 from repro.experiments.warehouse import (
-    GATE_METRICS,
     CampaignSummary,
     IngestReport,
     RegressionFinding,
@@ -70,12 +68,10 @@ __all__ = [
     "aggregate",
     "mean",
     "percentile",
-    "read_csv",
     "read_json",
     "records_to_json",
     "write_csv",
     "write_json",
-    "GATE_METRICS",
     "CampaignSummary",
     "IngestReport",
     "RegressionFinding",

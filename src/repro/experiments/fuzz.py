@@ -45,6 +45,7 @@ from repro.experiments.registry import PROTOCOL_FACTORIES, Scenario
 from repro.experiments.results import RunRecord
 from repro.experiments.sweep import SweepJob, run_jobs
 from repro.protocols.base import ProtocolConfig
+from repro.search.score import bucket_of, bucket_params, priority_hint
 from repro.search.space import StrategyGene, draw_gene
 
 PROFILES = ("safe", "wild")
@@ -406,7 +407,11 @@ def run_fuzz(
 
     records = run_jobs(
         [
-            SweepJob(trial.index, trial.scenario, trial.seed, source="fuzz", near_miss=True)
+            SweepJob(
+                trial.index, trial.scenario, trial.seed,
+                params=bucket_params(trial.scenario),
+                source="fuzz", near_miss=True,
+            )
             for trial in ordered_trials
         ],
         workers=jobs,
@@ -451,17 +456,12 @@ def campaign_order(
     """
     if not guided:
         return list(range(len(trials)))
-    from repro.search.score import bucket_of, priority_hint
-
     buckets: Dict[Tuple[str, str], Tuple[float, int]] = {}
     if db_path:
         from repro.experiments.warehouse import Warehouse
 
-        try:
-            with Warehouse(db_path) as store:
-                buckets = store.near_miss_buckets()
-        except Exception:
-            buckets = {}
+        with Warehouse(db_path) as store:
+            buckets = store.near_miss_buckets()
 
     def priority(trial: FuzzTrial) -> float:
         key = bucket_of(trial.scenario)

@@ -291,7 +291,11 @@ def write_csv(path: str, records: Sequence[RunRecord], include_timing: bool = Fa
     ``censorship_resistance`` is tri-state: ``True``/``False`` verdicts
     write as such, and not-applicable (``None``) writes as an *empty
     cell* — never the string ``"None"``, which would be indistinguishable
-    from a scenario value and unparseable on the way back in.
+    from a scenario value.
+
+    The CSV is an export for spreadsheets, never read back: it drops
+    per-player utilities and the backlog series, so the JSON the same
+    sweep writes is the form the warehouse ingests.
     """
     axes = sorted({key for record in records for key, _ in record.params})
     with_oracle = any(record.invariants is not None for record in records)
@@ -343,92 +347,6 @@ def write_csv(path: str, records: Sequence[RunRecord], include_timing: bool = Fa
             if include_timing:
                 row.append(record.wall_time)
             writer.writerow(row)
-
-
-_CSV_BOOL_FIELDS = (
-    "robust", "agreement", "strict_ordering", "validity",
-    "eventual_liveness", "progressed",
-)
-_CSV_INT_FIELDS = (
-    "seed", "final_blocks", "total_messages", "total_bytes", "events",
-)
-
-
-def _csv_scalar(raw: str) -> Any:
-    """Best-effort typed parse of one CSV cell (bool/int/float/str)."""
-    if raw in ("True", "False"):
-        return raw == "True"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
-
-
-def _csv_tristate(raw: str) -> Optional[bool]:
-    # Empty cell is the canonical N/A; the string "None" is accepted
-    # for files written before the tri-state fix.
-    if raw in ("", "None"):
-        return None
-    return raw == "True"
-
-
-def read_csv(path: str) -> List[RunRecord]:
-    """Load records back from :func:`write_csv` output (best effort).
-
-    The flat CSV is a lossy projection: per-player utilities and the
-    backlog series never leave the JSON form, so round-tripped records
-    carry ``utilities=()`` and scalar-only throughput.  Everything the
-    CSV does carry — verdict booleans, the tri-state
-    ``censorship_resistance`` (empty cell → ``None``), params,
-    oracle statuses, throughput scalars — parses back typed.
-    """
-    records: List[RunRecord] = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            data: Dict[str, Any] = {
-                "scenario": row["scenario"],
-                "protocol": row["protocol"],
-                "state": row["state"],
-                "censorship_resistance": _csv_tristate(row["censorship_resistance"]),
-                "penalised": [int(pid) for pid in row["penalised"].split()],
-                "utilities": {},
-            }
-            for name in _CSV_BOOL_FIELDS:
-                data[name] = row[name] == "True"
-            for name in _CSV_INT_FIELDS:
-                data[name] = int(row[name])
-            data["params"] = {
-                column[len("param:"):]: _csv_scalar(value)
-                for column, value in row.items()
-                if column.startswith("param:") and value != ""
-            }
-            if row.get("invariants"):
-                data["invariants"] = dict(
-                    pair.split("=", 1) for pair in row["invariants"].split(";")
-                )
-                data["invariant_violations"] = row.get(
-                    "invariant_violations", ""
-                ).split()
-            if row.get("throughput"):
-                data["throughput"] = {
-                    name: _csv_scalar(value)
-                    for name, value in (
-                        pair.split("=", 1) for pair in row["throughput"].split(";")
-                    )
-                }
-            if row.get("near_miss"):
-                data["near_miss"] = {
-                    name: float(value)
-                    for name, value in (
-                        pair.split("=", 1) for pair in row["near_miss"].split(";")
-                    )
-                }
-            if row.get("wall_time"):
-                data["wall_time"] = float(row["wall_time"])
-            records.append(RunRecord.from_dict(data))
-    return records
 
 
 # ----------------------------------------------------------------------

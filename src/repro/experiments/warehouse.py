@@ -2,11 +2,12 @@
 
 The repository's empirical outputs land in two append-only shapes —
 ``BENCH_*.json`` trajectory files written by
-:mod:`benchmarks.bench_results`, and :class:`RunRecord` JSON/CSV dumps
-written by sweeps and fuzz campaigns.  At soak/fleet scale neither is
-queryable, so this module layers schema → loader → query API over one
-SQLite file (the ingestion-pipeline idiom ROADMAP.md borrows from the
-related repos):
+:mod:`benchmarks.bench_results`, and :class:`RunRecord` JSON dumps
+written by sweeps and fuzz campaigns (the CSV a sweep can also write
+is an export only: a lossy copy of the same records, never read
+back).  At soak/fleet scale neither is queryable, so this module
+layers schema → loader → query API over one SQLite file (the
+ingestion-pipeline idiom ROADMAP.md borrows from the related repos):
 
 - **Schema** — ``runs`` holds one row per canonical
   :class:`RunRecord` (verdict booleans and throughput scalars are
@@ -18,12 +19,12 @@ related repos):
   dotted path (``closed_loop.prft.blocks_per_sec``) for trajectory
   queries.
 - **Loader** — :meth:`Warehouse.ingest_file` dispatches on shape
-  (bench trajectory list, sweep/fuzz record payload, flat records
-  CSV).  Every row is keyed by a content fingerprint and inserted
-  with ``INSERT OR IGNORE``, so re-ingesting a file changes no rows.
-- **Query API** — typed results for the questions CI and triage ask:
-  perf trajectory by commit, regression of the freshest entry against
-  the stored trajectory median (the CI bench gate), regression diff
+  (bench trajectory list, sweep/fuzz record payload).  Every row is
+  keyed by a content fingerprint and inserted with ``INSERT OR
+  IGNORE``, so re-ingesting a file changes no rows.
+- **Query API** — typed results for the questions triage asks: perf
+  trajectory by commit, regression of the freshest entry of named
+  metrics against their stored trajectory median, regression diff
   between two commits, per-axis aggregates over runs, and violation
   triage for fuzz campaigns.
 
@@ -35,7 +36,6 @@ names a database path, ``Scenario.run``, the sweep/fuzz workers and
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -58,7 +58,7 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.results import RunRecord, read_csv
+from repro.experiments.results import RunRecord
 
 SCHEMA_VERSION = 1
 
@@ -68,18 +68,6 @@ ENV_VAR = "REPRO_WAREHOUSE"
 """Set to a database path to mirror runs/bench entries as they happen."""
 
 _BENCH_FILE = re.compile(r"^BENCH_(?P<name>[A-Za-z0-9_-]+)\.json$")
-
-#: Metrics the CI regression gate checks by default: deterministic
-#: virtual-time throughput quantities (pure functions of code + seed,
-#: so a >15% move is a genuine behavioural regression, never runner
-#: noise).  Wall-clock metrics (``speedup_cached_vs_nocache``,
-#: ``wall_seconds``) stay advisory — query them explicitly instead.
-GATE_METRICS: Tuple[Tuple[str, str, str], ...] = (
-    ("throughput", "closed_loop.prft.blocks_per_sec", "higher"),
-    ("throughput", "closed_loop.pbft.blocks_per_sec", "higher"),
-    ("throughput", "closed_loop.hotstuff.blocks_per_sec", "higher"),
-    ("throughput", "knee_shift", "higher"),
-)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS warehouse_meta (
@@ -203,7 +191,7 @@ class IngestReport:
     """What one :meth:`Warehouse.ingest_file` call did."""
 
     path: str
-    kind: str  # "bench" | "records-json" | "records-csv"
+    kind: str  # "bench" | "records-json"
     added: int
     seen: int
 
@@ -478,16 +466,15 @@ class Warehouse:
 
     # -- ingest: file dispatch -----------------------------------------
     def ingest_file(self, path: str) -> IngestReport:
-        """Load one file by shape: ``BENCH_<name>.json`` trajectory,
-        sweep/fuzz JSON (any payload with a ``records`` list), or a
-        flat records CSV from :func:`repro.experiments.results.write_csv`."""
+        """Load one file by shape: a ``BENCH_<name>.json`` trajectory or
+        a sweep/fuzz JSON (any payload with a ``records`` list)."""
         name = os.path.basename(path)
-        if name.endswith(".csv"):
-            records = read_csv(path)
-            added = self.ingest_records(records, source=name)
-            return IngestReport(path=path, kind="records-csv", added=added, seen=len(records))
-        with open(path) as handle:
-            payload = json.load(handle)
+        expected = "expected a BENCH_*.json list or a sweep/fuzz JSON with a 'records' list"
+        try:
+            with open(path) as handle:
+                payload = json.load(handle)
+        except ValueError as error:  # not JSON at all: a CSV export, say
+            raise ValueError(f"{path}: unrecognised shape ({expected}; {error})") from None
         if isinstance(payload, list):
             match = _BENCH_FILE.match(name)
             bench = match.group("name") if match else Path(name).stem
@@ -497,10 +484,7 @@ class Warehouse:
             records = [RunRecord.from_dict(entry) for entry in payload["records"]]
             added = self.ingest_records(records, source=name)
             return IngestReport(path=path, kind="records-json", added=added, seen=len(records))
-        raise ValueError(
-            f"{path}: unrecognised shape (expected a BENCH_*.json list, a "
-            f"sweep/fuzz JSON with a 'records' list, or a records CSV)"
-        )
+        raise ValueError(f"{path}: unrecognised shape ({expected})")
 
     # -- counts ---------------------------------------------------------
     def run_count(self) -> int:
@@ -631,24 +615,20 @@ class Warehouse:
         )
 
     def near_miss_buckets(self) -> Dict[Tuple[str, str], Tuple[float, int]]:
-        """Mean near-miss score and count per (protocol, bucket), where
-        the bucket is ``"gene"`` for search/fuzz gene runs, the attack
-        axis value for classic adversarial runs, else ``"none"`` — the
-        same keying as :func:`repro.search.score.bucket_of`, so guided
-        campaign ordering can look scenarios up directly."""
+        """Mean near-miss score and count per (protocol, bucket), keyed
+        from each scored run's protocol and record params by
+        :func:`repro.search.score.bucket_key` — the rule
+        :func:`~repro.search.score.bucket_of` applies to a scenario, so
+        guided campaign ordering can look scenarios up directly."""
+        from repro.search.score import bucket_key
+
         sums: Dict[Tuple[str, str], List[float]] = {}
         for row in self._conn.execute(
             "SELECT protocol, params_json, near_miss FROM runs"
             " WHERE near_miss IS NOT NULL"
         ):
-            params = json.loads(row["params_json"])
-            if params.get("gene"):
-                bucket = "gene"
-            else:
-                bucket = str(params.get("attack") or "none")
-            sums.setdefault((row["protocol"], bucket), []).append(
-                row["near_miss"]
-            )
+            key = bucket_key(row["protocol"], json.loads(row["params_json"]))
+            sums.setdefault(key, []).append(row["near_miss"])
         return {
             key: (sum(values) / len(values), len(values))
             for key, values in sums.items()
@@ -763,19 +743,24 @@ class Warehouse:
 
     def regressions_against_stored(
         self,
+        gates: Sequence[Tuple[str, str, str]],
         fail_over_pct: float = 15.0,
-        gates: Optional[Sequence[Tuple[str, str, str]]] = None,
     ) -> List[RegressionFinding]:
-        """The CI gate: freshest point per (gated metric, smoke class)
-        against the median of its stored predecessors in the same class.
+        """The freshest point of each named ``(bench, metric,
+        better-direction)`` gate, per smoke class, against the median of
+        its stored predecessors in the same class.
 
-        Classes with fewer than two points (no history yet) and zero
-        baselines produce no finding; a finding is a regression when
-        the fresh value is worse than the baseline, in the metric's
-        better-direction, by more than ``fail_over_pct`` percent.
+        There is no default metric set: an empty ``gates`` is an error,
+        never a vacuous pass.  Classes with fewer than two points (no
+        history yet) and zero baselines produce no finding; a finding
+        is a regression when the fresh value is worse than the baseline,
+        in the metric's better-direction, by more than ``fail_over_pct``
+        percent.
         """
+        if not gates:
+            raise ValueError("name at least one (bench, metric, direction) to compare")
         findings: List[RegressionFinding] = []
-        for bench, metric, direction in gates if gates is not None else GATE_METRICS:
+        for bench, metric, direction in gates:
             for smoke in (False, True):
                 points = self.perf_trajectory(bench=bench, metric=metric, smoke=smoke)
                 if len(points) < 2:
@@ -814,15 +799,13 @@ class Warehouse:
         Each commit's value is the median of its points per smoke
         class; metrics present for both commits in the same class
         produce a finding.  Without explicit ``gates``, every stored
-        metric is compared with direction inferred from
-        :data:`GATE_METRICS` (metrics not listed there default to
-        higher-is-better, except ``*latency*``/``*seconds*``/
-        ``*backlog*``/``*mib*`` names which read lower-is-better).
+        metric (of ``bench``, if named) is compared, read
+        higher-is-better except ``*latency*``/``*seconds*``/
+        ``*backlog*``/``*mib*`` names, which read lower-is-better.
         """
         if gates is None:
-            directions = {(b, m): d for b, m, d in GATE_METRICS}
             gate_list = [
-                (b, m, directions.get((b, m), _default_direction(m)))
+                (b, m, _default_direction(m))
                 for b in ([bench] if bench else self._benches())
                 for m in self.metrics(bench=b)
             ]

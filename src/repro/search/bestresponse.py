@@ -61,6 +61,7 @@ from repro.experiments.registry import PROTOCOL_FACTORIES, Scenario
 from repro.experiments.results import RunRecord
 from repro.experiments.sweep import SweepJob, run_jobs
 from repro.protocols.base import ProtocolConfig
+from repro.search.score import bucket_params
 from repro.search.space import StrategyGene, victim_split
 
 #: The fuzz repro format; `repro run <file>` replays these artifacts.
@@ -305,7 +306,11 @@ class _Evaluator:
         batch = [scenario for _, _, scenario in units] + list(baseline_points.values())
         records = run_jobs(
             [
-                SweepJob(index, scenario, seed, source="search", near_miss=True)
+                SweepJob(
+                    index, scenario, seed,
+                    params=bucket_params(scenario),
+                    source="search", near_miss=True,
+                )
                 for index, (scenario, seed) in enumerate(product(batch, self.seeds))
             ],
             workers=self.jobs,

@@ -17,7 +17,7 @@ eviction.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Weights for the bounded combination.  Burns dominate (a burn means
 #: accountability actually fired), rollback pressure is the direct
@@ -105,15 +105,28 @@ def priority_hint(scenario) -> float:
     return score
 
 
+def bucket_params(scenario) -> Tuple[Tuple[str, Any], ...]:
+    """The record params that file a scored run under its bucket: the
+    scenario's ``attack`` and ``gene`` where set, carried by a fuzz or
+    search job the way a sweep cell carries its grid point."""
+    return tuple(
+        (axis, value)
+        for axis, value in (("attack", scenario.attack), ("gene", scenario.gene))
+        if value is not None
+    )
+
+
+def bucket_key(protocol: str, params: Mapping[str, Any]) -> Tuple[str, str]:
+    """The one bucketing rule, over a run's protocol and record params:
+    ``"gene"`` for gene runs, else the attack, else ``"none"``."""
+    if params.get("gene") is not None:
+        return (protocol, "gene")
+    return (protocol, str(params.get("attack") or "none"))
+
+
 def bucket_of(scenario) -> Tuple[str, str]:
     """The warehouse aggregation bucket guided ordering averages over."""
-    if getattr(scenario, "gene", None) is not None:
-        disturbance = "gene"
-    elif scenario.attack is not None:
-        disturbance = scenario.attack
-    else:
-        disturbance = "none"
-    return (scenario.protocol, disturbance)
+    return bucket_key(scenario.protocol, dict(bucket_params(scenario)))
 
 
 def score_of(record) -> Optional[float]:

@@ -4,7 +4,7 @@ Open-loop clients submit on their own clock, independent of how fast
 the committee commits — the framing under which pBFT's and HotStuff's
 throughput evaluations are stated, and the regime where mempool backlog
 grows without bound once the arrival rate crosses the deployment's
-service rate (the saturation knee `bench_throughput` charts).
+service rate (the saturation knee the ``throughput`` claim row pins).
 
 Both processes are driven entirely by engine events seeded from the run
 seed: :class:`PoissonOpenLoop` draws exponential inter-arrival gaps

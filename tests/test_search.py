@@ -7,6 +7,7 @@ default tier.
 
 import hashlib
 import json
+import sqlite3
 
 import pytest
 
@@ -179,6 +180,13 @@ class TestWarehousePersistence:
         assert reasons["liveness"] == "outside the liveness envelope"
         assert score == pytest.approx(score_of(record))
 
+    def test_search_runs_land_in_the_gene_bucket(self, tmp_path, monkeypatch):
+        db = str(tmp_path / "wh.sqlite")
+        monkeypatch.setenv("REPRO_WAREHOUSE", db)
+        search_equilibrium(("prft",), thetas=(1,), n=4, seeds=(0,))
+        with Warehouse(db) as store:
+            assert ("prft", "gene") in store.near_miss_buckets()
+
     def test_cursor_round_trip(self, tmp_path):
         db = str(tmp_path / "wh.sqlite")
         with Warehouse(db) as store:
@@ -244,6 +252,39 @@ class TestCampaigns:
                      db=db, resume=True, max_shrinks=0)
         with pytest.raises(ValueError, match="needs a warehouse"):
             run_fuzz(budget=3, fuzz_seed=1, resume=True, max_shrinks=0)
+
+    def test_guided_history_is_keyed_like_the_trials(self, tmp_path):
+        """A campaign files each scored run under the bucket its trial
+        is later looked up by, so attacked trials get their own
+        history and the guided order moves them."""
+        db = str(tmp_path / "wh.sqlite")
+        campaign = run_fuzz(budget=24, fuzz_seed=0, db=db, max_shrinks=0)
+        with Warehouse(db) as store:
+            buckets = store.near_miss_buckets()
+        keys = {bucket_of(trial.scenario) for trial in campaign.trials}
+        assert keys <= set(buckets)
+        assert any(disturbance != "none" for _, disturbance in keys)
+
+        trials = sorted(campaign.trials, key=lambda trial: trial.index)
+        attacked = [t.index for t in trials if bucket_of(t.scenario)[1] != "none"]
+
+        def attacked_order(order):
+            return [index for index in order if index in attacked]
+
+        assert attacked_order(campaign_order(trials, True, db)) != attacked_order(
+            campaign_order(trials, True)
+        ), "stored history must reorder the attacked trials"
+
+    def test_guided_order_refuses_a_non_sqlite_db(self, tmp_path):
+        from repro.cli import main
+
+        junk = tmp_path / "junk.sqlite"
+        junk.write_text("not a database\n")
+        trials = [generate_trial(0, i, "safe") for i in range(3)]
+        with pytest.raises(sqlite3.DatabaseError):
+            campaign_order(trials, guided=True, db_path=str(junk))
+        with pytest.raises(SystemExit, match="fuzz: warehouse: file is not a database"):
+            main(["fuzz", "--budget", "2", "--guided", "--db", str(junk)])
 
     def test_default_campaign_id(self):
         assert default_campaign_id(0, "safe", 40, False) == "fuzz-0-safe-40-linear"

@@ -1,13 +1,12 @@
-"""Results warehouse: record round-trips, ingest, queries, the CI gate.
+"""Results warehouse: record round-trips, ingest, queries.
 
-Covers the PR-9 tentpole and satellites: byte-stable
-``to_dict → from_dict → to_dict`` across every optional-field
-combination, the tri-state ``censorship_resistance`` CSV cell, the
-schema-version-tolerant ``aggregate()``, corrupt-trajectory
-quarantine in ``bench_results``, and the SQLite warehouse — idempotent
-ingest of BENCH trajectories and sweep JSON/CSV, exact canonical
-records back out, trajectory/regression/axis/campaign queries, and
-the ``--against-stored`` regression gate that CI runs.
+Byte-stable ``to_dict → from_dict → to_dict`` across every
+optional-field combination, the tri-state ``censorship_resistance``
+cell of the CSV export, the schema-version-tolerant ``aggregate()``,
+corrupt-trajectory quarantine in ``bench_results``, and the SQLite
+warehouse — idempotent ingest of BENCH trajectories and sweep JSON (a
+CSV export is refused), exact canonical records back out,
+trajectory/regression/axis/campaign queries over named metrics.
 """
 
 import copy
@@ -22,13 +21,11 @@ from repro.experiments.registry import get_scenario
 from repro.experiments.results import (
     RunRecord,
     aggregate,
-    read_csv,
     write_csv,
     write_json,
 )
 from repro.experiments.sweep import run_job, run_sweep, expand_grid
 from repro.experiments.warehouse import (
-    GATE_METRICS,
     Warehouse,
     flatten_metrics,
     maybe_persist_records,
@@ -39,6 +36,15 @@ BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 import bench_results  # noqa: E402  (repo-root benchmarks/ module)
+
+#: The deterministic throughput metrics the checked-in history carries.
+THROUGHPUT_GATES = [
+    ("throughput", f"closed_loop.{protocol}.blocks_per_sec", "higher")
+    for protocol in ("prft", "pbft", "hotstuff")
+] + [("throughput", "knee_shift", "higher")]
+THROUGHPUT_METRIC_ARGS = [
+    "--bench", "throughput", "--metric", "closed_loop.prft.blocks_per_sec",
+]
 
 
 def make_record(**overrides):
@@ -135,46 +141,6 @@ class TestCsvTriState:
         assert row.split(",")[column] == ""
         assert "None" not in row.split(",")[column]
 
-    def test_round_trips_all_three_states(self, tmp_path):
-        records = [
-            make_record(seed=seed, censorship_resistance=value)
-            for seed, value in enumerate((None, True, False))
-        ]
-        path = tmp_path / "records.csv"
-        write_csv(str(path), records)
-        loaded = read_csv(str(path))
-        assert [r.censorship_resistance for r in loaded] == [None, True, False]
-
-    def test_legacy_none_string_parses_as_null(self, tmp_path):
-        # Files written before the fix carry the string "None".
-        path = tmp_path / "records.csv"
-        write_csv(str(path), [make_record()])
-        text = path.read_text()
-        header, row = text.strip().splitlines()
-        column = header.split(",").index("censorship_resistance")
-        cells = row.split(",")
-        cells[column] = "None"
-        path.write_text(header + "\n" + ",".join(cells) + "\n")
-        assert read_csv(str(path))[0].censorship_resistance is None
-
-    def test_csv_parses_typed(self, tmp_path):
-        original = make_record(
-            **ORACLE_FIELDS, throughput=THROUGHPUT_SCALARS, params=(("n", 8), ("loss_rate", 0.1))
-        )
-        path = tmp_path / "records.csv"
-        write_csv(str(path), [original])
-        loaded = read_csv(str(path))[0]
-        assert loaded.seed == 3 and isinstance(loaded.seed, int)
-        assert loaded.robust is True and loaded.progressed is True
-        assert loaded.param_dict() == {"n": 8, "loss_rate": 0.1}
-        assert loaded.invariants == ORACLE_FIELDS["invariants"]
-        assert loaded.invariant_violations == ("validity",)
-        assert dict(loaded.throughput)["blocks_per_sec"] == 0.25
-        assert dict(loaded.throughput)["peak_backlog"] == 8
-        # The CSV is documented lossy: utilities and the backlog series
-        # never leave the JSON form.
-        assert loaded.utilities == ()
-
 
 class TestAggregateSchemaTolerance:
     def test_mixed_throughput_vintages_no_keyerror(self):
@@ -248,7 +214,7 @@ class TestWarehouseIngest:
                 assert store.ingest_file(str(path)).added == 0
             assert store.bench_count() == total
 
-    def test_sweep_json_and_csv_ingest(self, tmp_path):
+    def test_sweep_json_ingests_and_its_csv_export_is_refused(self, tmp_path):
         sweep = run_sweep(
             get_scenario("honest").with_params(rounds=1),
             grid={"n": [4, 5]},
@@ -261,9 +227,9 @@ class TestWarehouseIngest:
         with Warehouse(str(tmp_path / "wh.sqlite")) as store:
             outcome = store.ingest_file(str(json_path))
             assert (outcome.kind, outcome.seen, outcome.added) == ("records-json", 4, 4)
-            # Honest records are CSV-lossless (no utilities), so the CSV
-            # rows fingerprint-match the JSON rows: ingest is a no-op.
-            assert store.ingest_file(str(csv_path)).added == 0
+            # The CSV is an export only: a lossy copy, never read back.
+            with pytest.raises(ValueError, match="unrecognised shape"):
+                store.ingest_file(str(csv_path))
             assert store.ingest_records(sweep.records) == 0  # idempotent
             # Exact canonical records back out, in insertion order.
             assert store.canonical_records() == [r.canonical() for r in sweep.records]
@@ -283,24 +249,6 @@ class TestWarehouseIngest:
             "SELECT seed, censorship_resistance FROM runs ORDER BY seed"
         ).fetchall()
         assert rows == [(0, None), (1, 1), (2, 0)]
-
-    def test_csv_none_string_maps_back_to_null(self, tmp_path):
-        # Satellite: a legacy CSV carrying the string "None" must land
-        # as SQL NULL, not a truthy string.
-        path = tmp_path / "records.csv"
-        write_csv(str(path), [make_record()])
-        header, row = path.read_text().strip().splitlines()
-        column = header.split(",").index("censorship_resistance")
-        cells = row.split(",")
-        cells[column] = "None"
-        path.write_text(header + "\n" + ",".join(cells) + "\n")
-        db = tmp_path / "wh.sqlite"
-        with Warehouse(str(db)) as store:
-            assert store.ingest_file(str(path)).added == 1
-        value = sqlite3.connect(str(db)).execute(
-            "SELECT censorship_resistance FROM runs"
-        ).fetchone()[0]
-        assert value is None
 
     def test_unrecognised_shape_rejected(self, tmp_path):
         bad = tmp_path / "mystery.json"
@@ -346,7 +294,7 @@ class TestWarehouseQueries:
         assert store.metrics(bench="crypto")  # crypto metrics present too
 
     def test_gate_passes_on_real_trajectory(self, store):
-        findings = store.regressions_against_stored(fail_over_pct=15.0)
+        findings = store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=15.0)
         assert findings, "stored history must produce gate findings"
         assert not any(finding.regressed for finding in findings)
 
@@ -358,12 +306,12 @@ class TestWarehouseQueries:
         for protocol in bad["closed_loop"]:
             bad["closed_loop"][protocol]["blocks_per_sec"] *= 0.5
         assert store.ingest_bench("throughput", [bad]) == 1
-        findings = store.regressions_against_stored(fail_over_pct=15.0)
+        findings = store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=15.0)
         regressed = {f.metric for f in findings if f.regressed}
         assert "closed_loop.prft.blocks_per_sec" in regressed
         assert all(f.smoke for f in findings if f.regressed)
         # A generous tolerance swallows the same injection.
-        lenient = store.regressions_against_stored(fail_over_pct=60.0)
+        lenient = store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=60.0)
         assert not any(f.regressed for f in lenient)
 
     def test_gate_improvement_is_not_a_regression(self, store):
@@ -375,15 +323,21 @@ class TestWarehouseQueries:
             better["closed_loop"][protocol]["blocks_per_sec"] *= 2.0
         store.ingest_bench("throughput", [better])
         assert not any(
-            f.regressed for f in store.regressions_against_stored(fail_over_pct=15.0)
+            f.regressed
+            for f in store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=15.0)
         )
 
     def test_gate_needs_history(self, tmp_path):
         with Warehouse(str(tmp_path / "empty.sqlite")) as store:
-            assert store.regressions_against_stored() == []
+            assert store.regressions_against_stored(THROUGHPUT_GATES) == []
             store.ingest_bench("throughput", [{"smoke": False, "knee_shift": 10.0}])
             # One point is no baseline.
-            assert store.regressions_against_stored() == []
+            assert store.regressions_against_stored(THROUGHPUT_GATES) == []
+
+    def test_gate_needs_named_metrics(self, store):
+        # No default metric set: nothing named is an error, never a pass.
+        with pytest.raises(ValueError, match="at least one"):
+            store.regressions_against_stored([])
 
     def test_regression_between_commits(self, store):
         findings = store.regression_between(
@@ -471,11 +425,15 @@ class TestCliIngestReport:
         from repro.cli import main
 
         db = self._ingest(tmp_path, capsys)
-        assert main(["report", "trajectory", "--db", db, "--limit", "3"]) == 0
+        assert main(["report", "trajectory", "--db", db, "--limit", "3",
+                     *THROUGHPUT_METRIC_ARGS]) == 0
         out = capsys.readouterr().out
         assert "closed_loop.prft.blocks_per_sec" in out
+        assert main(["report", "trajectory", "--db", db, "--bench", "crypto"]) == 0
+        assert "speedup_cached_vs_nocache" in capsys.readouterr().out
         assert main(
-            ["report", "regressions", "--db", db, "--against-stored", "--fail-over", "15"]
+            ["report", "regressions", "--db", db, "--against-stored", "--fail-over", "15",
+             *THROUGHPUT_METRIC_ARGS]
         ) == 0
         assert "verdict" in capsys.readouterr().out
         assert main(["report", "campaign", "--db", db]) == 0
@@ -497,7 +455,8 @@ class TestCliIngestReport:
         assert main(["ingest", str(injected), "--db", db]) == 0
         capsys.readouterr()
         assert main(
-            ["report", "regressions", "--db", db, "--against-stored", "--fail-over", "15"]
+            ["report", "regressions", "--db", db, "--against-stored", "--fail-over", "15",
+             *THROUGHPUT_METRIC_ARGS]
         ) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
@@ -512,6 +471,18 @@ class TestCliIngestReport:
 
         with pytest.raises(SystemExit, match="pick a mode"):
             main(["report", "regressions", "--db", str(tmp_path / "w.sqlite")])
+
+    def test_reports_without_a_metric_are_usage_errors(self, tmp_path, capsys):
+        from repro.cli import main
+
+        db = self._ingest(tmp_path, capsys)
+        with pytest.raises(SystemExit, match="--bench and/or --metric"):
+            main(["report", "trajectory", "--db", db])
+        with pytest.raises(SystemExit, match="needs the metrics to compare"):
+            main(["report", "regressions", "--db", db, "--against-stored"])
+        with pytest.raises(SystemExit, match="--metric needs --bench"):
+            main(["report", "regressions", "--db", db, "--against-stored",
+                  "--metric", "knee_shift"])
 
 
 class TestAutoPersist:
