@@ -31,22 +31,15 @@ smoke:
 catalog-check:
 	$(PYTHON) -m repro.cli check-catalog
 
-# Results-warehouse smoke: ingest the checked-in BENCH_*.json
-# trajectories plus a fresh sweep's JSON into one SQLite file, prove
-# re-ingest is a no-op, and run every `repro report` query on named
-# metrics of the stored history (no CI job gates on them: deterministic
-# numbers are pinned by CLAIMS rows instead).
+# Results-warehouse smoke: ingest a fresh sweep's JSON into one SQLite
+# file, prove re-ingest is a no-op (0 new rows), and run the campaign
+# triage report over the stored runs.
 report-smoke:
 	rm -f /tmp/repro-warehouse.sqlite
 	$(PYTHON) -m repro.cli sweep honest --grid n=4 --seeds 2 --out /tmp/repro-report-sweep.json
-	$(PYTHON) -m repro.cli ingest BENCH_crypto.json BENCH_network.json BENCH_throughput.json \
-		/tmp/repro-report-sweep.json --db /tmp/repro-warehouse.sqlite
-	$(PYTHON) -m repro.cli ingest BENCH_crypto.json --db /tmp/repro-warehouse.sqlite \
+	$(PYTHON) -m repro.cli ingest /tmp/repro-report-sweep.json --db /tmp/repro-warehouse.sqlite
+	$(PYTHON) -m repro.cli ingest /tmp/repro-report-sweep.json --db /tmp/repro-warehouse.sqlite \
 		| grep -q "| 0 *$$"
-	$(PYTHON) -m repro.cli report trajectory --db /tmp/repro-warehouse.sqlite \
-		--bench throughput --metric knee_shift --limit 5
-	$(PYTHON) -m repro.cli report regressions --db /tmp/repro-warehouse.sqlite \
-		--against-stored --bench throughput --metric closed_loop.prft.blocks_per_sec
 	$(PYTHON) -m repro.cli report campaign --db /tmp/repro-warehouse.sqlite
 
 # Bounded-budget fuzzer gate: the seeded property tests (marker
@@ -179,12 +172,12 @@ bench:
 # One untimed pass over every bench_*.py study.  REPRO_BENCH_SMOKE
 # shrinks the size knobs and relaxes the wall-clock assertions of the
 # studies that expose them; only their correctness assertions fail it.
-# Run by CI's bench-smoke job, which uploads the appended BENCH_*.json
-# entries as history.
+# Each study prints its table (-s), so CI's bench-smoke job log shows
+# the numbers; nothing is written.
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 REPRO_BENCH_NO_SPEEDUP_ASSERT=1 \
 		$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/bench_soak.py \
-		--benchmark-disable -q
+		--benchmark-disable -q -s
 
 bench-scaling:
 	$(PYTHON) -m pytest benchmarks/bench_sweep_scaling.py --benchmark-only -s
@@ -192,13 +185,13 @@ bench-scaling:
 # Bounded-memory soak (E20): one million Poisson submissions per
 # protocol through a single retention-enabled Deployment over a
 # two-region RegionalDelay matrix, gated on a tracemalloc heap peak
-# that must stay sub-linear in the event count.  Appends to
-# BENCH_throughput.json.
+# that must stay sub-linear in the event count.  Prints its table;
+# nothing is written.
 bench-soak:
 	$(PYTHON) -m pytest benchmarks/bench_soak.py --benchmark-only -s
 
-# The soak gates at a tenth the scale (10^5 tx per protocol), untimed;
-# run by the informational CI bench job.  Excluded from the
+# The soak gates at a tenth the scale (10^5 tx per protocol), untimed,
+# table printed; run by CI's bench-smoke job.  Excluded from the
 # bench-smoke glob above so CI never pays for it twice.
 soak-smoke:
 	REPRO_BENCH_SMOKE=1 \

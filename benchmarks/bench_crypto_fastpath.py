@@ -1,7 +1,7 @@
 """E15 — crypto fast path: verdict stamps, quorum memo and backend speedups.
 
-Runs the same n=16 pRFT deployment three ways and records the wall
-times in ``BENCH_crypto.json``:
+Runs the same n=16 pRFT deployment three ways and prints the wall
+times:
 
 - **no-cache** — ``crypto_cache_size=0``, the reference path: every
   signature check re-serialises the signed tuple and re-derives the
@@ -30,7 +30,6 @@ from repro.analysis.report import render_table
 from repro.experiments import get_scenario
 from repro.experiments.results import RunRecord
 
-from benchmarks.bench_results import record_bench
 from benchmarks.helpers import once, smoke_mode
 
 N = 8 if smoke_mode() else 16
@@ -96,18 +95,6 @@ def test_crypto_fastpath_speedup(benchmark):
     ]
     print()
     print(render_table(["quantity", "value"], rows, title="E15: crypto fast path"))
-
-    path = record_bench(
-        "crypto",
-        {
-            "workload": {"protocol": "prft", "n": N, "rounds": ROUNDS, "seed": SEED},
-            "seconds": {name: round(value, 6) for name, value in times.items()},
-            "speedup_cached_vs_nocache": round(speedup, 3),
-            "cache": counts,
-            "records_byte_identical": canonical["cached"] == canonical["no-cache"],
-        },
-    )
-    print(f"trajectory appended to {path}")
 
     strict = os.environ.get("REPRO_BENCH_NO_SPEEDUP_ASSERT") != "1" and not smoke_mode()
     if strict:

@@ -18,9 +18,9 @@ Gates (``tracemalloc`` measures the Python-heap peak per run):
 - memory is sub-linear in the event count: a 10× larger pRFT run may
   cost at most half the 10× in peak heap.
 
-Results land in ``BENCH_throughput.json`` next to the E17 trajectory.
-Smoke mode (``REPRO_BENCH_SMOKE=1``, ``make soak-smoke``) shrinks the
-target to 10⁵ transactions per protocol; every gate still holds.
+The table is printed, not stored.  Smoke mode (``REPRO_BENCH_SMOKE=1``,
+``make soak-smoke``) shrinks the target to 10⁵ transactions per
+protocol; every gate still holds.
 """
 
 import time
@@ -31,7 +31,6 @@ from repro.analysis.report import render_table
 from repro.experiments import Scenario
 from repro.ledger.validation import chains_agree
 
-from benchmarks.bench_results import record_bench
 from benchmarks.helpers import once, smoke_mode
 
 #: soak target per protocol; smoke keeps the same shape at a tenth the
@@ -136,9 +135,6 @@ def test_soak(benchmark):
         rows,
         title=f"E20: soak ({measured['txs']} tx/protocol)",
     ))
-
-    path = record_bench("throughput", measured)
-    print(f"trajectory appended to {path}")
 
     # Correctness and memory gates — these hold in smoke mode too.
     for protocol, info in measured["soak"].items():

@@ -9,9 +9,9 @@ Subcommands::
     repro search campaign [...]           # guided, checkpointed fuzz campaign
     repro check-catalog                   # trace oracle over every catalog entry
     repro list-scenarios                  # the registered catalog
-    repro ingest [FILE...]                # load BENCH_*.json / sweep or fuzz JSON
-                                          # into the SQLite results warehouse
-    repro report trajectory|regressions|campaign  # query the warehouse
+    repro ingest FILE...                  # load sweep or fuzz JSON into the
+                                          # SQLite results warehouse
+    repro report campaign                 # violation triage over the warehouse
 
 Examples::
 
@@ -30,10 +30,7 @@ Examples::
     repro search campaign --budget 200 --db warehouse.sqlite --jobs 8
     repro check-catalog
     repro list-scenarios
-    repro ingest BENCH_throughput.json results.json --db warehouse.sqlite
-    repro report trajectory --db warehouse.sqlite --bench throughput --metric knee_shift
-    repro report regressions --db warehouse.sqlite --against-stored \
-        --bench throughput --metric closed_loop.prft.blocks_per_sec
+    repro ingest results.json fuzz-report.json --db warehouse.sqlite
     repro report campaign --db warehouse.sqlite
 
 ``run`` resolves its positional — any catalog name, or a scenario /
@@ -398,13 +395,10 @@ def build_cli_parser() -> argparse.ArgumentParser:
 
     ingest_parser = subparsers.add_parser(
         "ingest",
-        help="load BENCH_*.json trajectories and sweep/fuzz JSON record "
-             "files into the SQLite results warehouse",
+        help="load sweep/fuzz JSON record files into the SQLite results warehouse",
     )
     ingest_parser.add_argument(
-        "files", nargs="*", metavar="FILE",
-        help="files to ingest (default: every BENCH_*.json in the "
-             "current directory)",
+        "files", nargs="+", metavar="FILE", help="sweep/fuzz JSON files to ingest"
     )
     ingest_parser.add_argument(
         "--db", default="warehouse.sqlite",
@@ -416,60 +410,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
         "report", help="query the results warehouse"
     )
     report_sub = report_parser.add_subparsers(dest="report_command", required=True)
-
-    trajectory_parser = report_sub.add_parser(
-        "trajectory",
-        help="per-commit performance trajectory of stored bench metrics",
-    )
-    trajectory_parser.add_argument("--db", default="warehouse.sqlite")
-    trajectory_parser.add_argument(
-        "--bench", default=None, help="restrict to one bench (crypto/network/throughput)"
-    )
-    trajectory_parser.add_argument(
-        "--metric", default=None,
-        help="a flattened metric path, e.g. closed_loop.prft.blocks_per_sec "
-             "(one of --bench / --metric is required)",
-    )
-    trajectory_parser.add_argument(
-        "--limit", type=int, default=12,
-        help="newest points shown per (metric, smoke class); 0 = all",
-    )
-    trajectory_parser.set_defaults(func=cmd_report_trajectory)
-
-    regressions_parser = report_sub.add_parser(
-        "regressions",
-        help="regression check of named metrics: fresh entries vs the "
-             "stored trajectory median, or a diff between two commits",
-    )
-    regressions_parser.add_argument("--db", default="warehouse.sqlite")
-    regressions_parser.add_argument(
-        "--against-stored", action="store_true",
-        help="compare the freshest point of each --metric (per smoke "
-             "class) against the median of its stored history; exit 1 on "
-             "any regression beyond --fail-over",
-    )
-    regressions_parser.add_argument(
-        "--fail-over", type=float, default=15.0, metavar="PCT",
-        help="regression tolerance in percent (default: %(default)s)",
-    )
-    regressions_parser.add_argument(
-        "--baseline", default=None, metavar="COMMIT",
-        help="diff mode: baseline commit (short sha, as stored)",
-    )
-    regressions_parser.add_argument(
-        "--candidate", default=None, metavar="COMMIT",
-        help="diff mode: candidate commit to compare against --baseline",
-    )
-    regressions_parser.add_argument(
-        "--metric", action="append", default=[], metavar="NAME[:higher|lower]",
-        help="a metric to compare (repeatable; needs --bench, required "
-             "with --against-stored); direction suffix says which way is "
-             "better (default higher)",
-    )
-    regressions_parser.add_argument(
-        "--bench", default=None, help="restrict --metric / diff mode to one bench"
-    )
-    regressions_parser.set_defaults(func=cmd_report_regressions)
 
     campaign_parser = report_sub.add_parser(
         "campaign",
@@ -884,152 +824,26 @@ def cmd_list_scenarios(args: argparse.Namespace) -> int:
 # Warehouse subcommands: ingest and report
 # ----------------------------------------------------------------------
 def cmd_ingest(args: argparse.Namespace) -> int:
-    import glob
-
     from repro.experiments.warehouse import Warehouse
 
-    files = list(args.files) or sorted(glob.glob("BENCH_*.json"))
-    if not files:
-        raise SystemExit(
-            "nothing to ingest: pass files, or run from a directory with BENCH_*.json"
-        )
     rows = []
     with Warehouse(args.db) as store:
-        for path in files:
+        for path in args.files:
             if not os.path.exists(path):
                 raise SystemExit(f"ingest: {path!r} does not exist")
             try:
                 outcome = store.ingest_file(path)
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as error:
+            except (ValueError, KeyError, TypeError) as error:
                 raise SystemExit(f"ingest: {path}: {error}")
-            rows.append([outcome.path, outcome.kind, outcome.seen, outcome.added])
-        runs, benches = store.run_count(), store.bench_count()
+            rows.append([outcome.path, outcome.seen, outcome.added])
+        runs = store.run_count()
     print(render_table(
-        ["file", "kind", "entries", "new rows"],
+        ["file", "records", "new rows"],
         rows,
         title=f"ingest -> {args.db}",
     ))
-    print(f"warehouse now holds {runs} run record(s), {benches} bench entr(y/ies)")
+    print(f"warehouse now holds {runs} run record(s)")
     return 0
-
-
-def _parse_metric_specs(specs: Sequence[str], bench: Optional[str]) -> List[tuple]:
-    """``NAME[:higher|lower]`` flags into (bench, metric, direction)."""
-    gates = []
-    for spec in specs:
-        name, separator, direction = spec.partition(":")
-        if separator and direction not in ("higher", "lower"):
-            raise SystemExit(
-                f"bad --metric spec {spec!r}; expected NAME[:higher|lower]"
-            )
-        if bench is None:
-            raise SystemExit("--metric needs --bench to scope the metric")
-        gates.append((bench, name, direction or "higher"))
-    return gates
-
-
-def cmd_report_trajectory(args: argparse.Namespace) -> int:
-    from repro.experiments.warehouse import Warehouse
-
-    if args.bench is None and args.metric is None:
-        raise SystemExit("report trajectory: name what to chart with --bench and/or --metric")
-    with Warehouse(args.db) as store:
-        points = store.perf_trajectory(bench=args.bench, metric=args.metric)
-    if args.limit:
-        by_series: Dict[tuple, List[Any]] = {}
-        for point in points:
-            by_series.setdefault((point.bench, point.metric, point.smoke), []).append(point)
-        points = [
-            point
-            for series in by_series.values()
-            for point in series[-args.limit:]
-        ]
-    rows = [
-        [p.bench, p.metric, p.commit or "-", p.timestamp or "-",
-         "smoke" if p.smoke else "full", p.value]
-        for p in points
-    ]
-    print(render_table(
-        ["bench", "metric", "commit", "timestamp", "class", "value"],
-        rows,
-        title=f"perf trajectory ({args.db}): {len(rows)} point(s)",
-    ))
-    if not rows:
-        print("no stored points match; ingest BENCH_*.json first or check the names")
-    return 0
-
-
-def _print_findings(findings: Sequence[Any], title: str) -> int:
-    rows = [
-        [
-            finding.bench,
-            finding.metric,
-            "smoke" if finding.smoke else "full",
-            finding.direction,
-            round(finding.baseline, 4),
-            round(finding.fresh, 4),
-            f"{finding.change_pct:+.1f}%",
-            "REGRESSED" if finding.regressed else "ok",
-        ]
-        for finding in findings
-    ]
-    print(render_table(
-        ["bench", "metric", "class", "better", "baseline", "fresh", "change", "verdict"],
-        rows,
-        title=title,
-    ))
-    regressed = [finding for finding in findings if finding.regressed]
-    for finding in regressed:
-        print(
-            f"regression: {finding.bench}:{finding.metric} "
-            f"[{'smoke' if finding.smoke else 'full'}] {finding.change_pct:+.1f}% "
-            f"vs stored baseline {finding.baseline:.4f} "
-            f"({finding.points} point(s) of history)"
-        )
-    return 1 if regressed else 0
-
-
-def cmd_report_regressions(args: argparse.Namespace) -> int:
-    from repro.experiments.warehouse import Warehouse
-
-    gates = _parse_metric_specs(args.metric, args.bench) or None
-    diff_mode = args.baseline is not None or args.candidate is not None
-    if diff_mode and (args.baseline is None or args.candidate is None):
-        raise SystemExit("diff mode needs both --baseline and --candidate")
-    if diff_mode and args.against_stored:
-        raise SystemExit("pass either --against-stored or --baseline/--candidate, not both")
-    if not diff_mode and not args.against_stored:
-        raise SystemExit(
-            "pick a mode: --against-stored or --baseline/--candidate (diff)"
-        )
-    if args.against_stored and gates is None:
-        raise SystemExit("--against-stored needs the metrics to compare: --bench B --metric NAME")
-    with Warehouse(args.db) as store:
-        if args.against_stored:
-            findings = store.regressions_against_stored(gates, fail_over_pct=args.fail_over)
-            title = (
-                f"regressions ({args.db}): fresh vs stored median, "
-                f"tolerance {args.fail_over:g}%"
-            )
-        else:
-            findings = store.regression_between(
-                args.baseline,
-                args.candidate,
-                bench=args.bench,
-                fail_over_pct=args.fail_over,
-                gates=gates,
-            )
-            title = (
-                f"regression diff ({args.db}): {args.baseline} -> {args.candidate}, "
-                f"tolerance {args.fail_over:g}%"
-            )
-    status = _print_findings(findings, title)
-    if not findings:
-        print(
-            "no comparable history (need >= 2 stored points per named metric "
-            "and smoke class)"
-        )
-    return status
 
 
 def cmd_report_campaign(args: argparse.Namespace) -> int:

@@ -6,8 +6,8 @@ The modules layer as::
     sweep     — grid expansion and serial / multiprocess execution
     results   — flat RunRecord rows, JSON/CSV i/o, aggregation
     fuzz      — seeded scenario generation, oracle checks, shrinking
-    warehouse — SQLite store over records + bench trajectories, with
-                trajectory/regression/triage queries (`repro report`)
+    warehouse — SQLite store over run records, with axis and
+                campaign-triage queries (`repro report campaign`)
 
 Typical use::
 
@@ -42,8 +42,6 @@ from repro.experiments.results import (
 from repro.experiments.warehouse import (
     CampaignSummary,
     IngestReport,
-    RegressionFinding,
-    TrajectoryPoint,
     Warehouse,
 )
 from repro.experiments.sweep import (
@@ -74,8 +72,6 @@ __all__ = [
     "write_json",
     "CampaignSummary",
     "IngestReport",
-    "RegressionFinding",
-    "TrajectoryPoint",
     "Warehouse",
     "SweepJob",
     "SweepResult",

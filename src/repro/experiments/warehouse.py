@@ -1,37 +1,34 @@
-"""SQLite results warehouse: every run and bench measurement, queryable.
+"""SQLite results warehouse: every run record, queryable.
 
-The repository's empirical outputs land in two append-only shapes —
-``BENCH_*.json`` trajectory files written by
-:mod:`benchmarks.bench_results`, and :class:`RunRecord` JSON dumps
-written by sweeps and fuzz campaigns (the CSV a sweep can also write
-is an export only: a lossy copy of the same records, never read
-back).  At soak/fleet scale neither is queryable, so this module
-layers schema → loader → query API over one SQLite file (the
-ingestion-pipeline idiom ROADMAP.md borrows from the related repos):
+Sweeps and fuzz campaigns write :class:`RunRecord` JSON dumps (the CSV
+a sweep can also write is an export only: a lossy copy of the same
+records, never read back).  At fleet scale a pile of dumps is not
+queryable, so this module layers schema → loader → query API over one
+SQLite file:
 
 - **Schema** — ``runs`` holds one row per canonical
   :class:`RunRecord` (verdict booleans and throughput scalars are
   real columns; the exact canonical JSON rides along so nothing is
   lossy), with ``run_params`` / ``run_violations`` side tables for
-  per-axis and per-checker queries.  ``bench_entries`` holds one row
-  per ``BENCH_*.json`` entry with its provenance (commit, python,
-  smoke), and ``bench_metrics`` flattens every numeric leaf to a
-  dotted path (``closed_loop.prft.blocks_per_sec``) for trajectory
-  queries.
-- **Loader** — :meth:`Warehouse.ingest_file` dispatches on shape
-  (bench trajectory list, sweep/fuzz record payload).  Every row is
-  keyed by a content fingerprint and inserted with ``INSERT OR
-  IGNORE``, so re-ingesting a file changes no rows.
-- **Query API** — typed results for the questions triage asks: perf
-  trajectory by commit, regression of the freshest entry of named
-  metrics against their stored trajectory median, regression diff
-  between two commits, per-axis aggregates over runs, and violation
-  triage for fuzz campaigns.
+  per-axis and per-checker queries, and ``campaign_cursors`` holds
+  the position of each resumable fuzz/search campaign.
+- **Loader** — :meth:`Warehouse.ingest_file` reads a sweep/fuzz JSON
+  (any payload with a ``records`` list).  Every row is keyed by a
+  content fingerprint and inserted with ``INSERT OR IGNORE``, so
+  re-ingesting a file changes no rows.
+- **Query API** — typed results for the questions triage asks:
+  per-axis aggregates over runs, violation triage for fuzz campaigns,
+  and the near-miss buckets that order a guided campaign.
+
+Measured numbers are not stored here: one that is a pure function of
+(code, seed) is a ``CLAIMS`` row or a tier-1 pin, and host time is
+measured by ``perf/``.  A database written before that split keeps its
+measurement tables; nothing reads them.
 
 Opt-in auto-persist: when the ``REPRO_WAREHOUSE`` environment variable
-names a database path, ``Scenario.run``, the sweep/fuzz workers and
-``bench_results.record_bench`` mirror their outputs into it via the
-``maybe_persist_*`` helpers here (failures warn, never break a run).
+names a database path, ``Scenario.run`` and the sweep/fuzz workers
+mirror their records into it via the ``maybe_persist_*`` helpers here
+(failures warn, never break a run).
 """
 
 from __future__ import annotations
@@ -39,24 +36,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import sqlite3
 import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from statistics import median
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.results import RunRecord
 
@@ -65,9 +50,7 @@ SCHEMA_VERSION = 1
 DEFAULT_DB = "warehouse.sqlite"
 
 ENV_VAR = "REPRO_WAREHOUSE"
-"""Set to a database path to mirror runs/bench entries as they happen."""
-
-_BENCH_FILE = re.compile(r"^BENCH_(?P<name>[A-Za-z0-9_-]+)\.json$")
+"""Set to a database path to mirror runs as they happen."""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS warehouse_meta (
@@ -129,26 +112,6 @@ CREATE TABLE IF NOT EXISTS campaign_cursors (
     order_json  TEXT NOT NULL,
     updated_at  TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS bench_entries (
-    id          INTEGER PRIMARY KEY,
-    fingerprint TEXT NOT NULL UNIQUE,
-    bench       TEXT NOT NULL,
-    timestamp   TEXT,
-    commit_sha  TEXT,
-    python      TEXT,
-    smoke       INTEGER NOT NULL,
-    entry_json  TEXT NOT NULL,
-    source      TEXT,
-    ingested_at TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_bench_entries ON bench_entries(bench, timestamp);
-CREATE TABLE IF NOT EXISTS bench_metrics (
-    entry_id INTEGER NOT NULL REFERENCES bench_entries(id) ON DELETE CASCADE,
-    metric   TEXT NOT NULL,
-    value    REAL NOT NULL,
-    PRIMARY KEY (entry_id, metric)
-);
-CREATE INDEX IF NOT EXISTS idx_bench_metrics ON bench_metrics(metric);
 """
 
 
@@ -161,28 +124,6 @@ def _fingerprint(payload: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def flatten_metrics(entry: Mapping[str, Any]) -> Dict[str, float]:
-    """Numeric leaves of a bench entry as dotted-path → value.
-
-    Provenance keys stamped by ``record_bench`` are skipped (they are
-    real columns); bools and lists are not metrics.
-    """
-    skip = {"timestamp", "commit", "python", "smoke"}
-    out: Dict[str, float] = {}
-
-    def walk(prefix: str, node: Any) -> None:
-        if isinstance(node, Mapping):
-            for key, value in node.items():
-                if not prefix and key in skip:
-                    continue
-                walk(f"{prefix}.{key}" if prefix else str(key), value)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            out[prefix] = float(node)
-
-    walk("", entry)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Typed query results
 # ----------------------------------------------------------------------
@@ -191,37 +132,8 @@ class IngestReport:
     """What one :meth:`Warehouse.ingest_file` call did."""
 
     path: str
-    kind: str  # "bench" | "records-json"
     added: int
     seen: int
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One bench measurement of one metric, in trajectory order."""
-
-    bench: str
-    metric: str
-    commit: Optional[str]
-    timestamp: Optional[str]
-    python: Optional[str]
-    smoke: bool
-    value: float
-
-
-@dataclass(frozen=True)
-class RegressionFinding:
-    """One gated metric's fresh value against its baseline."""
-
-    bench: str
-    metric: str
-    direction: str  # "higher" | "lower" (which way is better)
-    smoke: bool
-    baseline: float  # stored-trajectory median (or baseline-commit median)
-    fresh: float
-    change_pct: float  # signed, relative to baseline
-    regressed: bool
-    points: int  # trajectory points behind the baseline
 
 
 @dataclass(frozen=True)
@@ -418,80 +330,26 @@ class Warehouse:
                     )
         return added
 
-    # -- ingest: bench trajectories ------------------------------------
-    def ingest_bench(
-        self,
-        bench: str,
-        entries: Sequence[Mapping[str, Any]],
-        source: Optional[str] = None,
-    ) -> int:
-        """Store bench-trajectory entries; returns how many were new."""
-        added = 0
-        now = _utcnow()
-        with self._conn:
-            for entry in entries:
-                if not isinstance(entry, Mapping):
-                    continue
-                fingerprint = _fingerprint({"bench": bench, "entry": dict(entry)})
-                cursor = self._conn.execute(
-                    """
-                    INSERT OR IGNORE INTO bench_entries (
-                        fingerprint, bench, timestamp, commit_sha, python,
-                        smoke, entry_json, source, ingested_at
-                    ) VALUES (?,?,?,?,?,?,?,?,?)
-                    """,
-                    (
-                        fingerprint,
-                        bench,
-                        entry.get("timestamp"),
-                        entry.get("commit"),
-                        entry.get("python"),
-                        int(bool(entry.get("smoke"))),
-                        json.dumps(dict(entry), sort_keys=True),
-                        source,
-                        now,
-                    ),
-                )
-                if not cursor.rowcount:
-                    continue
-                added += 1
-                entry_id = cursor.lastrowid
-                for metric, value in flatten_metrics(entry).items():
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO bench_metrics(entry_id, metric, value)"
-                        " VALUES (?,?,?)",
-                        (entry_id, metric, value),
-                    )
-        return added
-
-    # -- ingest: file dispatch -----------------------------------------
+    # -- ingest: a records file --------------------------------------
     def ingest_file(self, path: str) -> IngestReport:
-        """Load one file by shape: a ``BENCH_<name>.json`` trajectory or
-        a sweep/fuzz JSON (any payload with a ``records`` list)."""
-        name = os.path.basename(path)
-        expected = "expected a BENCH_*.json list or a sweep/fuzz JSON with a 'records' list"
+        """Load one sweep/fuzz JSON (any payload with a ``records``
+        list).  A ``ValueError`` for any other shape does not name the
+        file; the caller knows which one it passed."""
+        expected = "expected a sweep/fuzz JSON with a 'records' list"
         try:
             with open(path) as handle:
                 payload = json.load(handle)
         except ValueError as error:  # not JSON at all: a CSV export, say
-            raise ValueError(f"{path}: unrecognised shape ({expected}; {error})") from None
-        if isinstance(payload, list):
-            match = _BENCH_FILE.match(name)
-            bench = match.group("name") if match else Path(name).stem
-            added = self.ingest_bench(bench, payload, source=name)
-            return IngestReport(path=path, kind="bench", added=added, seen=len(payload))
-        if isinstance(payload, Mapping) and isinstance(payload.get("records"), list):
-            records = [RunRecord.from_dict(entry) for entry in payload["records"]]
-            added = self.ingest_records(records, source=name)
-            return IngestReport(path=path, kind="records-json", added=added, seen=len(records))
-        raise ValueError(f"{path}: unrecognised shape ({expected})")
+            raise ValueError(f"unrecognised shape ({expected}; {error})") from None
+        if not (isinstance(payload, dict) and isinstance(payload.get("records"), list)):
+            raise ValueError(f"unrecognised shape ({expected})")
+        records = [RunRecord.from_dict(entry) for entry in payload["records"]]
+        added = self.ingest_records(records, source=os.path.basename(path))
+        return IngestReport(path=path, added=added, seen=len(records))
 
     # -- counts ---------------------------------------------------------
     def run_count(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-
-    def bench_count(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM bench_entries").fetchone()[0]
 
     # -- queries: runs --------------------------------------------------
     def canonical_records(
@@ -685,178 +543,6 @@ class Warehouse:
                 (campaign_id,),
             )
 
-    # -- queries: bench trajectories -----------------------------------
-    def metrics(self, bench: Optional[str] = None) -> List[str]:
-        """Every flattened metric name stored (optionally one bench's)."""
-        if bench is None:
-            rows = self._conn.execute(
-                "SELECT DISTINCT metric FROM bench_metrics ORDER BY metric"
-            )
-        else:
-            rows = self._conn.execute(
-                """
-                SELECT DISTINCT m.metric FROM bench_metrics m
-                JOIN bench_entries e ON e.id = m.entry_id
-                WHERE e.bench = ? ORDER BY m.metric
-                """,
-                (bench,),
-            )
-        return [row["metric"] for row in rows]
-
-    def perf_trajectory(
-        self,
-        bench: Optional[str] = None,
-        metric: Optional[str] = None,
-        smoke: Optional[bool] = None,
-    ) -> List[TrajectoryPoint]:
-        """Measurements in trajectory (timestamp, then insertion) order."""
-        query = """
-            SELECT e.bench, m.metric, e.commit_sha, e.timestamp, e.python,
-                   e.smoke, m.value
-            FROM bench_metrics m JOIN bench_entries e ON e.id = m.entry_id
-        """
-        clauses, args = [], []
-        if bench is not None:
-            clauses.append("e.bench = ?")
-            args.append(bench)
-        if metric is not None:
-            clauses.append("m.metric = ?")
-            args.append(metric)
-        if smoke is not None:
-            clauses.append("e.smoke = ?")
-            args.append(int(smoke))
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY e.bench, m.metric, e.timestamp, e.id"
-        return [
-            TrajectoryPoint(
-                bench=row["bench"],
-                metric=row["metric"],
-                commit=row["commit_sha"],
-                timestamp=row["timestamp"],
-                python=row["python"],
-                smoke=bool(row["smoke"]),
-                value=row["value"],
-            )
-            for row in self._conn.execute(query, args)
-        ]
-
-    def regressions_against_stored(
-        self,
-        gates: Sequence[Tuple[str, str, str]],
-        fail_over_pct: float = 15.0,
-    ) -> List[RegressionFinding]:
-        """The freshest point of each named ``(bench, metric,
-        better-direction)`` gate, per smoke class, against the median of
-        its stored predecessors in the same class.
-
-        There is no default metric set: an empty ``gates`` is an error,
-        never a vacuous pass.  Classes with fewer than two points (no
-        history yet) and zero baselines produce no finding; a finding
-        is a regression when the fresh value is worse than the baseline,
-        in the metric's better-direction, by more than ``fail_over_pct``
-        percent.
-        """
-        if not gates:
-            raise ValueError("name at least one (bench, metric, direction) to compare")
-        findings: List[RegressionFinding] = []
-        for bench, metric, direction in gates:
-            for smoke in (False, True):
-                points = self.perf_trajectory(bench=bench, metric=metric, smoke=smoke)
-                if len(points) < 2:
-                    continue
-                baseline = median(point.value for point in points[:-1])
-                fresh = points[-1]
-                if baseline == 0:
-                    continue
-                change_pct = (fresh.value - baseline) / abs(baseline) * 100.0
-                worsened = -change_pct if direction == "higher" else change_pct
-                findings.append(
-                    RegressionFinding(
-                        bench=bench,
-                        metric=metric,
-                        direction=direction,
-                        smoke=smoke,
-                        baseline=baseline,
-                        fresh=fresh.value,
-                        change_pct=change_pct,
-                        regressed=worsened > fail_over_pct,
-                        points=len(points) - 1,
-                    )
-                )
-        return findings
-
-    def regression_between(
-        self,
-        baseline_commit: str,
-        candidate_commit: str,
-        bench: Optional[str] = None,
-        fail_over_pct: float = 15.0,
-        gates: Optional[Sequence[Tuple[str, str, str]]] = None,
-    ) -> List[RegressionFinding]:
-        """Per-metric diff between two commits' stored measurements.
-
-        Each commit's value is the median of its points per smoke
-        class; metrics present for both commits in the same class
-        produce a finding.  Without explicit ``gates``, every stored
-        metric (of ``bench``, if named) is compared, read
-        higher-is-better except ``*latency*``/``*seconds*``/
-        ``*backlog*``/``*mib*`` names, which read lower-is-better.
-        """
-        if gates is None:
-            gate_list = [
-                (b, m, _default_direction(m))
-                for b in ([bench] if bench else self._benches())
-                for m in self.metrics(bench=b)
-            ]
-        else:
-            gate_list = list(gates)
-        findings: List[RegressionFinding] = []
-        for bench_name, metric, direction in gate_list:
-            for smoke in (False, True):
-                points = self.perf_trajectory(
-                    bench=bench_name, metric=metric, smoke=smoke
-                )
-                base = [p.value for p in points if p.commit == baseline_commit]
-                cand = [p.value for p in points if p.commit == candidate_commit]
-                if not base or not cand:
-                    continue
-                baseline = median(base)
-                fresh = median(cand)
-                if baseline == 0:
-                    continue
-                change_pct = (fresh - baseline) / abs(baseline) * 100.0
-                worsened = -change_pct if direction == "higher" else change_pct
-                findings.append(
-                    RegressionFinding(
-                        bench=bench_name,
-                        metric=metric,
-                        direction=direction,
-                        smoke=smoke,
-                        baseline=baseline,
-                        fresh=fresh,
-                        change_pct=change_pct,
-                        regressed=worsened > fail_over_pct,
-                        points=len(base),
-                    )
-                )
-        return findings
-
-    def _benches(self) -> List[str]:
-        return [
-            row["bench"]
-            for row in self._conn.execute(
-                "SELECT DISTINCT bench FROM bench_entries ORDER BY bench"
-            )
-        ]
-
-
-def _default_direction(metric: str) -> str:
-    lowered = metric.lower()
-    if any(hint in lowered for hint in ("latency", "seconds", "backlog", "mib")):
-        return "lower"
-    return "higher"
-
 
 # ----------------------------------------------------------------------
 # Opt-in auto-persist (REPRO_WAREHOUSE)
@@ -917,7 +603,3 @@ def maybe_persist_result(scenario: Any, seed: int, result: Any) -> None:
     record = RunRecord.from_result(scenario, seed=seed, result=result)
     maybe_persist_records([record], source="scenario.run")
 
-
-def maybe_persist_bench(bench: str, entry: Mapping[str, Any]) -> None:
-    """The ``record_bench`` hook: mirror one bench entry."""
-    _persist(lambda store: store.ingest_bench(bench, [entry], source="record_bench"))

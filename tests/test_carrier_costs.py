@@ -193,6 +193,11 @@ class ModelTrace:
         events = self.of_kind.get(kind, [])
         return events if self.window is None else events[-self.window:]
 
+    def kept_count(self, kind):
+        """``len(self.kept(kind))`` without the slice."""
+        lifetime = len(self.of_kind.get(kind, ()))
+        return lifetime if self.window is None else min(lifetime, self.window)
+
     def retained(self):
         """Every kind's newest ``window`` events, in record order."""
         window = self.window or len(self.history)
@@ -205,12 +210,12 @@ class ModelTrace:
 def _assert_lifetime(trace, model):
     assert len(trace) == len(model.history)
     for kind in "abcz":
-        lifetime, kept = model.of_kind.get(kind, []), model.kept(kind)
+        lifetime, kept = model.of_kind.get(kind, []), model.kept_count(kind)
         assert trace.count(kind) == len(lifetime)
         assert trace.last(kind) == (lifetime[-1] if lifetime else None)
-        assert trace.dropped(kind) == len(lifetime) - len(kept)
-        assert trace.truncated(kind) == (len(lifetime) > len(kept))
-    dropped = sum(len(events) - len(model.kept(kind)) for kind, events in model.of_kind.items())
+        assert trace.dropped(kind) == len(lifetime) - kept
+        assert trace.truncated(kind) == (len(lifetime) > kept)
+    dropped = sum(len(events) - model.kept_count(kind) for kind, events in model.of_kind.items())
     assert trace.dropped() == dropped
     assert trace.truncated() == (dropped > 0)
 

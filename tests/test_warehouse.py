@@ -3,17 +3,16 @@
 Byte-stable ``to_dict → from_dict → to_dict`` across every
 optional-field combination, the tri-state ``censorship_resistance``
 cell of the CSV export, the schema-version-tolerant ``aggregate()``,
-corrupt-trajectory quarantine in ``bench_results``, and the SQLite
-warehouse — idempotent ingest of BENCH trajectories and sweep JSON (a
-CSV export is refused), exact canonical records back out,
-trajectory/regression/axis/campaign queries over named metrics.
+and the SQLite warehouse — idempotent ingest of sweep JSON (a CSV
+export or any other shape is refused), additive migration of an older
+schema, exact canonical records back out, axis/campaign/near-miss
+queries, campaign cursors, ``repro ingest`` / ``repro report
+campaign`` through the CLI, and the ``REPRO_WAREHOUSE`` auto-persist.
 """
 
-import copy
 import json
+import re
 import sqlite3
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,24 +26,10 @@ from repro.experiments.results import (
 from repro.experiments.sweep import run_job, run_sweep, expand_grid
 from repro.experiments.warehouse import (
     Warehouse,
-    flatten_metrics,
+    auto_db_path,
     maybe_persist_records,
+    suppressed_run_autopersist,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_FILES = sorted(REPO_ROOT.glob("BENCH_*.json"))
-
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-import bench_results  # noqa: E402  (repo-root benchmarks/ module)
-
-#: The deterministic throughput metrics the checked-in history carries.
-THROUGHPUT_GATES = [
-    ("throughput", f"closed_loop.{protocol}.blocks_per_sec", "higher")
-    for protocol in ("prft", "pbft", "hotstuff")
-] + [("throughput", "knee_shift", "higher")]
-THROUGHPUT_METRIC_ARGS = [
-    "--bench", "throughput", "--metric", "closed_loop.prft.blocks_per_sec",
-]
 
 
 def make_record(**overrides):
@@ -163,56 +148,17 @@ class TestAggregateSchemaTolerance:
         assert "max_peak_backlog" not in summary
 
 
-class TestCorruptTrajectoryQuarantine:
-    def test_sidecar_backup_and_warning(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(bench_results, "REPO_ROOT", tmp_path)
-        path = bench_results.bench_path("demo")
-        path.write_text('[{"x": 1},')  # truncated JSON
-        with pytest.warns(RuntimeWarning, match="history preserved"):
-            assert bench_results.load_trajectory("demo") == []
-        sidecar = tmp_path / "BENCH_demo.json.corrupt"
-        assert sidecar.read_text() == '[{"x": 1},'
-        # The next record_bench starts fresh but the history survives.
-        with pytest.warns(RuntimeWarning):
-            bench_results.record_bench("demo", {"x": 2})
-        assert len(bench_results.load_trajectory("demo")) == 1
-        assert sidecar.exists()
-
-    def test_first_backup_kept_on_repeat(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(bench_results, "REPO_ROOT", tmp_path)
-        path = bench_results.bench_path("demo")
-        sidecar = tmp_path / "BENCH_demo.json.corrupt"
-        path.write_text("[1,")
-        with pytest.warns(RuntimeWarning):
-            bench_results.load_trajectory("demo")
-        path.write_text("[2,")
-        with pytest.warns(RuntimeWarning):
-            bench_results.load_trajectory("demo")
-        assert sidecar.read_text() == "[1,"  # most complete copy wins
-
-    def test_non_list_payload_quarantined(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(bench_results, "REPO_ROOT", tmp_path)
-        bench_results.bench_path("demo").write_text('{"a": 1}')
-        with pytest.warns(RuntimeWarning, match="expected a JSON list"):
-            assert bench_results.load_trajectory("demo") == []
-        assert (tmp_path / "BENCH_demo.json.corrupt").exists()
-
-
 class TestWarehouseIngest:
-    def test_checked_in_bench_files_ingest_idempotently(self, tmp_path):
-        assert len(BENCH_FILES) >= 3, "expected the three checked-in BENCH files"
+    def test_records_file_reingests_idempotently(self, tmp_path):
+        path = tmp_path / "records.json"
+        records = [make_record(seed=seed) for seed in range(3)]
+        write_json(str(path), records)
         with Warehouse(str(tmp_path / "wh.sqlite")) as store:
-            total = 0
-            for path in BENCH_FILES:
-                outcome = store.ingest_file(str(path))
-                assert outcome.kind == "bench"
-                assert outcome.added == outcome.seen
-                total += outcome.added
-            assert store.bench_count() == total
-            # Re-ingesting every file changes no rows.
-            for path in BENCH_FILES:
-                assert store.ingest_file(str(path)).added == 0
-            assert store.bench_count() == total
+            outcome = store.ingest_file(str(path))
+            assert (outcome.seen, outcome.added) == (3, 3)
+            # Re-ingesting the file changes no rows.
+            assert store.ingest_file(str(path)).added == 0
+            assert store.run_count() == 3
 
     def test_sweep_json_ingests_and_its_csv_export_is_refused(self, tmp_path):
         sweep = run_sweep(
@@ -226,7 +172,7 @@ class TestWarehouseIngest:
         write_csv(str(csv_path), sweep.records)
         with Warehouse(str(tmp_path / "wh.sqlite")) as store:
             outcome = store.ingest_file(str(json_path))
-            assert (outcome.kind, outcome.seen, outcome.added) == ("records-json", 4, 4)
+            assert (outcome.seen, outcome.added) == (4, 4)
             # The CSV is an export only: a lossy copy, never read back.
             with pytest.raises(ValueError, match="unrecognised shape"):
                 store.ingest_file(str(csv_path))
@@ -257,121 +203,91 @@ class TestWarehouseIngest:
             with pytest.raises(ValueError, match="unrecognised shape"):
                 store.ingest_file(str(bad))
 
+    def test_a_list_of_measurements_is_refused(self, tmp_path):
+        """A list payload — the shape of an old per-commit measurement
+        file — is not a records file."""
+        bad = tmp_path / "measurements.json"
+        bad.write_text(json.dumps([{"commit": "abc1234", "smoke": True, "knee_shift": 3.5}]))
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            with pytest.raises(ValueError, match="unrecognised shape"):
+                store.ingest_file(str(bad))
+            assert store.run_count() == 0
+
+    def test_a_database_with_undeclared_tables_opens_and_works(self, tmp_path):
+        """Tables the schema does not declare (an older database's
+        measurement tables, say) are left alone and never read."""
+        db = tmp_path / "old.sqlite"
+        with sqlite3.connect(str(db)) as conn:
+            conn.execute("CREATE TABLE measurements (id INTEGER PRIMARY KEY, metric TEXT)")
+            conn.execute("INSERT INTO measurements(metric) VALUES ('knee_shift')")
+        with Warehouse(str(db)) as store:
+            assert store.ingest_records([make_record()]) == 1
+            assert store.run_count() == 1
+
+    def test_a_database_without_the_newer_columns_is_migrated(self, tmp_path):
+        """A database from before the near-miss score and skip status
+        gains those columns on open, and stores both."""
+        db = tmp_path / "old.sqlite"
+        with sqlite3.connect(str(db)) as conn:
+            conn.execute(
+                "CREATE TABLE runs (id INTEGER PRIMARY KEY, fingerprint TEXT NOT NULL UNIQUE,"
+                " scenario TEXT NOT NULL, protocol TEXT NOT NULL, seed INTEGER NOT NULL,"
+                " params_json TEXT NOT NULL, state TEXT NOT NULL, robust INTEGER NOT NULL,"
+                " agreement INTEGER NOT NULL, strict_ordering INTEGER NOT NULL,"
+                " validity INTEGER NOT NULL, eventual_liveness INTEGER NOT NULL,"
+                " censorship_resistance INTEGER, progressed INTEGER NOT NULL,"
+                " final_blocks INTEGER NOT NULL, total_messages INTEGER NOT NULL,"
+                " total_bytes INTEGER NOT NULL, events INTEGER NOT NULL,"
+                " blocks_per_sec REAL, latency_p99 REAL, peak_backlog REAL,"
+                " oracle_checked INTEGER NOT NULL, violation_count INTEGER NOT NULL,"
+                " wall_time REAL NOT NULL DEFAULT 0.0, record_json TEXT NOT NULL,"
+                " source TEXT, ingested_at TEXT NOT NULL)"
+            )
+            conn.execute(
+                "CREATE TABLE run_violations (run_id INTEGER NOT NULL, checker TEXT NOT NULL,"
+                " PRIMARY KEY (run_id, checker))"
+            )
+        record = make_record(
+            invariants=(("liveness", "skipped"),),
+            invariant_notes=(("liveness", "outside the liveness envelope"),),
+            near_miss=(("score", 0.5),),
+        )
+        with Warehouse(str(db)) as store:
+            assert store.ingest_records([record]) == 1
+            assert store.near_miss_buckets() == {("prft", "none"): (0.5, 1)}
+            assert store.campaign_summary().skipped == (("liveness", 1),)
+            assert store.stored_records() == [record]
+
+    def test_a_record_repeated_in_one_batch_is_one_row(self, tmp_path):
+        record = make_record()
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            assert store.ingest_records([record, record, make_record(seed=4)]) == 2
+            assert store.run_count() == 2
+
+    def test_ingest_file_stores_the_file_name_as_source(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        write_json(str(path), [make_record()])
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            store.ingest_file(str(path))
+            sources = [row[0] for row in store._conn.execute("SELECT source FROM runs")]
+        assert sources == ["campaign.json"]
+
+    def test_canonical_records_filter_by_scenario_and_protocol(self, tmp_path):
+        records = [
+            make_record(scenario=scenario, protocol=protocol)
+            for scenario in ("fork", "honest")
+            for protocol in ("prft", "pbft")
+        ]
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            store.ingest_records(records)
+            assert store.canonical_records() == [r.canonical() for r in records]
+            assert store.stored_records(scenario="fork") == records[:2]
+            assert store.stored_records(protocol="pbft") == [records[1], records[3]]
+            assert store.stored_records(scenario="honest", protocol="prft") == [records[2]]
+            assert store.stored_records(scenario="absent") == []
+
 
 class TestWarehouseQueries:
-    @pytest.fixture()
-    def store(self, tmp_path):
-        with Warehouse(str(tmp_path / "wh.sqlite")) as warehouse:
-            for path in BENCH_FILES:
-                warehouse.ingest_file(str(path))
-            yield warehouse
-
-    def test_flatten_metrics(self):
-        entry = {
-            "timestamp": "t", "commit": "c", "python": "3.12", "smoke": True,
-            "knee_shift": 3.5,
-            "closed_loop": {"prft": {"blocks_per_sec": 0.25, "robust": True}},
-            "grid": [1, 2, 3],
-        }
-        flat = flatten_metrics(entry)
-        assert flat == {
-            "knee_shift": 3.5,
-            "closed_loop.prft.blocks_per_sec": 0.25,
-        }
-
-    def test_trajectory_ordered_and_filtered(self, store):
-        points = store.perf_trajectory(
-            bench="throughput", metric="closed_loop.prft.blocks_per_sec"
-        )
-        assert points, "checked-in trajectory must expose the gate metric"
-        stamps = [p.timestamp for p in points]
-        assert stamps == sorted(stamps)
-        assert {p.metric for p in points} == {"closed_loop.prft.blocks_per_sec"}
-        smoke_only = store.perf_trajectory(
-            bench="throughput", metric="closed_loop.prft.blocks_per_sec", smoke=True
-        )
-        assert all(p.smoke for p in smoke_only)
-        assert store.metrics(bench="crypto")  # crypto metrics present too
-
-    def test_gate_passes_on_real_trajectory(self, store):
-        findings = store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=15.0)
-        assert findings, "stored history must produce gate findings"
-        assert not any(finding.regressed for finding in findings)
-
-    def test_gate_fails_on_injected_regression(self, store, tmp_path):
-        entries = json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
-        donor = [e for e in entries if e.get("closed_loop") and e["smoke"]][-1]
-        bad = copy.deepcopy(donor)
-        bad["timestamp"] = "2099-01-01T00:00:00Z"
-        for protocol in bad["closed_loop"]:
-            bad["closed_loop"][protocol]["blocks_per_sec"] *= 0.5
-        assert store.ingest_bench("throughput", [bad]) == 1
-        findings = store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=15.0)
-        regressed = {f.metric for f in findings if f.regressed}
-        assert "closed_loop.prft.blocks_per_sec" in regressed
-        assert all(f.smoke for f in findings if f.regressed)
-        # A generous tolerance swallows the same injection.
-        lenient = store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=60.0)
-        assert not any(f.regressed for f in lenient)
-
-    def test_gate_improvement_is_not_a_regression(self, store):
-        entries = json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
-        donor = [e for e in entries if e.get("closed_loop") and e["smoke"]][-1]
-        better = copy.deepcopy(donor)
-        better["timestamp"] = "2099-01-01T00:00:00Z"
-        for protocol in better["closed_loop"]:
-            better["closed_loop"][protocol]["blocks_per_sec"] *= 2.0
-        store.ingest_bench("throughput", [better])
-        assert not any(
-            f.regressed
-            for f in store.regressions_against_stored(THROUGHPUT_GATES, fail_over_pct=15.0)
-        )
-
-    def test_gate_needs_history(self, tmp_path):
-        with Warehouse(str(tmp_path / "empty.sqlite")) as store:
-            assert store.regressions_against_stored(THROUGHPUT_GATES) == []
-            store.ingest_bench("throughput", [{"smoke": False, "knee_shift": 10.0}])
-            # One point is no baseline.
-            assert store.regressions_against_stored(THROUGHPUT_GATES) == []
-
-    def test_gate_needs_named_metrics(self, store):
-        # No default metric set: nothing named is an error, never a pass.
-        with pytest.raises(ValueError, match="at least one"):
-            store.regressions_against_stored([])
-
-    def test_regression_between_commits(self, store):
-        findings = store.regression_between(
-            "212c79d", "855e392", bench="throughput",
-            gates=[("throughput", "closed_loop.prft.blocks_per_sec", "higher")],
-        )
-        assert findings
-        for finding in findings:
-            assert finding.change_pct == pytest.approx(0.0)
-            assert not finding.regressed
-
-    def test_regression_between_infers_each_direction(self, tmp_path):
-        """No ``gates`` and no ``bench``: every stored bench and metric
-        is compared, a ``*_mib`` metric read lower-is-better and any
-        other name higher-is-better."""
-        stored = {
-            "memory": ({"peak_rss_mib": 40.0, "cells": 7}, {"peak_rss_mib": 60.0, "cells": 7}),
-            "speed": ({"tx_per_s": 100.0}, {"tx_per_s": 50.0}),
-        }
-        with Warehouse(str(tmp_path / "two.sqlite")) as store:
-            for bench, entries in stored.items():
-                for commit, metrics in zip(("base", "head"), entries):
-                    entry = {"timestamp": commit, "commit": commit, "smoke": True, **metrics}
-                    assert store.ingest_bench(bench, [entry]) == 1
-            findings = store.regression_between("base", "head")
-        verdicts = {
-            (f.bench, f.metric): (f.direction, f.smoke, f.regressed) for f in findings
-        }
-        assert verdicts == {
-            ("memory", "cells"): ("higher", True, False),
-            ("memory", "peak_rss_mib"): ("lower", True, True),
-            ("speed", "tx_per_s"): ("higher", True, True),
-        }
-
     def test_axis_aggregates(self, tmp_path):
         records = [
             make_record(seed=seed, params=(("n", n),), robust=(n == 4))
@@ -410,55 +326,140 @@ class TestWarehouseQueries:
         assert group.scenarios == ("fuzz-0", "fuzz-1", "fuzz-2")
         assert len(group.examples) == 2
 
+    def test_skipped_verdicts_are_not_violations(self, tmp_path):
+        skipped = [
+            make_record(
+                seed=seed,
+                invariants=(("agreement", "ok"), ("liveness", "skipped")),
+                invariant_notes=(("liveness", "outside the liveness envelope"),),
+            )
+            for seed in (0, 1)
+        ]
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            store.ingest_records(skipped)
+            summary = store.campaign_summary()
+        assert (summary.total_runs, summary.checked_runs, summary.violating_runs) == (2, 2, 0)
+        assert summary.by_checker == ()
+        assert summary.skipped == (("liveness", 2),)
+
+    def test_near_miss_buckets_key_by_protocol_attack_and_gene(self, tmp_path):
+        records = [
+            make_record(seed=0, params=(), near_miss=(("score", 0.2),)),
+            make_record(seed=1, params=(), near_miss=(("score", 0.4),)),
+            make_record(seed=2, params=(("attack", "fork"),), near_miss=(("score", 0.9),)),
+            make_record(seed=3, params=(("attack", "fork"), ("gene", "g1")),
+                        near_miss=(("score", 0.6),)),
+            make_record(seed=4, protocol="pbft", params=(), near_miss=(("score", 0.1),)),
+            make_record(seed=5, params=(("attack", "fork"),)),  # unscored: not counted
+        ]
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            store.ingest_records(records)
+            buckets = store.near_miss_buckets()
+        assert set(buckets) == {("prft", "none"), ("prft", "fork"), ("prft", "gene"),
+                                ("pbft", "none")}
+        assert buckets[("prft", "none")] == (pytest.approx(0.3), 2)
+        assert buckets[("prft", "fork")] == (0.9, 1)
+        assert buckets[("prft", "gene")] == (0.6, 1)
+        assert buckets[("pbft", "none")] == (0.1, 1)
+
+    def test_axis_aggregates_average_near_miss_and_throughput(self, tmp_path):
+        records = [
+            make_record(
+                seed=seed,
+                throughput=(("blocks_per_sec", 0.25 * (seed + 1)),),
+                near_miss=None if seed == 2 else (("score", 0.1 * (seed + 1)),),
+                invariants=(("agreement", "violated"),) if seed == 0 else None,
+                invariant_violations=("agreement",) if seed == 0 else (),
+            )
+            for seed in range(3)
+        ]
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            store.ingest_records(records)
+            (aggregate,) = store.axis_aggregates("n")
+            assert store.axis_aggregates("absent") == []
+        assert (aggregate.value, aggregate.runs, aggregate.violating_runs) == (8, 3, 1)
+        assert aggregate.mean_blocks_per_sec == pytest.approx(0.5)
+        assert aggregate.mean_near_miss == pytest.approx(0.15)  # the unscored run is left out
+        assert aggregate.mean_messages == 120
+
+
+class TestCampaignCursors:
+    def test_cursors_survive_reopening_the_database(self, tmp_path):
+        db = str(tmp_path / "wh.sqlite")
+        with Warehouse(db) as store:
+            store.save_cursor("c1", 7, "safe", 4, 2, [2, 0, 3, 1])
+        with Warehouse(db) as store:
+            cursor = store.load_cursor("c1")
+        assert (cursor.campaign_id, cursor.fuzz_seed, cursor.profile, cursor.budget) == (
+            "c1", 7, "safe", 4,
+        )
+        assert (cursor.cursor, cursor.order) == (2, (2, 0, 3, 1))
+        assert not cursor.finished
+
+    def test_campaigns_keep_separate_cursors(self, tmp_path):
+        with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+            store.save_cursor("a", 1, "safe", 3, 1, [0, 1, 2])
+            store.save_cursor("b", 2, "wide", 2, 2, [1, 0])
+            store.save_cursor("a", 1, "safe", 3, 3, [0, 1, 2])  # upsert, not a second row
+            assert store.load_cursor("a").finished
+            assert store.load_cursor("b").finished
+            store.clear_cursor("a")
+            assert store.load_cursor("a") is None
+            assert store.load_cursor("b").order == (1, 0)
+            store.clear_cursor("never-saved")  # forgetting nothing is no error
+            assert store._conn.execute("SELECT COUNT(*) FROM campaign_cursors").fetchone()[0] == 1
+
 
 class TestCliIngestReport:
-    def _ingest(self, tmp_path, capsys):
+    def test_ingest_sweep_json_then_report_campaign(self, tmp_path, capsys):
+        from repro.cli import main
+
+        sweep_json, db = str(tmp_path / "sweep.json"), str(tmp_path / "wh.sqlite")
+        assert main(["sweep", "honest", "--grid", "n=4", "--grid", "rounds=1",
+                     "--seeds", "2", "--check", "--out", sweep_json]) == 0
+        capsys.readouterr()
+        assert main(["ingest", sweep_json, "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert "holds 2 run record(s)" in out
+        assert main(["ingest", sweep_json, "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"\| 2 +\| 0 *$", out, re.MULTILINE)  # 2 records, 0 new rows
+        assert "holds 2 run record(s)" in out
+        assert main(["report", "campaign", "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert "2 run(s), 2 oracle-checked, 0 violating" in out
+        assert "campaign clean" in out
+
+    def test_ingest_takes_several_files_in_one_call(self, tmp_path, capsys):
+        from repro.cli import main
+
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        write_json(str(first), [make_record(seed=0), make_record(seed=1)])
+        write_json(str(second), [make_record(seed=1), make_record(seed=2)])
+        db = str(tmp_path / "wh.sqlite")
+        assert main(["ingest", str(first), str(second), "--db", db]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"first\.json +\| 2 +\| 2 *$", out, re.MULTILINE)
+        assert re.search(r"second\.json +\| 2 +\| 1 *$", out, re.MULTILINE)
+        assert "holds 3 run record(s)" in out
+
+    def test_report_campaign_names_violations_and_skips(self, tmp_path, capsys):
         from repro.cli import main
 
         db = str(tmp_path / "wh.sqlite")
-        argv = ["ingest"] + [str(p) for p in BENCH_FILES] + ["--db", db]
-        assert main(argv) == 0
-        capsys.readouterr()
-        return db
-
-    def test_ingest_and_reports(self, tmp_path, capsys):
-        from repro.cli import main
-
-        db = self._ingest(tmp_path, capsys)
-        assert main(["report", "trajectory", "--db", db, "--limit", "3",
-                     *THROUGHPUT_METRIC_ARGS]) == 0
-        out = capsys.readouterr().out
-        assert "closed_loop.prft.blocks_per_sec" in out
-        assert main(["report", "trajectory", "--db", db, "--bench", "crypto"]) == 0
-        assert "speedup_cached_vs_nocache" in capsys.readouterr().out
-        assert main(
-            ["report", "regressions", "--db", db, "--against-stored", "--fail-over", "15",
-             *THROUGHPUT_METRIC_ARGS]
-        ) == 0
-        assert "verdict" in capsys.readouterr().out
+        with Warehouse(db) as store:
+            store.ingest_records([
+                make_record(scenario="fuzz-0", seed=0, invariants=(("agreement", "violated"),),
+                            invariant_violations=("agreement",)),
+                make_record(seed=1, invariants=(("liveness", "skipped"),),
+                            invariant_notes=(("liveness", "outside the liveness envelope"),)),
+            ])
         assert main(["report", "campaign", "--db", db]) == 0
-        assert "campaign clean" in capsys.readouterr().out
-
-    def test_gate_exit_code_on_regression(self, tmp_path, capsys):
-        from repro.cli import main
-
-        db = self._ingest(tmp_path, capsys)
-        entries = json.loads((REPO_ROOT / "BENCH_throughput.json").read_text())
-        donor = copy.deepcopy(
-            [e for e in entries if e.get("closed_loop") and e["smoke"]][-1]
-        )
-        donor["timestamp"] = "2099-01-01T00:00:00Z"
-        for protocol in donor["closed_loop"]:
-            donor["closed_loop"][protocol]["blocks_per_sec"] *= 0.5
-        injected = tmp_path / "BENCH_throughput.json"
-        injected.write_text(json.dumps([donor]))
-        assert main(["ingest", str(injected), "--db", db]) == 0
-        capsys.readouterr()
-        assert main(
-            ["report", "regressions", "--db", db, "--against-stored", "--fail-over", "15",
-             *THROUGHPUT_METRIC_ARGS]
-        ) == 1
-        assert "REGRESSED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "2 run(s), 2 oracle-checked, 1 violating" in out
+        assert re.search(r"agreement +\| 1 +\| fuzz-0 +\| fuzz-0@0", out)
+        assert "campaign clean" not in out
+        assert "skipped verdicts (retention/applicability): liveness:1" in out
 
     def test_ingest_missing_file_dies_cleanly(self, tmp_path):
         from repro.cli import main
@@ -466,23 +467,29 @@ class TestCliIngestReport:
         with pytest.raises(SystemExit, match="does not exist"):
             main(["ingest", str(tmp_path / "nope.json"), "--db", str(tmp_path / "w.sqlite")])
 
-    def test_regressions_needs_a_mode(self, tmp_path):
+    @pytest.mark.parametrize("name, text", [
+        ("sweep.csv", "scenario,seed\nhonest,0\n"),
+        ("mystery.json", '{"not": "records"}'),
+    ])
+    def test_ingest_error_names_the_file_once(self, tmp_path, name, text):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="pick a mode"):
-            main(["report", "regressions", "--db", str(tmp_path / "w.sqlite")])
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SystemExit) as raised:
+            main(["ingest", str(path), "--db", str(tmp_path / "w.sqlite")])
+        message = str(raised.value.code)
+        assert message.startswith(f"ingest: {path}: unrecognised shape")
+        assert message.count(str(path)) == 1
 
-    def test_reports_without_a_metric_are_usage_errors(self, tmp_path, capsys):
+    def test_ingest_without_files_is_a_usage_error(self, tmp_path, capsys):
         from repro.cli import main
 
-        db = self._ingest(tmp_path, capsys)
-        with pytest.raises(SystemExit, match="--bench and/or --metric"):
-            main(["report", "trajectory", "--db", db])
-        with pytest.raises(SystemExit, match="needs the metrics to compare"):
-            main(["report", "regressions", "--db", db, "--against-stored"])
-        with pytest.raises(SystemExit, match="--metric needs --bench"):
-            main(["report", "regressions", "--db", db, "--against-stored",
-                  "--metric", "knee_shift"])
+        with pytest.raises(SystemExit) as raised:
+            main(["ingest", "--db", str(tmp_path / "w.sqlite")])
+        assert raised.value.code == 2
+        assert "FILE" in capsys.readouterr().err
+        assert not (tmp_path / "w.sqlite").exists()
 
 
 class TestAutoPersist:
@@ -513,19 +520,36 @@ class TestAutoPersist:
             params = [r.param_dict() for r in store.stored_records()]
             assert sorted(p["n"] for p in params) == [4, 5]
 
-    def test_bench_record_persists(self, tmp_path, monkeypatch):
-        db = tmp_path / "wh.sqlite"
-        monkeypatch.setenv("REPRO_WAREHOUSE", str(db))
-        monkeypatch.setattr(bench_results, "REPO_ROOT", tmp_path)
-        bench_results.record_bench("demo", {"metric": 1.5})
-        with Warehouse(str(db)) as store:
-            assert store.bench_count() == 1
-            (point,) = store.perf_trajectory(bench="demo", metric="metric")
-            assert point.value == 1.5
-
     def test_failure_warns_never_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv(
             "REPRO_WAREHOUSE", str(tmp_path / "missing-dir" / "wh.sqlite")
         )
         with pytest.warns(RuntimeWarning, match="auto-persist failed"):
             maybe_persist_records([make_record()])
+
+    def test_blank_env_is_disabled(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_WAREHOUSE", "   ")
+        assert auto_db_path() is None
+        get_scenario("honest").with_params(n=4, rounds=1).run(seed=0)
+        maybe_persist_records([make_record()])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_records_opens_no_database(self, tmp_path, monkeypatch):
+        db = tmp_path / "wh.sqlite"
+        monkeypatch.setenv("REPRO_WAREHOUSE", str(db))
+        maybe_persist_records([])
+        assert not db.exists()
+
+    def test_suppression_nests_and_restores(self, tmp_path, monkeypatch):
+        db = tmp_path / "wh.sqlite"
+        monkeypatch.setenv("REPRO_WAREHOUSE", str(db))
+        scenario = get_scenario("honest").with_params(n=4, rounds=1)
+        with suppressed_run_autopersist():
+            with suppressed_run_autopersist():
+                scenario.run(seed=0)
+            scenario.run(seed=1)  # the outer block still suppresses
+        assert not db.exists()
+        scenario.run(seed=2)
+        with Warehouse(str(db)) as store:
+            assert [r.seed for r in store.stored_records()] == [2]
