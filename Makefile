@@ -9,7 +9,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-compare profile differential differential-smoke bench bench-smoke bench-scaling bench-soak soak-smoke pipelining-smoke large-n-smoke claims clean
+.PHONY: check test smoke catalog-check report-smoke fuzz-smoke search-smoke perf-smoke perf-gates perf-compare perf-pairs profile differential differential-smoke bench bench-smoke bench-scaling bench-soak soak-smoke pipelining-smoke large-n-smoke claims clean
 
 check: test smoke catalog-check report-smoke search-smoke perf-smoke differential-smoke
 	@echo "check: OK"
@@ -83,6 +83,21 @@ perf-smoke:
 	$(PYTHON) -m pytest perf -q
 	$(PYTHON) perf/run.py --scale 0.1 --repeats 3
 
+# The benchmark's own correctness gates at full scale, seed by seed:
+# `perf/run.py --seed S --repeats 1` runs every workload once untraced
+# and once traced and exits 1 if a child crashes (a name perf/layers.py
+# wraps is gone), an oracle, agreement or cell-count check fails, or
+# record_sha256 / ops / events / msgs differ between the two repeats.
+# perf-smoke's tenth of the scale covers one catalog seed and a tenth
+# of pBFT's run; this covers what the benchmark itself runs.  Stops at
+# the first seed that fails.  ~25 s per seed on 2 vCPUs.
+SEEDS ?= 0 1 2
+perf-gates:
+	@set -e; for seed in $(SEEDS); do \
+		echo "perf-gates: seed $$seed"; \
+		$(PYTHON) perf/run.py --seed $$seed --repeats 1 >/dev/null; \
+	done; echo "perf-gates: seeds $(SEEDS) OK"
+
 # Both before/after gates below need BASE's files next to the working
 # tree.  `git archive | tar` only reads the repository — no worktree is
 # registered, so it also runs where `git worktree` is refused — and
@@ -121,6 +136,21 @@ perf-compare:
 			|| status=1; \
 		order=$$(echo $$order | awk '{print $$2, $$1}'); \
 	done; exit $$status
+
+# A claimed gain, shown pair by pair: `make perf-pairs BASE=<rev>
+# WORKLOAD=<w> [N=10] [PERF_SEED=0]` extracts BASE as perf-compare does
+# and runs tools/perf_pairs.py: N perf/child.py pairs per named
+# workload, alternating which tree goes first, then per end-to-end
+# metric each side's median and quartiles, BASE's IQR and CHANGE's
+# wins out of N.  Exit 1 if a child fails or one side's record_sha256
+# varies.  perf-compare's single alternation can flip its verdict on a
+# noisy metric; this is the test a claim has to pass.  ~1 min per
+# workload at N=10 (catalog-sweep longer).
+perf-pairs: N = 10
+perf-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo 'usage: make perf-pairs BASE=<rev> WORKLOAD="<BENCHMARK.json workload> ..." [N=10] [PERF_SEED=0]'; exit 2; }
+	@set -e; $(extract_base); \
+	$(PYTHON) tools/perf_pairs.py "$$base" "$(CURDIR)" $(WORKLOAD) --pairs $(N) --seed $(PERF_SEED)
 
 # Where a workload's host time goes: `make profile WORKLOAD=<name>`
 # prints one BENCHMARK.json workload's top self-time rows under cProfile,

@@ -334,7 +334,8 @@ def _fig2() -> Dict[str, Any]:
     result = honest.with_params(n=8, rounds=2).run(seed=0)
     by_type = result.metrics.by_type()
     first_send: Dict[str, float] = {}
-    for event in honest.with_params(n=5, rounds=2).run(seed=0).trace.events("send"):
+    traced = honest.with_params(n=5, rounds=2, trace_traffic=True)
+    for event in traced.run(seed=0).trace.events("send"):
         if event.detail["round"] == 0:
             first_send.setdefault(event.detail["message_type"], event.time)
     return {

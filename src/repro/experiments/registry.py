@@ -194,7 +194,11 @@ class Scenario:
     None (unbounded), which replays byte-identically to the
     pre-retention simulator; lifetime counters stay exact either way,
     and oracle checkers that need the evicted history refuse (skip)
-    rather than pass vacuously.
+    rather than pass vacuously.  ``trace_traffic`` (default False)
+    stores the network's ``send`` / ``deliver`` / ``drop`` events in the
+    trace; without it they are counted but not kept, and reading them
+    by kind raises.  No CLI flag or fuzz draw sets it: it is for the
+    readers of per-message traffic.
 
     Oracle: ``check_invariants`` runs the trace oracle
     (:mod:`repro.checks`) post-hoc over every execution of this
@@ -257,6 +261,9 @@ class Scenario:
     submission_window: Optional[int] = None
     ledger_window: Optional[int] = None
     backlog_resolution: Optional[int] = None
+    #: Store the network's send/deliver/drop events in the trace
+    #: (RetentionSpec.trace_traffic); off, they are only counted.
+    trace_traffic: bool = False
     check_invariants: bool = False
     allow_unsound_crypto: bool = False
     #: Searched-deviation axis: a StrategyGene in its as_field()
@@ -551,6 +558,7 @@ class Scenario:
                 submission_window=self.submission_window,
                 ledger_window=self.ledger_window,
                 backlog_resolution=self.backlog_resolution,
+                trace_traffic=self.trace_traffic,
             ),
         )
 

@@ -23,6 +23,10 @@ from repro.sim.trace import TraceRecorder
 
 Handler = Callable[[Envelope], None]
 
+#: The trace kinds a :class:`Network` records: one per send, per
+#: delivered copy and per envelope that never reached a live replica.
+TRAFFIC_KINDS = ("send", "deliver", "drop")
+
 
 class UnknownRecipientError(ValueError):
     """Raised when an envelope is addressed to an unregistered player."""

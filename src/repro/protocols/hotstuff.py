@@ -1,12 +1,17 @@
 """HotStuff-style linear baseline (Yin et al. 2019), simulation-grade.
 
-The Figure-3 comparison point with O(n^2) message complexity and
+The Figure-3 comparison point with linear message complexity and
 O(κ·n^3) message size (one factor of n below the quadratic,
 justification-carrying protocols): communication is leader-relayed —
 replicas vote *to the leader*, who aggregates a constant-size quorum
 certificate (modelling a threshold signature) and broadcasts it.
 Three chained vote phases (prepare → precommit → commit) then a
-decide.  No accountability: the QC is aggregated, so individual
+decide: an honest round is 7n messages, n each of the proposal, the
+three votes, the two relayed certificates and the decide (49 at n = 7,
+112 at n = 16, measured).  A round whose leader has crashed adds one
+``hs-newview`` catch-up broadcast from each of the n − 1 survivors,
+n(n − 1) messages, and a recovering replica adds n per round it asks
+about.  No accountability: the QC is aggregated, so individual
 equivocations are not attributable.
 """
 

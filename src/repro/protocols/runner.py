@@ -23,7 +23,7 @@ from repro.gametheory.states import SystemState, classify_state
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
 from repro.net.faults import LinkPipeline
-from repro.net.network import Network
+from repro.net.network import TRAFFIC_KINDS, Network
 from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext
 from repro.protocols.spec import (
     CryptoSpec,
@@ -81,7 +81,8 @@ def build_context(
     ``seed``, so faults replay identically for the same (scenario,
     seed) pair.  ``retention`` sizes the trace recorder's per-kind ring
     buffers and the commit log's dedup window; the all-defaults spec
-    keeps both unbounded.
+    keeps both unbounded.  Unless ``retention.trace_traffic`` is set,
+    the recorder counts :data:`TRAFFIC_KINDS` without storing them.
     """
     engine = SimulationEngine()
     pipeline = LinkPipeline(
@@ -106,7 +107,10 @@ def build_context(
             engine,
             pipeline=pipeline,
             metrics=MetricsCollector(),
-            trace=TraceRecorder(window=retention.trace_window),
+            trace=TraceRecorder(
+                window=retention.trace_window,
+                count_only=() if retention.trace_traffic else TRAFFIC_KINDS,
+            ),
         ),
         timers=TimerService(engine),
         registry=registry,

@@ -262,12 +262,22 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class RetentionSpec:
-    """Bounded-memory retention for soak-length runs.
+    """What a run keeps of its history, and how much.
 
-    Defaults (every window ``None``) are the unbounded legacy
-    behaviour: golden records stay byte-identical.  Each window bounds
-    one O(events) structure so a ≥10⁶-transaction run holds constant
-    state; the lifetime counters underneath them stay exact.
+    With every window ``None`` (the default) nothing a run keeps is
+    bounded, and golden records stay byte-identical.  Each window
+    bounds one O(events) structure so a ≥10⁶-transaction run holds
+    constant state; the lifetime counters underneath them stay exact.
+
+    - ``trace_traffic`` — store the network's ``send``, ``deliver`` and
+      ``drop`` events in the trace.  Off by default: the deployment's
+      :class:`~repro.sim.trace.TraceRecorder` counts them (``len``,
+      ``count``, ``dropped`` stay exact) but keeps no row, because no
+      oracle check, robustness verdict or state classifier reads
+      per-message traffic, while a message-heavy run's trace is nearly
+      all of it.  A reader that does (the behavioural differential,
+      Figure 2's first-send table) sets it; reading a traffic kind
+      from a trace that only counted it raises ``ValueError``.
 
     - ``trace_window`` — per-kind ring-buffer capacity on the
       :class:`~repro.sim.trace.TraceRecorder`.  Oracle checks that
@@ -296,6 +306,7 @@ class RetentionSpec:
     submission_window: Optional[int] = None
     ledger_window: Optional[int] = None
     backlog_resolution: Optional[int] = None
+    trace_traffic: bool = False
 
     def __post_init__(self) -> None:
         check_declared_types(self, "RetentionSpec")

@@ -19,7 +19,7 @@ from repro.gametheory.payoff import PlayerType
 from repro.net.delays import DelayModel, FixedDelay
 from repro.net.partition import PartitionSchedule
 from repro.protocols.base import ProtocolConfig
-from repro.protocols.runner import NetworkSpec, RunResult, RunSpec, run
+from repro.protocols.runner import NetworkSpec, RetentionSpec, RunResult, RunSpec, run
 from repro.sim.streaming import ThroughputAccumulator
 
 
@@ -86,6 +86,7 @@ def run_prft(
     delay: Optional[DelayModel] = None,
     partitions: Optional[PartitionSchedule] = None,
     max_time: float = 10_000.0,
+    retention: RetentionSpec = RetentionSpec(),
     **config_overrides,
 ) -> RunResult:
     """Run pRFT with its paper configuration (t0 = ⌈n/4⌉ − 1)."""
@@ -96,6 +97,7 @@ def run_prft(
         players=tuple(players),
         config=config,
         network=NetworkSpec(delay_model=delay or FixedDelay(1.0), partitions=partitions),
+        retention=retention,
         max_time=max_time,
     ))
 

@@ -73,7 +73,7 @@ class TestOneFold:
         "crypto_backend": "fast-sim", "crypto_cache_size": 7, "aggregate_certs": True,
         "pipeline_depth": 3, "max_block_txs": 11, "coalesce_window": 1.5,
         "trace_window": 13, "commit_window": 17, "submission_window": 19,
-        "ledger_window": 23, "backlog_resolution": 29,
+        "ledger_window": 23, "backlog_resolution": 29, "trace_traffic": True,
         "tx_count": 31, "arrival_rate": 3.5, "outstanding": 6,
         "burst_schedule": ((1.0, 2),),
     }
@@ -125,7 +125,7 @@ class TestOneFold:
         assert self._feeders("workload", base) == {spec_field: [field]}
 
     def test_axis_fields_are_unchanged(self):
-        assert len(dataclasses.fields(Scenario)) == 54
+        assert len(dataclasses.fields(Scenario)) == 55
         assert set(self.PERTURBED) <= set(SCENARIO_TYPES)
 
 

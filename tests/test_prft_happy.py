@@ -7,7 +7,7 @@ from repro.analysis.robustness import check_robustness
 from repro.gametheory.states import SystemState
 from repro.ledger.validation import common_prefix_holds, strict_ordering_holds
 from repro.net.delays import FixedDelay, PartialSynchronyDelay, SynchronousDelay
-from repro.protocols.runner import make_transactions
+from repro.protocols.runner import RetentionSpec, make_transactions
 
 from tests.conftest import roster, run_prft
 
@@ -92,7 +92,7 @@ class TestMessageSchedule:
         assert "expose" not in by_type
 
     def test_phase_ordering_in_trace(self):
-        result = run_prft(roster(4), max_rounds=1)
+        result = run_prft(roster(4), max_rounds=1, retention=RetentionSpec(trace_traffic=True))
         sends = [e for e in result.trace.events("send") if e.detail["round"] == 0]
         first_of = {}
         for event in sends:

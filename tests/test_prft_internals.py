@@ -21,7 +21,7 @@ from repro.gametheory.states import SystemState
 from repro.ledger.block import Block
 from repro.net.delays import FixedDelay
 from repro.protocols.base import ProtocolConfig
-from repro.protocols.runner import build_context
+from repro.protocols.runner import RetentionSpec, build_context
 
 from tests.conftest import roster, run_prft
 
@@ -195,11 +195,13 @@ class TestBufferingAndCatchUp:
         assert max(heights.values()) == 2
 
     def test_halted_replicas_send_nothing(self):
-        result = run_prft(roster(4), max_rounds=1)
+        result = run_prft(roster(4), max_rounds=1, retention=RetentionSpec(trace_traffic=True))
         halt_times = [e.time for e in result.trace.events("halt")]
         assert halt_times
         last_halt = max(halt_times)
-        late_sends = [e for e in result.trace.events("send") if e.time > last_halt]
+        sends = result.trace.events("send")
+        assert len(sends) == result.trace.count("send") > 0  # every send is stored
+        late_sends = [e for e in sends if e.time > last_halt]
         assert late_sends == []
 
 

@@ -1,7 +1,8 @@
 """Tests for the bounded-memory retention path (RetentionSpec et al.).
 
 Covers the TraceRecorder's per-kind windows and exact lifetime
-counters, the CommitLog's consumed-prefix truncation, RetentionSpec
+counters, its count-only kinds and the network traffic a deployment
+counts without storing, the CommitLog's consumed-prefix truncation, RetentionSpec
 validation and threading through RunSpec/Scenario/CLI, ledger
 body-pruning and round-state pruning, the mempool history bound, and
 the oracle's refusal semantics: checkers that need evicted history
@@ -13,13 +14,16 @@ import pytest
 
 from repro.agents.player import honest_player
 from repro.core.replica import prft_factory
-from repro.experiments import Scenario, get_scenario
+from repro.experiments import Scenario, get_scenario, scenario_catalog
+from repro.experiments.registry import PROTOCOL_FACTORIES
+from repro.experiments.results import RunRecord
 from repro.ledger.block import Block
 from repro.protocols.base import ProtocolConfig
 from repro.ledger.chain import Chain
 from repro.ledger.mempool import Mempool
 from repro.ledger.transaction import Transaction
-from repro.protocols.runner import RetentionSpec, RunSpec
+from repro.net.network import TRAFFIC_KINDS
+from repro.protocols.runner import RetentionSpec, RunSpec, run
 from repro.sim.metrics import CommitLog
 from repro.sim.trace import TraceRecorder
 
@@ -114,6 +118,106 @@ class TestTraceRecorderRetention:
         trace.record(1.0, "final", 0)
         assert [e.kind for e in trace.events(("send", "send"))] == ["send"]
         assert [e.kind for e in trace.events(["final", "send", "final"])] == ["send", "final"]
+
+
+class TestCountOnlyKinds:
+    @staticmethod
+    def _fed():
+        trace = TraceRecorder(count_only=("send", "drop"))
+        trace.record(0.0, "send", 0, to=1)
+        trace.record(1.0, "final", 0, height=1)
+        trace.record(2.0, "send", 1, to=0)
+        trace.record(3.0, "timeout", None)
+        return trace
+
+    def test_counted_exactly_and_never_stored(self):
+        trace = self._fed()
+        assert trace.count_only == ("send", "drop")
+        assert len(trace) == 4
+        assert (trace.count("send"), trace.count("drop"), trace.count("final")) == (2, 0, 1)
+        assert [(e.time, e.kind) for e in trace] == [(1.0, "final"), (3.0, "timeout")]
+        assert trace.events() == list(trace)
+        assert (trace.dropped("send"), trace.dropped("drop"), trace.dropped()) == (2, 0, 2)
+        assert trace.truncated("send") and trace.truncated()
+        assert not trace.truncated("drop") and not trace.truncated("final")
+
+    @pytest.mark.parametrize("read", [
+        lambda trace: trace.events("send"),
+        lambda trace: trace.events(("final", "drop")),
+        lambda trace: trace.events("send", player=0),
+        lambda trace: trace.last("send"),
+        lambda trace: trace.last("drop"),  # none recorded: still not an empty answer
+    ])
+    def test_reading_a_count_only_kind_raises(self, read):
+        with pytest.raises(ValueError, match="trace_traffic"):
+            read(self._fed())
+
+    def test_a_window_still_bounds_the_stored_kinds(self):
+        trace = TraceRecorder(window=2, count_only=("send",))
+        for step in range(5):
+            trace.record(float(step), "send", 0)
+            trace.record(float(step), "final", 0)
+        assert [e.time for e in trace] == [3.0, 4.0]
+        assert (trace.dropped("send"), trace.dropped("final"), trace.dropped()) == (5, 3, 8)
+        assert len(trace) == 10
+
+
+def _deployment_trace(retention: RetentionSpec) -> TraceRecorder:
+    return run(RunSpec(
+        factory=prft_factory,
+        players=tuple(honest_player(i) for i in range(4)),
+        config=ProtocolConfig.for_prft(n=4, max_rounds=1),
+        retention=retention,
+    )).trace
+
+
+def test_a_deployment_counts_traffic_unless_asked_to_store_it():
+    assert TraceRecorder().count_only == ()  # a recorder built directly stores every kind
+    assert _deployment_trace(RetentionSpec()).count_only == TRAFFIC_KINDS
+    assert _deployment_trace(RetentionSpec(trace_traffic=True)).count_only == ()
+    assert "trace_traffic" not in get_scenario("honest").to_dict()
+    assert get_scenario("honest").with_params(trace_traffic=True).to_dict()["trace_traffic"]
+
+
+TRAFFIC_CELLS = {
+    **{f"catalog/{name}": scenario for name, scenario in scenario_catalog().items()},
+    **{
+        f"protocol-matrix/{protocol}": get_scenario("protocol-matrix").with_params(
+            protocol=protocol
+        )
+        for protocol in PROTOCOL_FACTORIES
+    },
+}
+
+
+@pytest.mark.parametrize("cell", sorted(TRAFFIC_CELLS))
+def test_counting_traffic_changes_nothing_but_what_is_stored(cell):
+    """Traffic off against traffic on, at seed 0: the run, its record,
+    its oracle and every trace count are the same; only the traffic
+    rows are missing, and asking for them raises."""
+    checked = TRAFFIC_CELLS[cell].with_params(check_invariants=True)
+    stored = checked.with_params(trace_traffic=True)
+    off, on = checked.run(seed=0), stored.run(seed=0)
+    assert (
+        RunRecord.from_result(checked, 0, off).canonical()
+        == RunRecord.from_result(stored, 0, on).canonical()
+    )
+    verdicts = [
+        [(verdict.name, verdict.status, verdict.note) for verdict in result.oracle.verdicts]
+        for result in (off, on)
+    ]
+    assert verdicts[0] == verdicts[1]
+    assert len(off.trace) == len(on.trace)
+    kinds = {event.kind for event in on.trace} | set(TRAFFIC_KINDS)
+    assert {kind: off.trace.count(kind) for kind in kinds} == {
+        kind: on.trace.count(kind) for kind in kinds
+    }
+    assert off.trace.events() == [e for e in on.trace if e.kind not in TRAFFIC_KINDS]
+    assert on.trace.count("send") > 0
+    assert off.trace.truncated("send")
+    assert off.trace.dropped("send") == off.trace.count("send")
+    with pytest.raises(ValueError, match="trace_traffic"):
+        off.trace.events("send")
 
 
 class TestCommitLogRetention:

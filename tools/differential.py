@@ -8,7 +8,8 @@ by section, everything a refactor must not move:
 
 - ``record``   — the canonical ``RunRecord``;
 - ``trace``    — every trace event, in record order (kinds, order,
-  burn order included);
+  burn order included), network traffic too: each cell runs with
+  ``trace_traffic`` set on a tree that has the field;
 - ``chains``   — each replica's chain: digest and status of every block;
 - ``proofs``   — each replica's constructed fraud proofs;
 - ``messages`` — per-message-type send count and bytes.
@@ -28,13 +29,14 @@ is the parent's).
 Exit 0 when every cell agrees; exit 1 after naming *every* differing
 (cell, section) pair, each with the first differing line of that
 section from a re-run of the differing cells.  ``make differential
-BASE=<rev>`` wraps this with the ``git worktree`` mechanics of
+BASE=<rev>`` wraps this with the ``git archive`` extraction of
 ``perf-compare``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -104,6 +106,10 @@ def sections(scenario: Any, seed: int) -> Dict[str, List[str]]:
     """One run, projected onto the compared sections (lines of text)."""
     from repro.experiments.results import RunRecord
 
+    # The trace section compares traffic too; a tree whose trace keeps
+    # every event has no field to ask for it with.
+    if any(field.name == "trace_traffic" for field in dataclasses.fields(scenario)):
+        scenario = scenario.with_params(trace_traffic=True)
     result = scenario.run(seed=seed)
     record = RunRecord.from_result(scenario, seed, result).canonical()
     replicas = sorted(result.replicas.items())

@@ -10,7 +10,9 @@ call-heavy code — then a second table for one ``post`` call (oracle,
 record, hash) on that finished run, and, for a workload whose result is
 one run, its trace's retained records and the bytes its columns take
 per record (``sys.getsizeof`` of each kind's arrays and values list,
-not of the values they point to).  The second run is unprofiled and
+not of the values they point to), next to the lifetime count of each
+kind the trace counted without storing (network traffic, unless the
+run set ``trace_traffic``).  The second run is unprofiled and
 counts, through ``gc.callbacks``, the cycle collector's passes and the
 seconds spent inside them per generation, which no profile row shows;
 then, with the run's result still alive and after one collection, the
@@ -66,9 +68,10 @@ def _prepare_and_run(workload: Any, seed: int) -> Tuple[Any, Any]:
     return prepared, workload.run(prepared, seed)
 
 
-def trace_columns(result: Any) -> Optional[Tuple[int, float]]:
-    """Retained records of ``result``'s trace and its column bytes per
-    retained record, or None when ``result`` holds no trace (a sweep's
+def trace_columns(result: Any) -> Optional[Tuple[int, float, Dict[str, int]]]:
+    """Retained records of ``result``'s trace, its column bytes per
+    retained record and the lifetime count of each kind it counted
+    without storing, or None when ``result`` holds no trace (a sweep's
     records)."""
     trace = getattr(getattr(result, "ctx", None), "trace", None)
     if trace is None:
@@ -78,7 +81,8 @@ def trace_columns(result: Any) -> Optional[Tuple[int, float]]:
     column_bytes = sum(
         sys.getsizeof(column) for ring in trace._rings.values() for column in ring[:5]
     )
-    return retained, column_bytes / retained if retained else 0.0
+    counted = {kind: trace.count(kind) for kind in trace.count_only}
+    return retained, column_bytes / retained if retained else 0.0, counted
 
 
 def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], List[float], Counter]:
@@ -143,7 +147,12 @@ def main() -> int:
     stats.sort_stats("tottime").print_stats(args.top)
     columns = trace_columns(outcome)
     if columns is not None:
-        print(f"trace: {columns[0]:,} retained records, {columns[1]:.1f} B of columns per record")
+        retained, per_record, counted = columns
+        counted_only = ", ".join(f"{kind} {count:,}" for kind, count in counted.items())
+        print(
+            f"trace: {retained:,} retained records, {per_record:.1f} B of columns per record; "
+            f"counted, not stored: {counted_only or 'none'}"
+        )
     del prepared, outcome  # the collector run below counts only its own result
 
     run_s, passes, inside, live = collector_run(workload, args.seed)
