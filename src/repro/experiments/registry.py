@@ -196,9 +196,10 @@ class Scenario:
     and oracle checkers that need the evicted history refuse (skip)
     rather than pass vacuously.  ``trace_traffic`` (default False)
     stores the network's ``send`` / ``deliver`` / ``drop`` events in the
-    trace; without it they are counted but not kept, and reading them
-    by kind raises.  No CLI flag or fuzz draw sets it: it is for the
-    readers of per-message traffic.
+    trace; without it they are not recorded, reading them by kind
+    raises, and the metrics alone count sends, drops and duplicates.
+    No CLI flag or fuzz draw sets it: it is for the readers of
+    per-message traffic.
 
     Oracle: ``check_invariants`` runs the trace oracle
     (:mod:`repro.checks`) post-hoc over every execution of this
@@ -262,7 +263,8 @@ class Scenario:
     ledger_window: Optional[int] = None
     backlog_resolution: Optional[int] = None
     #: Store the network's send/deliver/drop events in the trace
-    #: (RetentionSpec.trace_traffic); off, they are only counted.
+    #: (RetentionSpec.trace_traffic); off, they are not recorded and
+    #: only the metrics count them.
     trace_traffic: bool = False
     check_invariants: bool = False
     allow_unsound_crypto: bool = False

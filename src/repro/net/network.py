@@ -23,8 +23,8 @@ from repro.sim.trace import TraceRecorder
 
 Handler = Callable[[Envelope], None]
 
-#: The trace kinds a :class:`Network` records: one per send, per
-#: delivered copy and per envelope that never reached a live replica.
+#: The trace kinds a :class:`Network` records if its trace takes them:
+#: a send, a delivered copy, an envelope that never reached a live replica.
 TRAFFIC_KINDS = ("send", "deliver", "drop")
 
 
@@ -33,7 +33,12 @@ class UnknownRecipientError(ValueError):
 
 
 class Network:
-    """Point-to-point and broadcast delivery through the link pipeline."""
+    """Point-to-point and broadcast delivery through the link pipeline.
+
+    The metrics count every send, drop and duplicate.  The trace gets
+    :data:`TRAFFIC_KINDS` only from a recorder that records them, which
+    is decided once, at construction.
+    """
 
     def __init__(
         self,
@@ -48,6 +53,10 @@ class Network:
         # `is not None`, not `or`: an empty recorder is falsy (len 0)
         # but may carry a retention window that must survive.
         self.trace = trace if trace is not None else TraceRecorder()
+        left_out = set(TRAFFIC_KINDS).intersection(self.trace.unrecorded)
+        if 0 < len(left_out) < len(TRAFFIC_KINDS):
+            raise ValueError(f"a network's trace records all of {TRAFFIC_KINDS} or none")
+        self._trace_traffic = not left_out
         self._handlers: Dict[int, Handler] = {}
         # Sorted-id cache, rebuilt on (rare) registration so the (hot)
         # broadcast path never re-sorts.
@@ -103,15 +112,12 @@ class Network:
         silently counting it as delivered.
         """
         self.metrics.record_drop(reason)
-        self.trace.record(
-            self._engine.now,
-            "drop",
-            envelope.recipient,
-            sender=envelope.sender,
-            message_type=envelope.message_type,
-            round=envelope.round_number,
-            reason=reason,
-        )
+        if self._trace_traffic:
+            sender, recipient, _, message_type, _, round_number = envelope
+            self.trace.record(
+                self._engine.now, "drop", recipient,
+                sender=sender, message_type=message_type, round=round_number, reason=reason,
+            )
 
     def send(self, envelope: Envelope) -> None:
         """Send one envelope; each surviving copy is scheduled on the engine.
@@ -127,9 +133,11 @@ class Network:
         engine = self._engine
         now = engine.now
         self.metrics.record_send(message_type, size_bytes, round_number)
-        self.trace.record(
-            now, "send", sender, recipient=recipient, message_type=message_type, round=round_number
-        )
+        if self._trace_traffic:
+            self.trace.record(
+                now, "send", sender,
+                recipient=recipient, message_type=message_type, round=round_number,
+            )
         times = self._pipeline.transmit(sender, recipient, now)
         if not times:
             self.note_undeliverable(envelope, reason="loss")
@@ -141,16 +149,13 @@ class Network:
 
     def _deliver(self, envelope: Envelope) -> None:
         """One scheduled copy of ``envelope`` reaches its recipient."""
-        sender, recipient, _, message_type, _, round_number = envelope
-        self.trace.record(
-            self._engine.now,
-            "deliver",
-            recipient,
-            sender=sender,
-            message_type=message_type,
-            round=round_number,
-        )
-        self._handlers[recipient](envelope)
+        if self._trace_traffic:
+            sender, recipient, _, message_type, _, round_number = envelope
+            self.trace.record(
+                self._engine.now, "deliver", recipient,
+                sender=sender, message_type=message_type, round=round_number,
+            )
+        self._handlers[envelope.recipient](envelope)
 
     def broadcast(
         self,

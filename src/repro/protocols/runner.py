@@ -82,7 +82,7 @@ def build_context(
     seed) pair.  ``retention`` sizes the trace recorder's per-kind ring
     buffers and the commit log's dedup window; the all-defaults spec
     keeps both unbounded.  Unless ``retention.trace_traffic`` is set,
-    the recorder counts :data:`TRAFFIC_KINDS` without storing them.
+    the trace never gets :data:`TRAFFIC_KINDS`; the metrics count them.
     """
     engine = SimulationEngine()
     pipeline = LinkPipeline(
@@ -109,7 +109,7 @@ def build_context(
             metrics=MetricsCollector(),
             trace=TraceRecorder(
                 window=retention.trace_window,
-                count_only=() if retention.trace_traffic else TRAFFIC_KINDS,
+                unrecorded=() if retention.trace_traffic else TRAFFIC_KINDS,
             ),
         ),
         timers=TimerService(engine),

@@ -270,14 +270,16 @@ class RetentionSpec:
     constant state; the lifetime counters underneath them stay exact.
 
     - ``trace_traffic`` — store the network's ``send``, ``deliver`` and
-      ``drop`` events in the trace.  Off by default: the deployment's
-      :class:`~repro.sim.trace.TraceRecorder` counts them (``len``,
-      ``count``, ``dropped`` stay exact) but keeps no row, because no
-      oracle check, robustness verdict or state classifier reads
-      per-message traffic, while a message-heavy run's trace is nearly
-      all of it.  A reader that does (the behavioural differential,
-      Figure 2's first-send table) sets it; reading a traffic kind
-      from a trace that only counted it raises ``ValueError``.
+      ``drop`` events in the trace.  Off by default: traffic is not
+      recorded at all (the network never hands it to the
+      :class:`~repro.sim.trace.TraceRecorder`), because no oracle
+      check, robustness verdict or state classifier reads per-message
+      traffic, while a message-heavy run's trace is nearly all of it.
+      The :class:`~repro.sim.metrics.MetricsCollector` counts sends,
+      drops and duplicates either way.  A reader of per-message
+      traffic (the behavioural differential, Figure 2's first-send
+      table) sets it; reading a traffic kind from a trace that does not
+      record it raises ``ValueError``.
 
     - ``trace_window`` — per-kind ring-buffer capacity on the
       :class:`~repro.sim.trace.TraceRecorder`.  Oracle checks that

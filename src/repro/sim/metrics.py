@@ -43,10 +43,6 @@ class MessageStats:
         self.bytes += size_bytes
 
 
-#: what a type nobody sent reads as — ``.get``, so asking adds no row
-_NO_TRAFFIC = MessageStats()
-
-
 class MetricsCollector:
     """Tallies network traffic by message type and by round.
 
@@ -54,7 +50,9 @@ class MetricsCollector:
     about).  Link-layer faults are accounted separately: drops (lost
     on the wire, or delivered to a crashed/halted recipient) and
     duplicated copies never perturb the send totals, so fault-free
-    runs keep their historical numbers exactly.
+    runs keep their historical numbers exactly.  This is the one count
+    of a run's traffic: the trace stores it only when asked
+    (``RetentionSpec.trace_traffic``) and never counts it otherwise.
     """
 
     def __init__(self) -> None:
@@ -108,12 +106,6 @@ class MetricsCollector:
     @property
     def total_bytes(self) -> int:
         return self._total.bytes
-
-    def messages_of(self, message_type: str) -> int:
-        return self._by_type.get(message_type, _NO_TRAFFIC).count
-
-    def bytes_of(self, message_type: str) -> int:
-        return self._by_type.get(message_type, _NO_TRAFFIC).bytes
 
     def by_type(self) -> Dict[str, Tuple[int, int]]:
         """Return {type: (count, bytes)} for every observed type."""

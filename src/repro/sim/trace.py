@@ -11,13 +11,15 @@ The recorder stores events one way: per kind, typed columns that keep
 the newest ``window`` events.  The default, ``window=None``, keeps
 every event — the behaviour every oracle check was written against.
 Soak runs pass a finite ``window`` so a ≥10⁶-event run holds only the
-newest ``window`` events of each kind.  Kinds named in ``count_only``
-are counted and never stored: a deployment counts its network traffic
-(``send`` / ``deliver`` / ``drop``) this way unless its
-:class:`~repro.protocols.spec.RetentionSpec` sets ``trace_traffic``.
-Lifetime bookkeeping (``count``, ``len``) stays exact in every case,
-and :meth:`truncated` tells analysis code whether the events it is
-about to iterate are the complete history or just the retained suffix.
+newest ``window`` events of each kind.  Kinds named in ``unrecorded``
+never reach the recorder, and reading one raises: a deployment leaves
+its network traffic (``send`` / ``deliver`` / ``drop``) out this way
+unless its :class:`~repro.protocols.spec.RetentionSpec` sets
+``trace_traffic``, and :class:`~repro.sim.metrics.MetricsCollector`
+counts sends, drops and duplicates either way.  Lifetime bookkeeping
+(``count``, ``len``) stays exact for every recorded kind, and
+:meth:`truncated` tells analysis code whether the events it is about to
+iterate are the complete history or just the retained suffix.
 """
 
 from __future__ import annotations
@@ -109,16 +111,16 @@ class TraceRecorder:
     those compaction deleted, and its last event is its newest row
     (``window >= 1``, so a recorded kind always retains one).
 
-    A kind in ``count_only`` never gets columns: recording it only adds
-    one to the count compaction keeps, so all of its events count as
-    dropped and :meth:`truncated` holds once it has one.  Reading such
-    a kind by name (:meth:`events`, :meth:`last`) raises ``ValueError``
-    rather than answering with an empty history; :meth:`events` with no
-    kind returns the stored kinds only.  A recorder built directly
-    stores every kind.
+    A kind in ``unrecorded`` is one its producer never records (a
+    deployment's network, for its traffic, unless ``trace_traffic`` is
+    set).  Reading it by name (:meth:`events`, :meth:`last`,
+    :meth:`count`, :meth:`dropped`) raises ``ValueError`` rather than
+    answering with an empty history or a 0; :meth:`events` with no kind
+    returns the recorded kinds.  A recorder built directly records
+    every kind.
     """
 
-    def __init__(self, window: Optional[int] = None, count_only: Iterable[str] = ()) -> None:
+    def __init__(self, window: Optional[int] = None, unrecorded: Iterable[str] = ()) -> None:
         self._window = check_window(window)
         self._keep = sys.maxsize if window is None else window
         self._compact_at = self._keep + max(64, self._keep // 8)
@@ -126,9 +128,8 @@ class TraceRecorder:
         self._schema_ids: Dict[Tuple[str, ...], int] = {}
         self._schemas: List[Tuple[str, ...]] = []
         self._widths: List[int] = []  # len(self._schemas[i])
-        self._count_only = tuple(dict.fromkeys(count_only))
-        # A count-only kind's whole lifetime count lives here.
-        self._compacted: Dict[str, int] = dict.fromkeys(self._count_only, 0)
+        self._unrecorded = tuple(dict.fromkeys(unrecorded))
+        self._compacted: Dict[str, int] = {}
         self._total = 0
 
     @property
@@ -136,18 +137,14 @@ class TraceRecorder:
         return self._window
 
     @property
-    def count_only(self) -> Tuple[str, ...]:
-        """The kinds this recorder counts without storing."""
-        return self._count_only
+    def unrecorded(self) -> Tuple[str, ...]:
+        """The kinds this recorder is never given and refuses to read."""
+        return self._unrecorded
 
     def record(self, time: float, kind: str, player: Optional[int] = None, **detail: Any) -> None:
         """Append one event."""
         ring = self._rings.get(kind)
         if ring is None:
-            if kind in self._count_only:
-                self._compacted[kind] += 1
-                self._total += 1
-                return
             ring = self._rings[kind] = _open_ring()
         seqs, times, players, _, _, add_seq, add_time, add_player, add_schema, add_values = ring
         keys = tuple(detail)
@@ -185,15 +182,15 @@ class TraceRecorder:
             del column[:cut]
         self._compacted[kind] = self._compacted.get(kind, 0) + cut
 
-    def _refuse_unstored(self, kinds: Iterable[str]) -> None:
-        """A ValueError if a read names a count-only kind: its events
-        were never stored, so an empty answer would be a false one."""
+    def _refuse_unrecorded(self, kinds: Iterable[str]) -> None:
+        """A ValueError if a read names an unrecorded kind: its events
+        never reached the trace, so an empty answer would be a false one."""
         for kind in kinds:
-            if kind in self._count_only:
+            if kind in self._unrecorded:
                 raise ValueError(
-                    f"this trace counts {kind!r} events without storing them; a run "
-                    f"that reads network traffic sets RetentionSpec.trace_traffic "
-                    f"(the Scenario axis trace_traffic=True)"
+                    f"this trace does not record {kind!r} events; a run that reads "
+                    f"network traffic sets RetentionSpec.trace_traffic (the Scenario "
+                    f"axis trace_traffic=True), and MetricsCollector counts it either way"
                 )
 
     def _read(self, kind: str) -> Tuple[array, List[TraceEvent]]:
@@ -223,7 +220,7 @@ class TraceRecorder:
             kinds: Iterable[str] = self._rings
         else:
             kinds = (kind,) if isinstance(kind, str) else dict.fromkeys(kind)
-            self._refuse_unstored(kinds)
+            self._refuse_unrecorded(kinds)
         reads = [self._read(name) for name in kinds if name in self._rings]
         if len(reads) == 1:
             events = reads[0][1]
@@ -241,13 +238,16 @@ class TraceRecorder:
         """Lifetime number of events of ``kind`` (O(1), exact even when
         the retention window has dropped some of them)."""
         ring = self._rings.get(kind)
-        return (len(ring.seqs) if ring else 0) + self._compacted.get(kind, 0)
+        if ring is None:
+            self._refuse_unrecorded((kind,))
+            return 0
+        return len(ring.seqs) + self._compacted.get(kind, 0)
 
     def last(self, kind: str) -> Optional[TraceEvent]:
         """The most recent event of ``kind``, or None (O(1))."""
         ring = self._rings.get(kind)
         if ring is None or not ring.seqs:  # a kind whose first record was refused
-            self._refuse_unstored((kind,))
+            self._refuse_unrecorded((kind,))
             return None
         keys, values = self._schemas[ring.schemas[-1]], ring.values
         who = ring.players[-1]
@@ -260,15 +260,13 @@ class TraceRecorder:
         )
 
     def dropped(self, kind: Optional[str] = None) -> int:
-        """Events not retained: evicted by the retention window, or of
-        a count-only kind (0 when unbounded and storing every kind)."""
+        """Events the retention window evicted (0 when unbounded)."""
         if kind is None:
-            return sum(map(self._evicted, self._rings)) + sum(
-                map(self._compacted.__getitem__, self._count_only)
-            )
+            return sum(map(self._evicted, self._rings))
         if kind in self._rings:
             return self._evicted(kind)
-        return self._compacted.get(kind, 0)
+        self._refuse_unrecorded((kind,))
+        return 0
 
     def _evicted(self, kind: str) -> int:
         """Rows of ``kind`` compaction deleted, plus those past the newest ``window``."""

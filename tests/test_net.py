@@ -264,7 +264,6 @@ class TestNetwork:
         engine, network, _ = _mk_network()
         network.send(Envelope(0, 1, "x", "vote", 99, round_number=3))
         engine.run()
-        assert network.metrics.messages_of("vote") == 1
-        assert network.metrics.bytes_of("vote") == 99
+        assert network.metrics.by_type() == {"vote": (1, 99)}
         sends = network.trace.events("send")
         assert sends[0].detail["round"] == 3

@@ -1,14 +1,17 @@
 """Tests for the bounded-memory retention path (RetentionSpec et al.).
 
 Covers the TraceRecorder's per-kind windows and exact lifetime
-counters, its count-only kinds and the network traffic a deployment
-counts without storing, the CommitLog's consumed-prefix truncation, RetentionSpec
+counters, its unrecorded kinds and the network traffic a deployment
+leaves to the metrics unless asked to store it, the CommitLog's
+consumed-prefix truncation, RetentionSpec
 validation and threading through RunSpec/Scenario/CLI, ledger
 body-pruning and round-state pruning, the mempool history bound, and
 the oracle's refusal semantics: checkers that need evicted history
 skip with an explanatory note instead of certifying a window they
 cannot see.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -22,8 +25,9 @@ from repro.protocols.base import ProtocolConfig
 from repro.ledger.chain import Chain
 from repro.ledger.mempool import Mempool
 from repro.ledger.transaction import Transaction
-from repro.net.network import TRAFFIC_KINDS
+from repro.net.network import TRAFFIC_KINDS, Network
 from repro.protocols.runner import RetentionSpec, RunSpec, run
+from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import CommitLog
 from repro.sim.trace import TraceRecorder
 
@@ -120,46 +124,48 @@ class TestTraceRecorderRetention:
         assert [e.kind for e in trace.events(["final", "send", "final"])] == ["send", "final"]
 
 
-class TestCountOnlyKinds:
+class TestUnrecordedKinds:
     @staticmethod
     def _fed():
-        trace = TraceRecorder(count_only=("send", "drop"))
-        trace.record(0.0, "send", 0, to=1)
-        trace.record(1.0, "final", 0, height=1)
-        trace.record(2.0, "send", 1, to=0)
-        trace.record(3.0, "timeout", None)
+        trace = TraceRecorder(unrecorded=("send", "drop"))
+        trace.record(0.0, "final", 0, height=1)
+        trace.record(1.0, "timeout", None)
         return trace
 
-    def test_counted_exactly_and_never_stored(self):
+    def test_only_recorded_kinds_are_counted_and_stored(self):
         trace = self._fed()
-        assert trace.count_only == ("send", "drop")
-        assert len(trace) == 4
-        assert (trace.count("send"), trace.count("drop"), trace.count("final")) == (2, 0, 1)
-        assert [(e.time, e.kind) for e in trace] == [(1.0, "final"), (3.0, "timeout")]
+        assert trace.unrecorded == ("send", "drop")
+        assert len(trace) == 2
+        assert (trace.count("final"), trace.count("timeout"), trace.count("absent")) == (1, 1, 0)
+        assert [(e.time, e.kind) for e in trace] == [(0.0, "final"), (1.0, "timeout")]
         assert trace.events() == list(trace)
-        assert (trace.dropped("send"), trace.dropped("drop"), trace.dropped()) == (2, 0, 2)
-        assert trace.truncated("send") and trace.truncated()
-        assert not trace.truncated("drop") and not trace.truncated("final")
+        assert (trace.dropped(), trace.truncated()) == (0, False)
 
     @pytest.mark.parametrize("read", [
         lambda trace: trace.events("send"),
         lambda trace: trace.events(("final", "drop")),
         lambda trace: trace.events("send", player=0),
         lambda trace: trace.last("send"),
-        lambda trace: trace.last("drop"),  # none recorded: still not an empty answer
+        lambda trace: trace.last("drop"),
+        lambda trace: trace.count("send"),
+        lambda trace: trace.count("drop"),
+        lambda trace: trace.dropped("send"),
+        lambda trace: trace.truncated("drop"),
     ])
-    def test_reading_a_count_only_kind_raises(self, read):
+    def test_reading_an_unrecorded_kind_raises(self, read):
         with pytest.raises(ValueError, match="trace_traffic"):
             read(self._fed())
 
-    def test_a_window_still_bounds_the_stored_kinds(self):
-        trace = TraceRecorder(window=2, count_only=("send",))
+    def test_a_window_still_bounds_the_recorded_kinds(self):
+        trace = TraceRecorder(window=2, unrecorded=("send",))
         for step in range(5):
-            trace.record(float(step), "send", 0)
             trace.record(float(step), "final", 0)
         assert [e.time for e in trace] == [3.0, 4.0]
-        assert (trace.dropped("send"), trace.dropped("final"), trace.dropped()) == (5, 3, 8)
-        assert len(trace) == 10
+        assert (trace.dropped("final"), trace.dropped(), len(trace)) == (3, 3, 5)
+
+    def test_a_network_records_all_traffic_or_none(self):
+        with pytest.raises(ValueError, match="all of"):
+            Network(SimulationEngine(), trace=TraceRecorder(unrecorded=("send",)))
 
 
 def _deployment_trace(retention: RetentionSpec) -> TraceRecorder:
@@ -171,12 +177,34 @@ def _deployment_trace(retention: RetentionSpec) -> TraceRecorder:
     )).trace
 
 
-def test_a_deployment_counts_traffic_unless_asked_to_store_it():
-    assert TraceRecorder().count_only == ()  # a recorder built directly stores every kind
-    assert _deployment_trace(RetentionSpec()).count_only == TRAFFIC_KINDS
-    assert _deployment_trace(RetentionSpec(trace_traffic=True)).count_only == ()
+def test_a_deployment_records_traffic_only_when_asked_to_store_it():
+    assert TraceRecorder().unrecorded == ()  # a recorder built directly records every kind
+    assert _deployment_trace(RetentionSpec()).unrecorded == TRAFFIC_KINDS
+    assert _deployment_trace(RetentionSpec(trace_traffic=True)).unrecorded == ()
     assert "trace_traffic" not in get_scenario("honest").to_dict()
     assert get_scenario("honest").with_params(trace_traffic=True).to_dict()["trace_traffic"]
+
+
+def test_a_default_deployment_never_hands_traffic_to_the_trace(monkeypatch):
+    kinds = []
+    record = TraceRecorder.record
+
+    def counting(self, time, kind, player=None, **detail):
+        kinds.append(kind)
+        record(self, time, kind, player, **detail)
+
+    monkeypatch.setattr(TraceRecorder, "record", counting)
+    result = get_scenario("lossy-honest").run(seed=0)
+    assert result.metrics.total_messages > 0 and result.metrics.total_dropped > 0
+    assert kinds and not set(kinds) & set(TRAFFIC_KINDS)
+
+
+def test_an_unbounded_default_run_drops_nothing():
+    """Leaving traffic out is not dropping it: the 2,097 traffic events
+    of this run are the metrics' to count, and none was evicted."""
+    trace = get_scenario("honest").run(seed=0).trace
+    assert trace.window is None
+    assert (trace.truncated(), trace.dropped(), len(trace)) == (False, 0, 120)
 
 
 TRAFFIC_CELLS = {
@@ -190,11 +218,16 @@ TRAFFIC_CELLS = {
 }
 
 
+def _drops_by_reason(trace):
+    return dict(Counter(event.detail["reason"] for event in trace.events("drop")))
+
+
 @pytest.mark.parametrize("cell", sorted(TRAFFIC_CELLS))
 def test_counting_traffic_changes_nothing_but_what_is_stored(cell):
-    """Traffic off against traffic on, at seed 0: the run, its record,
-    its oracle and every trace count are the same; only the traffic
-    rows are missing, and asking for them raises."""
+    """Traffic off against traffic on, at seed 0: the run, its record
+    and its oracle are the same; the off trace is the on trace minus
+    its traffic, the metrics count that traffic either way, and asking
+    the off trace for it raises."""
     checked = TRAFFIC_CELLS[cell].with_params(check_invariants=True)
     stored = checked.with_params(trace_traffic=True)
     off, on = checked.run(seed=0), stored.run(seed=0)
@@ -207,17 +240,14 @@ def test_counting_traffic_changes_nothing_but_what_is_stored(cell):
         for result in (off, on)
     ]
     assert verdicts[0] == verdicts[1]
-    assert len(off.trace) == len(on.trace)
-    kinds = {event.kind for event in on.trace} | set(TRAFFIC_KINDS)
-    assert {kind: off.trace.count(kind) for kind in kinds} == {
-        kind: on.trace.count(kind) for kind in kinds
-    }
     assert off.trace.events() == [e for e in on.trace if e.kind not in TRAFFIC_KINDS]
+    assert len(on.trace) - len(off.trace) == sum(map(on.trace.count, TRAFFIC_KINDS))
     assert on.trace.count("send") > 0
-    assert off.trace.truncated("send")
-    assert off.trace.dropped("send") == off.trace.count("send")
+    for result in (off, on):
+        assert result.metrics.total_messages == on.trace.count("send")
+        assert result.metrics.dropped_by_reason() == _drops_by_reason(on.trace)
     with pytest.raises(ValueError, match="trace_traffic"):
-        off.trace.events("send")
+        off.trace.count("send")
 
 
 class TestCommitLogRetention:

@@ -10,19 +10,19 @@ call-heavy code — then a second table for one ``post`` call (oracle,
 record, hash) on that finished run, and, for a workload whose result is
 one run, its trace's retained records and the bytes its columns take
 per record (``sys.getsizeof`` of each kind's arrays and values list,
-not of the values they point to), next to the lifetime count of each
-kind the trace counted without storing (network traffic, unless the
-run set ``trace_traffic``).  The second run is unprofiled and
-counts, through ``gc.callbacks``, the cycle collector's passes and the
-seconds spent inside them per generation, which no profile row shows;
-then, with the run's result still alive and after one collection, the
-objects the collector tracks and their six most common types — what
-every later full collection walks.  A third run, with the collector
-disabled around it, drops its result and counts what only the
-collector can reclaim: the objects of every finished deployment that
-reference counting did not free.  ``perf/`` is imported by path and
-not edited; timings to *claim* come from ``make perf-compare``, never
-from here.  ``make profile WORKLOAD=<name>``.
+not of the values they point to), next to its traffic as the metrics
+count it: sends, drops by reason and duplicate copies (the trace holds
+no traffic unless the run set ``trace_traffic``).  The second run is
+unprofiled and counts, through ``gc.callbacks``, the cycle collector's
+passes and the seconds spent inside them per generation, which no
+profile row shows; then, with the run's result still alive and after
+one collection, the objects the collector tracks and their six most
+common types — what every later full collection walks.  A third run,
+with the collector disabled around it, drops its result and counts
+what only the collector can reclaim: the objects of every finished
+deployment that reference counting did not free.  ``perf/`` is
+imported by path and not edited; timings to *claim* come from
+``make perf-compare``, never from here.  ``make profile WORKLOAD=<name>``.
 """
 
 from __future__ import annotations
@@ -68,21 +68,27 @@ def _prepare_and_run(workload: Any, seed: int) -> Tuple[Any, Any]:
     return prepared, workload.run(prepared, seed)
 
 
-def trace_columns(result: Any) -> Optional[Tuple[int, float, Dict[str, int]]]:
+def trace_columns(result: Any) -> Optional[Tuple[int, float, str]]:
     """Retained records of ``result``'s trace, its column bytes per
-    retained record and the lifetime count of each kind it counted
-    without storing, or None when ``result`` holds no trace (a sweep's
-    records)."""
+    retained record and its traffic as the metrics count it, or None
+    when ``result`` holds no trace (a sweep's records)."""
     trace = getattr(getattr(result, "ctx", None), "trace", None)
     if trace is None:
         return None
+    metrics = result.metrics
+    drops = ", ".join(
+        f"{reason} {count:,}" for reason, count in sorted(metrics.dropped_by_reason().items())
+    )
+    traffic = (
+        f"{metrics.total_messages:,} sends, drops {drops or 'none'}, "
+        f"{metrics.total_duplicates:,} duplicates"
+    )
     retained = len(trace) - trace.dropped()
     # A diagnostic read of the recorder's private columns: five per kind.
     column_bytes = sum(
         sys.getsizeof(column) for ring in trace._rings.values() for column in ring[:5]
     )
-    counted = {kind: trace.count(kind) for kind in trace.count_only}
-    return retained, column_bytes / retained if retained else 0.0, counted
+    return retained, column_bytes / retained if retained else 0.0, traffic
 
 
 def collector_run(workload: Any, seed: int) -> Tuple[float, List[int], List[float], Counter]:
@@ -147,11 +153,10 @@ def main() -> int:
     stats.sort_stats("tottime").print_stats(args.top)
     columns = trace_columns(outcome)
     if columns is not None:
-        retained, per_record, counted = columns
-        counted_only = ", ".join(f"{kind} {count:,}" for kind, count in counted.items())
+        retained, per_record, traffic = columns
         print(
             f"trace: {retained:,} retained records, {per_record:.1f} B of columns per record; "
-            f"counted, not stored: {counted_only or 'none'}"
+            f"traffic (metrics): {traffic}"
         )
     del prepared, outcome  # the collector run below counts only its own result
 
