@@ -9,20 +9,25 @@ cross-references three sources:
 1. the burns recorded in the collateral registry,
 2. the fraud proofs held by honest replicas' detectors,
 3. the ground-truth deviator set (players whose strategy double-signs).
+
+:func:`judge_accountability` alone computes these sets; the oracle's
+checkers read its report as :func:`check_accountability`'s callers do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Set
 
-from repro.core.pof import FraudProof, verify_proofs
+from repro.core.pof import verify_proofs
 from repro.protocols.runner import RunResult
 
 
 @dataclass
 class AccountabilityReport:
-    """Who was burned, who is provably guilty, who actually deviated."""
+    """Who was burned, who is provably guilty (V(π) over each distinct
+    honest-held proof, verified once; nobody under a forgeable backend),
+    who actually deviated."""
 
     burned: Set[int]
     provably_guilty: Set[int]
@@ -51,17 +56,28 @@ class AccountabilityReport:
         return self.no_honest_framed and self.burns_backed_by_proofs and self.burns_hit_deviators
 
 
-def _deviator_ground_truth(result: RunResult) -> Set[int]:
-    """Players whose strategy signs conflicting statements (π_ds)."""
-    deviators = set()
-    for player in result.players:
-        if player.strategy.double_votes():
-            deviators.add(player.player_id)
-    return deviators
+def judge_accountability(result: RunResult) -> AccountabilityReport:
+    """Definition 6's sets for one run, whatever its crypto backend."""
+    registry = result.ctx.registry
+    provably_guilty: Set[int] = set()
+    if registry.backend.unforgeable:
+        detectors = [getattr(result.replicas[pid], "detector", None) for pid in result.honest_ids]
+        held = {proof for d in detectors if d is not None for proof in d.proofs().values()}
+        provably_guilty = verify_proofs(held, registry)
+    return AccountabilityReport(
+        burned=set(result.penalised_players()),
+        provably_guilty=provably_guilty,
+        # Players whose strategy signs conflicting statements (π_ds).
+        ground_truth_deviators={
+            player.player_id for player in result.players if player.strategy.double_votes()
+        },
+        honest_ids=set(result.honest_ids),
+    )
 
 
 def check_accountability(result: RunResult) -> AccountabilityReport:
-    """Cross-check burns, proofs and ground truth for one run.
+    """Cross-check burns, proofs and ground truth for one run: the
+    report the oracle's ``no-honest-pof`` and ``accountability`` read.
 
     Refuses runs signed with a forgeable backend: Definition 6's V(π)
     is only convincing because nobody but the accused could have
@@ -75,17 +91,4 @@ def check_accountability(result: RunResult) -> AccountabilityReport:
             f"this run used {registry.backend.name!r} whose proofs are not binding "
             f"(re-run the scenario with crypto_backend='hmac-sha256')"
         )
-    provably_guilty: Set[int] = set()
-    for pid in result.honest_ids:
-        replica = result.replicas[pid]
-        detector = getattr(replica, "detector", None)
-        if detector is None:
-            continue
-        proofs: Dict[int, FraudProof] = detector.proofs()
-        provably_guilty |= verify_proofs(proofs.values(), registry)
-    return AccountabilityReport(
-        burned=set(result.penalised_players()),
-        provably_guilty=provably_guilty,
-        ground_truth_deviators=_deviator_ground_truth(result),
-        honest_ids=set(result.honest_ids),
-    )
+    return judge_accountability(result)

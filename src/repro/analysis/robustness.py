@@ -14,13 +14,18 @@ A protocol run is (t,k)-robust if honest players' ledgers satisfy:
 
 Strong robustness adds **(t,k)-censorship resistance**: transactions
 input to all honest players eventually confirm.
+
+This module alone judges a finished run on these clauses and derives
+Table 2's σ from them (:func:`state_of`): the oracle's checkers, the
+run record and the realised utilities read one :class:`RobustnessReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.gametheory.states import SystemState
 from repro.ledger.chain import Chain
 from repro.ledger.validation import (
     chains_agree,
@@ -31,47 +36,104 @@ from repro.ledger.validation import (
 from repro.protocols.runner import RunResult
 
 
+def state_of(
+    agreement: bool, progressed: bool, censorship_resistance: Optional[bool]
+) -> SystemState:
+    """Table 2's σ from Definition 1's clauses, the most severe first:
+    fork ≻ no progress ≻ censorship ≻ honest execution."""
+    if not agreement:
+        return SystemState.FORK
+    if not progressed:
+        return SystemState.NO_PROGRESS
+    if censorship_resistance is False:
+        return SystemState.CENSORSHIP
+    return SystemState.HONEST
+
+
 @dataclass
 class RobustnessReport:
-    """Verdicts per Definition-1 clause, plus diagnostics."""
+    """One finished run judged once: Definition 1's clauses, the σ they
+    imply, and diagnostics.  ``validity`` (and so ``robust``) is None —
+    not judged — when retention evicted the history it compares against
+    (:attr:`RunResult.history_truncated`); ``censorship_resistance`` is
+    None when no censored transactions were named."""
 
     agreement: bool
     strict_ordering: bool
-    validity: bool
+    validity: Optional[bool]
     eventual_liveness: bool
     censorship_resistance: Optional[bool]
     progressed: bool
     fork_heights: List[int]
     max_final_height: int
     min_final_height: int
+    #: (player, tx_id) per confirmed transaction no client submitted.
+    unsubmitted: Tuple[Tuple[int, str], ...] = ()
 
     @property
-    def robust(self) -> bool:
-        """Definition 1: all four clauses hold."""
+    def state(self) -> SystemState:
+        """Table 2's terminal σ, derived from this report's clauses."""
+        return state_of(self.agreement, self.progressed, self.censorship_resistance)
+
+    @property
+    def robust(self) -> Optional[bool]:
+        """Definition 1: all four clauses hold (None: validity unjudged)."""
+        if self.validity is None:
+            return None
         return self.agreement and self.strict_ordering and self.validity and self.eventual_liveness
 
     @property
     def strongly_robust(self) -> Optional[bool]:
         """Definition 3: robust + censorship resistant (None if the
-        censorship check was not requested)."""
+        censorship check was not requested or robustness not judged)."""
         if self.censorship_resistance is None:
             return None
         return self.robust and self.censorship_resistance
 
 
-def _validity_holds(result: RunResult, chains: Dict[int, Chain]) -> bool:
-    """Every confirmed transaction was actually submitted by a client
-    (or is an adversarial marker, which must never confirm on an
-    honest chain under valid parameters — if it does, the fork-marker
-    block was adversarial; it still *was* proposed, so validity here
-    checks provenance, not safety)."""
+def _chain_clauses(
+    chains: Dict[int, Chain],
+    censored_tx_ids: Optional[Iterable[str]],
+    final_only: bool = True,
+) -> Tuple[bool, List[int], Optional[bool]]:
+    """Agreement, confirmed heights and censorship resistance."""
+    agreement = chains_agree(chains, final_only=final_only)
+    heights = [
+        len(chain.final_blocks()) if final_only else len(chain) for chain in chains.values()
+    ]
+    censorship: Optional[bool] = None
+    if censored_tx_ids is not None:
+        censorship = all(
+            any(chain.contains_transaction(tx_id, final_only=final_only) for chain in chains.values())
+            for tx_id in set(censored_tx_ids)
+        )
+    return agreement, heights, censorship
+
+
+def chain_state(
+    chains: Dict[int, Chain],
+    censored_tx_ids: Optional[Iterable[str]] = None,
+    final_only: bool = True,
+) -> SystemState:
+    """:attr:`RobustnessReport.state` over bare honest chains."""
+    if not chains:
+        raise ValueError("need at least one honest chain to classify")
+    agreement, heights, censorship = _chain_clauses(chains, censored_tx_ids, final_only)
+    return state_of(agreement, max(heights) > 0, censorship)
+
+
+def _unsubmitted(result: RunResult, chains: Dict[int, Chain]) -> Tuple[Tuple[int, str], ...]:
+    """Confirmed transactions no client submitted; adversarial fork
+    markers *were* proposed, so validity exempts them (provenance, not
+    safety)."""
     submitted = set(result.submitted_tx_ids)
-    for chain in chains.values():
-        for block in chain.final_blocks():
-            for tx in block.transactions:
-                if tx.tx_id not in submitted and not is_adversarial_marker(tx.tx_id):
-                    return False
-    return True
+    return tuple(
+        (pid, tx.tx_id)
+        for pid, chain in chains.items()
+        for block in chain.final_blocks()
+        for tx in block.transactions
+        if tx.tx_id not in submitted and not is_adversarial_marker(tx.tx_id)
+    )
 
 
 def check_robustness(
@@ -94,33 +156,19 @@ def check_robustness(
     chains = result.honest_chains()
     if not chains:
         raise ValueError("run has no honest players")
-
-    agreement = chains_agree(chains, final_only=True)
-    ordering = strict_ordering_holds(chains, c)
-    validity = _validity_holds(result, chains)
-
-    final_heights = [len(chain.final_blocks()) for chain in chains.values()]
-    max_height = max(final_heights)
-    min_height = min(final_heights)
-    liveness = (max_height - min_height) <= liveness_slack
-    progressed = max_height > 0
-
-    censorship: Optional[bool] = None
-    if censored_tx_ids is not None:
-        targets: Set[str] = set(censored_tx_ids)
-        censorship = all(
-            any(chain.contains_transaction(tx_id, final_only=True) for chain in chains.values())
-            for tx_id in targets
-        )
-
+    agreement, heights, censorship = _chain_clauses(chains, censored_tx_ids)
+    # Refusal, not a vacuous pass: with submissions trimmed or bodies
+    # pruned, the comparison would judge only what retention kept.
+    unsubmitted = None if result.history_truncated else _unsubmitted(result, chains)
     return RobustnessReport(
         agreement=agreement,
-        strict_ordering=ordering,
-        validity=validity,
-        eventual_liveness=liveness,
+        strict_ordering=strict_ordering_holds(chains, c),
+        validity=None if unsubmitted is None else not unsubmitted,
+        eventual_liveness=max(heights) - min(heights) <= liveness_slack,
         censorship_resistance=censorship,
-        progressed=progressed,
+        progressed=max(heights) > 0,
         fork_heights=[] if agreement else disagreement_heights(chains, final_only=True),
-        max_final_height=max_height,
-        min_final_height=min_height,
+        max_final_height=max(heights),
+        min_final_height=min(heights),
+        unsubmitted=unsubmitted or (),
     )

@@ -19,20 +19,15 @@ applicability logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.robustness import check_robustness
+from repro.analysis.accountability import AccountabilityReport, judge_accountability
+from repro.analysis.robustness import RobustnessReport, check_robustness
 from repro.core.messages import SignedStatement, verify_statement
-from repro.core.pof import FraudProof
 from repro.crypto.aggregate import AggregateQC
 from repro.ledger.chain import ConfirmationStatus
-from repro.ledger.validation import (
-    chains_agree,
-    disagreement_heights,
-    is_adversarial_marker,
-    strict_ordering_holds,
-)
 from repro.protocols.phases import PhaseRound
 from repro.protocols.runner import RunResult
 
@@ -77,48 +72,32 @@ def _violation(checker: str, message: str, **detail: Any) -> Violation:
 
 @dataclass
 class OracleContext:
-    """Everything a checker may look at for one finished run."""
+    """Everything a checker may look at for one finished run, judged
+    once per pass: :attr:`robustness` (Definition 1) and
+    :attr:`accountability` (Definition 6), computed on first use."""
 
     result: RunResult
     scenario: Optional[Any] = None
     seed: Optional[int] = None
-    _honest_chains: Optional[Dict[int, Any]] = field(default=None, repr=False)
-    _honest_proofs: Optional[Dict[int, FraudProof]] = field(default=None, repr=False)
-
-    @property
-    def honest_chains(self) -> Dict[int, Any]:
-        if self._honest_chains is None:
-            self._honest_chains = self.result.honest_chains()
-        return self._honest_chains
 
     @property
     def censored_tx_ids(self) -> Optional[List[str]]:
         censored = list(getattr(self.scenario, "censored_tx_ids", ()) or ())
         return censored or None
 
-    def honest_proofs(self) -> Dict[int, FraudProof]:
-        """Fraud proofs held by honest replicas, keyed by accused.
+    @cached_property
+    def robustness(self) -> RobustnessReport:
+        # A pipelined run cut off mid-window can leave one replica up to
+        # pipeline_depth final blocks ahead of a laggard still flushing
+        # deferred commits: the run-end slack widens to the depth.
+        slack = max(1, int(getattr(self.scenario, "pipeline_depth", 1) or 1))
+        return check_robustness(
+            self.result, censored_tx_ids=self.censored_tx_ids, liveness_slack=slack
+        )
 
-        Cached: several checkers consume (and re-verify) the merged
-        dict, and one collection per oracle pass is enough.
-        """
-        if self._honest_proofs is None:
-            proofs: Dict[int, FraudProof] = {}
-            for pid in self.result.honest_ids:
-                detector = getattr(self.result.replicas[pid], "detector", None)
-                if detector is None:
-                    continue
-                proofs.update(detector.proofs())
-            self._honest_proofs = proofs
-        return self._honest_proofs
-
-    def ground_truth_deviators(self) -> Set[int]:
-        """Players whose strategy signs conflicting statements (π_ds)."""
-        return {
-            player.player_id
-            for player in self.result.players
-            if player.strategy.double_votes()
-        }
+    @cached_property
+    def accountability(self) -> AccountabilityReport:
+        return judge_accountability(self.result)
 
 
 class InvariantChecker:
@@ -163,13 +142,12 @@ class AgreementChecker(InvariantChecker):
     condition = "safety"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        chains = ctx.honest_chains
-        if chains_agree(chains, final_only=True):
+        if ctx.robustness.agreement:
             return []
         return [_violation(
             self.name,
             "honest players confirmed conflicting blocks",
-            fork_heights=tuple(disagreement_heights(chains, final_only=True)),
+            fork_heights=tuple(ctx.robustness.fork_heights),
         )]
 
 
@@ -181,7 +159,7 @@ class PrefixConsistencyChecker(InvariantChecker):
     condition = "safety"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        if strict_ordering_holds(ctx.honest_chains, c=0):
+        if ctx.robustness.strict_ordering:
             return []
         return [_violation(self.name, "honest final ledgers are not prefixes of one another")]
 
@@ -216,14 +194,7 @@ class LivenessChecker(InvariantChecker):
         )
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        # A pipelined run cut off mid-window can legitimately leave one
-        # replica up to pipeline_depth finalised blocks ahead of a
-        # laggard still flushing deferred commits; widen the run-end
-        # slack accordingly (depth 1 keeps the legacy slack of 1).
-        slack = max(1, int(getattr(ctx.scenario, "pipeline_depth", 1) or 1))
-        verdict = check_robustness(
-            ctx.result, censored_tx_ids=ctx.censored_tx_ids, liveness_slack=slack
-        )
+        verdict = ctx.robustness
         violations: List[Violation] = []
         progress_expected = self._progress_expected(ctx.scenario)
         if (
@@ -268,7 +239,7 @@ class ChainIntegrityChecker(InvariantChecker):
 
     def check(self, ctx: OracleContext) -> List[Violation]:
         violations: List[Violation] = []
-        for pid, chain in ctx.honest_chains.items():
+        for pid, chain in ctx.result.honest_chains().items():
             blocks = chain.blocks(include_genesis=True)
             for height in range(1, len(blocks)):
                 if blocks[height].parent_digest != blocks[height - 1].digest:
@@ -291,9 +262,7 @@ class ChainIntegrityChecker(InvariantChecker):
 class ValidityChecker(InvariantChecker):
     """External validity: every transaction confirmed on an honest
     ledger was actually submitted by a client (Definition 1's validity
-    clause — no fabricated content).  Adversarial fork markers are
-    legitimate *proposed* content and are exempt; whether they may
-    ever confirm is the agreement checker's business."""
+    clause — no fabricated content; fork markers exempt)."""
 
     name = "validity"
     # Compares every confirmed body against the complete submission
@@ -302,18 +271,11 @@ class ValidityChecker(InvariantChecker):
     needs_full_history = True
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        submitted = set(ctx.result.submitted_tx_ids)
-        violations: List[Violation] = []
-        for pid, chain in ctx.honest_chains.items():
-            for block in chain.final_blocks():
-                for tx in block.transactions:
-                    if tx.tx_id in submitted or is_adversarial_marker(tx.tx_id):
-                        continue
-                    violations.append(_violation(
-                        self.name, "confirmed transaction was never submitted",
-                        player=pid, tx_id=tx.tx_id,
-                    ))
-        return violations
+        return [
+            _violation(self.name, "confirmed transaction was never submitted",
+                       player=pid, tx_id=tx_id)
+            for pid, tx_id in ctx.robustness.unsubmitted
+        ]
 
 
 class NoHonestPofChecker(InvariantChecker):
@@ -325,26 +287,20 @@ class NoHonestPofChecker(InvariantChecker):
     name = "no-honest-pof"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        honest = set(ctx.result.honest_ids)
+        report = ctx.accountability
         violations: List[Violation] = []
-        framed = sorted(ctx.result.penalised_players() & honest)
+        framed = sorted(report.burned & report.honest_ids)
         if framed:
             violations.append(_violation(
                 self.name, "honest players had collateral burned", players=tuple(framed),
             ))
-        registry = ctx.result.ctx.registry
-        if registry.backend.unforgeable:
-            accused = {
-                accused
-                for accused, proof in ctx.honest_proofs().items()
-                if proof.verify(registry)
-            }
-            framed = sorted(accused & honest)
-            if framed:
-                violations.append(_violation(
-                    self.name, "a verifying Proof-of-Fraud accuses honest players",
-                    players=tuple(framed),
-                ))
+        # Empty under a forgeable backend: its tags prove nothing.
+        framed = sorted(report.provably_guilty & report.honest_ids)
+        if framed:
+            violations.append(_violation(
+                self.name, "a verifying Proof-of-Fraud accuses honest players",
+                players=tuple(framed),
+            ))
         return violations
 
 
@@ -369,16 +325,15 @@ class AccountabilityChecker(InvariantChecker):
                 "collateral burned under a forgeable crypto backend: no binding proof can exist",
                 backend=registry.backend.name, players=tuple(sorted(burned)),
             )]
+        report = ctx.accountability
         violations: List[Violation] = []
-        proofs = ctx.honest_proofs()
-        provable = {accused for accused, proof in proofs.items() if proof.verify(registry)}
-        unproven = sorted(burned - provable)
+        unproven = sorted(burned - report.provably_guilty)
         if unproven:
             violations.append(_violation(
                 self.name, "burned players lack a verifying Proof-of-Fraud",
                 players=tuple(unproven),
             ))
-        framed = sorted(burned - ctx.ground_truth_deviators())
+        framed = sorted(burned - report.ground_truth_deviators)
         if framed:
             violations.append(_violation(
                 self.name, "burned players never actually double-signed",
@@ -651,13 +606,13 @@ class UtilityConsistencyChecker(InvariantChecker):
     # evicted burn or final event would silently shift Eq. 1's terms.
     trace_kinds = ("burn", "final")
 
-    #: The per-round stream audit is O(rounds²) in the worst case;
+    #: The per-round stream audit costs rounds × rational players;
     #: above this many configured rounds only the burn/registry
     #: reconciliation (a) runs.
     _STREAM_AUDIT_MAX_ROUNDS = 256
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        from repro.gametheory.empirical import classify_round, per_round_utilities
+        from repro.gametheory.empirical import per_round_utilities, round_states
         from repro.gametheory.payoff import payoff
 
         result = ctx.result
@@ -690,16 +645,16 @@ class UtilityConsistencyChecker(InvariantChecker):
         if rounds > self._STREAM_AUDIT_MAX_ROUNDS:
             return violations
         censored = ctx.censored_tx_ids
-        for player in result.players:
-            if not player.is_rational:
-                continue
+        rational = [player for player in result.players if player.is_rational]
+        if not rational:
+            return violations
+        # σ per round once, from the pass's one terminal judgement.
+        terminal = ctx.robustness.state if censored is not None else None
+        states = round_states(result, censored, terminal)
+        for player in rational:
             pid = player.player_id
-            stream = per_round_utilities(result, pid, player.theta, censored)
-            base = sum(
-                payoff(classify_round(result, r, censored), player.theta,
-                       result.config.alpha)
-                for r in range(rounds)
-            )
+            stream = per_round_utilities(result, pid, player.theta, censored, terminal)
+            base = sum(payoff(state, player.theta, result.config.alpha) for state in states)
             embedded = base - sum(stream)
             expected = float(deposit) if pid in accused else 0.0
             if abs(embedded - expected) > 1e-9:

@@ -475,7 +475,7 @@ def scenario_report(result: RunResult, scenario: Scenario) -> str:
     rows = [
         ["scenario", scenario.name],
         ["protocol", scenario.protocol],
-        ["system state", result.system_state(censored_tx_ids=censored).name],
+        ["system state", verdict.state.name],
         ["final blocks", result.final_block_count()],
         ["penalised players", sorted(result.penalised_players())],
         ["agreement", verdict.agreement],

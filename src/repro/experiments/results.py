@@ -30,17 +30,22 @@ ParamItems = Tuple[Tuple[str, Any], ...]
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One row of a sweep: everything observable about one run."""
+    """One row of a sweep: everything observable about one run.
+
+    ``state``, the verdict columns and ``utilities`` read one
+    :class:`~repro.analysis.robustness.RobustnessReport`; ``validity``
+    and ``robust`` are None (not judged) where the oracle skips validity.
+    """
 
     scenario: str
     protocol: str
     params: ParamItems
     seed: int
     state: str
-    robust: bool
+    robust: Optional[bool]
     agreement: bool
     strict_ordering: bool
-    validity: bool
+    validity: Optional[bool]
     eventual_liveness: bool
     censorship_resistance: Optional[bool]
     progressed: bool
@@ -91,7 +96,8 @@ class RunRecord:
         params: Optional[Mapping[str, Any]] = None,
         wall_time: float = 0.0,
     ) -> "RunRecord":
-        """Flatten a finished run (see :class:`Scenario` for inputs)."""
+        """Flatten a finished run (see :class:`Scenario` for inputs),
+        judged once by :func:`check_robustness`."""
         censored = list(scenario.censored_tx_ids) or None
         verdict = check_robustness(result, censored_tx_ids=censored)
         invariants: Optional[Tuple[Tuple[str, str], ...]] = None
@@ -123,8 +129,7 @@ class RunRecord:
                 entries["backlog_series"] = series
             throughput = tuple(sorted(entries.items()))
         utilities = tuple(
-            (player.player_id,
-             result.realised_utility(player.player_id, player.theta, censored_tx_ids=censored))
+            (player.player_id, result.utility_in(verdict.state, player.player_id, player.theta))
             for player in result.players
             if player.is_rational
         )
@@ -133,7 +138,7 @@ class RunRecord:
             protocol=scenario.protocol,
             params=tuple(sorted((params or {}).items())),
             seed=seed,
-            state=result.system_state(censored_tx_ids=censored).name,
+            state=verdict.state.name,
             robust=verdict.robust,
             agreement=verdict.agreement,
             strict_ordering=verdict.strict_ordering,
@@ -180,18 +185,13 @@ class RunRecord:
                 # Nothing skipped: omit, so records from before the
                 # skip-reason fix keep their exact bytes.
                 del data["invariant_notes"]
-        if self.throughput is None:
-            # Legacy fixed-slot run: no report, and no key, so golden
-            # byte-identity is preserved.
-            del data["throughput"]
-        else:
-            data["throughput"] = dict(self.throughput)
-        if self.near_miss is None:
-            # Not a campaign run: no key, so golden byte-identity is
-            # preserved.
-            del data["near_miss"]
-        else:
-            data["near_miss"] = dict(self.near_miss)
+        for name in ("throughput", "near_miss"):
+            # A legacy fixed-slot run or not a campaign run: no key, so
+            # golden byte-identity is preserved.
+            if getattr(self, name) is None:
+                del data[name]
+            else:
+                data[name] = dict(getattr(self, name))
         if not include_timing:
             del data["wall_time"]
         return data
@@ -205,29 +205,22 @@ class RunRecord:
         kwargs["utilities"] = tuple(
             sorted((int(pid), value) for pid, value in dict(data.get("utilities", {})).items())
         )
-        if "invariants" in data and data["invariants"] is not None:
-            kwargs["invariants"] = tuple(sorted(dict(data["invariants"]).items()))
-        else:
-            kwargs["invariants"] = None
+
+        def pairs(key: str) -> Optional[Tuple[Tuple[str, Any], ...]]:
+            value = data.get(key)
+            if value is None:
+                return None
+            # The capped backlog series: JSON hands lists back, the
+            # record carries tuples.
+            return tuple(sorted(
+                (name, tuple(map(tuple, item)) if isinstance(item, (list, tuple)) else item)
+                for name, item in dict(value).items()
+            ))
+
+        for key in ("invariants", "throughput", "near_miss"):
+            kwargs[key] = pairs(key)
         kwargs["invariant_violations"] = tuple(data.get("invariant_violations", ()))
-        kwargs["invariant_notes"] = tuple(
-            sorted(dict(data.get("invariant_notes", {}) or {}).items())
-        )
-        if "throughput" in data and data["throughput"] is not None:
-            entries = []
-            for name, value in dict(data["throughput"]).items():
-                if isinstance(value, (list, tuple)):
-                    # The capped backlog series: JSON hands lists back,
-                    # the record carries tuples.
-                    value = tuple(tuple(point) for point in value)
-                entries.append((name, value))
-            kwargs["throughput"] = tuple(sorted(entries))
-        else:
-            kwargs["throughput"] = None
-        if "near_miss" in data and data["near_miss"] is not None:
-            kwargs["near_miss"] = tuple(sorted(dict(data["near_miss"]).items()))
-        else:
-            kwargs["near_miss"] = None
+        kwargs["invariant_notes"] = pairs("invariant_notes") or ()
         kwargs.setdefault("wall_time", 0.0)
         return cls(**kwargs)
 
@@ -288,10 +281,10 @@ def write_csv(path: str, records: Sequence[RunRecord], include_timing: bool = Fa
     only when the oracle ran for some record, so oracle-free sweeps
     keep their historical column set byte for byte.
 
-    ``censorship_resistance`` is tri-state: ``True``/``False`` verdicts
-    write as such, and not-applicable (``None``) writes as an *empty
-    cell* — never the string ``"None"``, which would be indistinguishable
-    from a scenario value.
+    ``robust``, ``validity`` and ``censorship_resistance`` are
+    tri-state: ``True``/``False`` verdicts write as such, and not judged
+    (``None``) writes as an *empty cell* — never the string ``"None"``,
+    which would be indistinguishable from a scenario value.
 
     The CSV is an export for spreadsheets, never read back: it drops
     per-player utilities and the backlog series, so the JSON the same
@@ -317,10 +310,11 @@ def write_csv(path: str, records: Sequence[RunRecord], include_timing: bool = Fa
         writer.writerow(headers)
         for record in records:
             params = record.param_dict()
-            row: List[Any] = [getattr(record, name) for name in _CSV_FIELDS]
+            row: List[Any] = [
+                "" if value is None else value
+                for value in (getattr(record, name) for name in _CSV_FIELDS)
+            ]
             row[_CSV_FIELDS.index("penalised")] = " ".join(map(str, record.penalised))
-            if record.censorship_resistance is None:
-                row[_CSV_FIELDS.index("censorship_resistance")] = ""
             row.extend(params.get(axis, "") for axis in axes)
             if with_oracle:
                 row.append(
@@ -330,20 +324,12 @@ def write_csv(path: str, records: Sequence[RunRecord], include_timing: bool = Fa
             if with_throughput:
                 # Scalars only: the (already capped) backlog series is a
                 # JSON affordance; the flat CSV column stays scalar.
-                row.append(
-                    ";".join(
-                        f"{name}={value}"
-                        for name, value in record.throughput or ()
-                        if name != "backlog_series"
-                    )
-                )
+                row.append(";".join(
+                    f"{name}={value}" for name, value in record.throughput or ()
+                    if name != "backlog_series"
+                ))
             if with_near_miss:
-                row.append(
-                    ";".join(
-                        f"{name}={value}"
-                        for name, value in record.near_miss or ()
-                    )
-                )
+                row.append(";".join(f"{name}={value}" for name, value in record.near_miss or ()))
             if include_timing:
                 row.append(record.wall_time)
             writer.writerow(row)
@@ -375,8 +361,9 @@ def group_by_params(records: Iterable[RunRecord]) -> Dict[ParamItems, List[RunRe
 def aggregate(records: Sequence[RunRecord]) -> List[Dict[str, Any]]:
     """Per-grid-point summaries over seeds (timing-free, deterministic).
 
-    Each entry reports the run count, the fraction of robust runs, the
-    distribution of terminal states, and means of the scalar metrics.
+    Each entry reports the run count, the fraction of robust runs among
+    those judged (None if none was), the distribution of terminal
+    states, and means of the scalar metrics.
     """
     summaries: List[Dict[str, Any]] = []
     for params, group in group_by_params(records).items():
@@ -384,10 +371,11 @@ def aggregate(records: Sequence[RunRecord]) -> List[Dict[str, Any]]:
         for record in group:
             states[record.state] = states.get(record.state, 0) + 1
         all_utilities = [value for record in group for _, value in record.utilities]
+        judged = [1.0 if r.robust else 0.0 for r in group if r.robust is not None]
         summary = {
             "params": dict(params),
             "runs": len(group),
-            "robust_fraction": mean([1.0 if r.robust else 0.0 for r in group]),
+            "robust_fraction": mean(judged) if judged else None,
             "states": dict(sorted(states.items())),
             "mean_final_blocks": mean([float(r.final_blocks) for r in group]),
             "mean_messages": mean([float(r.total_messages) for r in group]),

@@ -52,12 +52,8 @@ DEFAULT_DB = "warehouse.sqlite"
 ENV_VAR = "REPRO_WAREHOUSE"
 """Set to a database path to mirror runs as they happen."""
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS warehouse_meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS runs (
+_RUNS_TABLE = """
+CREATE TABLE IF NOT EXISTS {name} (
     id                     INTEGER PRIMARY KEY,
     fingerprint            TEXT NOT NULL UNIQUE,
     scenario               TEXT NOT NULL,
@@ -65,10 +61,10 @@ CREATE TABLE IF NOT EXISTS runs (
     seed                   INTEGER NOT NULL,
     params_json            TEXT NOT NULL,
     state                  TEXT NOT NULL,
-    robust                 INTEGER NOT NULL,
+    robust                 INTEGER,            -- tri-state: NULL = not judged
     agreement              INTEGER NOT NULL,
     strict_ordering        INTEGER NOT NULL,
-    validity               INTEGER NOT NULL,
+    validity               INTEGER,            -- tri-state: NULL = not judged
     eventual_liveness      INTEGER NOT NULL,
     censorship_resistance  INTEGER,            -- tri-state: NULL = N/A
     progressed             INTEGER NOT NULL,
@@ -87,6 +83,14 @@ CREATE TABLE IF NOT EXISTS runs (
     source                 TEXT,
     ingested_at            TEXT NOT NULL
 );
+"""
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS warehouse_meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+""" + _RUNS_TABLE.format(name="runs") + """
 CREATE INDEX IF NOT EXISTS idx_runs_scenario ON runs(scenario, protocol);
 CREATE TABLE IF NOT EXISTS run_params (
     run_id     INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
@@ -119,6 +123,10 @@ def _utcnow() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _tri_state(verdict: Optional[bool]) -> Optional[int]:
+    return None if verdict is None else int(verdict)
+
+
 def _fingerprint(payload: Any) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -143,7 +151,7 @@ class AxisAggregate:
     axis: str
     value: Any
     runs: int
-    robust_fraction: float
+    robust_fraction: Optional[float]  # over judged runs; None if none was
     mean_final_blocks: float
     mean_messages: float
     mean_blocks_per_sec: Optional[float]
@@ -202,8 +210,10 @@ class Warehouse:
         self._conn = sqlite3.connect(self.path, timeout=30.0)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA busy_timeout = 30000")
-        self._conn.execute("PRAGMA foreign_keys = ON")
+        # Before foreign keys are on: a rebuilt runs table must not
+        # cascade its drop into the side tables.
         self._migrate()
+        self._conn.execute("PRAGMA foreign_keys = ON")
         with self._conn:
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
@@ -212,13 +222,14 @@ class Warehouse:
             )
 
     def _migrate(self) -> None:
-        """Additive column migrations for databases created before the
-        near-miss/skip-status columns existed (new tables come from the
-        IF NOT EXISTS statements in the schema itself)."""
+        """Migrate databases from before the near-miss/skip-status
+        columns or NULL-able ``robust``/``validity`` (new tables come from
+        the IF NOT EXISTS statements in the schema itself)."""
 
-        def columns(table: str) -> set:
+        def columns(table: str) -> Dict[str, bool]:
+            """Column name → declared NOT NULL."""
             return {
-                row[1]
+                row[1]: bool(row[3])
                 for row in self._conn.execute(f"PRAGMA table_info({table})")
             }
 
@@ -226,6 +237,15 @@ class Warehouse:
             run_cols = columns("runs")
             if run_cols and "near_miss" not in run_cols:
                 self._conn.execute("ALTER TABLE runs ADD COLUMN near_miss REAL")
+            if run_cols.get("validity"):
+                # SQLite cannot relax a column in place: rebuild once.
+                names = ", ".join(run_cols)
+                self._conn.execute(_RUNS_TABLE.format(name="runs_relaxed"))
+                self._conn.execute(
+                    f"INSERT INTO runs_relaxed ({names}) SELECT {names} FROM runs"
+                )
+                self._conn.execute("DROP TABLE runs")
+                self._conn.execute("ALTER TABLE runs_relaxed RENAME TO runs")
             violation_cols = columns("run_violations")
             if violation_cols and "status" not in violation_cols:
                 self._conn.execute(
@@ -278,14 +298,12 @@ class Warehouse:
                         record.seed,
                         json.dumps(record.param_dict(), sort_keys=True, default=list),
                         record.state,
-                        int(record.robust),
+                        _tri_state(record.robust),
                         int(record.agreement),
                         int(record.strict_ordering),
-                        int(record.validity),
+                        _tri_state(record.validity),
                         int(record.eventual_liveness),
-                        None
-                        if record.censorship_resistance is None
-                        else int(record.censorship_resistance),
+                        _tri_state(record.censorship_resistance),
                         int(record.progressed),
                         record.final_blocks,
                         record.total_messages,

@@ -52,22 +52,37 @@ def classify_round(
       classification is censorship and the round made progress);
     - otherwise → Honest execution.
     """
-    finals = _final_rounds_by_player(result)
-    honest = set(result.honest_ids)
-    digests = {
-        finals[pid][round_number]
-        for pid in honest
-        if pid in finals and round_number in finals[pid]
-    }
-    if len(digests) > 1:
-        return SystemState.FORK
-    if not digests:
-        return SystemState.NO_PROGRESS
-    if censored_tx_ids is not None:
-        terminal = result.system_state(censored_tx_ids=censored_tx_ids)
-        if terminal is SystemState.CENSORSHIP:
-            return SystemState.CENSORSHIP
-    return SystemState.HONEST
+    return _round_states(result, (round_number,), censored_tx_ids)[0]
+
+
+def round_states(
+    result: RunResult,
+    censored_tx_ids: Optional[Iterable[str]] = None,
+    terminal: Optional[SystemState] = None,
+) -> List[SystemState]:
+    """:func:`classify_round` for r = 0..max_rounds-1, reading the trace
+    once; ``terminal`` is the run's σ if the caller already judged it."""
+    return _round_states(result, range(result.config.max_rounds), censored_tx_ids, terminal)
+
+
+def _round_states(
+    result: RunResult, rounds: Iterable[int],
+    censored_tx_ids: Optional[Iterable[str]], terminal: Optional[SystemState] = None,
+) -> List[SystemState]:
+    finals, honest = _final_rounds_by_player(result), result.honest_ids
+    censoring = censored_tx_ids is not None and (
+        terminal or result.system_state(censored_tx_ids=censored_tx_ids)
+    ) is SystemState.CENSORSHIP
+    states = []
+    for r in rounds:
+        digests = {finals[pid][r] for pid in honest if r in finals.get(pid, {})}
+        if len(digests) > 1:
+            states.append(SystemState.FORK)
+        elif not digests:
+            states.append(SystemState.NO_PROGRESS)
+        else:
+            states.append(SystemState.CENSORSHIP if censoring else SystemState.HONEST)
+    return states
 
 
 def per_round_utilities(
@@ -75,17 +90,18 @@ def per_round_utilities(
     player_id: int,
     theta: PlayerType,
     censored_tx_ids: Optional[Iterable[str]] = None,
+    terminal: Optional[SystemState] = None,
 ) -> List[float]:
     """u_i(π, θ, r) for r = 0..max_rounds-1, from the executed trace.
 
     The collateral penalty L·D is charged in the round whose
     Proof-of-Fraud triggered the burn (the first ``burn`` trace event
-    naming the player).
+    naming the player).  ``terminal`` as in :func:`round_states`.
     """
     rounds = result.config.max_rounds
     stream = [
-        payoff(classify_round(result, r, censored_tx_ids), theta, result.config.alpha)
-        for r in range(rounds)
+        payoff(state, theta, result.config.alpha)
+        for state in round_states(result, censored_tx_ids, terminal)
     ]
     for event in result.trace.events("burn"):
         if event.detail.get("accused") == player_id and event.detail.get("fresh", True):

@@ -10,16 +10,17 @@ Section 4.1.1 defines four states of the distributed system:
 - σ_0   (Honest Execution): correctness and liveness both hold.
 
 The classifier inspects honest players' chains (never adversary
-state): forks dominate, then lack of progress, then censorship.
+state): forks dominate, then lack of progress, then censorship.  It
+runs the one derivation :mod:`repro.analysis.robustness` owns, the
+same :attr:`~repro.analysis.robustness.RobustnessReport.state` reads.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional
 
 from repro.ledger.chain import Chain
-from repro.ledger.validation import chains_agree
 
 
 class SystemState(enum.Enum):
@@ -36,40 +37,11 @@ def classify_state(
     censored_tx_ids: Optional[Iterable[str]] = None,
     final_only: bool = True,
 ) -> SystemState:
-    """Classify the system state from honest players' chains.
-
-    Args:
-        honest_chains: chain per *honest* player id.
-        censored_tx_ids: the set Z of transactions that were input to
-            all honest players; if any is absent from every chain while
-            the system made progress, the state is σ_CP.
-        final_only: classify over finalised blocks (the default — the
-            paper's states concern *confirmed* blocks).
-
-    Returns:
-        The most severe applicable :class:`SystemState`:
-        fork ≻ no-progress ≻ censorship ≻ honest execution.
+    """The most severe σ of honest players' chains: fork ≻ no-progress ≻
+    censorship (some of ``censored_tx_ids``, the set Z, on no chain) ≻
+    honest execution, over finalised blocks unless ``final_only`` is off.
     """
-    if not honest_chains:
-        raise ValueError("need at least one honest chain to classify")
+    # Lazy: the analysis layer sits above the runner, which imports us.
+    from repro.analysis.robustness import chain_state
 
-    if not chains_agree(honest_chains, final_only=final_only):
-        return SystemState.FORK
-
-    def confirmed_length(chain: Chain) -> int:
-        return len(chain.final_blocks()) if final_only else len(chain)
-
-    if all(confirmed_length(chain) == 0 for chain in honest_chains.values()):
-        return SystemState.NO_PROGRESS
-
-    censored: Set[str] = set(censored_tx_ids or ())
-    if censored:
-        for tx_id in sorted(censored):
-            included_somewhere = any(
-                chain.contains_transaction(tx_id, final_only=final_only)
-                for chain in honest_chains.values()
-            )
-            if not included_somewhere:
-                return SystemState.CENSORSHIP
-
-    return SystemState.HONEST
+    return chain_state(honest_chains, censored_tx_ids, final_only)

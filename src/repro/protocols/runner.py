@@ -171,7 +171,7 @@ class RunResult:
     # Outcome classification and utilities
     # ------------------------------------------------------------------
     def system_state(self, censored_tx_ids: Optional[Iterable[str]] = None) -> SystemState:
-        """Classify the run's terminal σ from honest chains (Table 2)."""
+        """The run's terminal σ (Table 2), as RobustnessReport.state."""
         return classify_state(self.honest_chains(), censored_tx_ids=censored_tx_ids)
 
     def final_block_count(self) -> int:
@@ -190,15 +190,13 @@ class RunResult:
         theta: PlayerType,
         censored_tx_ids: Optional[Iterable[str]] = None,
     ) -> float:
-        """u_i for the run: f(σ, θ) − L·D, at the run's terminal state.
+        """u_i for the run: f(σ, θ) − L·D, at the run's terminal state
+        (per-round discounted utilities: :mod:`repro.gametheory.empirical`)."""
+        return self.utility_in(self.system_state(censored_tx_ids), player_id, theta)
 
-        The simulation realises one σ per run; per-round discounted
-        utilities are computed by the experiment harnesses that run
-        repeated games round by round.
-        """
-        state = self.system_state(censored_tx_ids=censored_tx_ids)
-        penalty = self.ctx.collateral.penalty_of(player_id)
-        return payoff(state, theta, self.config.alpha) - penalty
+    def utility_in(self, state: SystemState, player_id: int, theta: PlayerType) -> float:
+        """f(σ, θ) − L·D for an already judged terminal ``state``."""
+        return payoff(state, theta, self.config.alpha) - self.ctx.collateral.penalty_of(player_id)
 
     @property
     def trace(self):

@@ -258,6 +258,32 @@ class TestWarehouseIngest:
             assert store.campaign_summary().skipped == (("liveness", 1),)
             assert store.stored_records() == [record]
 
+    def test_not_null_verdict_columns_are_relaxed_once_keeping_every_row(self, tmp_path):
+        """A database from when robust/validity were always judged is
+        rebuilt on first open: its rows and side-table rows survive, and
+        an unjudged record then stores NULL in both columns."""
+        db = tmp_path / "old.sqlite"
+        with Warehouse(str(db)) as store:
+            store.ingest_records([make_record(**ORACLE_FIELDS)])
+        with sqlite3.connect(str(db)) as conn:
+            schema = conn.execute("SELECT sql FROM sqlite_master WHERE name = 'runs'").fetchone()[0]
+            strict = re.sub(r"INTEGER,\s*-- tri-state: NULL = not judged", "INTEGER NOT NULL,", schema)
+            assert strict.count("NOT NULL,") - schema.count("NOT NULL,") == 2
+            columns = ", ".join(row[1] for row in conn.execute("PRAGMA table_info(runs)"))
+            conn.executescript(
+                re.sub(r"^CREATE TABLE (IF NOT EXISTS )?runs", "CREATE TABLE runs_strict", strict)
+                + f"; INSERT INTO runs_strict ({columns}) SELECT {columns} FROM runs;"
+                "DROP TABLE runs; ALTER TABLE runs_strict RENAME TO runs;"
+            )
+        refused = make_record(seed=4, robust=None, validity=None)
+        with Warehouse(str(db)) as store:
+            notnull = {row[1]: row[3] for row in store._conn.execute("PRAGMA table_info(runs)")}
+            assert notnull["robust"] == notnull["validity"] == 0
+            assert store.ingest_records([refused]) == 1
+            assert store.stored_records() == [make_record(**ORACLE_FIELDS), refused]
+            assert store.campaign_summary().violating_runs == 1
+            assert store.axis_aggregates("n")[0].robust_fraction == 1.0
+
     def test_a_record_repeated_in_one_batch_is_one_row(self, tmp_path):
         record = make_record()
         with Warehouse(str(tmp_path / "wh.sqlite")) as store:

@@ -11,11 +11,16 @@ of ``BENCHMARK.json`` it prints each side's median and quartiles, the
 BASE side's interquartile range, and in how many pairs CHANGE beat
 BASE (a tie counts for neither side).  A gain is one to claim when
 CHANGE wins at least nine pairs in ten and its median beats BASE's by
-more than BASE's interquartile range; the last column says so.
+more than BASE's interquartile range; the "claimable" column says so.
+A loss is confirmed when CHANGE's median is worse than BASE's by more
+than the metric's ``BENCHMARK.json`` bound; the "worse" column says so.
 
-Exit 1 if a child fails (non-zero exit, or a correctness check of the
-workload reports a failure) or if one side's ``record_sha256`` is not
-the same in every pair; exit 2 on an unknown workload.  Nothing under
+Exit 1 on a confirmed worse metric, if a child fails (non-zero exit,
+or a correctness check of the workload reports a failure) or if one
+side's ``record_sha256`` is not the same in every pair; exit 2 on an
+unknown workload.  ``make perf-compare`` runs this, N = 10, on any
+workload its single alternation reads ``worse``, and fails only if it
+confirms the loss.  Nothing under
 ``perf/`` is edited.  ``make perf-pairs BASE=<rev> WORKLOAD=<w> [N=10]
 [PERF_SEED=0]`` extracts BASE as ``make perf-compare`` does.
 """
@@ -28,7 +33,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 #: as perf/run.py's CHILD_TIMEOUT_S: a repeat that runs this long is stuck.
@@ -79,16 +84,18 @@ def pairs(trees: Dict[str, Path], workload: str, count: int, seed: int) -> Dict[
 
 
 def table(workload: str, reports: Dict[str, List[Dict[str, Any]]],
-          metrics: List[Dict[str, Any]]) -> List[str]:
-    """The per-metric lines for one workload."""
+          metrics: List[Dict[str, Any]]) -> Tuple[List[str], List[str]]:
+    """The per-metric lines for one workload, and the metrics confirmed
+    worse."""
     count = len(reports["base"])
     hashes = [reports[side][0]["record_sha256"][:8] for side in SIDES]
     lines = [
         f"{workload}: {count} pairs; record_sha256 base {hashes[0]}, change {hashes[1]}"
         + ("" if hashes[0] == hashes[1] else " (differ)"),
-        f"  {'metric':<14}{'base median [q1, q3]':>28}{'change median [q1, q3]':>28}"
-        f"{'delta':>9}{'base IQR':>10}{'wins':>7}  claimable",
+        f"  {'metric':<14}{'base median [q1, q3]':>30}{'change median [q1, q3]':>30}"
+        f"{'delta':>9}{'base IQR':>10}{'wins':>7}  claimable  worse",
     ]
+    worse: List[str] = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         base = [report[name] for report in reports["base"]]
@@ -97,13 +104,16 @@ def table(workload: str, reports: Dict[str, List[Dict[str, Any]]],
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         gain = (bm - cm) if lower else (cm - bm)
         claimable = wins >= 0.9 * count and gain > b3 - b1
+        lost = bool(bm) and -gain / abs(bm) > metric["bound"]
+        if lost:
+            worse.append(f"{workload} {name}")
         delta = f"{100 * (cm - bm) / bm:+.1f}%" if bm else "n/a"
         lines.append(
-            f"  {name:<14}{f'{bm:.4g} [{b1:.4g}, {b3:.4g}]':>28}"
-            f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>28}{delta:>9}{b3 - b1:>10.4g}"
-            f"{f'{wins}/{count}':>7}  {'yes' if claimable else 'no'}"
+            f"  {name:<14}{f'{bm:.4g} [{b1:.4g}, {b3:.4g}]':>30}"
+            f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>30}{delta:>9}{b3 - b1:>10.4g}"
+            f"{f'{wins}/{count}':>7}  {'yes' if claimable else 'no':<9}  {'yes' if lost else 'no'}"
         )
-    return lines
+    return lines, worse
 
 
 def main() -> int:
@@ -122,14 +132,19 @@ def main() -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    worse: List[str] = []
     try:
         for workload in args.workloads:
             reports = pairs(trees, workload, args.pairs, args.seed)
-            print("\n".join(table(workload, reports, contract["end_to_end"])))
+            lines, confirmed = table(workload, reports, contract["end_to_end"])
+            print("\n".join(lines))
+            worse += confirmed
     except PairError as error:
         print(f"perf-pairs: {error}", file=sys.stderr)
         return 1
-    return 0
+    for entry in worse:
+        print(f"FAIL: {entry}: median worse than BASE's by more than its bound")
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
