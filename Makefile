@@ -90,12 +90,24 @@ perf-smoke:
 # record_sha256 / ops / events / msgs differ between the two repeats.
 # perf-smoke's tenth of the scale covers one catalog seed and a tenth
 # of pBFT's run; this covers what the benchmark itself runs.  Stops at
-# the first seed that fails.  ~25 s per seed on 2 vCPUs.
+# the first seed that fails.  Each seed runs under PYTHONHASHSEED=0 and
+# =1, and a workload whose record_sha256 differs between the two fails:
+# output that follows set/dict hash order would otherwise fail only at
+# whichever later pair happened to draw another hash seed.  ~50 s per
+# seed on 2 vCPUs.
 SEEDS ?= 0 1 2
 perf-gates:
-	@set -e; for seed in $(SEEDS); do \
-		echo "perf-gates: seed $$seed"; \
-		$(PYTHON) perf/run.py --seed $$seed --repeats 1 >/dev/null; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for seed in $(SEEDS); do \
+		for hash in 0 1; do \
+			echo "perf-gates: seed $$seed, PYTHONHASHSEED=$$hash"; \
+			PYTHONHASHSEED=$$hash $(PYTHON) perf/run.py --seed $$seed --repeats 1 \
+				--out "$$tmp/hash$$hash.json" >/dev/null; \
+		done; \
+		$(PYTHON) -c 'import json, sys; a, b = (json.load(open(p))["workloads"] for p in sys.argv[1:]); \
+			bad = [w for w in a if a[w]["record_sha256"] != b[w]["record_sha256"]]; \
+			sys.exit(bad and "perf-gates: record_sha256 differs between hash seeds on " + ", ".join(bad) or 0)' \
+			"$$tmp/hash0.json" "$$tmp/hash1.json"; \
 	done; echo "perf-gates: seeds $(SEEDS) OK"
 
 # Both before/after gates below need BASE's files next to the working

@@ -294,10 +294,20 @@ def _table1() -> Dict[str, Any]:
         name="table1-bft", protocol="pbft", n=9, rounds=2, byzantine=2, attack="fork",
         timeout=20.0, partition_windows=((0.0, 30.0),), max_time=300.0,
     ).run(seed=0)
+    # HotStuff behind an equivocating leader, coalition {0, 1, 2}: at
+    # t0 = 3 (τ = 6) both of the leader's proposals certify, and the
+    # aggregated QCs burn nobody; at t0 = 2 (τ = 7) any two quorums
+    # meet in an honest replica.
+    hotstuff = {t0: FORK_OVER_BOUND.with_params(protocol="hotstuff", t0=t0).run(seed=0)
+                for t0 in (3, 2)}
     return {
         "CFT, 2c < n: c=4": cft(4),
         "CFT, 2c < n violated: c=5": cft(5),
         "BFT, 3t < n: t=2 equivocating (pBFT)": check_robustness(bft).agreement,
+        "BFT over bound: HotStuff, t0=3: state, burned": [
+            hotstuff[3].system_state().name, sorted(hotstuff[3].penalised_players()),
+        ],
+        "BFT over bound: HotStuff, t0=2: forked": hotstuff[2].system_state().name == "FORK",
         "RFT, t < n/4 and t+k < n/2: t=1, k=2, t0=2": rft(2),
         "RFT, t0 >= n/4 violated: t=1, k=2, t0=3": rft(3),
     }
@@ -588,6 +598,8 @@ CLAIMS = (
             "CFT, 2c < n: c=4": eq(True),
             "CFT, 2c < n violated: c=5": eq(False),
             "BFT, 3t < n: t=2 equivocating (pBFT)": eq(True),
+            "BFT over bound: HotStuff, t0=3: state, burned": eq(["FORK", []]),
+            "BFT over bound: HotStuff, t0=2: forked": eq(False),
             "RFT, t < n/4 and t+k < n/2: t=1, k=2, t0=2": eq(True),
             "RFT, t0 >= n/4 violated: t=1, k=2, t0=3": eq(False),
         },

@@ -162,7 +162,9 @@ def check_robustness(
     unsubmitted = None if result.history_truncated else _unsubmitted(result, chains)
     return RobustnessReport(
         agreement=agreement,
-        strict_ordering=strict_ordering_holds(chains, c),
+        # At c = 0 strict ordering is prefix-consistency of the final
+        # ledgers, which agreement has already decided.
+        strict_ordering=agreement if c == 0 else strict_ordering_holds(chains, c),
         validity=None if unsubmitted is None else not unsubmitted,
         eventual_liveness=max(heights) - min(heights) <= liveness_slack,
         censorship_resistance=censorship,

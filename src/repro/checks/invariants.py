@@ -28,7 +28,7 @@ from repro.analysis.robustness import RobustnessReport, check_robustness
 from repro.core.messages import SignedStatement, verify_statement
 from repro.crypto.aggregate import AggregateQC
 from repro.ledger.chain import ConfirmationStatus
-from repro.protocols.phases import PhaseRound
+from repro.protocols.phases import ViewChangeRound
 from repro.protocols.runner import RunResult
 
 #: checker name → the paper result it guards (rendered by docs/CLI).
@@ -460,7 +460,7 @@ class QuorumCertificateChecker(InvariantChecker):
                         violations.extend(self._check_map(
                             pid, state.number, phase, digest, by_signer, registry,
                         ))
-                if isinstance(state, PhaseRound):
+                if isinstance(state, ViewChangeRound):
                     # The phase name is the protocol's own and the digest
                     # slot a marker, so a view-change vote pins its round.
                     violations.extend(self._check_map(

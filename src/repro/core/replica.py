@@ -51,7 +51,7 @@ from repro.core.pof import FraudProof
 from repro.crypto.hashing import hash_value
 from repro.ledger.block import Block  # noqa: F401 — named by RoundState's inherited fields
 from repro.protocols.base import AccountableMixin, ProtocolConfig, ProtocolContext
-from repro.protocols.phases import PhaseRound, PhaseRow, PhaseTableReplica
+from repro.protocols.phases import PhaseRow, ViewChangeReplica, ViewChangeRound
 
 PROPOSE, VOTE, COMMIT, REVEAL, FINAL = (
     Phase.PROPOSE.value, Phase.VOTE.value, Phase.COMMIT.value, Phase.REVEAL.value,
@@ -60,7 +60,7 @@ PROPOSE, VOTE, COMMIT, REVEAL, FINAL = (
 
 
 @dataclass
-class RoundState(PhaseRound):
+class RoundState(ViewChangeRound):
     """What a pRFT replica tracks for one round beyond the quorum tally."""
 
     proposals: Dict[str, ProposeMessage] = field(default_factory=dict)
@@ -72,7 +72,7 @@ class RoundState(PhaseRound):
     commit_views: Dict[int, CommitViewMessage] = field(default_factory=dict)
 
 
-class PRFTReplica(AccountableMixin, PhaseTableReplica):
+class PRFTReplica(AccountableMixin, ViewChangeReplica):
     """One pRFT player: 4-phase rounds, PoF accountability, view change."""
 
     ROUND_STATE = RoundState

@@ -4,9 +4,10 @@
   skeleton (configuration, context wiring, signing and broadcast
   helpers with strategy interception, and the one slot lifecycle all
   five protocols run on);
-- :mod:`~repro.protocols.phases` — the all-to-all phase-table driver:
-  pRFT, pBFT, Polygraph and TRAP are each a wire vocabulary and a table
-  of phases on it;
+- :mod:`~repro.protocols.phases` — the phase-table driver: each of the
+  five protocols is a wire vocabulary and a table of phases on it
+  (HotStuff's relayed through the leader), the view change shared by
+  the other four;
 - :mod:`~repro.protocols.lifecycle` — the crash/recovery lifecycle
   (:class:`~repro.protocols.lifecycle.ReplicaStatus`,
   :class:`~repro.protocols.lifecycle.CrashSchedule`);

@@ -403,37 +403,6 @@ class BaseReplica(ABC):
         near-miss score count ``timeout``), so the baselines' pinned
         runs depend on staying silent."""
 
-    def _view_change_due(self, round_number: int) -> Optional[Any]:
-        """Timer gate of the view-changing protocols (all but HotStuff).
-
-        Returns the round's state when the caller should now send its
-        view change, ``None`` otherwise.  Only the commit frontier acts:
-        a speculative slot's timer is kept alive and the stalled slot
-        acts once the frontier reaches it.  On a faulty link the
-        frontier first re-sends everything it already said (identical
-        statements — receivers dedup) and gives the round one extra
-        timeout to complete before abandoning it.
-        """
-        if self.halted:
-            return None
-        if round_number > self.current_round:
-            if not self.round_state(round_number).finalized:
-                self._arm_round_timer(round_number)
-            return None
-        if self.current_round != round_number:
-            return None
-        state = self.round_state(round_number)
-        if state.finalized:
-            return None
-        self._trace_slot("timeout", round=round_number)
-        state.timeouts += 1
-        if self.ctx.network.unreliable:
-            self._retransmit_round(state)
-            if state.timeouts == 1:
-                self._arm_round_timer(round_number)
-                return None
-        return state
-
     def _dispatch(self, sender: int, payload: Any) -> None:
         """The body of every ``handle_payload``: route the payload to its
         slot, then to the handler the protocol's ``_HANDLERS`` names for

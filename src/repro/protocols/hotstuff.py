@@ -13,12 +13,20 @@ three votes, the two relayed certificates and the decide (49 at n = 7,
 n(n − 1) messages, and a recovering replica adds n per round it asks
 about.  No accountability: the QC is aggregated, so individual
 equivocations are not attributable.
+
+The vote phases are relay rows of the phase-table driver
+(:mod:`repro.protocols.phases`): proposal, sign-once rule, leader tally
+and retransmission are the driver's.  HotStuff owns its certificate
+(built by the driver's ``_build_certificate`` hook) and the checks a
+received one passes — attestation, aggregate, and only a decide relayed
+by a non-leader — its unconditional timeout pacing (no view change), the
+``hs-newview`` catch-up and the late adoption of missed decides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -29,7 +37,8 @@ from repro.core.messages import (
     verify_statement,
 )
 from repro.crypto.aggregate import AggregateQC, aggregate_statements
-from repro.protocols.base import BaseReplica, ProtocolConfig, ProtocolContext, SlotState
+from repro.protocols.base import ProtocolConfig, ProtocolContext
+from repro.protocols.phases import PhaseRound, PhaseRow, PhaseTableReplica
 
 HS_PROPOSE = "hs-propose"
 HS_PHASES = ("hs-prepare", "hs-precommit", "hs-commit")
@@ -108,28 +117,25 @@ class HsNewView(WireMessage):
 
 
 @dataclass
-class _HsRound(SlotState):
-    """HotStuff's slot: the shared tally holds the votes its leader
-    collected (signer ids; the statements too in aggregate mode, which
-    needs the vote tags to aggregate), ``signed`` the one digest this
-    replica voted per phase."""
+class _HsRound(PhaseRound):
+    """HotStuff's slot: the tally holds the votes its leader collected
+    (the statements only in aggregate mode, which aggregates their tags)."""
 
-    sent_proposal: Optional[HsProposal] = None
-    certified_phases: Set[str] = field(default_factory=set)
     decide_certificate: Optional[QuorumCertificate] = None
 
 
-class HotStuffReplica(BaseReplica):
+class HotStuffReplica(PhaseTableReplica):
     """Linear leader-relayed BFT with chained quorum certificates."""
 
     ROUND_STATE = _HsRound
 
-    _HANDLERS = {
-        HsProposal: "_on_proposal",
-        HsVote: "_on_vote",
-        HsCertificateMessage: "_on_certificate",
-        HsNewView: "_on_newview",
-    }
+    PROPOSE, Proposal = HS_PROPOSE, HsProposal
+    PHASES = (
+        PhaseRow(HS_PHASES[0], HsVote, then=HS_PHASES[1], relay=True),
+        PhaseRow(HS_PHASES[1], HsVote, then=HS_PHASES[2], relay=True),
+        PhaseRow(HS_PHASES[2], HsVote, then="_commit_decided", relay=True),
+    )
+    OWN_HANDLERS = {HsCertificateMessage: "_on_certificate", HsNewView: "_on_newview"}
 
     def _on_timeout(self, round_number: int) -> None:
         """HotStuff paces rounds by timeout: advance unconditionally.
@@ -158,116 +164,20 @@ class HotStuffReplica(BaseReplica):
             self._request_catch_up(round_number)
         self._advance(round_number)
 
-    def _retransmit_round(self, state: _HsRound) -> None:
-        """Re-broadcast this round's already-emitted messages.
-
-        The leader re-proposes the identical block and re-broadcasts
-        any certificates it already aggregated; followers re-send their
-        votes (same deterministic statements, so no equivocation can
-        arise and receivers dedup by voter set).
-        """
-        round_number = state.number
-        if self.leader_of_round(round_number) == self.player_id:
-            if state.sent_proposal is not None:
-                # Resend the *stored* proposal verbatim: rebuilding
-                # could sign a different block (self-double-sign).
-                self.broadcast(state.sent_proposal)
-            for phase in HS_PHASES:
-                if phase not in state.certified_phases:
-                    continue
-                for digest, voters in sorted(state.tally.get(phase, {}).items()):
-                    if len(voters) < self.config.quorum_size:
-                        continue
-                    certificate = self._build_certificate(phase, round_number, digest, voters)
-                    self.broadcast(HsCertificateMessage(certificate=certificate))
-                    break
-        for phase, digests in sorted(state.signed.items()):
-            for digest in digests:
-                statement = make_statement(self.keypair, phase, round_number, digest)
-                self._send_to_leader(HsVote(statement=statement))
-
-    def _propose(self, round_number: int) -> None:
-        block = self._build_block(round_number)
-        statement = make_statement(self.keypair, HS_PROPOSE, round_number, block.digest)
-        message = HsProposal(block=block, statement=statement)
-        self.round_state(round_number).sent_proposal = message
-        self.broadcast(message)
-
-    def _send_to_leader(self, message: HsVote) -> None:
-        """Linear communication: votes go to the leader only, as they
-        are — the strategy's say is whether to take part at all."""
-        if self.halted or not self.participates(message.phase):
-            return
-        self._send_plan({self.leader_of_round(message.round_number): message}, message)
-
     # ------------------------------------------------------------------
     def handle_payload(self, sender: int, payload: Any) -> None:
         self._dispatch(sender, payload)
 
     def _on_late_payload(self, sender: int, payload: Any) -> None:
         """Past rounds and halted replicas still serve catch-up — and
-        still *adopt* it.
-
-        Finality evidence outlives the configured slots (pRFT's late
-        path absorbs late finals the same way): a lagging replica cut
-        off by the duration bound has solicited catch-up replies still
-        in flight, and peers' ordinary decide broadcasts keep arriving;
+        still *adopt* it: a laggard cut off by the duration bound has
+        solicited replies in flight and peers' decides keep arriving;
         dropping them would freeze its chain short of the committee's
-        head forever.
-        """
+        head forever (pRFT absorbs late finals the same way)."""
         if isinstance(payload, HsNewView):
             self._on_newview(sender, payload)
         elif isinstance(payload, HsCertificateMessage):
             self._on_late_certificate(sender, payload)
-
-    def _on_proposal(self, sender: int, message: HsProposal) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
-        if sender != self.leader_of_round(round_number):
-            return
-        if not self._valid(message.statement, sender, HS_PROPOSE):
-            return
-        if message.block.digest != message.statement.digest:
-            return
-        if message.block.parent_digest != self.expected_parent_digest(round_number):
-            return
-        state.blocks.setdefault(message.digest, message.block)
-        self._vote(state, HS_PHASES[0], message.digest)
-
-    def _vote(self, state: _HsRound, phase: str, digest: str) -> None:
-        if phase in state.signed:
-            return
-        state.signed[phase] = {digest}
-        statement = make_statement(self.keypair, phase, state.number, digest)
-        self._send_to_leader(HsVote(statement=statement))
-
-    def _on_vote(self, sender: int, message: HsVote) -> None:
-        """Leader-side vote aggregation into a QC."""
-        round_number = message.round_number
-        if self.leader_of_round(round_number) != self.player_id:
-            return
-        statement = message.statement
-        if statement.phase not in HS_PHASES or not self._valid(statement, sender, statement.phase):
-            return
-        state = self.round_state(round_number)
-        voters = state.voters(statement.phase, statement.digest)
-        voters[sender] = statement if self.ctx.aggregate_certs else None
-        if len(voters) < self.config.quorum_size:
-            return
-        if statement.phase in state.certified_phases:
-            return
-        state.certified_phases.add(statement.phase)
-        certificate = self._build_certificate(
-            statement.phase, round_number, statement.digest, voters
-        )
-        self.broadcast(HsCertificateMessage(certificate=certificate))
-        if statement.phase == HS_PHASES[0]:
-            block = state.blocks.get(statement.digest)
-            if block is None and state.sent_proposal is not None:
-                if state.sent_proposal.digest == statement.digest:
-                    block = state.sent_proposal.block
-            if block is not None:
-                self._note_proposal_acked(round_number, block)
 
     def _build_certificate(
         self,
@@ -275,7 +185,7 @@ class HotStuffReplica(BaseReplica):
         round_number: int,
         digest: str,
         voters: Dict[int, Optional[SignedStatement]],
-    ) -> QuorumCertificate:
+    ) -> HsCertificateMessage:
         """Aggregate the leader's collected votes into a certificate.
 
         With ``aggregate_certs`` off the certificate carries only the
@@ -284,14 +194,14 @@ class HotStuffReplica(BaseReplica):
         :class:`AggregateQC` whose bitmap + tag receivers verify.
         """
         aggregate = aggregate_statements(voters.values()) if self.ctx.aggregate_certs else None
-        return QuorumCertificate(
+        return HsCertificateMessage(certificate=QuorumCertificate(
             phase=phase,
             round_number=round_number,
             digest=digest,
             signer_count=len(voters),
             attestation=make_statement(self.keypair, phase + "-qc", round_number, digest),
             aggregate=aggregate,
-        )
+        ))
 
     def _aggregate_ok(self, certificate: QuorumCertificate) -> bool:
         """Cryptographically check an attached aggregate, if any.
@@ -302,16 +212,13 @@ class HotStuffReplica(BaseReplica):
         quorum in its bitmap and verify against the trusted setup.
         """
         aggregate = certificate.aggregate
-        if aggregate is None:
-            return True
-        if (
-            aggregate.phase != certificate.phase
-            or aggregate.round_number != certificate.round_number
-            or aggregate.digest != certificate.digest
-            or aggregate.signer_count < self.config.quorum_size
-        ):
-            return False
-        return self.ctx.registry.verify_aggregate(aggregate)
+        return aggregate is None or (
+            aggregate.phase == certificate.phase
+            and aggregate.round_number == certificate.round_number
+            and aggregate.digest == certificate.digest
+            and aggregate.signer_count >= self.config.quorum_size
+            and self.ctx.registry.verify_aggregate(aggregate)
+        )
 
     def _on_certificate(self, sender: int, message: HsCertificateMessage) -> None:
         round_number = message.round_number
@@ -328,28 +235,24 @@ class HotStuffReplica(BaseReplica):
                 or not self._attested(certificate)
             ):
                 return
-        if certificate.signer_count < self.config.quorum_size:
-            return
-        if not self._aggregate_ok(certificate):
+        if certificate.signer_count < self.config.quorum_size or not self._aggregate_ok(certificate):
             return
         state = self.round_state(round_number)
-        phase_index = HS_PHASES.index(certificate.phase) if certificate.phase in HS_PHASES else -1
-        if phase_index < 0:
+        row = self._ROWS.get(certificate.phase)
+        if row is None:
             return
-        if certificate.phase == HS_PHASES[-1]:
-            # Catch-up replies attach the block body: without it a
-            # laggard that never saw the proposal could hold the decide
-            # QC yet stall the decide for another request cycle.
-            if message.block is not None and message.block.digest == certificate.digest:
-                state.blocks.setdefault(certificate.digest, message.block)
-            state.decide_certificate = certificate
-            self._commit_decided(state, certificate.digest)
-            return
-        if certificate.phase == HS_PHASES[0]:
-            block = state.blocks.get(certificate.digest)
-            if block is not None:
-                self._note_proposal_acked(round_number, block)
-        self._vote(state, HS_PHASES[phase_index + 1], certificate.digest)
+        if row is self.PHASES[-1]:
+            self._keep_decide(state, message)
+        self._on_quorum(state, row, certificate.digest)
+
+    def _keep_decide(self, state: _HsRound, message: HsCertificateMessage) -> None:
+        """Keep a decide QC, and the block a catch-up reply attaches:
+        without it a laggard that never saw the proposal could hold the
+        decide QC yet stall the decide for another request cycle."""
+        certificate = message.certificate
+        if message.block is not None and message.block.digest == certificate.digest:
+            state.blocks.setdefault(certificate.digest, message.block)
+        state.decide_certificate = certificate
 
     # ------------------------------------------------------------------
     # Catch-up on faulty links (loss / duplication / crash schedules)
@@ -362,11 +265,9 @@ class HotStuffReplica(BaseReplica):
     def _on_newview(self, sender: int, message: HsNewView) -> None:
         """Serve a catch-up request: resend the decide QC with the block.
 
-        The QC models an aggregated threshold signature whose leader
-        attestation any receiver can check, so any holder can forward
-        it — verification does not depend on who relays.  Only ever
-        active on unreliable networks; strategy-mediated via
-        :meth:`BaseReplica.send_direct`.
+        Any holder can forward a QC, since any receiver can check its
+        leader attestation.  Only ever active on unreliable networks;
+        strategy-mediated via :meth:`BaseReplica.send_direct`.
         """
         if not self.ctx.network.unreliable or sender == self.player_id:
             return
@@ -391,46 +292,37 @@ class HotStuffReplica(BaseReplica):
     def _on_late_certificate(self, sender: int, message: HsCertificateMessage) -> None:
         """Adopt a decide QC for a round we already timed out of.
 
-        Forwarded QCs are accepted from any sender, but only when the
-        leader's attestation checks out (see
-        :class:`QuorumCertificate`): a non-leader cannot fabricate a
-        certificate for a round it did not lead.  Adoption further
-        requires the block to link onto our chain head, and chains
-        through any subsequently-stored decides that now link too.
+        Forwarded QCs are accepted from any sender whose copy carries a
+        valid leader attestation (see :class:`QuorumCertificate`).  The
+        block must link onto our chain head; adoption then chains
+        through any later stored decides that now link too.
         """
         if not self.ctx.network.unreliable:
             return
         certificate = message.certificate
-        if certificate.phase != HS_PHASES[-1]:
-            return
-        if certificate.signer_count < self.config.quorum_size:
-            return
-        if not self._attested(certificate):
-            return
-        if not self._aggregate_ok(certificate):
+        if (
+            certificate.phase != HS_PHASES[-1]
+            or certificate.signer_count < self.config.quorum_size
+            or not self._attested(certificate)
+            or not self._aggregate_ok(certificate)
+        ):
             return
         state = self.round_state(certificate.round_number)
-        if state.finalized:
-            return
-        if message.block is not None and message.block.digest == certificate.digest:
-            state.blocks.setdefault(certificate.digest, message.block)
-        state.decide_certificate = certificate
-        self._try_adopt(certificate.round_number)
+        if not state.finalized:
+            self._keep_decide(state, message)
+            self._try_adopt(certificate.round_number)
 
     def _attested(self, certificate: QuorumCertificate) -> bool:
         """True if the certificate carries a valid leader attestation."""
         attestation = certificate.attestation
-        if attestation is None:
-            return False
-        if attestation.phase != certificate.phase + "-qc":
-            return False
-        if attestation.round_number != certificate.round_number:
-            return False
-        if attestation.digest != certificate.digest:
-            return False
-        if attestation.signer != self.leader_of_round(certificate.round_number):
-            return False
-        return verify_statement(self.ctx.registry, attestation)
+        return (
+            attestation is not None
+            and attestation.phase == certificate.phase + "-qc"
+            and attestation.round_number == certificate.round_number
+            and attestation.digest == certificate.digest
+            and attestation.signer == self.leader_of_round(certificate.round_number)
+            and verify_statement(self.ctx.registry, attestation)
+        )
 
     def _try_adopt(self, start_round: int) -> None:
         """Retro-finalize a chain of missed decides, oldest first.

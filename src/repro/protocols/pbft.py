@@ -23,7 +23,7 @@ from typing import Any, Optional
 from repro.agents.player import Player
 from repro.core.messages import SignedStatement, WireMessage
 from repro.protocols.base import ProtocolConfig, ProtocolContext
-from repro.protocols.phases import PhaseRow, PhaseTableReplica
+from repro.protocols.phases import PhaseRow, ViewChangeReplica
 
 PREPREPARE = "pbft-preprepare"
 PREPARE = "pbft-prepare"
@@ -53,7 +53,7 @@ class PbftViewChange(WireMessage):
     statement: SignedStatement
 
 
-class PBFTReplica(PhaseTableReplica):
+class PBFTReplica(ViewChangeReplica):
     """pBFT: the bare prepare → commit table, no accountability."""
 
     PROPOSE, VIEW_CHANGE = PREPREPARE, VIEW_CHANGE

@@ -1,27 +1,35 @@
-"""The all-to-all phase-table driver shared by pRFT, pBFT, Polygraph and TRAP.
+"""The phase-table driver shared by all five protocols.
 
-Figure 1/2b of the paper — and the pBFT family it is compared with in
-Figure 3 — describe one round the same way: a leader's proposal, then
-an ordered list of all-to-all phases in which every replica signs
+Figure 1/2b of the paper — and the pBFT family and HotStuff it is
+compared with in Figure 3 — describe one round the same way: a leader's
+proposal, then an ordered list of phases in which every replica signs
 (phase, round, digest) once, a message of a phase may have to carry the
 previous phase's quorum, and a quorum of one phase makes the replica
 sign the next — until the last phase's quorum decides.  That loop lives
 here once, driven by a per-protocol table:
 
-=========  =============================================  ==================================
-protocol   phases                                         a quorum of the last one
-=========  =============================================  ==================================
-pBFT       prepare → commit                               ``_commit_decided``
-Polygraph  prepare → commit[prepare quorum]               ``_commit_decided`` (TRAP too)
-pRFT       vote → commit[vote quorum] → reveal[commit q]  ``_reveal_phase_decision``
-=========  =============================================  ==================================
+=========  ===============================================  ==================================
+protocol   phases                                           a quorum of the last one
+=========  ===============================================  ==================================
+pBFT       prepare → commit                                 ``_commit_decided``
+Polygraph  prepare → commit[prepare quorum]                 ``_commit_decided`` (TRAP too)
+pRFT       vote → commit[vote quorum] → reveal[commit q]    ``_reveal_phase_decision``
+HotStuff   prepare⇢ → precommit⇢ → commit⇢                  ``_commit_decided``
+=========  ===============================================  ==================================
+
+An *all-to-all* row's statements go to everyone, and every replica
+tallies its own quorum.  A *relay* row (⇢, HotStuff's linear shape)
+sends them to the round's leader only, which on a quorum broadcasts a
+certificate built by the protocol's ``_build_certificate``; a replica
+that accepts the certificate goes on down the table exactly as after a
+quorum of its own (:meth:`PhaseTableReplica._on_quorum`).
 
 A protocol supplies its wire vocabulary, its :attr:`PHASES` table and
-the few answers the table cannot give (its ``_on_timeout``, and for
-pRFT its own propose / final / expose / view-change handlers).  The
-driver also carries what the pBFT family shares beyond the table: the
-proposal handler and the one-step view change (a quorum of ViewChange
-votes abandons the round).
+the few answers the table cannot give (its ``_on_timeout``; pRFT's
+propose / final / expose / view-change handlers; HotStuff's certificate
+checks and catch-up).  :class:`ViewChangeReplica` adds the pBFT
+family's one-step view change and the catch-up it serves; HotStuff
+paces rounds by timeout and has none of it.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from repro.protocols.base import BaseReplica, SlotState
 
 
 class PhaseRow(NamedTuple):
-    """One all-to-all phase of a protocol's round."""
+    """One phase of a protocol's round."""
 
     #: The phase its statements sign — also the message's wire type.
     phase: str
@@ -56,16 +64,25 @@ class PhaseRow(NamedTuple):
     #: Whether received statements are kept (a later message or the view
     #: change quotes them) or only their signers are counted.
     retains: bool = True
+    #: The row kind: relayed through the round's leader, who certifies
+    #: the quorum, instead of all-to-all.  A relay row's statements are
+    #: kept only for an aggregate certificate (``aggregate_certs``).
+    relay: bool = False
 
 
 @dataclass
 class PhaseRound(SlotState):
+    #: The leader's proposal, resent verbatim on a faulty link.
     sent_proposal: Optional[Any] = None
-    view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
-    view_change_sent: bool = False
     #: A ViewChange quorum was seen and the round is being abandoned in
     #: two steps (pRFT's CommitView): no further phase step is taken.
     view_committed: bool = False
+
+
+@dataclass
+class ViewChangeRound(PhaseRound):
+    view_changes: Dict[int, SignedStatement] = field(default_factory=dict)
+    view_change_sent: bool = False
 
 
 class PhaseTableReplica(BaseReplica):
@@ -76,11 +93,9 @@ class PhaseTableReplica(BaseReplica):
     # Wire vocabulary, set by each protocol.  A phase constant is both
     # the phase its statements sign and the envelope's message type.
     PROPOSE: ClassVar[str]
-    VIEW_CHANGE: ClassVar[str]
     Proposal: ClassVar[Callable[..., WireMessage]]  # (block, statement)
-    ViewChange: ClassVar[Callable[..., WireMessage]]  # (statement, ...)
     PHASES: ClassVar[Tuple[PhaseRow, ...]]
-    #: Handlers beyond proposal / table phases / view change.
+    #: Handlers beyond proposal / table phases.
     OWN_HANDLERS: ClassVar[Dict[type, str]] = {}
     #: Payload of the marker transaction in an equivocating proposal.
     MARKER_PAYLOAD: ClassVar[str] = ""
@@ -91,7 +106,6 @@ class PhaseTableReplica(BaseReplica):
             cls._ROWS = {row.phase: row for row in cls.PHASES}
             cls._HANDLERS = {
                 cls.Proposal: "_on_proposal",
-                cls.ViewChange: "_on_view_change",
                 **{row.wire: "_on_phase" for row in cls.PHASES},
                 **cls.OWN_HANDLERS,
             }
@@ -113,8 +127,12 @@ class PhaseTableReplica(BaseReplica):
         before the quorum is."""
         return True
 
+    def _build_certificate(self, phase: str, round_number: int, digest: str, voters: Dict) -> Any:
+        """A relay leader's certificate message for a quorum of ``voters``."""
+        raise NotImplementedError
+
     # ------------------------------------------------------------------
-    # Signing and building
+    # Signing, building and sending
     # ------------------------------------------------------------------
     def _sign(self, phase: str, round_number: int, digest: str) -> SignedStatement:
         return make_statement(self.keypair, phase, round_number, digest)
@@ -132,8 +150,9 @@ class PhaseTableReplica(BaseReplica):
         Rebuilding signs the same (phase, round, digest) as the first
         time — signatures are deterministic — so a rebuilt message can
         never be a double-sign.  The proposal took the block to everyone
-        who saw it; every later phase ships it again, so a replica cut
-        off from the proposal can still adopt the decided block.
+        who saw it; every later all-to-all phase ships it again, so a
+        replica cut off from the proposal can still adopt the decided
+        block (a relay vote goes to the leader, who proposed it).
         """
         parts: Dict[str, Any] = {}
         if row.carries is not None:
@@ -143,9 +162,17 @@ class PhaseTableReplica(BaseReplica):
             parts["justification"] = build_justification(
                 quorum.values(), self.ctx.aggregate_certs
             )
-        if row is not self.PHASES[0]:
+        if row is not self.PHASES[0] and not row.relay:
             parts["block"] = state.blocks.get(digest)
         return row.wire(statement=self._sign(row.phase, state.number, digest), **parts)
+
+    def _send(self, row: PhaseRow, message: WireMessage) -> None:
+        """To everyone, or a relay row's to the round's leader only, as
+        it is: the strategy's say is whether to take part at all."""
+        if not row.relay:
+            self.broadcast(message)
+        elif not self.halted and self.participates(message.phase):
+            self._send_plan({self.leader_of_round(message.round_number): message}, message)
 
     def _make_proposal(self, block: Block) -> WireMessage:
         statement = self._sign(self.PROPOSE, block.round_number, block.digest)
@@ -163,26 +190,6 @@ class PhaseTableReplica(BaseReplica):
             ),
         )
 
-    def _send_view_change(self, state: PhaseRound, **carried: Any) -> None:
-        """Vote to abandon the stalled frontier round and re-arm its timer.
-
-        On reliable channels one ViewChange suffices; repeat timeouts
-        resend it when the link may have dropped the first copy.
-        """
-        if not state.view_change_sent or self.ctx.network.unreliable:
-            state.view_change_sent = True
-            statement = self._sign(self.VIEW_CHANGE, state.number, "")
-            self.broadcast(self.ViewChange(statement=statement, **carried))
-        self._arm_round_timer(state.number)
-
-    def _held_statements(self, state: PhaseRound) -> Iterator[SignedStatement]:
-        """Every phase statement retained for the round, in arrival
-        order per phase: what a view change can offer as evidence."""
-        for row in self.PHASES:
-            if row.retains:
-                for by_signer in state.tally.get(row.phase, {}).values():
-                    yield from by_signer.values()
-
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
@@ -197,14 +204,15 @@ class PhaseTableReplica(BaseReplica):
             return
         self._absorb(message.statement)
         digest = message.digest
-        state.blocks.setdefault(digest, message.block)
         first = self.PHASES[0]
-        if not self._may_sign(state, first.phase, digest):
-            return
-        if message.block.parent_digest != self.expected_parent_digest(round_number):
-            return
-        state.signed.setdefault(first.phase, set()).add(digest)
-        self.broadcast(self._build(state, first, digest))
+        linked = message.block.parent_digest == self.expected_parent_digest(round_number)
+        if linked or not first.relay:
+            # Later all-to-all phases ship the block on even unsigned;
+            # a relay replica keeps only a block it can vote for.
+            state.blocks.setdefault(digest, message.block)
+        if linked and self._may_sign(state, first.phase, digest):
+            state.signed.setdefault(first.phase, set()).add(digest)
+            self._send(first, self._build(state, first, digest))
 
     def _justified(self, message: Any, phase: str) -> bool:
         """The quorum a message carries must hold ≥ τ valid,
@@ -221,13 +229,15 @@ class PhaseTableReplica(BaseReplica):
 
     def _on_phase(self, sender: int, message: Any) -> None:
         """One statement of one table phase: validate → admit what it
-        carries → tally → on a quorum, sign the next phase once (or
-        decide the round)."""
+        carries → tally → on a quorum, go on down the table (a relay
+        row's leader certifies the quorum instead)."""
         statement = message.statement
         row = self._ROWS.get(statement.phase)
         if row is None or type(message) is not row.wire:
             return
         round_number = statement.round_number
+        if row.relay and self.leader_of_round(round_number) != self.player_id:
+            return
         state = self.round_state(round_number)
         if not self._valid(statement, sender, row.phase):
             return
@@ -241,17 +251,42 @@ class PhaseTableReplica(BaseReplica):
         if block is not None and block.digest == digest:
             state.blocks.setdefault(digest, block)
         voters = state.voters(row.phase, digest)
+        if row.relay:
+            # A new signer takes the tally to τ once per (phase, digest):
+            # the leader certifies then.
+            if sender not in voters:
+                voters[sender] = statement if self.ctx.aggregate_certs else None
+                if len(voters) == self.config.quorum_size:
+                    self._certify(state, row, digest, voters)
+            return
         voters[sender] = statement if row.retains else None
         if state.view_committed or not self._tallied(state, row):
             return
-        if len(voters) < self.config.quorum_size:
-            return
+        if len(voters) >= self.config.quorum_size:
+            self._on_quorum(state, row, digest)
+
+    def _certify(self, state: PhaseRound, row: PhaseRow, digest: str, voters: Dict) -> None:
+        """A relay leader's quorum: broadcast the certificate (the leader
+        goes on down the table on its own copy), then, on the first row,
+        note the proposal acked."""
+        self.broadcast(self._build_certificate(row.phase, state.number, digest, voters))
         if row is self.PHASES[0]:
-            # A quorum of the first phase = this slot's proposal is
-            # acknowledged: the pipeline may open the next slot on it.
+            block = state.blocks.get(digest)
+            proposal = state.sent_proposal
+            if block is None and proposal is not None and proposal.digest == digest:
+                block = proposal.block
+            if block is not None:
+                self._note_proposal_acked(state.number, block)
+
+    def _on_quorum(self, state: PhaseRound, row: PhaseRow, digest: str) -> None:
+        """``row`` holds a quorum for ``digest`` — tallied here, or a
+        relay row's certificate accepted.  A quorum of the first row
+        acks the slot's proposal (the pipeline may open the next slot on
+        it); then sign the next row once, or decide the round."""
+        if row is self.PHASES[0]:
             acked = state.blocks.get(digest)
             if acked is not None:
-                self._note_proposal_acked(round_number, acked)
+                self._note_proposal_acked(state.number, acked)
         following = self._ROWS.get(row.then)
         if following is None:
             getattr(self, row.then)(state, digest)
@@ -260,7 +295,104 @@ class PhaseTableReplica(BaseReplica):
             return
         state.signed.setdefault(following.phase, set()).add(digest)
         self._signing(state, following.phase, digest)
-        self.broadcast(self._build(state, following, digest))
+        self._send(following, self._build(state, following, digest))
+
+    # ------------------------------------------------------------------
+    # Faulty links: retransmission
+    # ------------------------------------------------------------------
+    def _retransmit_round(self, state: PhaseRound) -> None:
+        """Re-send this round's already-emitted messages, digests in
+        sorted order: the stored proposal, the certificates this replica
+        built as a relay leader, then each statement it signed, rebuilt
+        (see :meth:`_build`; receivers dedup by (sender, digest)).
+        Relay votes go newest phase first: a relay row is signed only on
+        the previous row's certificate, so older votes matter least.
+        Only ever called on unreliable networks."""
+        if state.view_committed:
+            return
+        if state.sent_proposal is not None:
+            # Resend the *stored* proposal verbatim: rebuilding could
+            # pick up a changed chain head or mempool and sign a
+            # different block — a self-inflicted double-sign.
+            self.broadcast(state.sent_proposal)
+        for row in self.PHASES:
+            if row.relay:
+                for digest, voters in sorted(state.tally.get(row.phase, {}).items()):
+                    if len(voters) >= self.config.quorum_size:
+                        self.broadcast(
+                            self._build_certificate(row.phase, state.number, digest, voters)
+                        )
+        for row in self.PHASES[::-1] if self.PHASES[0].relay else self.PHASES:
+            for digest in sorted(state.signed.get(row.phase, ())):
+                message = self._build(state, row, digest)
+                if message is not None:
+                    self._send(row, message)
+
+
+class ViewChangeReplica(PhaseTableReplica):
+    """The phase table plus the pBFT family's one-step view change: a
+    stalled frontier votes to abandon its round, a quorum of those
+    votes abandons it, and a peer stuck behind lost traffic is served
+    past rounds' outcomes on request."""
+
+    ROUND_STATE = ViewChangeRound
+
+    VIEW_CHANGE: ClassVar[str]
+    ViewChange: ClassVar[Callable[..., WireMessage]]  # (statement, ...)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "PHASES" in vars(cls):
+            cls._HANDLERS[cls.ViewChange] = "_on_view_change"
+
+    def _view_change_due(self, round_number: int) -> Optional[ViewChangeRound]:
+        """Timer gate of the view change: the round's state when the
+        caller should now send its view change, else ``None``.
+
+        Only the commit frontier acts: a speculative slot's timer is
+        kept alive and the stalled slot acts once the frontier reaches
+        it.  On a faulty link the frontier first re-sends everything it
+        already said and gives the round one extra timeout.
+        """
+        if self.halted:
+            return None
+        if round_number > self.current_round:
+            if not self.round_state(round_number).finalized:
+                self._arm_round_timer(round_number)
+            return None
+        if self.current_round != round_number:
+            return None
+        state = self.round_state(round_number)
+        if state.finalized:
+            return None
+        self._trace_slot("timeout", round=round_number)
+        state.timeouts += 1
+        if self.ctx.network.unreliable:
+            self._retransmit_round(state)
+            if state.timeouts == 1:
+                self._arm_round_timer(round_number)
+                return None
+        return state
+
+    def _send_view_change(self, state: ViewChangeRound, **carried: Any) -> None:
+        """Vote to abandon the stalled frontier round and re-arm its timer.
+
+        On reliable channels one ViewChange suffices; repeat timeouts
+        resend it when the link may have dropped the first copy.
+        """
+        if not state.view_change_sent or self.ctx.network.unreliable:
+            state.view_change_sent = True
+            statement = self._sign(self.VIEW_CHANGE, state.number, "")
+            self.broadcast(self.ViewChange(statement=statement, **carried))
+        self._arm_round_timer(state.number)
+
+    def _held_statements(self, state: ViewChangeRound) -> Iterator[SignedStatement]:
+        """Every phase statement retained for the round, in arrival
+        order per phase: what a view change can offer as evidence."""
+        for row in self.PHASES:
+            if row.retains:
+                for by_signer in state.tally.get(row.phase, {}).values():
+                    yield from by_signer.values()
 
     def _on_view_change(self, sender: int, message: Any) -> None:
         round_number = message.round_number
@@ -274,27 +406,8 @@ class PhaseTableReplica(BaseReplica):
             self._advance(round_number)
 
     # ------------------------------------------------------------------
-    # Faulty links: retransmission and catch-up
+    # Faulty links: catch-up
     # ------------------------------------------------------------------
-    def _retransmit_round(self, state: PhaseRound) -> None:
-        """Re-broadcast this round's already-emitted messages: the stored
-        proposal, then for each phase each digest this replica signed,
-        rebuilt (see :meth:`_build`; receivers dedup by (sender,
-        digest)).  Only ever called on unreliable networks.
-        """
-        if state.view_committed:
-            return
-        if state.sent_proposal is not None:
-            # Resend the *stored* proposal verbatim: rebuilding could
-            # pick up a changed chain head or mempool and sign a
-            # different block — a self-inflicted double-sign.
-            self.broadcast(state.sent_proposal)
-        for row in self.PHASES:
-            for digest in sorted(state.signed.get(row.phase, ())):
-                message = self._build(state, row, digest)
-                if message is not None:
-                    self.broadcast(message)
-
     def _on_late_payload(self, sender: int, payload: Any) -> None:
         """Serve a *verified* past-round ViewChange on a faulty link: the
         sender is stuck behind lost traffic, and the availability of
@@ -326,16 +439,10 @@ class PhaseTableReplica(BaseReplica):
         last = self.PHASES[-1]
         if state.finalized and state.decided_digest is not None:
             digest = state.decided_digest
-            if digest not in state.signed.get(last.phase, ()):
-                # We finalized on a quorum of *others'* messages without
-                # ever signing this digest ourselves (our own signature
-                # went to a competing proposal).  Rebuilding one here
-                # would sign a value we never signed — an honest
-                # double-sign that a fraud detector would rightly burn.
-                # The laggard must assemble its quorum from replicas
-                # that did sign the decided digest.
-                return
-            if digest not in state.blocks:
+            # Finalized on others' signatures while ours went to a
+            # competing proposal: rebuilding would sign a value we never
+            # signed — an honest double-sign a detector would burn.
+            if digest not in state.signed.get(last.phase, ()) or digest not in state.blocks:
                 return
             reply = self._build(state, last, digest)
         elif state.advanced:

@@ -18,7 +18,7 @@ from typing import Any, FrozenSet, Optional
 from repro.agents.player import Player
 from repro.core.messages import Justification, SignedStatement, WireMessage
 from repro.protocols.base import AccountableMixin, ProtocolConfig, ProtocolContext
-from repro.protocols.phases import PhaseRow, PhaseTableReplica
+from repro.protocols.phases import PhaseRow, ViewChangeReplica
 
 PG_PROPOSE = "pg-propose"
 PG_PREPARE = "pg-prepare"
@@ -56,7 +56,7 @@ class PgViewChange(WireMessage):
     evidence: FrozenSet[SignedStatement] = frozenset()
 
 
-class PolygraphReplica(AccountableMixin, PhaseTableReplica):
+class PolygraphReplica(AccountableMixin, ViewChangeReplica):
     """Accountable pBFT: the commit carries the prepare quorum that
     justifies it — so it can only be (re)built while that quorum is
     held — and every replica burns the double-signers it can prove."""

@@ -130,10 +130,12 @@ def test_a_refused_verdict_survives_json_csv_and_aggregation(tmp_path):
 #: judgement had one home, from_result made 23 check_robustness, 42
 #: classify_state and 88 _views calls; run_oracle made 12
 #: check_robustness, 24 classify_state, 92 _views and 34 proof verifies
-#: (every proof checked by both accountability checkers).
+#: (every proof checked by both accountability checkers).  Until c = 0
+#: strict ordering was derived from the agreement read, each judgement
+#: read every honest chain's final views twice (46 _views per reader).
 JUDGEMENT_PASSES = {
-    "from_result": {"check_robustness": 23, "classify_state": 0, "_views": 46, "verify": 0},
-    "run_oracle": {"check_robustness": 23, "classify_state": 0, "_views": 46, "verify": 27},
+    "from_result": {"check_robustness": 23, "classify_state": 0, "_views": 23, "verify": 0},
+    "run_oracle": {"check_robustness": 23, "classify_state": 0, "_views": 23, "verify": 27},
 }
 
 

@@ -45,7 +45,7 @@ from repro.protocols.hotstuff import (
     HsCertificateMessage, HsNewView, HsProposal, HsVote, QuorumCertificate,
 )
 from repro.protocols.pbft import PbftViewChange, PhaseVote, PrePrepare
-from repro.protocols.phases import PhaseRow, PhaseTableReplica
+from repro.protocols.phases import PhaseRow, ViewChangeReplica
 from repro.protocols.polygraph import PgCommit, PgPrepare, PgPropose, PgViewChange
 from repro.protocols.runner import RunSpec, run
 
@@ -191,7 +191,7 @@ class ToyViewChange(WireMessage):
     statement: SignedStatement
 
 
-class ToyReplica(PhaseTableReplica):
+class ToyReplica(ViewChangeReplica):
     """Propose → a quorum of acks → decide."""
 
     PROPOSE, VIEW_CHANGE = "toy-propose", "toy-view-change"

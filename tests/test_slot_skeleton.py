@@ -12,8 +12,8 @@ out in the benchmark pipeline.
 The second half pins that each mechanism exists once: what a message
 says about itself lives on the wire base, an envelope is described in
 one place, the receive-boundary check, the fraud detector and the
-sign-once gate each have one home, and the all-to-all family has one
-quorum loop and one retransmission loop.
+sign-once gate each have one home, and the phase-table driver gives
+all five protocols one quorum loop and one retransmission loop.
 """
 
 import ast
@@ -24,9 +24,11 @@ import pytest
 from repro.core.replica import PRFTReplica
 from repro.experiments.registry import get_scenario
 from repro.protocols.base import BaseReplica
-from repro.protocols.hotstuff import HotStuffReplica
+from repro.protocols.hotstuff import (
+    HotStuffReplica, HsCertificateMessage, HsNewView, HsProposal, HsVote,
+)
 from repro.protocols.pbft import PBFTReplica
-from repro.protocols.phases import PhaseTableReplica
+from repro.protocols.phases import PhaseTableReplica, ViewChangeReplica
 from repro.protocols.polygraph import PolygraphReplica
 from repro.protocols.trap import TrapReplica
 
@@ -214,7 +216,8 @@ def test_fraud_detector_and_sign_once_gate_have_one_home():
         for path in REPLICA_CODE
         for cls, func in _calls(path, "double_votes")
     )
-    # The driver's gate, and pRFT's fabricated vote against a lone proposal.
+    # The driver's gate (HotStuff's votes included), and pRFT's
+    # fabricated vote against a lone proposal.
     assert double_votes == [("phases.py", "_may_sign"), ("replica.py", "_on_proposal")]
     for cls in (PRFTReplica, PolygraphReplica, TrapReplica):
         own = set(vars(cls))
@@ -222,8 +225,8 @@ def test_fraud_detector_and_sign_once_gate_have_one_home():
     assert "_punish" not in vars(PRFTReplica) and "_punish" not in vars(PolygraphReplica)
 
 
-def test_all_to_all_family_has_one_quorum_loop_and_one_retransmission():
-    family = (PRFTReplica, PBFTReplica, PolygraphReplica, TrapReplica)
+def test_every_protocol_has_one_quorum_loop_and_one_retransmission():
+    family = (PRFTReplica, PBFTReplica, HotStuffReplica, PolygraphReplica, TrapReplica)
     for cls in family:
         assert issubclass(cls, PhaseTableReplica)
         assert "_retransmit_round" not in vars(cls)
@@ -237,5 +240,23 @@ def test_all_to_all_family_has_one_quorum_loop_and_one_retransmission():
         for node, _, _ in _scoped(path)
         if isinstance(node, ast.FunctionDef) and node.name == "_retransmit_round"
     ]
-    # The abstract hook, the driver's, and HotStuff's collector loop.
-    assert definitions == ["base.py", "hotstuff.py", "phases.py"]
+    # The abstract hook and the driver's.
+    assert definitions == ["base.py", "phases.py"]
+
+
+def test_hotstuff_is_relay_rows_without_a_view_change():
+    assert all(row.relay for row in HotStuffReplica.PHASES)
+    assert not any(row.relay for cls in (PRFTReplica, PBFTReplica, PolygraphReplica)
+                   for row in cls.PHASES)
+    for gone in ("_propose", "_send_to_leader", "_on_proposal", "_vote"):
+        assert gone not in vars(HotStuffReplica), gone
+    # The handler table is the driver's, built from the vocabulary.
+    assert HotStuffReplica._HANDLERS == {
+        HsProposal: "_on_proposal", HsVote: "_on_phase",
+        HsCertificateMessage: "_on_certificate", HsNewView: "_on_newview",
+    }
+    # HotStuff paces rounds by timeout: none of the view change is its.
+    assert not issubclass(HotStuffReplica, ViewChangeReplica)
+    assert "_on_view_change" not in HotStuffReplica._HANDLERS.values()
+    for cls in (PRFTReplica, PBFTReplica, PolygraphReplica, TrapReplica):
+        assert issubclass(cls, ViewChangeReplica)

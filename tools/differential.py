@@ -16,9 +16,10 @@ by section, everything a refactor must not move:
 
 The cells: every catalog scenario; every ``benchmarks/pin_matrix.json``
 shape × the five protocols; the attacked-run set (pRFT's four fork
-scenarios plus the Polygraph and TRAP forks, each × ``crypto_cache_size``
-∈ {0, default} × aggregate certificates off/on); and N generated fuzz
-trials (even indices from the ``safe`` profile, odd from ``wild``).
+scenarios plus the ``fork`` entry against each other protocol, each ×
+``crypto_cache_size`` ∈ {0, default} × aggregate certificates off/on);
+and N generated fuzz trials (even indices from the ``safe`` profile,
+odd from ``wild``).
 
 Both trees run under ``PYTHONHASHSEED=0`` for the BASE-vs-CHANGE
 comparison, then again under ``PYTHONHASHSEED=1``: a tree whose two
@@ -54,6 +55,8 @@ ATTACKED = (
     ("thm5-collusion", "prft"),
     ("lossy-prft-fork", "prft"),
     ("partition-fork", "prft"),
+    ("fork", "pbft"),
+    ("fork", "hotstuff"),
     ("fork", "polygraph"),
     ("fork", "trap"),
 )
