@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple
 from repro.agents.strategies import BaitingPolicy, TrapRationalStrategy
 from repro.analysis import check_accountability, check_robustness, measure_complexity, render_table
 from repro.experiments import Scenario, get_scenario, run_sweep
+from repro.gametheory.empirical import empirical_utility
 from repro.gametheory.normal_form import example_focal_game
 from repro.gametheory.payoff import PlayerType, payoff
 from repro.gametheory.trap_game import (
@@ -135,8 +136,8 @@ def _thm1() -> Dict[str, Any]:
         "system state": result.system_state().name,
         "final blocks": result.final_block_count(),
         "burned (pi_abs looks like a crash)": sorted(result.penalised_players()),
-        "U(pi_abs, theta=3) of colluder 0": result.realised_utility(
-            0, PlayerType.LIVENESS_ATTACKING
+        "U(pi_abs, theta=3) of colluder 0": empirical_utility(
+            result, 0, PlayerType.LIVENESS_ATTACKING
         ),
     }
 
@@ -150,8 +151,8 @@ def _thm2() -> Dict[str, Any]:
         "tx-0 confirmed": report.censorship_resistance,
         "strongly (t,k)-robust": report.strongly_robust,
         "burned (pi_pc is unaccountable)": sorted(result.penalised_players()),
-        "U(pi_pc, theta=2) of colluder 0": result.realised_utility(
-            0, PlayerType.CENSORSHIP_SEEKING, censored_tx_ids=CENSORED
+        "U(pi_pc, theta=2) of colluder 0": empirical_utility(
+            result, 0, PlayerType.CENSORSHIP_SEEKING, CENSORED, report.state
         ),
     }
 
@@ -190,8 +191,8 @@ def _thm5() -> Dict[str, Any]:
     quantities: Dict[str, Any] = {}
     for strategy, scenario in worlds.items():
         result = scenario.run(seed=0)
-        quantities[f"{strategy}: U(theta=1) of player 5"] = result.realised_utility(
-            5, PlayerType.FORK_SEEKING
+        quantities[f"{strategy}: U(theta=1) of player 5"] = empirical_utility(
+            result, 5, PlayerType.FORK_SEEKING
         )
         quantities[f"{strategy}: player 5 burned"] = 5 in result.penalised_players()
         if strategy == "pi_ds":
@@ -203,8 +204,8 @@ def _thm5() -> Dict[str, Any]:
         "n=13, t=2, k=4 fork: fork heights": report.fork_heights,
         "n=13, t=2, k=4 fork: burned": sorted(collusion.penalised_players()),
         "n=13, t=2, k=4 fork: accountability sound": check_accountability(collusion).sound,
-        "n=13, t=2, k=4 fork: U(pi_fork) of colluder 0": collusion.realised_utility(
-            0, PlayerType.FORK_SEEKING
+        "n=13, t=2, k=4 fork: U(pi_fork) of colluder 0": empirical_utility(
+            collusion, 0, PlayerType.FORK_SEEKING
         ),
     })
     return quantities

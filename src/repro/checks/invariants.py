@@ -27,6 +27,13 @@ from repro.analysis.accountability import AccountabilityReport, judge_accountabi
 from repro.analysis.robustness import RobustnessReport, check_robustness
 from repro.core.messages import SignedStatement, verify_statement
 from repro.crypto.aggregate import AggregateQC
+from repro.gametheory.empirical import (
+    TRACE_KINDS,
+    per_round_utilities,
+    round_horizon,
+    round_states,
+)
+from repro.gametheory.payoff import payoff
 from repro.ledger.chain import ConfirmationStatus
 from repro.protocols.phases import ViewChangeRound
 from repro.protocols.runner import RunResult
@@ -591,30 +598,28 @@ class MessageComplexityChecker(InvariantChecker):
 
 
 class UtilityConsistencyChecker(InvariantChecker):
-    """Equation 1 consistency: the analysis layer's realised utilities
+    """Equation 1 consistency: the utilities every RunRecord persists
     must agree with the run's ground truth.  Concretely (a) the set of
     players named by fresh ``burn`` trace events is exactly the
     collateral registry's penalised set, each charged exactly the
     deposit L, and (b) for every rational player the L·D penalty
-    embedded in the per-round utility stream equals that realised
-    penalty — so the utilities persisted in every RunRecord, and every
-    best-response verdict built on them, read from the same facts the
-    simulator executed."""
+    embedded in the per-round utility stream — the stream
+    :func:`~repro.gametheory.empirical.empirical_utility` discounts
+    into the record — equals that realised penalty, so the record, the
+    search and the claim rows read from the same facts the simulator
+    executed."""
 
     name = "utility-consistency"
     # Replays burn attribution and the per-round finality timeline: an
     # evicted burn or final event would silently shift Eq. 1's terms.
-    trace_kinds = ("burn", "final")
+    trace_kinds = TRACE_KINDS
 
     #: The per-round stream audit costs rounds × rational players;
-    #: above this many configured rounds only the burn/registry
+    #: above this many rounds (Eq. 1's horizon) only the burn/registry
     #: reconciliation (a) runs.
     _STREAM_AUDIT_MAX_ROUNDS = 256
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        from repro.gametheory.empirical import per_round_utilities, round_states
-        from repro.gametheory.payoff import payoff
-
         result = ctx.result
         violations: List[Violation] = []
         accused = {
@@ -641,8 +646,7 @@ class UtilityConsistencyChecker(InvariantChecker):
                     "a burned player's penalty is not the deposit L",
                     player=pid, penalty=penalty, deposit=deposit,
                 ))
-        rounds = result.config.max_rounds
-        if rounds > self._STREAM_AUDIT_MAX_ROUNDS:
+        if round_horizon(result) > self._STREAM_AUDIT_MAX_ROUNDS:
             return violations
         censored = ctx.censored_tx_ids
         rational = [player for player in result.players if player.is_rational]

@@ -2,7 +2,7 @@
 
 A :class:`RunRecord` is the flat, JSON-friendly projection of one
 finished :class:`~repro.protocols.runner.RunResult`: terminal system
-state, Definition-1 verdicts, realised utilities, traffic totals and
+state, Definition-1 verdicts, Equation 1 utilities, traffic totals and
 wall-clock time.  Records are what cross process boundaries (the
 parallel sweep workers return them, never live ``RunResult`` objects,
 which hold unpicklable engine state) and what lands on disk.
@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.robustness import check_robustness
+from repro.gametheory.empirical import empirical_utility, utility_history_evicted
 from repro.protocols.runner import RunResult
 from repro.sim.streaming import percentile_of_sorted
 
@@ -32,9 +33,14 @@ ParamItems = Tuple[Tuple[str, Any], ...]
 class RunRecord:
     """One row of a sweep: everything observable about one run.
 
-    ``state``, the verdict columns and ``utilities`` read one
+    ``state`` and the verdict columns read one
     :class:`~repro.analysis.robustness.RobustnessReport`; ``validity``
     and ``robust`` are None (not judged) where the oracle skips validity.
+    ``utilities`` holds each rational player's Equation 1 utility,
+    Σ_r δ^r (f(σ_r, θ) − L·D_r), from
+    :func:`~repro.gametheory.empirical.empirical_utility` at that
+    report's σ; it is None (not judged) where retention evicted the
+    ``final`` or ``burn`` events the per-round stream replays.
     """
 
     scenario: str
@@ -51,7 +57,7 @@ class RunRecord:
     progressed: bool
     final_blocks: int
     penalised: Tuple[int, ...]
-    utilities: Tuple[Tuple[int, float], ...]
+    utilities: Optional[Tuple[Tuple[int, float], ...]]
     total_messages: int
     total_bytes: int
     events: int
@@ -128,10 +134,13 @@ class RunRecord:
             if series:
                 entries["backlog_series"] = series
             throughput = tuple(sorted(entries.items()))
-        utilities = tuple(
-            (player.player_id, result.utility_in(verdict.state, player.player_id, player.theta))
-            for player in result.players
-            if player.is_rational
+        rational = [player for player in result.players if player.is_rational]
+        utilities = None if rational and utility_history_evicted(result) else tuple(
+            (
+                player.player_id,
+                empirical_utility(result, player.player_id, player.theta, censored, verdict.state),
+            )
+            for player in rational
         )
         return cls(
             scenario=scenario.name,
@@ -169,7 +178,8 @@ class RunRecord:
         data = asdict(self)
         data["params"] = self.param_dict()
         data["penalised"] = list(self.penalised)
-        data["utilities"] = {str(pid): value for pid, value in self.utilities}
+        if self.utilities is not None:
+            data["utilities"] = {str(pid): value for pid, value in self.utilities}
         if self.invariants is None:
             # The oracle never ran: omit the fields so pre-oracle
             # output (and the golden byte-identity gates) is unchanged.
@@ -202,8 +212,9 @@ class RunRecord:
         kwargs = {key: value for key, value in data.items() if key in known}
         kwargs["params"] = tuple(sorted(dict(data.get("params", {})).items()))
         kwargs["penalised"] = tuple(data.get("penalised", ()))
-        kwargs["utilities"] = tuple(
-            sorted((int(pid), value) for pid, value in dict(data.get("utilities", {})).items())
+        utilities = data.get("utilities", {})
+        kwargs["utilities"] = None if utilities is None else tuple(
+            sorted((int(pid), value) for pid, value in dict(utilities).items())
         )
 
         def pairs(key: str) -> Optional[Tuple[Tuple[str, Any], ...]]:
@@ -363,14 +374,15 @@ def aggregate(records: Sequence[RunRecord]) -> List[Dict[str, Any]]:
 
     Each entry reports the run count, the fraction of robust runs among
     those judged (None if none was), the distribution of terminal
-    states, and means of the scalar metrics.
+    states, and means of the scalar metrics; the mean rational utility
+    is over records whose utilities were judged (None if none was).
     """
     summaries: List[Dict[str, Any]] = []
     for params, group in group_by_params(records).items():
         states: Dict[str, int] = {}
         for record in group:
             states[record.state] = states.get(record.state, 0) + 1
-        all_utilities = [value for record in group for _, value in record.utilities]
+        all_utilities = [value for record in group for _, value in record.utilities or ()]
         judged = [1.0 if r.robust else 0.0 for r in group if r.robust is not None]
         summary = {
             "params": dict(params),

@@ -9,6 +9,8 @@ This package realises the paper's model verbatim:
 - :mod:`~repro.gametheory.utility` — per-round utility
   u_i = E[f(σ, θ)] − L·D(π, σ) and the discounted repeated-round
   utility U_i = Σ_r δ^r u_i (Equation 1);
+- :mod:`~repro.gametheory.empirical` — Equation 1 evaluated on a
+  finished run: the one utility every record and claim reads;
 - :mod:`~repro.gametheory.normal_form` — finite normal-form games with
   pure Nash equilibrium enumeration, dominant-strategy checks, Pareto
   comparison and focal-point selection (Section 4.3), including the
@@ -17,12 +19,7 @@ This package realises the paper's model verbatim:
   TRAP, used to demonstrate Theorem 3's insecure second equilibrium.
 """
 
-from repro.gametheory.empirical import (
-    BestResponseReport,
-    empirical_best_response,
-    empirical_utility,
-    per_round_utilities,
-)
+from repro.gametheory.empirical import empirical_utility, per_round_utilities
 from repro.gametheory.payoff import PlayerType, payoff
 from repro.gametheory.states import SystemState, classify_state
 from repro.gametheory.normal_form import NormalFormGame, example_focal_game
@@ -34,7 +31,6 @@ from repro.gametheory.utility import (
 )
 
 __all__ = [
-    "BestResponseReport",
     "NormalFormGame",
     "PlayerType",
     "SystemState",
@@ -42,7 +38,6 @@ __all__ = [
     "build_baiting_game",
     "classify_state",
     "discounted_utility",
-    "empirical_best_response",
     "empirical_utility",
     "example_focal_game",
     "geometric_utility",

@@ -12,7 +12,7 @@ form for a constant per-round utility (for the analytical results).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def round_utility(expected_payoff: float, collateral: float, penalised: bool) -> float:
@@ -43,14 +43,3 @@ def geometric_utility(per_round_constant: float, delta: float) -> float:
         raise ValueError("discount factor must be in [0, 1)")
     return per_round_constant / (1.0 - delta)
 
-
-def present_value_from(per_round: Sequence[float], delta: float, start_round: int) -> float:
-    """Discounted utility of the suffix starting at ``start_round``.
-
-    Used in grim-trigger arguments: the continuation value after a
-    deviation at round ``start_round`` is compared against staying in
-    the collusion.
-    """
-    if start_round < 0:
-        raise ValueError("start_round must be non-negative")
-    return discounted_utility(per_round[start_round:], delta)

@@ -18,7 +18,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.agents.player import Player, Role
 from repro.crypto.registry import KeyRegistry
-from repro.gametheory.payoff import PlayerType, payoff
 from repro.gametheory.states import SystemState, classify_state
 from repro.ledger.chain import Chain
 from repro.ledger.collateral import CollateralRegistry
@@ -168,7 +167,7 @@ class RunResult:
         return {pid: self.replicas[pid].chain for pid in self.honest_ids}
 
     # ------------------------------------------------------------------
-    # Outcome classification and utilities
+    # Outcome classification (utilities: repro.gametheory.empirical)
     # ------------------------------------------------------------------
     def system_state(self, censored_tx_ids: Optional[Iterable[str]] = None) -> SystemState:
         """The run's terminal σ (Table 2), as RobustnessReport.state."""
@@ -183,20 +182,6 @@ class RunResult:
 
     def penalised_players(self) -> Set[int]:
         return self.ctx.collateral.burned_players()
-
-    def realised_utility(
-        self,
-        player_id: int,
-        theta: PlayerType,
-        censored_tx_ids: Optional[Iterable[str]] = None,
-    ) -> float:
-        """u_i for the run: f(σ, θ) − L·D, at the run's terminal state
-        (per-round discounted utilities: :mod:`repro.gametheory.empirical`)."""
-        return self.utility_in(self.system_state(censored_tx_ids), player_id, theta)
-
-    def utility_in(self, state: SystemState, player_id: int, theta: PlayerType) -> float:
-        """f(σ, θ) − L·D for an already judged terminal ``state``."""
-        return payoff(state, theta, self.config.alpha) - self.ctx.collateral.penalty_of(player_id)
 
     @property
     def trace(self):

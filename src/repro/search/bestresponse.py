@@ -45,7 +45,9 @@ map, which returns records in submission order, so ``--jobs N``
 produces the same report as ``--jobs 1``.  A point's utility, burn and
 terminal states are read off its records: the probe is always a
 rational id, so its Equation 1 utility under the scenario's ``theta`` is
-already a record field.
+already a record field.  Points play one round (``_ROUNDS``), where
+Equation 1 reduces to f(σ, θ) − L·D: a deviation that stalls a round
+and lets a later one recover is outside what the search can score.
 """
 
 from __future__ import annotations

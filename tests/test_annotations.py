@@ -77,4 +77,4 @@ def test_the_walk_sees_the_code_base():
     }
     assert len(seen) > 500
     assert "repro.ledger.mempool.Mempool.select" in seen
-    assert "repro.gametheory.empirical.classify_round" in seen  # TYPE_CHECKING user
+    assert "repro.gametheory.empirical.round_states" in seen  # TYPE_CHECKING user

@@ -4,30 +4,24 @@ against executed runs."""
 import pytest
 
 from repro.agents.strategies import AbstainStrategy, EquivocateStrategy
-from repro.gametheory.empirical import (
-    classify_round,
-    empirical_best_response,
-    empirical_utility,
-    per_round_utilities,
-)
+from repro.experiments.fuzz import generate_trial
+from repro.gametheory.empirical import empirical_utility, per_round_utilities, round_states
 from repro.gametheory.payoff import PlayerType
 from repro.gametheory.states import SystemState
 
 from tests.conftest import censorship_collusion, roster, run_prft
 
 
-class TestClassifyRound:
+class TestRoundStates:
     def test_honest_rounds(self):
         result = run_prft(roster(5), max_rounds=3)
-        for r in range(3):
-            assert classify_round(result, r) is SystemState.HONEST
+        assert round_states(result) == [SystemState.HONEST] * 3
 
     def test_view_changed_round_is_no_progress(self):
         players = roster(8, byzantine_ids=[0])
         players[0].strategy = AbstainStrategy()
         result = run_prft(players, max_rounds=3, timeout=10.0)
-        assert classify_round(result, 0) is SystemState.NO_PROGRESS
-        assert classify_round(result, 1) is SystemState.HONEST
+        assert round_states(result)[:2] == [SystemState.NO_PROGRESS, SystemState.HONEST]
 
     def test_censorship_rounds(self):
         players = roster(
@@ -36,10 +30,7 @@ class TestClassifyRound:
         )
         censorship_collusion(players, censored=["tx-0"])
         result = run_prft(players, max_rounds=6, timeout=10.0, max_time=500.0)
-        states = [
-            classify_round(result, r, censored_tx_ids=["tx-0"]) for r in range(6)
-        ]
-        assert SystemState.CENSORSHIP in states
+        assert SystemState.CENSORSHIP in round_states(result, censored_tx_ids=["tx-0"])
 
 
 class TestPerRoundUtilities:
@@ -66,34 +57,26 @@ class TestPerRoundUtilities:
     def test_discounting(self):
         players = roster(8, byzantine_ids=[0])
         players[0].strategy = AbstainStrategy()
-        result = run_prft(players, max_rounds=2, timeout=10.0)
-        utility = empirical_utility(result, 3, PlayerType.FORK_SEEKING, delta=0.5)
+        result = run_prft(players, max_rounds=2, timeout=10.0, discount=0.5)
+        utility = empirical_utility(result, 3, PlayerType.FORK_SEEKING)
         stream = per_round_utilities(result, 3, PlayerType.FORK_SEEKING)
         assert utility == pytest.approx(stream[0] + 0.5 * stream[1])
 
 
-class TestEmpiricalBestResponse:
-    def _run_with(self, name: str):
-        players = roster(9, rational_ids=[5])
-        if name == "pi_abs":
-            players[5].strategy = AbstainStrategy()
-        elif name == "pi_ds":
-            players[5].strategy = EquivocateStrategy(colluders={5})
-        return run_prft(players, max_rounds=3, timeout=15.0, max_time=500.0)
-
-    def test_honest_is_best_response_for_theta1(self):
-        report = empirical_best_response(
-            self._run_with,
-            ["pi_0", "pi_abs", "pi_ds"],
-            player_id=5,
-            theta=PlayerType.FORK_SEEKING,
-        )
-        assert report.honest_is_best_response
-        assert report.utilities["pi_ds"] < report.utilities["pi_0"]
-        assert report.best_strategy in ("pi_0", "pi_abs")
-
-    def test_missing_honest_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_best_response(
-                self._run_with, ["pi_ds"], player_id=5, theta=PlayerType.FORK_SEEKING
-            )
+class TestHorizon:
+    def test_continuous_run_spans_every_opened_round(self):
+        """A continuous run ignores ``max_rounds``: fuzz trial 107
+        (HotStuff, Poisson, rounds=3) finalises round 4, so its stream
+        spans rounds 0..4."""
+        trial = generate_trial(0, 107, "wild")
+        result = trial.scenario.run(seed=trial.seed)
+        assert result.config.max_rounds == 3
+        finalised = {
+            event.detail["round"]
+            for event in result.trace.events("final")
+            if event.player in result.honest_ids
+        }
+        assert max(finalised) == 4
+        (pid,) = result.rational_ids
+        stream = per_round_utilities(result, pid, trial.scenario.theta)
+        assert stream == [-1.0, -1.0, 0.0, 0.0, 0.0]

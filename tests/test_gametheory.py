@@ -13,7 +13,6 @@ from repro.gametheory.states import SystemState, classify_state
 from repro.gametheory.utility import (
     discounted_utility,
     geometric_utility,
-    present_value_from,
     round_utility,
 )
 from repro.ledger.block import Block
@@ -150,10 +149,6 @@ class TestUtility:
     def test_geometric_requires_delta_below_one(self):
         with pytest.raises(ValueError):
             geometric_utility(1.0, 1.0)
-
-    def test_present_value_from(self):
-        stream = [1.0, 2.0, 4.0]
-        assert present_value_from(stream, 0.5, 1) == 2.0 + 0.5 * 4.0
 
     @given(
         st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), max_size=10),

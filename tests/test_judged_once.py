@@ -2,14 +2,16 @@
 
 Definition 1's clauses, Table 2's σ and Definition 6's sets are
 computed by :mod:`repro.analysis` alone; the oracle's checkers, the run
-record and the realised utilities read that one judgement.  These tests
-hold the two readers that persist a verdict — the record and the
-oracle — to the same answer on every catalog run, and pin by *counting*
-how often a run is judged: once per record, once per oracle pass, each
-honest-held proof verified once.
+record and the utilities read that one judgement.  These tests hold the
+two readers that persist a verdict — the record and the oracle — to the
+same answer on every catalog run, hold the record's utility to the
+Equation 1 stream the oracle audits, and pin by *counting* how often a
+run is judged: once per record, once per oracle pass, each honest-held
+proof verified once.
 """
 
 import collections
+import json
 
 import pytest
 
@@ -23,8 +25,10 @@ from repro.analysis.accountability import check_accountability
 from repro.checks import run_oracle
 from repro.core.pof import FraudProof
 from repro.experiments.registry import get_scenario, scenario_catalog
-from repro.experiments.results import RunRecord
+from repro.experiments.results import RunRecord, aggregate, read_json, write_json
 from repro.gametheory.states import SystemState
+from repro.gametheory.utility import discounted_utility
+from repro.protocols.runner import RunResult
 
 MATRIX_PROTOCOLS = ("prft", "pbft", "hotstuff", "polygraph", "trap")
 
@@ -96,7 +100,7 @@ def test_a_record_does_not_judge_what_retention_evicted(shape):
 
 
 def test_a_refused_verdict_survives_json_csv_and_aggregation(tmp_path):
-    from repro.experiments.results import aggregate, read_json, write_csv, write_json
+    from repro.experiments.results import write_csv
     from repro.experiments.warehouse import Warehouse
 
     scenario = retention_shape("submission-window")
@@ -119,6 +123,83 @@ def test_a_refused_verdict_survives_json_csv_and_aggregation(tmp_path):
         assert store.ingest_records([refused]) == 1
         row = store._conn.execute("SELECT robust, validity FROM runs").fetchone()
         assert tuple(row) == (None, None)
+        assert store.stored_records() == [refused]
+
+
+# ----------------------------------------------------------------------
+# One utility: the record reports the stream the oracle audits
+# ----------------------------------------------------------------------
+def utility_cells():
+    """Every catalog entry with rational players, and the fork attack
+    under each protocol (protocol-matrix itself has no rational player)."""
+    cells = [
+        (name, scenario) for name, scenario in scenario_catalog().items()
+        if scenario.rational or scenario.rational_ids
+    ]
+    fork = get_scenario("fork")
+    return cells + [
+        (f"fork/{protocol}", fork.with_params(protocol=protocol))
+        for protocol in MATRIX_PROTOCOLS
+    ]
+
+
+@pytest.mark.parametrize("name,scenario", utility_cells(), ids=[n for n, _ in utility_cells()])
+def test_the_record_reports_the_audited_equation_1_stream(monkeypatch, name, scenario):
+    audited = {}
+    original = invariants_module.per_round_utilities
+
+    def spy(result, player_id, *args):
+        audited[player_id] = stream = original(result, player_id, *args)
+        return stream
+
+    monkeypatch.setattr(invariants_module, "per_round_utilities", spy)
+    scenario = scenario.with_params(check_invariants=True)
+    result = scenario.run(seed=0)
+    record = RunRecord.from_result(scenario, 0, result)
+    assert dict(record.invariants)["utility-consistency"] == "ok"
+    utilities = dict(record.utilities)
+    assert set(utilities) == set(audited) == set(result.rational_ids) != set()
+    for pid, stream in audited.items():
+        assert utilities[pid] == discounted_utility(stream, result.config.discount), pid
+
+
+def test_a_run_result_has_no_second_utility():
+    assert not hasattr(RunResult, "realised_utility")
+    assert not hasattr(RunResult, "utility_in")
+
+
+def test_a_record_does_not_report_a_utility_whose_history_was_evicted(tmp_path):
+    """With ``burn`` events evicted the oracle skips the utility audit;
+    the record refuses too (None) instead of reporting a utility whose
+    penalty round it cannot see."""
+    from repro.experiments.warehouse import Warehouse
+
+    thm5 = get_scenario("thm5-collusion").with_params(check_invariants=True)
+    scenario = thm5.with_params(trace_window=4)
+    result = scenario.run(seed=0)
+    assert result.trace.truncated("burn")
+    refused = RunRecord.from_result(scenario, 0, result)
+    assert dict(refused.invariants)["utility-consistency"] == "skipped"
+    assert refused.utilities is None
+    judged = RunRecord.from_result(thm5, 0, thm5.run(seed=0))
+    assert len(judged.utilities) == 4
+    # No rational player, no utility to refuse: the record keeps ().
+    honest = get_scenario("honest").with_params(trace_window=4)
+    result = honest.run(seed=0)
+    assert result.trace.truncated("final")
+    assert RunRecord.from_result(honest, 0, result).utilities == ()
+
+    path = str(tmp_path / "r.json")
+    write_json(path, [refused, judged])
+    with open(path) as handle:
+        assert json.load(handle)["records"][0]["utilities"] is None
+    assert read_json(path) == [refused, judged]
+    # The mean is over judged utilities only; none judged reads None.
+    assert aggregate([refused])[0]["mean_rational_utility"] is None
+    values = [value for _, value in judged.utilities]
+    assert aggregate([refused, judged])[0]["mean_rational_utility"] == sum(values) / len(values)
+    with Warehouse(str(tmp_path / "wh.sqlite")) as store:
+        assert store.ingest_records([refused]) == 1
         assert store.stored_records() == [refused]
 
 

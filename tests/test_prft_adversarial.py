@@ -6,6 +6,7 @@ import pytest
 from repro.agents.strategies import AbstainStrategy, EquivocateStrategy
 from repro.analysis.accountability import check_accountability
 from repro.analysis.robustness import check_robustness
+from repro.gametheory.empirical import empirical_utility
 from repro.gametheory.payoff import PlayerType
 from repro.gametheory.states import SystemState
 from repro.net.delays import FixedDelay
@@ -70,13 +71,13 @@ class TestLemma4DSIC:
         players = roster(9, rational_ids=[5])
         players[5].strategy = EquivocateStrategy(colluders={5})
         result = run_prft(players, max_rounds=3)
-        deviating = result.realised_utility(5, PlayerType.FORK_SEEKING)
+        deviating = empirical_utility(result, 5, PlayerType.FORK_SEEKING)
         assert deviating < 0
 
     def test_honest_play_utility_zero(self):
         players = roster(9, rational_ids=[5])  # rational but honest strategy
         result = run_prft(players, max_rounds=3)
-        honest = result.realised_utility(5, PlayerType.FORK_SEEKING)
+        honest = empirical_utility(result, 5, PlayerType.FORK_SEEKING)
         assert honest == 0.0
         assert result.penalised_players() == set()
 
@@ -87,7 +88,7 @@ class TestLemma4DSIC:
             if deviate:
                 players[5].strategy = EquivocateStrategy(colluders={5})
             result = run_prft(players, max_rounds=3)
-            return result.realised_utility(5, PlayerType.FORK_SEEKING)
+            return empirical_utility(result, 5, PlayerType.FORK_SEEKING)
 
         assert utility(deviate=False) > utility(deviate=True)
 
@@ -134,7 +135,7 @@ class TestTheorem5Robustness:
         fork_collusion(players)
         result = run_prft(players, max_rounds=4, timeout=15.0)
         for pid in (0, 1):
-            assert result.realised_utility(pid, PlayerType.FORK_SEEKING) <= 0
+            assert empirical_utility(result, pid, PlayerType.FORK_SEEKING) <= 0
 
 
 class TestBoundaryViolations:
@@ -200,13 +201,13 @@ class TestTheorem1Liveness:
     def test_attack_utility_positive_for_theta3(self):
         result = self._liveness_run()
         for pid in (0, 1, 2):
-            assert result.realised_utility(pid, PlayerType.LIVENESS_ATTACKING) > 0
+            assert empirical_utility(result, pid, PlayerType.LIVENESS_ATTACKING) > 0
 
     def test_same_attack_hurts_theta1(self):
         """Table 2: σ_NP pays −α to fork-seeking players — which is why
         pRFT's θ=1 assumption is essential."""
         result = self._liveness_run()
-        assert result.realised_utility(0, PlayerType.FORK_SEEKING) < 0
+        assert empirical_utility(result, 0, PlayerType.FORK_SEEKING) < 0
 
 
 class TestTheorem2Censorship:
@@ -242,8 +243,8 @@ class TestTheorem2Censorship:
     def test_attack_utility_positive_for_theta2(self):
         result = self._censorship_run()
         for pid in (0, 1, 2):
-            utility = result.realised_utility(
-                pid, PlayerType.CENSORSHIP_SEEKING, censored_tx_ids=["tx-0"]
+            utility = empirical_utility(
+                result, pid, PlayerType.CENSORSHIP_SEEKING, censored_tx_ids=["tx-0"]
             )
             assert utility > 0
 

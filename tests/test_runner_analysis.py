@@ -10,6 +10,7 @@ from repro.analysis.report import render_table
 from repro.analysis.robustness import check_robustness
 from repro.core.replica import prft_factory
 from repro.experiments import get_scenario
+from repro.gametheory.empirical import empirical_utility
 from repro.gametheory.payoff import PlayerType
 from repro.ledger.transaction import Transaction
 from repro.protocols.base import ProtocolConfig
@@ -102,11 +103,11 @@ class TestRunner:
         assert result.rational_ids == [1]
         assert result.byzantine_ids == [2]
 
-    def test_realised_utility_includes_penalty(self):
+    def test_empirical_utility_includes_penalty(self):
         players = roster(9, rational_ids=[5])
         players[5].strategy = EquivocateStrategy(colluders={5})
         result = run_prft(players, max_rounds=2)
-        utility = result.realised_utility(5, PlayerType.FORK_SEEKING)
+        utility = empirical_utility(result, 5, PlayerType.FORK_SEEKING)
         assert utility == pytest.approx(-result.config.deposit)
 
 
