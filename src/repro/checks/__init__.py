@@ -3,8 +3,8 @@
 The checks layer turns the paper's trace-level guarantees — agreement
 and validity under RFT(t, k) (Theorems 4-5), accountability of
 deviators via Proofs-of-Fraud and collateral burn exactly for provable
-fraud (Definition 6, Claim 1) — into machine-checkable invariants that
-run post-hoc over any finished :class:`~repro.protocols.runner.RunResult`.
+fraud (Definition 6, Claim 1) — into machine-checkable invariants over
+any finished :class:`~repro.protocols.runner.RunResult`.
 
 Two modules::
 
@@ -13,12 +13,12 @@ Two modules::
 
 The oracle is protocol-agnostic: it consumes only the public artifacts
 of a run (honest chains, the trace, the collateral registry, fraud
-proofs held by honest replicas) plus the declarative scenario that
-produced it, never protocol internals beyond duck-typed quorum
-evidence.  ``Scenario.check_invariants`` (a sweep axis like any other)
-threads it through ``Scenario.run``, every sweep worker and the CLI;
-the deterministic scenario fuzzer (:mod:`repro.experiments.fuzz`)
-drives it across thousands of generated deployments.
+proofs held by honest replicas, quorum evidence as a replica stores
+it) plus the declarative scenario that produced it.
+``Scenario.check_invariants`` (a sweep axis like any other) threads it
+through ``Scenario.run``, every sweep worker and the CLI; the
+deterministic scenario fuzzer (:mod:`repro.experiments.fuzz`) drives it
+across thousands of generated deployments.
 """
 
 from repro.checks.invariants import (

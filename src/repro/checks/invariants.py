@@ -5,8 +5,8 @@ assumes) and reports :class:`Violation` objects when a finished run
 breaks it.  Checkers are small, independent and protocol-agnostic:
 they read honest chains, the trace, the collateral registry and the
 fraud proofs honest replicas hold — the same public artifacts the
-analysis layer uses — plus duck-typed quorum evidence where a protocol
-retains it.
+analysis layer uses — plus the quorum evidence a replica stores, judged
+as it is stored (:class:`QuorumAudit`).
 
 A checker is *unconditional* (the property must hold on every run,
 whatever the adversary does — e.g. no honest player is ever burned) or
@@ -35,7 +35,6 @@ from repro.gametheory.empirical import (
 )
 from repro.gametheory.payoff import payoff
 from repro.ledger.chain import ConfirmationStatus
-from repro.protocols.phases import ViewChangeRound
 from repro.protocols.runner import RunResult
 
 #: checker name → the paper result it guards (rendered by docs/CLI).
@@ -436,115 +435,84 @@ class CrashRecoveryChecker(InvariantChecker):
 
 
 class QuorumCertificateChecker(InvariantChecker):
-    """Quorum-certificate well-formedness over the evidence honest
-    replicas retained: each statement in a signer map is keyed by its
-    real signer, pinned to that round, phase and digest, and carries a
-    verifying signature (Figure 2b's binding of phase+round into every
-    signed statement).  Every replica owns ``_rounds``
-    (:class:`~repro.protocols.base.SlotState` subclasses), every slot
-    counts its quorums in the one ``tally`` — whatever the protocol calls
-    its phases, HotStuff's leader-collected votes included — and the
-    view-changing protocols keep the votes to abandon it beside that.
-
-    Under the ``aggregate_certs`` axis quorum evidence may instead be
-    retained as an :class:`AggregateQC` (one digest + signer bitmap +
-    aggregate tag): any aggregate found in round state — directly, as
-    the ``aggregate`` of a certificate object, or as a value of a
-    per-digest map — must verify against the trusted setup and pin the
-    state's round."""
+    """Quorum-certificate well-formedness over every statement and
+    aggregate an honest replica stored, judged as it was stored by the
+    deployment's :class:`QuorumAudit`: each statement is keyed by its
+    real signer, pinned to its round, phase and digest, and verifies
+    (Figure 2b's binding of phase+round into every signed statement) —
+    every slot's ``tally``, HotStuff's leader-collected votes included,
+    and the view-changing protocols' votes to abandon a round, which
+    must not mix phases; a kept :class:`AggregateQC` (``aggregate_certs``)
+    must verify and pin its round."""
 
     name = "quorum-certs"
 
     def check(self, ctx: OracleContext) -> List[Violation]:
-        registry = ctx.result.ctx.registry
-        if not registry.backend.unforgeable:
-            return []
-        violations: List[Violation] = []
-        for pid in ctx.result.honest_ids:
-            for state in ctx.result.replicas[pid]._rounds.values():
-                for phase, by_digest in state.tally.items():
-                    for digest, by_signer in by_digest.items():
-                        violations.extend(self._check_map(
-                            pid, state.number, phase, digest, by_signer, registry,
-                        ))
-                if isinstance(state, ViewChangeRound):
-                    # The phase name is the protocol's own and the digest
-                    # slot a marker, so a view-change vote pins its round.
-                    violations.extend(self._check_map(
-                        pid, state.number, None, None, state.view_changes, registry,
-                    ))
-                violations.extend(self._check_aggregates(
-                    pid, state.number, state, registry,
-                ))
-        return violations
+        honest = set(ctx.result.honest_ids)
+        findings = sorted(ctx.result.ctx.audit.findings, key=lambda finding: finding[0])
+        return [violation for holder, violation in findings if holder in honest]
 
-    def _check_aggregates(
-        self,
-        pid: int,
-        round_number: int,
-        state: Any,
-        registry: Any,
-    ) -> List[Violation]:
-        """Validate every aggregate certificate retained in round state."""
-        violations: List[Violation] = []
-        for attr, value in vars(state).items():
-            found: List[AggregateQC] = []
-            if isinstance(value, AggregateQC):
-                found.append(value)
-            elif isinstance(getattr(value, "aggregate", None), AggregateQC):
-                found.append(value.aggregate)
-            elif isinstance(value, dict):
-                found.extend(v for v in value.values() if isinstance(v, AggregateQC))
-            for aggregate in found:
-                ok = (
-                    aggregate.signer_count >= 1
-                    and aggregate.round_number == round_number
-                    and registry.verify_aggregate(aggregate)
-                )
-                if not ok:
-                    violations.append(_violation(
-                        self.name,
-                        "retained aggregate certificate is malformed or unverifiable",
-                        holder=pid, slot=attr, round=round_number,
-                    ))
-        return violations
 
-    def _check_map(
-        self,
-        pid: int,
-        round_number: int,
-        phase: Optional[str],
-        digest: Optional[str],
-        by_signer: Dict[int, Optional[SignedStatement]],
-        registry: Any,
-    ) -> List[Violation]:
-        """Audit one signer map; ``phase``/``digest`` None = not pinned."""
-        slot = phase or "view-change"
-        violations: List[Violation] = []
-        phases = set()
-        for signer, statement in by_signer.items():
-            if statement is None:
-                # A phase that only counts who signed retains no evidence.
-                continue
-            phases.add(statement.phase)
-            ok = (
-                statement.signer == signer
-                and phase in (None, statement.phase)
-                and digest in (None, statement.digest)
-                and statement.round_number == round_number
-                and verify_statement(registry, statement)
+class QuorumAudit:
+    """The ``quorum-certs`` fold, one per deployment (``ctx.audit``):
+    the replicas' write path (``BaseReplica._tally``, ``_keep_*``) hands
+    it every statement and aggregate they keep, judged once as it is
+    stored (re-inserts, state a crash loses and rounds retention prunes
+    included).  Under a forgeable backend nothing is judged."""
+
+    def __init__(self, registry: Any) -> None:
+        self.registry = registry
+        self.judged = registry.backend.unforgeable
+        #: (holder, violation), in the order the evidence was stored.
+        self.findings: List[Tuple[int, Violation]] = []
+        #: (holder, round) -> the phase of its first view-change vote;
+        #: None once a second phase was reported.
+        self._view_change_phase: Dict[Tuple[int, int], Optional[str]] = {}
+
+    def statement(
+        self, holder: int, round_number: int, phase: Optional[str], digest: Optional[str],
+        signer: int, statement: SignedStatement,
+    ) -> None:
+        """``holder`` keyed ``statement`` by ``signer`` in the round's
+        (phase, digest) map; None, None: a view-change vote, round-pinned only."""
+        if not self.judged:
+            return
+        if not (
+            statement.signature.signer == signer
+            and phase in (None, statement.phase)
+            and digest in (None, statement.digest)
+            and statement.round_number == round_number
+            and verify_statement(self.registry, statement)
+        ):
+            self._find(
+                holder, "retained quorum statement is malformed or unverifiable",
+                slot=phase or "view-change", round=round_number, signer=signer,
             )
-            if not ok:
-                violations.append(_violation(
-                    self.name, "retained quorum statement is malformed or unverifiable",
-                    holder=pid, slot=slot, round=round_number, signer=signer,
-                ))
-        if len(phases) > 1:
-            violations.append(_violation(
-                self.name, "mixed phases inside one quorum map",
-                holder=pid, slot=slot, round=round_number,
-            ))
-        return violations
+        if phase is None:
+            key = (holder, round_number)
+            first = self._view_change_phase.setdefault(key, statement.phase)
+            if first is not None and first != statement.phase:
+                self._view_change_phase[key] = None
+                self._find(
+                    holder, "mixed phases inside one quorum map",
+                    slot="view-change", round=round_number,
+                )
+
+    def aggregate(self, holder: int, round_number: int, slot: str, aggregate: AggregateQC) -> None:
+        """``holder`` kept a certificate carrying ``aggregate`` as ``slot``."""
+        if self.judged and not (
+            aggregate.signer_count >= 1
+            and aggregate.round_number == round_number
+            and self.registry.verify_aggregate(aggregate)
+        ):
+            self._find(
+                holder, "retained aggregate certificate is malformed or unverifiable",
+                slot=slot, round=round_number,
+            )
+
+    def _find(self, holder: int, message: str, **detail: Any) -> None:
+        violation = _violation(QuorumCertificateChecker.name, message, holder=holder, **detail)
+        self.findings.append((holder, violation))
 
 
 class MessageComplexityChecker(InvariantChecker):

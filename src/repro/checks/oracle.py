@@ -295,7 +295,9 @@ def run_oracle(
     seed: Optional[int] = None,
     checkers: Optional[Sequence[InvariantChecker]] = None,
 ) -> OracleReport:
-    """Run the checker battery post-hoc over one finished run."""
+    """Run the checker battery over one finished run: each checker reads
+    it post-hoc, except that ``quorum-certs`` reports what the run's
+    in-run fold (``ctx.audit``) found as the evidence was stored."""
     expectations = derive_expectations(result, scenario)
     ctx = OracleContext(result=result, scenario=scenario, seed=seed)
     verdicts: List[CheckVerdict] = []

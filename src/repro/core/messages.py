@@ -131,8 +131,8 @@ def verify_statement(registry: KeyRegistry, statement: SignedStatement) -> bool:
     A statement that verified against ``registry`` before carries its
     :attr:`~repro.crypto.registry.KeyRegistry.verified_mark` and is
     answered from it, counted as a cache hit: every replica checks
-    every quorum-certificate member, and the oracle checks them all
-    again, on the one shared object.  Otherwise the statement's
+    every quorum-certificate member, and the oracle's audit checks the
+    kept ones again, on the one shared object.  Otherwise the statement's
     memoized bytes go to :meth:`KeyRegistry.verify`, which derives the
     tag from the trusted-setup secret, and a valid statement is
     stamped; an equal copy is another object and is derived afresh.

@@ -210,8 +210,7 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
             return
         if message.block is not None and message.block.digest == digest:
             state.blocks.setdefault(digest, message.block)
-        revealers = state.voters(REVEAL, digest)
-        revealers[sender] = None
+        revealers = self._tally(state, REVEAL, digest, sender, None)
         guilty = self.detector.guilty_in_round(round_number)
         if len(guilty) > self.config.t0:
             return
@@ -382,8 +381,7 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
         digest = statement.digest
         if message.block is not None and message.block.digest == digest:
             state.blocks.setdefault(digest, message.block)
-        finals = state.voters(FINAL, digest)
-        finals[sender] = statement
+        finals = self._tally(state, FINAL, digest, sender, statement)
         return len(finals) > self.config.n / 2
 
     def _on_final(self, sender: int, message: FinalMessage) -> None:
@@ -472,11 +470,11 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
         if not self._valid(statement, sender, self.VIEW_CHANGE):
             return
         self._absorb_justification(message.evidence)
-        state.view_changes[sender] = statement
+        votes = self._keep_view_change(state, sender, statement)
         if state.commit_view_sent or state.finalized:
             return
-        if len(state.view_changes) >= self._view_change_quorum():
-            self._send_commit_view(state, frozenset(state.view_changes.values()))
+        if len(votes) >= self._view_change_quorum():
+            self._send_commit_view(state, frozenset(votes.values()))
 
     def _send_commit_view(self, state: RoundState, justification: FrozenSet[SignedStatement]) -> None:
         if state.commit_view_sent:

@@ -8,7 +8,7 @@ the ``Recv`` boundary, exactly as the paper's protocol figure assumes.
 
 The registry is also the deployment's verification fast path, and it
 has one: the verdict is a property of the signed object.  Every
-receiver of a broadcast, and the post-run oracle, holds the *same*
+receiver of a broadcast, and the oracle's audit, holds the *same*
 frozen statement or certificate, so the first successful check stamps
 it with the registry's :attr:`KeyRegistry.verified_mark` and every
 later check of that object reads the stamp back — no serialisation,

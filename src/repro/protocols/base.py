@@ -183,6 +183,8 @@ class ProtocolContext:
     # for soak-length runs; every window ``None`` keeps every structure
     # unbounded.
     retention: Any
+    # The quorum-certs fold (checks.invariants.QuorumAudit): see _tally.
+    audit: Any
     commit_log: CommitLog = field(default_factory=CommitLog)
     workload: Optional[Any] = None
     # Wire-format axis: quorum justifications travel as AggregateQC
@@ -223,10 +225,6 @@ class SlotState:
     )
     #: phase -> the digests this replica signed in that phase.
     signed: Dict[str, set[str]] = field(default_factory=dict)
-
-    def voters(self, phase: str, digest: str) -> Dict[int, Optional[SignedStatement]]:
-        """The signer map of one (phase, digest), created on first touch."""
-        return self.tally.setdefault(phase, {}).setdefault(digest, {})
 
 
 class BaseReplica(ABC):
@@ -659,6 +657,35 @@ class BaseReplica(ABC):
             and statement.signer == sender
             and verify_statement(self.ctx.registry, statement)
         )
+
+    # ------------------------------------------------------------------
+    # Retained quorum evidence: the one write path, each write audited
+    # ------------------------------------------------------------------
+    def _tally(
+        self, state: SlotState, phase: str, digest: str, sender: int,
+        statement: Optional[SignedStatement],
+    ) -> Dict[int, Optional[SignedStatement]]:
+        """Count ``sender`` in the round's (phase, digest) quorum, keeping
+        ``statement`` (None: who signed is all it needs) for ``ctx.audit``."""
+        voters = state.tally.setdefault(phase, {}).setdefault(digest, {})
+        voters[sender] = statement
+        if statement is not None:
+            self.ctx.audit.statement(
+                self.player_id, state.number, phase, digest, sender, statement
+            )
+        return voters
+
+    def _keep_view_change(self, state: Any, sender: int, statement: SignedStatement) -> Dict:
+        """Keep ``sender``'s vote to abandon the round; returns its votes."""
+        state.view_changes[sender] = statement
+        self.ctx.audit.statement(self.player_id, state.number, None, None, sender, statement)
+        return state.view_changes
+
+    def _keep_certificate(self, state: Any, slot: str, certificate: Any) -> None:
+        """Keep a quorum certificate as the round state's ``slot``."""
+        setattr(state, slot, certificate)
+        if certificate.aggregate is not None:
+            self.ctx.audit.aggregate(self.player_id, state.number, slot, certificate.aggregate)
 
     # ------------------------------------------------------------------
     # Strategy-mediated I/O

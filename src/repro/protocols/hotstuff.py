@@ -252,7 +252,7 @@ class HotStuffReplica(PhaseTableReplica):
         certificate = message.certificate
         if message.block is not None and message.block.digest == certificate.digest:
             state.blocks.setdefault(certificate.digest, message.block)
-        state.decide_certificate = certificate
+        self._keep_certificate(state, "decide_certificate", certificate)
 
     # ------------------------------------------------------------------
     # Catch-up on faulty links (loss / duplication / crash schedules)

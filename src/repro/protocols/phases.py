@@ -250,16 +250,16 @@ class PhaseTableReplica(BaseReplica):
         block = getattr(message, "block", None)
         if block is not None and block.digest == digest:
             state.blocks.setdefault(digest, block)
-        voters = state.voters(row.phase, digest)
         if row.relay:
             # A new signer takes the tally to τ once per (phase, digest):
             # the leader certifies then.
-            if sender not in voters:
-                voters[sender] = statement if self.ctx.aggregate_certs else None
+            if sender not in state.tally.get(row.phase, {}).get(digest, ()):
+                kept = statement if self.ctx.aggregate_certs else None
+                voters = self._tally(state, row.phase, digest, sender, kept)
                 if len(voters) == self.config.quorum_size:
                     self._certify(state, row, digest, voters)
             return
-        voters[sender] = statement if row.retains else None
+        voters = self._tally(state, row.phase, digest, sender, statement if row.retains else None)
         if state.view_committed or not self._tallied(state, row):
             return
         if len(voters) >= self.config.quorum_size:
@@ -400,8 +400,8 @@ class ViewChangeReplica(PhaseTableReplica):
         if not self._valid(message.statement, sender, self.VIEW_CHANGE):
             return
         self._absorb_justification(getattr(message, "evidence", ()))
-        state.view_changes[sender] = message.statement
-        if len(state.view_changes) >= self.config.n - self.config.t0 and not state.finalized:
+        votes = self._keep_view_change(state, sender, message.statement)
+        if len(votes) >= self.config.n - self.config.t0 and not state.finalized:
             self.trace("view_change_committed", round=round_number)
             self._advance(round_number)
 

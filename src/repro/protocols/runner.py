@@ -82,7 +82,11 @@ def build_context(
     buffers and the commit log's dedup window; the all-defaults spec
     keeps both unbounded.  Unless ``retention.trace_traffic`` is set,
     the trace never gets :data:`TRAFFIC_KINDS`; the metrics count them.
+    The oracle's quorum-certs fold is installed as ``audit``.
     """
+    # repro.checks imports this module: resolve the fold at call time.
+    from repro.checks.invariants import QuorumAudit
+
     engine = SimulationEngine()
     pipeline = LinkPipeline(
         delay_model=network.delay_model,
@@ -118,6 +122,7 @@ def build_context(
         aggregate_certs=crypto.aggregate_certs,
         production=production,
         retention=retention,
+        audit=QuorumAudit(registry),
     )
 
 

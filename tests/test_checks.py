@@ -1,6 +1,7 @@
 """Trace-oracle subsystem: checkers, expectations, record round-trips."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +13,10 @@ from repro.checks import (
     run_oracle,
 )
 from repro.checks.invariants import OracleContext
+from repro.crypto.signatures import Signature
 from repro.experiments import RunRecord, Scenario, get_scenario, scenario_catalog
 from repro.gametheory.payoff import PlayerType
+from repro.protocols.base import BaseReplica
 
 
 def checked(scenario):
@@ -145,52 +148,116 @@ class TestViolationDetection:
         report = run_oracle(result, scenario=get_scenario("churn-liveness"))
         assert "crash-recovery" in report.violated_names
 
-    def test_quorum_certs_flag_mismatched_signer(self):
-        result = checked(get_scenario("honest")).run(seed=0)
-        replica = result.replicas[result.honest_ids[0]]
-        state = next(iter(replica._rounds.values()))
-        for digest, by_signer in state.tally["commit"].items():
-            signers = sorted(by_signer)
-            if len(signers) >= 2:
-                # Re-key one statement under a different signer id.
-                by_signer[signers[0]] = by_signer[signers[1]]
-                break
-        report = run_oracle(result, scenario=get_scenario("honest"))
-        assert "quorum-certs" in report.violated_names
+    # quorum-certs judges evidence as a replica stores it, so a fault is
+    # injected into the run by patching the write path (or the receive
+    # check in front of it), never into the finished state.
 
     @staticmethod
-    def _rekey_first_two(by_signer):
-        """Re-key one retained statement under another signer's id."""
-        first, second = sorted(by_signer)[:2]
-        by_signer[first] = by_signer[second]
+    def _patch_once(monkeypatch, name, corrupt):
+        """Wrap ``BaseReplica.name`` so that its first call by an honest
+        replica for which ``corrupt(replica, *args)`` returns new
+        arguments stores those instead; returns that replica's id, once
+        known."""
+        real = getattr(BaseReplica, name)
+        holders = []
 
-    def test_quorum_certs_audit_hotstuff_leader_votes(self):
-        """The votes a HotStuff leader retains to aggregate live in the
-        same tally as everyone's quorums, so they are audited too."""
+        def patched(replica, *args):
+            if not holders and replica.player.is_honest:
+                corrupted = corrupt(replica, *args)
+                if corrupted is not None:
+                    holders.append(replica.player_id)
+                    args = corrupted
+            return real(replica, *args)
+
+        monkeypatch.setattr(BaseReplica, name, patched)
+        return holders
+
+    @staticmethod
+    def _rekey_tally(phase):
+        """Key the first kept ``phase`` statement by the next signer's id."""
+        def corrupt(replica, state, tallied, digest, sender, statement):
+            if tallied == phase and statement is not None:
+                return state, tallied, digest, (sender + 1) % replica.config.n, statement
+        return corrupt
+
+    @staticmethod
+    def _flagged(scenario, holders, message, **detail):
+        """The patched run's one quorum-certs violation names the
+        patched holder, ``message`` and ``detail``."""
+        report = scenario.run(seed=0).oracle
+        assert holders, "the patched write never ran"
+        (found,) = report.verdict("quorum-certs").violations
+        assert found.message == message
+        assert found.detail_dict().items() >= {"holder": holders[0], **detail}.items()
+
+    def test_quorum_certs_flag_mismatched_signer(self, monkeypatch):
+        scenario = checked(get_scenario("honest"))
+        holders = self._patch_once(monkeypatch, "_tally", self._rekey_tally("commit"))
+        self._flagged(
+            scenario, holders, "retained quorum statement is malformed or unverifiable",
+            slot="commit", round=0, signer=1,
+        )
+
+    def test_quorum_certs_audit_hotstuff_leader_votes(self, monkeypatch):
+        """The votes a HotStuff leader keeps to aggregate are stored
+        through the same write path as everyone's quorums."""
         scenario = checked(get_scenario("honest")).with_params(
             protocol="hotstuff", aggregate_certs=True
         )
-        result = scenario.run(seed=0)
-        assert result.oracle.verdict("quorum-certs").status == "ok"
-        leader_state = result.replicas[0]._rounds[0]
-        by_signer = next(iter(leader_state.tally["hs-prepare"].values()))
-        self._rekey_first_two(by_signer)
-        report = run_oracle(result, scenario=scenario)
-        assert "quorum-certs" in report.violated_names
-
-    def test_quorum_certs_audit_view_change_votes(self):
-        scenario = checked(get_scenario("liveness"))
-        result = scenario.run(seed=0)
-        assert result.oracle.verdict("quorum-certs").status == "ok"
-        votes = next(
-            state.view_changes
-            for pid in result.honest_ids
-            for state in result.replicas[pid]._rounds.values()
-            if len(state.view_changes) >= 2
+        assert scenario.run(seed=0).oracle.verdict("quorum-certs").status == "ok"
+        holders = self._patch_once(monkeypatch, "_tally", self._rekey_tally("hs-prepare"))
+        self._flagged(
+            scenario, holders, "retained quorum statement is malformed or unverifiable",
+            slot="hs-prepare", round=0, signer=1,
         )
-        self._rekey_first_two(votes)
-        report = run_oracle(result, scenario=scenario)
-        assert "quorum-certs" in report.violated_names
+
+    def test_quorum_certs_audit_view_change_votes(self, monkeypatch):
+        scenario = checked(get_scenario("liveness"))
+        assert scenario.run(seed=0).oracle.verdict("quorum-certs").status == "ok"
+
+        def rekey(replica, state, sender, statement):
+            return state, (sender + 1) % replica.config.n, statement
+
+        holders = self._patch_once(monkeypatch, "_keep_view_change", rekey)
+        self._flagged(
+            scenario, holders, "retained quorum statement is malformed or unverifiable",
+            slot="view-change",
+        )
+
+    def test_quorum_certs_flag_an_unverifiable_statement(self, monkeypatch):
+        """A receive check that skips the signature lets a bad tag into
+        the tally; the audit verifies what is stored on its own."""
+        scenario = checked(get_scenario("honest"))
+
+        def unchecked(replica, statement, sender, phase):
+            return statement.phase == phase and statement.signer == sender
+
+        def forge(replica, state, phase, digest, sender, statement):
+            if phase == "commit" and statement is not None:
+                signature = Signature(statement.signer, "0" * len(statement.signature.tag))
+                return state, phase, digest, sender, replace(statement, signature=signature)
+
+        monkeypatch.setattr(BaseReplica, "_valid", unchecked)
+        holders = self._patch_once(monkeypatch, "_tally", forge)
+        self._flagged(
+            scenario, holders, "retained quorum statement is malformed or unverifiable",
+            slot="commit", round=0, signer=0,
+        )
+
+    def test_quorum_certs_flag_a_decide_aggregate_on_the_wrong_round(self, monkeypatch):
+        scenario = checked(get_scenario("honest")).with_params(
+            protocol="hotstuff", aggregate_certs=True
+        )
+
+        def misround(replica, state, slot, certificate):
+            aggregate = replace(certificate.aggregate, round_number=state.number + 1)
+            return state, slot, replace(certificate, aggregate=aggregate)
+
+        holders = self._patch_once(monkeypatch, "_keep_certificate", misround)
+        self._flagged(
+            scenario, holders, "retained aggregate certificate is malformed or unverifiable",
+            slot="decide_certificate", round=0,
+        )
 
 
 class TestRecordRoundTrip:

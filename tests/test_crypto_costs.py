@@ -1,7 +1,7 @@
 """The crypto layer's costs, asserted by counting.
 
-Every receiver of a broadcast, and the post-run oracle, checks the same
-frozen statement or aggregate certificate.  The design this pins is
+Every receiver of a broadcast, and the oracle's audit of what a replica
+keeps, checks the same frozen statement or aggregate certificate.  The design this pins is
 that a signed value is serialised once, when it is signed, and that a
 signed object is checked against the trusted setup once per deployment:
 the verdict is stamped on the object and read back by everyone after.
@@ -14,6 +14,8 @@ import sys
 import pytest
 
 from repro.checks import run_oracle
+from repro.checks.invariants import QuorumAudit
+from repro.crypto.backends import HmacSha256Backend
 from repro.crypto.registry import QUORUM_MEMO_PER_PLAYER, KeyRegistry
 from repro.experiments.registry import get_scenario
 
@@ -83,31 +85,59 @@ def test_a_certificate_is_serialised_once_however_many_receivers_check_it(
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_the_oracle_checks_signatures_without_the_trusted_setup(name, monkeypatch):
-    """Everything the oracle audits was verified by a receiver during
-    the run, on the same object: the audit derives no tag and never
-    reaches ``KeyRegistry.verify``, yet every check is still counted."""
-    scenario = SCENARIOS[name]
-    result = scenario.run(seed=0)
-    registry = result.ctx.registry
-    before = (registry.cache_hits, registry.cache_misses, registry.agg_cache_misses)
-    tags, verifies = [], []
-    real_tag, real_verify = type(registry.backend).tag, KeyRegistry.verify
+    """Everything the oracle audits was verified by a receiver on the
+    same object before it was kept.  The quorum-certs fold judges each
+    kept statement and aggregate during the run: it derives no tag and
+    never reaches ``KeyRegistry.verify``, yet every check is counted.
+    The checkers that run after the run derive none either."""
+    derived = collections.Counter()  # (what, inside the fold) -> calls
+    checks = collections.Counter()  # (fold method, hit or miss) -> count
+    inside = []
+    real_tag, real_verify = HmacSha256Backend.tag, KeyRegistry.verify
 
     def counting_tag(backend, secret, message):
-        tags.append(message)
+        derived["tag", bool(inside)] += 1
         return real_tag(backend, secret, message)
 
     def counting_verify(registry, *args, **kwargs):
-        verifies.append(args)
+        derived["verify", bool(inside)] += 1
         return real_verify(registry, *args, **kwargs)
 
-    monkeypatch.setattr(type(registry.backend), "tag", counting_tag)
+    def counted(method):
+        real = getattr(QuorumAudit, method)
+
+        def fold(audit, *args):
+            registry = audit.registry
+            hits = registry.cache_hits + registry.agg_cache_hits
+            misses = registry.cache_misses + registry.agg_cache_misses
+            inside.append(method)
+            try:
+                real(audit, *args)
+            finally:
+                inside.pop()
+            checks[method, "hit"] += registry.cache_hits + registry.agg_cache_hits - hits
+            checks[method, "miss"] += registry.cache_misses + registry.agg_cache_misses - misses
+
+        return fold
+
+    monkeypatch.setattr(HmacSha256Backend, "tag", counting_tag)
     monkeypatch.setattr(KeyRegistry, "verify", counting_verify)
+    for method in ("statement", "aggregate"):
+        monkeypatch.setattr(QuorumAudit, method, counted(method))
+    scenario = SCENARIOS[name]
+    result = scenario.run(seed=0)
+    assert (derived["tag", True], derived["verify", True]) == (0, 0)
+    assert checks["statement", "hit"] > 0  # the fold did check statements
+    assert checks["aggregate", "hit"] > 0 or name != "hotstuff-aggregate"
+    assert checks["statement", "miss"] == checks["aggregate", "miss"] == 0
+
+    registry = result.ctx.registry
+    derived.clear()
+    misses = (registry.cache_misses, registry.agg_cache_misses)
     report = run_oracle(result, scenario, 0)
     assert report.ok, report.violated_names
-    assert (len(tags), len(verifies)) == (0, 0)
-    assert registry.cache_hits > before[0]  # the audit did check statements
-    assert (registry.cache_misses, registry.agg_cache_misses) == before[1:]
+    assert sum(derived.values()) == 0
+    assert (registry.cache_misses, registry.agg_cache_misses) == misses
 
 
 def test_the_registry_keeps_no_per_check_state():
