@@ -31,7 +31,7 @@ Implementation notes, and where we deviate from the paper's figure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Set
+from typing import Any, Dict, Iterable, Optional, Set
 
 from repro.agents.player import Player
 from repro.core.messages import (
@@ -67,7 +67,6 @@ class RoundState(ViewChangeRound):
     final_sent: bool = False
     tentative_digest: Optional[str] = None
     exposed: bool = False
-    commit_view_sent: bool = False
     commit_view_message: Optional[CommitViewMessage] = None
     commit_views: Dict[int, CommitViewMessage] = field(default_factory=dict)
 
@@ -169,33 +168,18 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
             # everything from that round to our head retransmitted.
             super()._on_late_payload(sender, payload)
 
-    def _offer_catch_up(self, requester: int, round_number: int) -> None:
-        """Resend our own record of a decided/aborted round to a laggard.
+    def _decided_proof(self, state: RoundState) -> Optional[FinalMessage]:
+        """Our Final for a finalized round, with the block body attached
+        (a deterministic signature over a value we already signed)."""
+        digest = state.tentative_digest
+        block = state.blocks.get(digest)
+        if block is None:
+            return None
+        return FinalMessage(statement=self._sign(FINAL, state.number, digest), block=block)
 
-        Only ever active on unreliable networks (loss, duplication,
-        crash schedules): on reliable channels every message arrives
-        exactly once and retransmission would perturb byte-identical
-        replays.  For a finalized round we resend our Final with the
-        block body attached; for a view-changed round we resend our
-        CommitView certificate.  Both rebuild deterministic signatures
-        over values we already signed, so no new equivocation can
-        arise; both go point-to-point through the strategy-mediated
-        :meth:`BaseReplica.send_direct` (deviators may withhold).
-        """
-        if requester == self.player_id:
-            return
-        state = self._rounds.get(round_number)
-        if state is None:
-            return
-        if state.finalized and state.tentative_digest is not None:
-            digest = state.tentative_digest
-            block = state.blocks.get(digest)
-            if block is None:
-                return
-            statement = self._sign(FINAL, round_number, digest)
-            self.send_direct(requester, FinalMessage(statement=statement, block=block))
-        elif state.commit_view_message is not None:
-            self.send_direct(requester, state.commit_view_message)
+    def _abandoned_proof(self, state: RoundState) -> Optional[CommitViewMessage]:
+        """Our stored CommitView certificate for a view-changed round."""
+        return state.commit_view_message
 
     def _absorb_late_reveal(self, sender: int, message: RevealMessage) -> None:
         round_number = message.round_number
@@ -257,7 +241,8 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
         if len(state.proposals) >= 2:
             self.trace("leader_equivocation", round=round_number, leader=sender)
             if self.strategy.report_fraud(self, {sender}):
-                self._initiate_view_change(round_number, PROPOSE)
+                # Abandon the round now, without re-arming its timer.
+                self._send_view_change(state, PROPOSE)
         if state.view_committed or not self._may_sign(state, VOTE, digest):
             return
         if message.block.parent_digest != self.expected_parent_digest(round_number):
@@ -411,18 +396,17 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
     # View change (Section 5.2)
     # ------------------------------------------------------------------
     def _on_round_timeout(self, round_number: int) -> None:
-        """Stalled frontier: initiate the Section 5.2 view change."""
-        state = self._view_change_due(round_number)
-        if state is not None:
-            self._initiate_view_change(round_number, self._stalled_phase(state))
-            self._arm_round_timer(round_number)
+        """Stalled frontier: the driver's view change, here the first of
+        Section 5.2's two steps."""
+        super()._on_timeout(round_number)
 
     def _on_timeout(self, round_number: int) -> None:
         # BaseReplica's timer hook; the reaction itself keeps the name
         # the host-time benchmark (perf/layers.py) wraps on this class.
         self._on_round_timeout(round_number)
 
-    def _stalled_phase(self, state: RoundState) -> str:
+    def _view_change_digest(self, state: RoundState) -> str:
+        """The phase the round stalled in, which the ViewChange signs."""
         if state.signed.get(REVEAL):
             return REVEAL
         if state.signed.get(COMMIT):
@@ -431,61 +415,29 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
             return VOTE
         return PROPOSE
 
-    def _round_evidence(self, state: RoundState) -> FrozenSet[SignedStatement]:
-        """All value signatures this replica holds for the round."""
+    def _view_change_parts(self, state: RoundState) -> Dict[str, Any]:
+        """Every value signature held for the round — the proposals and
+        the retained phase statements — as evidence, less what the
+        strategy strips (colluders never incriminate themselves); none
+        when ``config.view_change_evidence`` is off."""
+        if not self.config.view_change_evidence:
+            return {}
         held: Set[SignedStatement] = {message.statement for message in state.proposals.values()}
         held.update(self._held_statements(state))
-        return frozenset(held)
+        return {"evidence": frozenset(self.strategy.filter_evidence(self, held))}
 
-    def _initiate_view_change(self, round_number: int, stalled_phase: str) -> None:
-        state = self.round_state(round_number)
-        if state.finalized:
+    def _on_view_change_quorum(self, state: RoundState, votes: Iterable[SignedStatement]) -> None:
+        """The second step: commit to the view change once, quoting the
+        ViewChange quorum; n − t0 CommitViews abandon the round."""
+        if state.commit_view_message is not None:
             return
-        # On a reliable network one ViewChange suffices (channels are
-        # exactly-once).  Under link faults the first copy may be lost,
-        # so every repeat timeout retransmits — the paper's partial-
-        # synchrony liveness argument assumes exactly this resend loop.
-        if state.view_change_sent and not self.ctx.network.unreliable:
-            return
-        state.view_change_sent = True
-        statement = self._sign(self.VIEW_CHANGE, round_number, stalled_phase)
-        if self.config.view_change_evidence:
-            evidence = frozenset(
-                self.strategy.filter_evidence(self, self._round_evidence(state))
-            )
-        else:
-            evidence = frozenset()
-        message = ViewChangeMessage(statement=statement, evidence=evidence)
-        self.trace("view_change_sent", round=round_number, phase=stalled_phase)
-        self.broadcast(message)
-
-    def _view_change_quorum(self) -> int:
-        """View change always uses n − t0, independent of τ overrides."""
-        return self.config.n - self.config.t0
-
-    def _on_view_change(self, sender: int, message: ViewChangeMessage) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
-        statement = message.statement
-        if not self._valid(statement, sender, self.VIEW_CHANGE):
-            return
-        self._absorb_justification(message.evidence)
-        votes = self._keep_view_change(state, sender, statement)
-        if state.commit_view_sent or state.finalized:
-            return
-        if len(votes) >= self._view_change_quorum():
-            self._send_commit_view(state, frozenset(votes.values()))
-
-    def _send_commit_view(self, state: RoundState, justification: FrozenSet[SignedStatement]) -> None:
-        if state.commit_view_sent:
-            return
-        state.commit_view_sent = True
         state.view_committed = True
         statement = self._sign(Phase.COMMIT_VIEW.value, state.number, "")
-        message = CommitViewMessage(statement=statement, view_changes=justification)
-        state.commit_view_message = message
+        state.commit_view_message = CommitViewMessage(
+            statement=statement, view_changes=frozenset(votes)
+        )
         self.trace("commit_view_sent", round=state.number)
-        self.broadcast(message)
+        self.broadcast(state.commit_view_message)
 
     def _on_commit_view(self, sender: int, message: CommitViewMessage) -> None:
         round_number = message.round_number
@@ -501,9 +453,11 @@ class PRFTReplica(AccountableMixin, ViewChangeReplica):
         ):
             return
         state.commit_views[sender] = message
-        if not state.commit_view_sent and not state.finalized:
-            self._send_commit_view(state, message.view_changes)
-        if len(state.commit_views) >= self._view_change_quorum() and not state.finalized:
+        if state.finalized:
+            return
+        # A verified quorum, quoted: join the second step on it.
+        self._on_view_change_quorum(state, message.view_changes)
+        if len(state.commit_views) >= self._view_change_quorum():
             self.trace("view_change_committed", round=round_number)
             self._abort_round(state)
 

@@ -396,7 +396,7 @@ class BaseReplica(ABC):
 
     def _trace_slot(self, kind: str, **detail: Any) -> None:
         """Narrate a slot-lifecycle step (``round_start``, ``timeout``,
-        ``halt``).  Silent here: only pRFT records these events, and the
+        ``halt``, ``view_change_sent``).  Silent here: only pRFT records these events, and the
         trace is read downstream (the message-complexity checker and the
         near-miss score count ``timeout``), so the baselines' pinned
         runs depend on staying silent."""

@@ -67,10 +67,9 @@ class PBFTReplica(ViewChangeReplica):
         self._dispatch(sender, payload)
 
     def _on_timeout(self, round_number: int) -> None:
-        """Stalled frontier: a bare ViewChange vote, no evidence."""
-        state = self._view_change_due(round_number)
-        if state is not None:
-            self._send_view_change(state)
+        # The driver's; defined here because the host-time benchmark
+        # (perf/layers.py) wraps this name on this class.
+        super()._on_timeout(round_number)
 
 
 def pbft_factory(player: Player, config: ProtocolConfig, ctx: ProtocolContext) -> PBFTReplica:

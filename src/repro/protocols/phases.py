@@ -25,17 +25,19 @@ that accepts the certificate goes on down the table exactly as after a
 quorum of its own (:meth:`PhaseTableReplica._on_quorum`).
 
 A protocol supplies its wire vocabulary, its :attr:`PHASES` table and
-the few answers the table cannot give (its ``_on_timeout``; pRFT's
-propose / final / expose / view-change handlers; HotStuff's certificate
-checks and catch-up).  :class:`ViewChangeReplica` adds the pBFT
-family's one-step view change and the catch-up it serves; HotStuff
-paces rounds by timeout and has none of it.
+the few answers the table cannot give (pRFT's propose / final / expose /
+commit-view handlers; HotStuff's timeout, certificate checks and
+catch-up).  :class:`ViewChangeReplica` adds the view change pRFT and the
+pBFT family share, and the catch-up it serves; HotStuff paces rounds by
+timeout and has none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, Iterator, NamedTuple, Optional, Tuple, Type
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple, Type,
+)
 
 from repro.core.messages import (
     SignedStatement,
@@ -330,10 +332,16 @@ class PhaseTableReplica(BaseReplica):
 
 
 class ViewChangeReplica(PhaseTableReplica):
-    """The phase table plus the pBFT family's one-step view change: a
-    stalled frontier votes to abandon its round, a quorum of those
-    votes abandons it, and a peer stuck behind lost traffic is served
-    past rounds' outcomes on request."""
+    """The phase table plus the pBFT family's view change (Castro &
+    Liskov's, which pRFT's Section 5.2 extends): a stalled frontier
+    votes to abandon its round, n − t0 votes are a quorum, and a peer
+    stuck behind lost traffic is served past rounds' outcomes on
+    request.  The vote, its tally, the quorum rule and the catch-up are
+    written here once; a protocol changes what the vote signs
+    (:meth:`_view_change_digest`), what it carries
+    (:meth:`_view_change_parts`), what a quorum does
+    (:meth:`_on_view_change_quorum`) and what proves a round it left
+    (:meth:`_decided_proof`, :meth:`_abandoned_proof`)."""
 
     ROUND_STATE = ViewChangeRound
 
@@ -345,46 +353,95 @@ class ViewChangeReplica(PhaseTableReplica):
         if "PHASES" in vars(cls):
             cls._HANDLERS[cls.ViewChange] = "_on_view_change"
 
-    def _view_change_due(self, round_number: int) -> Optional[ViewChangeRound]:
-        """Timer gate of the view change: the round's state when the
-        caller should now send its view change, else ``None``.
+    # ------------------------------------------------------------------
+    # Protocol deltas
+    # ------------------------------------------------------------------
+    def _view_change_digest(self, state: ViewChangeRound) -> str:
+        """What a timed-out replica's ViewChange signs in the digest slot."""
+        return ""
+
+    def _view_change_parts(self, state: ViewChangeRound) -> Dict[str, Any]:
+        """What a ViewChange carries beyond its statement (none: a bare vote)."""
+        return {}
+
+    def _on_view_change_quorum(
+        self, state: ViewChangeRound, votes: Iterable[SignedStatement]
+    ) -> None:
+        """n − t0 replicas voted to abandon the unfinalized round: leave it."""
+        self.trace("view_change_committed", round=state.number)
+        self._advance(state.number)
+
+    def _decided_proof(self, state: ViewChangeRound) -> Optional[WireMessage]:
+        """Our own last-phase message, with the block, for a finalized round.
+
+        Finalized on others' signatures while ours went to a competing
+        proposal: rebuilding would sign a value we never signed — an
+        honest double-sign a detector would burn — so nothing is sent.
+        """
+        digest = state.decided_digest
+        last = self.PHASES[-1]
+        if digest not in state.signed.get(last.phase, ()) or digest not in state.blocks:
+            return None
+        return self._build(state, last, digest)
+
+    def _abandoned_proof(self, state: ViewChangeRound) -> Optional[WireMessage]:
+        """A bare ViewChange vote for a round we left undecided."""
+        if not state.advanced:
+            return None
+        return self.ViewChange(statement=self._sign(self.VIEW_CHANGE, state.number, ""))
+
+    # ------------------------------------------------------------------
+    # The vote and its quorum
+    # ------------------------------------------------------------------
+    def _view_change_quorum(self) -> int:
+        """n − t0 votes abandon a round, whatever τ is."""
+        return self.config.n - self.config.t0
+
+    def _on_timeout(self, round_number: int) -> None:
+        """A round timer fired.
 
         Only the commit frontier acts: a speculative slot's timer is
         kept alive and the stalled slot acts once the frontier reaches
         it.  On a faulty link the frontier first re-sends everything it
-        already said and gives the round one extra timeout.
+        already said and gives the round one extra timeout; then it
+        votes to abandon the round and re-arms the timer.
         """
         if self.halted:
-            return None
+            return
         if round_number > self.current_round:
             if not self.round_state(round_number).finalized:
                 self._arm_round_timer(round_number)
-            return None
+            return
         if self.current_round != round_number:
-            return None
+            return
         state = self.round_state(round_number)
         if state.finalized:
-            return None
+            return
         self._trace_slot("timeout", round=round_number)
         state.timeouts += 1
         if self.ctx.network.unreliable:
             self._retransmit_round(state)
             if state.timeouts == 1:
                 self._arm_round_timer(round_number)
-                return None
-        return state
+                return
+        self._send_view_change(state, self._view_change_digest(state))
+        self._arm_round_timer(round_number)
 
-    def _send_view_change(self, state: ViewChangeRound, **carried: Any) -> None:
-        """Vote to abandon the stalled frontier round and re-arm its timer.
+    def _send_view_change(self, state: ViewChangeRound, digest: str) -> None:
+        """Vote to abandon an unfinalized round, signing ``digest``.
 
-        On reliable channels one ViewChange suffices; repeat timeouts
-        resend it when the link may have dropped the first copy.
+        On reliable channels one ViewChange suffices (they are
+        exactly-once).  Under link faults the first copy may be lost, so
+        every repeat timeout resends it — the partial-synchrony liveness
+        argument assumes exactly this resend loop.
         """
-        if not state.view_change_sent or self.ctx.network.unreliable:
-            state.view_change_sent = True
-            statement = self._sign(self.VIEW_CHANGE, state.number, "")
-            self.broadcast(self.ViewChange(statement=statement, **carried))
-        self._arm_round_timer(state.number)
+        if state.finalized or (state.view_change_sent and not self.ctx.network.unreliable):
+            return
+        state.view_change_sent = True
+        statement = self._sign(self.VIEW_CHANGE, state.number, digest)
+        message = self.ViewChange(statement=statement, **self._view_change_parts(state))
+        self._trace_slot("view_change_sent", round=state.number, phase=digest)
+        self.broadcast(message)
 
     def _held_statements(self, state: ViewChangeRound) -> Iterator[SignedStatement]:
         """Every phase statement retained for the round, in arrival
@@ -395,15 +452,13 @@ class ViewChangeReplica(PhaseTableReplica):
                     yield from by_signer.values()
 
     def _on_view_change(self, sender: int, message: Any) -> None:
-        round_number = message.round_number
-        state = self.round_state(round_number)
+        state = self.round_state(message.round_number)
         if not self._valid(message.statement, sender, self.VIEW_CHANGE):
             return
         self._absorb_justification(getattr(message, "evidence", ()))
         votes = self._keep_view_change(state, sender, message.statement)
-        if len(votes) >= self.config.n - self.config.t0 and not state.finalized:
-            self.trace("view_change_committed", round=round_number)
-            self._advance(round_number)
+        if len(votes) >= self._view_change_quorum() and not state.finalized:
+            self._on_view_change_quorum(state, votes.values())
 
     # ------------------------------------------------------------------
     # Faulty links: catch-up
@@ -423,31 +478,21 @@ class ViewChangeReplica(PhaseTableReplica):
     def _offer_catch_up(self, requester: int, round_number: int) -> None:
         """Retransmit our round outcome to a peer stuck behind lost traffic.
 
-        All we can (soundly) resend is our *own* signature: our
-        last-phase message with the block for a finalized round, or a
-        bare ViewChange vote for an abandoned one.  The laggard
-        assembles its quorum from many helpers' resends, one signer
-        each — exactly the messages it would have received had the link
-        not dropped them.  Only ever active on unreliable networks;
-        strategy-mediated via :meth:`BaseReplica.send_direct`.
+        All we can (soundly) resend is what we signed ourselves: the
+        decided round's :meth:`_decided_proof` or the abandoned round's
+        :meth:`_abandoned_proof`.  The laggard assembles its quorum
+        from many helpers' resends, one signer each — exactly the
+        messages it would have received had the link not dropped them.
+        Only ever active on unreliable networks (on reliable channels
+        every message arrives exactly once, and a resend would perturb
+        byte-identical replays); strategy-mediated via
+        :meth:`BaseReplica.send_direct` (deviators may withhold).
         """
         if requester == self.player_id:
             return
         state = self._rounds.get(round_number)
         if state is None:
             return
-        last = self.PHASES[-1]
-        if state.finalized and state.decided_digest is not None:
-            digest = state.decided_digest
-            # Finalized on others' signatures while ours went to a
-            # competing proposal: rebuilding would sign a value we never
-            # signed — an honest double-sign a detector would burn.
-            if digest not in state.signed.get(last.phase, ()) or digest not in state.blocks:
-                return
-            reply = self._build(state, last, digest)
-        elif state.advanced:
-            reply = self.ViewChange(statement=self._sign(self.VIEW_CHANGE, round_number, ""))
-        else:
-            return
+        reply = self._decided_proof(state) if state.finalized else self._abandoned_proof(state)
         if reply is not None:
             self.send_direct(requester, reply)

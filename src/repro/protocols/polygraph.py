@@ -13,12 +13,12 @@ t < n/4, t + k < n/2 with rational players.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional
+from typing import Any, Dict, FrozenSet, Optional
 
 from repro.agents.player import Player
 from repro.core.messages import Justification, SignedStatement, WireMessage
 from repro.protocols.base import AccountableMixin, ProtocolConfig, ProtocolContext
-from repro.protocols.phases import PhaseRow, ViewChangeReplica
+from repro.protocols.phases import PhaseRow, ViewChangeReplica, ViewChangeRound
 
 PG_PROPOSE = "pg-propose"
 PG_PREPARE = "pg-prepare"
@@ -73,12 +73,18 @@ class PolygraphReplica(AccountableMixin, ViewChangeReplica):
         self._dispatch(sender, payload)
 
     def _on_timeout(self, round_number: int) -> None:
-        """Stalled frontier: the ViewChange carries every prepare and
-        commit statement held for the round, so a stalled fork attempt
-        is still attributable."""
-        state = self._view_change_due(round_number)
-        if state is not None:
-            self._send_view_change(state, evidence=frozenset(set(self._held_statements(state))))
+        # The driver's; defined here because the host-time benchmark
+        # (perf/layers.py) wraps this name on this class.
+        super()._on_timeout(round_number)
+
+    def _view_change_parts(self, state: ViewChangeRound) -> Dict[str, Any]:
+        """The ViewChange carries every prepare and commit statement held
+        for the round, so a stalled fork attempt is still attributable.
+        Unlike pRFT's, the evidence passes neither the strategy's
+        ``filter_evidence`` nor ``config.view_change_evidence``: honouring
+        them moves fork runs on Polygraph and TRAP, so it waits for a
+        change that re-pins them."""
+        return {"evidence": frozenset(self._held_statements(state))}
 
     def _on_late_payload(self, sender: int, payload: Any) -> None:
         """Keep absorbing evidence — and keep serving catch-up."""

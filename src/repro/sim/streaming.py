@@ -52,31 +52,21 @@ class P2Quantile:
 
     Maintains five markers (min, q/2, q, (1+q)/2, max) whose heights
     are nudged toward their ideal positions with a piecewise-parabolic
-    update on every observation.  Exact until five observations have
-    arrived.
+    update on every observation.  The markers start from an exact
+    sample (:meth:`seed`); until then the estimator takes no
+    observations and has no value.
     """
 
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_rates", "_initial")
+    __slots__ = ("q", "_heights", "_positions", "_desired", "_rates")
 
     def __init__(self, q: float) -> None:
         if not 0.0 < q < 1.0:
             raise ValueError("quantile must be in (0, 1)")
         self.q = q
-        self._initial: List[float] = []
         self._heights: List[float] = []
         self._positions: List[int] = []
         self._desired: List[float] = []
         self._rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    @property
-    def initialized(self) -> bool:
-        return bool(self._heights)
-
-    def _start(self, first_five_sorted: Sequence[float]) -> None:
-        self._heights = list(first_five_sorted)
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q,
-                         3.0 + 2.0 * self.q, 5.0]
 
     def seed(self, ordered: Sequence[float]) -> None:
         """Initialise the markers from an exact sorted sample (≥ 5
@@ -85,8 +75,8 @@ class P2Quantile:
         count = len(ordered)
         if count < 5:
             raise ValueError("need at least five values to seed")
-        if self.initialized or self._initial:
-            raise ValueError("estimator already has observations")
+        if self._heights:
+            raise ValueError("estimator already seeded")
         heights = [percentile_of_sorted(ordered, rate * 100.0) for rate in self._rates]
         self._heights = heights
         self._positions = [
@@ -101,13 +91,9 @@ class P2Quantile:
         self._desired = [1.0 + rate * (count - 1) for rate in self._rates]
 
     def add(self, value: float) -> None:
-        if not self.initialized:
-            self._initial.append(value)
-            if len(self._initial) == 5:
-                self._start(sorted(self._initial))
-                self._initial = []
-            return
         heights, positions = self._heights, self._positions
+        if not heights:
+            raise ValueError("estimator not seeded")
         if value < heights[0]:
             heights[0] = value
             cell = 0
@@ -155,11 +141,9 @@ class P2Quantile:
         )
 
     def value(self) -> float:
-        """The current quantile estimate (exact below five samples)."""
-        if not self.initialized:
-            if not self._initial:
-                raise ValueError("quantile of no values")
-            return percentile_of_sorted(sorted(self._initial), self.q * 100.0)
+        """The current quantile estimate."""
+        if not self._heights:
+            raise ValueError("estimator not seeded")
         return self._heights[2]
 
 

@@ -201,11 +201,6 @@ class ToyReplica(ViewChangeReplica):
     def handle_payload(self, sender, payload):
         self._dispatch(sender, payload)
 
-    def _on_timeout(self, round_number):
-        state = self._view_change_due(round_number)
-        if state is not None:
-            self._send_view_change(state)
-
 
 def test_a_protocol_is_a_table():
     toy_source = [ToyPropose, ToyAck, ToyViewChange, ToyReplica]

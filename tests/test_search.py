@@ -8,6 +8,7 @@ default tier.
 import hashlib
 import json
 import sqlite3
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.search.score import (
     score_of,
     with_near_miss,
 )
-from repro.search.space import StrategyGene, draw_gene
+from repro.search.space import GeneStrategy, StrategyGene, draw_gene
 
 pytestmark = pytest.mark.search
 
@@ -113,6 +114,56 @@ class TestGeneShrinking:
         assert first == second
         assert first.active
         assert 1 <= first.coalition <= 3
+
+
+class TestSuppressFraudIsLive:
+    """The ``suppress_fraud`` gene knob moves fuzz runs even though the
+    search's ``suppress_fraud`` ladder row never moves a search point:
+    pRFT through the view-change evidence the knob strips, Polygraph
+    through ``report_fraud``."""
+
+    @staticmethod
+    def _run(scenario, seed):
+        result = scenario.run(seed=seed)
+        return {
+            "record": RunRecord.from_result(scenario, seed, result).canonical(),
+            "trace": [(e.time, e.kind, e.player, repr(e.detail)) for e in result.trace.events()],
+            "messages": result.metrics.by_type(),
+        }
+
+    @staticmethod
+    def _knob_off(scenario):
+        gene = StrategyGene.from_field(scenario.gene)
+        assert gene.suppress_fraud
+        return scenario.with_params(gene=replace(gene, suppress_fraud=False).as_field())
+
+    @pytest.mark.parametrize("index,protocol,moved", [
+        (1771, "prft", ("record", "trace", "messages")),
+        (1176, "polygraph", ("trace",)),
+    ])
+    def test_turning_the_knob_off_moves_the_run(self, monkeypatch, index, protocol, moved):
+        trial = generate_trial(0, index, "safe")
+        assert trial.scenario.protocol == protocol
+        filtered = []
+        original = GeneStrategy.filter_evidence
+
+        def spy(self, replica, statements):
+            statements = list(statements)
+            kept = original(self, replica, statements)
+            filtered.append((len(statements), len(kept)))
+            return kept
+
+        monkeypatch.setattr(GeneStrategy, "filter_evidence", spy)
+        on = self._run(trial.scenario, trial.seed)
+        off = self._run(self._knob_off(trial.scenario), trial.seed)
+        assert [key for key in on if on[key] != off[key]] == list(moved)
+        if protocol == "prft":
+            # The knob reaches pRFT's view change only through the
+            # strategy's evidence filter, which strips something here.
+            assert any(kept < held for held, kept in filtered), filtered
+        else:
+            # Polygraph's view-change evidence is not filtered.
+            assert filtered == []
 
 
 class TestNearMissScore:

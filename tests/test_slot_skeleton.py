@@ -12,8 +12,9 @@ out in the benchmark pipeline.
 The second half pins that each mechanism exists once: what a message
 says about itself lives on the wire base, an envelope is described in
 one place, the receive-boundary check, the fraud detector and the
-sign-once gate each have one home, and the phase-table driver gives
-all five protocols one quorum loop and one retransmission loop.
+sign-once gate each have one home, the phase-table driver gives all
+five protocols one quorum loop and one retransmission loop, and pRFT
+and the pBFT family share one view change.
 """
 
 import ast
@@ -260,3 +261,41 @@ def test_hotstuff_is_relay_rows_without_a_view_change():
     assert "_on_view_change" not in HotStuffReplica._HANDLERS.values()
     for cls in (PRFTReplica, PBFTReplica, PolygraphReplica, TrapReplica):
         assert issubclass(cls, ViewChangeReplica)
+
+
+def test_the_view_change_is_written_once():
+    """The view-change vote, its n − t0 quorum and the catch-up are the
+    driver's; pRFT only says what its vote signs and carries, what a
+    quorum does (its CommitView step) and what proves a left round."""
+    defined = {
+        name: [
+            (path.name, cls)
+            for path in sorted(SRC.rglob("*.py"))
+            for node, cls, _ in _scoped(path)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        for name in ("_send_view_change", "_on_view_change", "_view_change_quorum")
+    }
+    for name, sites in defined.items():
+        assert sites == [("phases.py", "ViewChangeReplica")], (name, sites)
+    for name in (
+        "_send_view_change", "_on_view_change", "_initiate_view_change",
+        "_view_change_quorum", "_offer_catch_up",
+    ):
+        assert name not in vars(PRFTReplica), name
+    for cls in (PBFTReplica, PolygraphReplica, TrapReplica):
+        own = set(vars(cls))
+        assert not own & {"_on_view_change_quorum", "_offer_catch_up", "_view_change_digest"}
+
+    def ident(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    n_minus_t0 = [
+        (path.name, cls, func)
+        for path in sorted(SRC.rglob("*.py"))
+        for node, cls, func in _scoped(path)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and ident(node.left) == "n" and ident(node.right) == "t0"
+        and cls != "ProtocolConfig"  # τ's default and Claim 1's window
+    ]
+    assert n_minus_t0 == [("phases.py", "ViewChangeReplica", "_view_change_quorum")]

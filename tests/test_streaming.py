@@ -58,17 +58,11 @@ class TestP2Quantile:
             with pytest.raises(ValueError):
                 P2Quantile(q)
 
-    def test_exact_below_five_samples(self):
-        estimator = P2Quantile(0.5)
-        values = [9.0, 1.0, 5.0]
-        for value in values:
-            estimator.add(value)
-        assert estimator.value() == percentile_of_sorted(sorted(values), 50.0)
-        assert not estimator.initialized
-
     def test_no_values_raises(self):
         with pytest.raises(ValueError):
             P2Quantile(0.5).value()
+        with pytest.raises(ValueError):
+            P2Quantile(0.5).add(1.0)
 
     def test_seed_requires_five_and_fresh_state(self):
         estimator = P2Quantile(0.5)
